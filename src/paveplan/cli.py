@@ -135,12 +135,11 @@ def run(config: RunConfig) -> int:
         config.cost_matrix_path,
         config.conservation_tolerance,
     )
-    if config.strict:
+    if config.strict and config.algorithm != "schedule":
+        # the schedule pipeline validates, and raises in strict mode, itself
         report = validate_dataset(segments, schedule)
         if not report.ok:
-            for issue in report.issues:
-                print(f"{issue.code}: {issue.message}", file=sys.stderr)
-            return 1
+            raise ValidationFailedError(report)
 
     if config.algorithm == "random":
         plan = main_algorithm(

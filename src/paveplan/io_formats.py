@@ -194,6 +194,8 @@ def load_budgets(
             )
         except ValueError as exc:
             raise CsvFormatError(str(exc), row=line_no) from None
+    if not entries:
+        raise CsvFormatError("budgets CSV has no data rows")
     try:
         return BudgetSchedule(tuple(entries), conservation_tolerance)
     except ValueError as exc:

@@ -61,6 +61,56 @@ class ClusterBuildTrace:
     stop_reason: str
 
 
+def _admit(
+    center: Segment,
+    candidates: Iterable[Segment],
+    cap: Decimal,
+    cost: CostFn,
+    skip_mode: bool = False,
+) -> tuple[list[tuple[str, Decimal]], str]:
+    """The center, then each candidate in turn while the running total stays
+    within ``cap``: the admitted ``(id, running total)`` pairs and the stop
+    reason. A center at or over the cap is admitted alone, without reading
+    ``candidates``, so the overrun is reported, never silent."""
+    if cap <= 0:
+        raise ValueError("cluster budget must be positive")
+    total = cost(center)
+    admitted = [(center.id, total)]
+    if total >= cap:
+        return admitted, STOP_CENTER_EXCEEDS_BUDGET
+    stop_reason = STOP_DATA_EXHAUSTED
+    for seg in candidates:
+        candidate_cost = cost(seg)
+        if total + candidate_cost <= cap:
+            total += candidate_cost
+            admitted.append((seg.id, total))
+        else:
+            stop_reason = STOP_BUDGET_REACHED
+            if not skip_mode:
+                break
+    return admitted, stop_reason
+
+
+def _walk(
+    pool: Sequence[Segment],
+    center: Segment,
+    cap: Decimal,
+    cost: CostFn,
+    skip_mode: bool = False,
+) -> tuple[list[tuple[str, Decimal]], str]:
+    """:func:`_admit` over the rest of the pool, nearest to ``center`` first."""
+    by_id = {seg.id: seg for seg in pool}
+    if center.id not in by_id:
+        raise ValueError(f"center {center.id!r} is not in the pool")
+
+    def nearest_first():
+        # a generator, so a flagged center never pays for the sort
+        for sid in order_by_distance(pool, center).ordered_ids:
+            yield by_id[sid]
+
+    return _admit(center, nearest_first(), cap, cost, skip_mode)
+
+
 def radial_neighbor_clustering(
     pool: Sequence[Segment],
     center: Segment,
@@ -72,66 +122,27 @@ def radial_neighbor_clustering(
 ) -> tuple[Cluster, ClusterBuildTrace]:
     """Grow one cluster outward from ``center`` until the budget stops it.
 
-    The center is always a member. A center whose own cost already meets or
-    exceeds the budget comes back as a flagged singleton: it consumes the
-    slot and the overrun is reported, never silent. Otherwise the remaining
-    pool is visited nearest-first and each point is admitted while the
-    running total stays within the cap.
+    The center is always a member; a center at or over the budget comes
+    back as a flagged singleton. Otherwise the remaining pool is visited
+    nearest-first and each point is admitted while the running total stays
+    within the cap.
     """
     cap = money(budget)
-    if cap <= 0:
-        raise ValueError("cluster budget must be positive")
-    pool = list(pool)
-    by_id = {seg.id: seg for seg in pool}
-    if center.id not in by_id:
-        raise ValueError(f"center {center.id!r} is not in the pool")
-    if cost is None:
-        cost = scheduled_year_cost
-    if year is None:
-        year = center.scheduled_year
-
-    center_cost = cost(center)
-    if center_cost >= cap:
-        cluster = Cluster(
-            year=year,
-            center_id=center.id,
-            member_ids=(center.id,),
-            realized_cost=center_cost,
-            budget=cap,
-        )
-        trace = ClusterBuildTrace(
-            center.id, ((center.id, center_cost),), STOP_CENTER_EXCEEDS_BUDGET
-        )
-        return cluster, trace
-
-    ordering = order_by_distance(pool, center)
-    members = [center.id]
-    admitted = [(center.id, center_cost)]
-    total = center_cost
-    stop_reason = STOP_DATA_EXHAUSTED
-    for sid in ordering.ordered_ids:
-        candidate_cost = cost(by_id[sid])
-        if total + candidate_cost <= cap:
-            total += candidate_cost
-            members.append(sid)
-            admitted.append((sid, total))
-        elif skip_mode:
-            stop_reason = STOP_BUDGET_REACHED
-        else:
-            stop_reason = STOP_BUDGET_REACHED
-            break
+    admitted, stop_reason = _walk(
+        list(pool), center, cap, cost or scheduled_year_cost, skip_mode
+    )
     cluster = Cluster(
-        year=year,
+        year=center.scheduled_year if year is None else year,
         center_id=center.id,
-        member_ids=tuple(members),
-        realized_cost=total,
+        member_ids=tuple(sid for sid, _ in admitted),
+        realized_cost=admitted[-1][1],
         budget=cap,
     )
     return cluster, ClusterBuildTrace(center.id, tuple(admitted), stop_reason)
 
 
-def select_initial_center(segments: Sequence[Segment], axis: int = 0) -> Segment:
-    """The segment with the largest coordinate on ``axis``; ties by ascending id."""
+def _check_segments(segments: Iterable[Segment], axis: int = 0) -> list[Segment]:
+    """``segments`` as a list; rejects empty input and an out-of-range axis."""
     segments = list(segments)
     if not segments:
         raise ValueError("segment list must not be empty")
@@ -139,6 +150,12 @@ def select_initial_center(segments: Sequence[Segment], axis: int = 0) -> Segment
         raise ValueError(
             f"axis {axis} out of range for {segments[0].dimension}-dimensional data"
         )
+    return segments
+
+
+def select_initial_center(segments: Sequence[Segment], axis: int = 0) -> Segment:
+    """The segment with the largest coordinate on ``axis``; ties by ascending id."""
+    segments = _check_segments(segments, axis)
     best = segments[0]
     for seg in segments[1:]:
         value, best_value = seg.coords[axis], best.coords[axis]
@@ -226,6 +243,17 @@ def _drain_pool(
     return plan, tuple(traces)
 
 
+def _radial_builder(skip_mode: bool) -> ClusterBuilder:
+    """One plain radial walk per schedule entry, at the entry's budget."""
+
+    def build(remaining, center, entry):
+        return radial_neighbor_clustering(
+            remaining, center, entry.budget, year=entry.year, skip_mode=skip_mode
+        )
+
+    return build
+
+
 def main_algorithm(
     segments: Sequence[Segment],
     schedule: BudgetSchedule,
@@ -239,20 +267,13 @@ def main_algorithm(
     one ``randrange`` per cluster, so the same seed and input order always
     reproduce the same plan.
     """
-    segments = list(segments)
-    if not segments:
-        raise ValueError("segment list must not be empty")
+    segments = _check_segments(segments)
     rng = random.Random(seed)
 
     def next_center(remaining, assigned_coords, index):
         return remaining[rng.randrange(len(remaining))]
 
-    def build(remaining, center, entry):
-        return radial_neighbor_clustering(
-            remaining, center, entry.budget, year=entry.year, skip_mode=skip_mode
-        )
-
-    plan, _ = _drain_pool(schedule, segments, next_center, build)
+    plan, _ = _drain_pool(schedule, segments, next_center, _radial_builder(skip_mode))
     return plan
 
 
@@ -276,18 +297,8 @@ def landmark_based_radial_clustering(
     skip_mode: bool = False,
 ) -> Plan:
     """Deterministic whole-plan driver using landmark centers."""
-    segments = list(segments)
-    if not segments:
-        raise ValueError("segment list must not be empty")
-    if axis < 0 or axis >= segments[0].dimension:
-        raise ValueError(
-            f"axis {axis} out of range for {segments[0].dimension}-dimensional data"
-        )
-
-    def build(remaining, center, entry):
-        return radial_neighbor_clustering(
-            remaining, center, entry.budget, year=entry.year, skip_mode=skip_mode
-        )
-
-    plan, _ = _drain_pool(schedule, segments, landmark_next_center(axis), build)
+    segments = _check_segments(segments, axis)
+    plan, _ = _drain_pool(
+        schedule, segments, landmark_next_center(axis), _radial_builder(skip_mode)
+    )
     return plan

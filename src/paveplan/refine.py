@@ -1,7 +1,7 @@
 """Tolerance-band cluster construction.
 
-Around one center, three nested clusters are grown with caps shrunk and
-stretched by the per-year tolerances: inner (cap - low), nominal (cap), and
+Around one center, three nested clusters are cut from one distance-ordered
+walk by the per-year tolerances: inner (cap - low), nominal (cap), and
 outer (cap + high). Points inside the inner cluster enter the final cluster
 purely by distance; the band between inner and outer is then refilled by
 urgency (earlier or overdue scheduled year first, then lower cost) while
@@ -11,6 +11,7 @@ centers and prices every admission at the cluster's own fiscal year.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Sequence
@@ -23,7 +24,6 @@ from .model import (
     Plan,
     Segment,
     ValidationFailedError,
-    ZERO,
     money,
     validate_dataset,
 )
@@ -33,10 +33,13 @@ from .radial import (
     STOP_DATA_EXHAUSTED,
     ClusterBuildTrace,
     CostFn,
+    _admit,
+    _check_segments,
     _drain_pool,
+    _walk,
     cost_fn_for_year,
     landmark_next_center,
-    radial_neighbor_clustering,
+    radial_neighbor_clustering,  # noqa: F401  perfbench tests read this binding
     scheduled_year_cost,
 )
 
@@ -80,10 +83,12 @@ def build_tolerance_band(
     year: int | None = None,
     cost: CostFn | None = None,
 ) -> ToleranceBand:
-    """Grow the inner/nominal/outer clusters on the same pool and center.
+    """Cut the inner/nominal/outer clusters from one walk around ``center``.
 
-    Prefix admission makes the three member sets nest: shrinking the cap can
-    only cut the tail of the same distance-ordered walk.
+    The walk runs once, to the outer cap. Prefix admission makes each
+    smaller cap a cut of the same walk: the admissions whose running total
+    stays within it, and at least the center, which is how a center at or
+    over a cap becomes that cap's flagged singleton.
     """
     cap = money(budget)
     low = money(low_tolerance)
@@ -92,22 +97,30 @@ def build_tolerance_band(
         raise ValueError("tolerances must be non-negative")
     if cap - low <= 0:
         raise ValueError("low tolerance must leave a positive inner budget")
+    if cost is None:
+        cost = scheduled_year_cost
+    if year is None:
+        year = center.scheduled_year
     pool = list(pool)
-    low_cluster, _ = radial_neighbor_clustering(
-        pool, center, cap - low, year=year, cost=cost
-    )
-    mid_cluster, _ = radial_neighbor_clustering(pool, center, cap, year=year, cost=cost)
-    high_cluster, _ = radial_neighbor_clustering(
-        pool, center, cap + high, year=year, cost=cost
-    )
+    admitted, _ = _walk(pool, center, cap + high, cost)
+    totals = [total for _, total in admitted]
+
+    def cut(limit: Decimal) -> Cluster:
+        size = max(1, bisect_right(totals, limit))
+        return Cluster(
+            year=year,
+            center_id=center.id,
+            member_ids=tuple(sid for sid, _ in admitted[:size]),
+            realized_cost=totals[size - 1],
+            budget=limit,
+        )
+
+    low_cluster = cut(cap - low)
     by_id = {seg.id: seg for seg in pool}
-    low_ids = set(low_cluster.member_ids)
-    band_segments = [
-        by_id[sid] for sid in high_cluster.member_ids if sid not in low_ids
-    ]
+    band_segments = [by_id[sid] for sid, _ in admitted[low_cluster.size :]]
     ordered = band_order(band_segments, center, cost=cost)
     return ToleranceBand(
-        low_cluster, mid_cluster, high_cluster, tuple(seg.id for seg in ordered)
+        low_cluster, cut(cap), cut(cap + high), tuple(seg.id for seg in ordered)
     )
 
 
@@ -125,8 +138,9 @@ def schedule_aware_cluster(
     """Final cluster: all of the inner cluster, then band points in urgency
     order while the nominal cap holds.
 
-    With both tolerances at zero this reduces exactly to
-    :func:`radial_neighbor_clustering` (same members, same trace).
+    Without ``skip_mode``, both tolerances at zero reduce exactly to
+    :func:`radial_neighbor_clustering` (same members, same trace). With it
+    they need not: skipping applies only to the band, which is then empty.
     """
     cap = money(budget)
     if cost is None:
@@ -134,51 +148,25 @@ def schedule_aware_cluster(
     if year is None:
         year = center.scheduled_year
     pool = list(pool)
-    by_id = {seg.id: seg for seg in pool}
-    if center.id not in by_id:
-        raise ValueError(f"center {center.id!r} is not in the pool")
-
-    center_cost = cost(center)
-    if center_cost >= cap:
-        cluster = Cluster(
-            year=year,
-            center_id=center.id,
-            member_ids=(center.id,),
-            realized_cost=center_cost,
-            budget=cap,
-        )
-        trace = ClusterBuildTrace(
-            center.id, ((center.id, center_cost),), STOP_CENTER_EXCEEDS_BUDGET
-        )
-        return cluster, trace
-
     band = build_tolerance_band(
         pool, center, cap, low_tolerance, high_tolerance, year=year, cost=cost
     )
-    members = list(band.low_cluster.member_ids)
-    admitted: list[tuple[str, Decimal]] = []
-    total = ZERO
-    for sid in members:
-        total += cost(by_id[sid])
-        admitted.append((sid, total))
-    for sid in band.band_ids:
-        candidate_cost = cost(by_id[sid])
-        if total + candidate_cost <= cap:
-            total += candidate_cost
-            members.append(sid)
-            admitted.append((sid, total))
-        elif skip_mode:
-            continue
-        else:
-            break
-    stop_reason = (
-        STOP_DATA_EXHAUSTED if len(members) == len(pool) else STOP_BUDGET_REACHED
+    by_id = {seg.id: seg for seg in pool}
+    # the inner cluster fits under cap - low, so all of it is admitted again
+    candidates = band.low_cluster.member_ids[1:] + band.band_ids
+    admitted, stop_reason = _admit(
+        center, (by_id[sid] for sid in candidates), cap, cost, skip_mode
     )
+    if stop_reason != STOP_CENTER_EXCEEDS_BUDGET:
+        # the outer walk may have stopped short of the pool
+        stop_reason = (
+            STOP_DATA_EXHAUSTED if len(admitted) == len(pool) else STOP_BUDGET_REACHED
+        )
     cluster = Cluster(
         year=year,
         center_id=center.id,
-        member_ids=tuple(members),
-        realized_cost=total,
+        member_ids=tuple(sid for sid, _ in admitted),
+        realized_cost=admitted[-1][1],
         budget=cap,
     )
     return cluster, ClusterBuildTrace(center.id, tuple(admitted), stop_reason)
@@ -198,13 +186,7 @@ def schedule_aware_plan(
     Dataset validation runs first; in strict mode any issue aborts,
     otherwise issues are carried into the plan's diagnostics.
     """
-    segments = list(segments)
-    if not segments:
-        raise ValueError("segment list must not be empty")
-    if axis < 0 or axis >= segments[0].dimension:
-        raise ValueError(
-            f"axis {axis} out of range for {segments[0].dimension}-dimensional data"
-        )
+    segments = _check_segments(segments, axis)
     report = validate_dataset(segments, schedule)
     if strict and not report.ok:
         raise ValidationFailedError(report)

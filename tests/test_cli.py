@@ -3,8 +3,11 @@ from decimal import Decimal
 
 import pytest
 
+import paveplan.cli
+import paveplan.refine
 from paveplan.cli import main
 from paveplan.io_formats import parse_plan_document
+from paveplan.model import validate_dataset
 
 TWO_BLOB_SEGMENTS = (
     "id,x,y,scheduled_year,cost\n"
@@ -75,7 +78,17 @@ def test_cluster_landmark_rejects_seed(two_blob_files):
     assert excinfo.value.code == 2
 
 
-def test_strict_conservation_failure_exits_1(two_blob_files, tmp_path, capsys):
+ALGO_ARGS = {
+    "random": ["--algo", "random", "--seed", "1"],
+    "landmark": ["--algo", "landmark"],
+    "schedule": ["--algo", "schedule"],
+}
+
+
+@pytest.mark.parametrize("algo", sorted(ALGO_ARGS))
+def test_strict_conservation_failure_exits_1(
+    algo, two_blob_files, tmp_path, capsys
+):
     segments, _ = two_blob_files
     budgets = tmp_path / "bad_budgets.csv"
     budgets.write_text("year,budget\n2018,3.00\n2019,9.00\n", encoding="utf-8")
@@ -85,14 +98,61 @@ def test_strict_conservation_failure_exits_1(two_blob_files, tmp_path, capsys):
             "cluster",
             "--segments", str(segments),
             "--budgets", str(budgets),
-            "--algo", "schedule",
+            *ALGO_ARGS[algo],
             "--strict",
             "--out", str(out),
         ]
     )
     assert code == 1
-    assert "conservation_mismatch" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "conservation_mismatch: total scheduled cost 6.00 deviates from "
+        "total budget 12.00 by -6.00\n"
+    )
     assert not out.exists()  # no partial artifacts
+
+
+@pytest.mark.parametrize("algo", sorted(ALGO_ARGS))
+def test_strict_validates_once(algo, two_blob_files, tmp_path, monkeypatch):
+    calls = []
+
+    def counting(segments, schedule):
+        calls.append(1)
+        return validate_dataset(segments, schedule)
+
+    monkeypatch.setattr(paveplan.cli, "validate_dataset", counting)
+    monkeypatch.setattr(paveplan.refine, "validate_dataset", counting)
+    segments, budgets = two_blob_files
+    code = main(
+        [
+            "cluster",
+            "--segments", str(segments),
+            "--budgets", str(budgets),
+            *ALGO_ARGS[algo],
+            "--strict",
+            "--out", str(tmp_path / "plan.json"),
+        ]
+    )
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_header_only_budgets_exits_2(two_blob_files, tmp_path, capsys):
+    segments, _ = two_blob_files
+    budgets = tmp_path / "budgets.csv"
+    budgets.write_text("year,budget\n", encoding="utf-8")
+    out = tmp_path / "plan.json"
+    code = main(
+        [
+            "cluster",
+            "--segments", str(segments),
+            "--budgets", str(budgets),
+            "--algo", "schedule",
+            "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert "no data rows" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parse_error_exits_2(tmp_path, capsys):

@@ -125,6 +125,10 @@ class TestLoadBudgets:
         with pytest.raises(CsvFormatError):
             load_budgets("fiscal,amount\n2018,1.00\n")
 
+    def test_header_only_rejected(self):
+        with pytest.raises(CsvFormatError, match="no data rows"):
+            load_budgets("year,budget\n")
+
     def test_round_trip(self):
         text = "year,budget,e_l,e_h\n2018,3.00,0.50,1.00\n2019,2.00,0.00,0.00\n"
         assert emit_budgets_csv(load_budgets(text)) == text

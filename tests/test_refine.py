@@ -4,7 +4,7 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paveplan.model import Segment, ValidationFailedError, cluster_cost
+from paveplan.model import BudgetSchedule, Segment, ValidationFailedError, cluster_cost
 from paveplan.radial import (
     STOP_CENTER_EXCEEDS_BUDGET,
     landmark_based_radial_clustering,
@@ -20,6 +20,7 @@ from paveplan.refine import (
 from paveplan.synth import synthesize_dataset
 
 from helpers import line_segments, random_segments, schedule, seg
+from oracles import oracle_prefix_cluster
 
 
 class TestBuildToleranceBand:
@@ -64,6 +65,18 @@ class TestBuildToleranceBand:
         high_ids = set(band.high_cluster.member_ids)
         assert low_ids <= mid_ids <= high_ids
         assert set(band.band_ids) == high_ids - low_ids
+        by_id = {s.id: s for s in pool}
+        for cluster, limit in (
+            (band.low_cluster, cap - low),
+            (band.mid_cluster, cap),
+            (band.high_cluster, cap + high),
+        ):
+            expected = oracle_prefix_cluster(pool, center, limit)
+            assert set(cluster.member_ids) == expected
+            assert cluster.realized_cost == sum(
+                by_id[sid].cost_by_year[by_id[sid].scheduled_year] for sid in expected
+            )
+            assert cluster.budget == limit
 
 
 class TestBandOrder:
@@ -99,6 +112,20 @@ class TestScheduleAwareCluster:
         plain, plain_trace = radial_neighbor_clustering(pool, pool[0], "3.00")
         assert refined == plain
         assert refined_trace == plain_trace
+
+    def test_skip_mode_is_not_reduced_at_zero_tolerances(self):
+        # skipping applies only to the band, which zero tolerances leave empty
+        pool = [
+            seg("c", (0, 0), cost="1.00"),
+            seg("big", (1, 0), cost="5.00"),
+            seg("small", (2, 0), cost="1.00"),
+        ]
+        refined, _ = schedule_aware_cluster(
+            pool, pool[0], "2.50", "0.00", "0.00", skip_mode=True
+        )
+        plain, _ = radial_neighbor_clustering(pool, pool[0], "2.50", skip_mode=True)
+        assert refined.member_ids == ("c",)
+        assert plain.member_ids == ("c", "small")
 
     def test_earlier_year_beats_nearer_point(self):
         # band has room for exactly one more unit; the farther point with the
@@ -204,6 +231,15 @@ class TestScheduleAwarePlan:
         assert len(plan.clusters) == 1
         assert plan.clusters[0].member_ids == ("a",)
         assert plan.unassigned_ids == ()
+
+    @pytest.mark.parametrize(
+        "driver", [schedule_aware_plan, landmark_based_radial_clustering]
+    )
+    def test_inputs_checked_without_schedule_entries(self, driver):
+        with pytest.raises(ValueError, match="must not be empty"):
+            driver([], BudgetSchedule(()), 0)
+        with pytest.raises(ValueError, match="axis 2 out of range"):
+            driver([seg("a", (0, 0))], BudgetSchedule(()), 2)
 
     def test_strict_mode_raises(self):
         segments = [seg("a", (0, 0), cost="1.00")]
