@@ -28,6 +28,7 @@ from .model import (
     PavePlanError,
     Plan,
     Segment,
+    UnknownSegmentError,
     money,
     segment_lookup,
 )
@@ -439,88 +440,146 @@ def emit_plan(
     return document_to_json(build_plan_document(plan, metrics, schedule, segments, digest))
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean"}
+
+
+def _field(obj: dict, key: str, kind: type = object, optional: bool = False):
+    """``obj[key]``; it must be present and of JSON type ``kind``, or null
+    when ``optional``."""
+    if key not in obj:
+        raise PavePlanError(f"plan document is missing {key!r}")
+    value = obj[key]
+    if not (isinstance(value, kind) or (optional and value is None)):
+        raise PavePlanError(
+            f"plan document field {key!r} must be {_JSON_TYPES[kind]}"
+            + (" or null" if optional else "")
+        )
+    return value
+
+
+def _objects(obj: dict, key: str) -> list[dict]:
+    """``obj[key]``, which must be an array of objects."""
+    items = _field(obj, key, list)
+    if not all(isinstance(item, dict) for item in items):
+        raise PavePlanError(f"plan document field {key!r} must hold objects")
+    return items
+
+
+def _optional_int(value) -> int | None:
+    return None if value is None else int(value)
+
+
+def _cluster_budget(obj: dict) -> Decimal:
+    budget = money(_field(obj, "budget"))
+    if budget <= 0:
+        # metrics divide by it, as the schedule's own budgets allow
+        raise PavePlanError(f"plan document cluster budget {budget} is not positive")
+    return budget
+
+
 def _parse_member(obj: dict) -> DocumentMember:
+    cost_used = _field(obj, "cost_used")
     return DocumentMember(
-        id=obj["id"],
-        coords=tuple(float(c) for c in obj["coords"]),
-        scheduled_year=int(obj["scheduled_year"]),
-        assigned_year=None if obj["assigned_year"] is None else int(obj["assigned_year"]),
-        cost_used=None if obj["cost_used"] is None else money(obj["cost_used"]),
+        id=_field(obj, "id", str),
+        coords=tuple(float(c) for c in _field(obj, "coords", list)),
+        scheduled_year=int(_field(obj, "scheduled_year")),
+        assigned_year=_optional_int(_field(obj, "assigned_year")),
+        cost_used=None if cost_used is None else money(cost_used),
     )
 
 
 def parse_plan_document(text: str) -> PlanDocument:
+    """The document ``text`` holds. Invalid JSON and any structural fault (a
+    missing key, a value of the wrong type or out of range) raise
+    :class:`PavePlanError`."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise PavePlanError(f"plan document is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise PavePlanError("plan document must be a JSON object")
     if obj.get("format_version") != FORMAT_VERSION:
         raise PavePlanError(
             f"unsupported plan document version {obj.get('format_version')!r}"
         )
+    try:
+        return _document_from_json(obj)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        # a number field holding a value int/float/money cannot take
+        raise PavePlanError(f"plan document has a bad value: {exc}") from None
+
+
+def _document_from_json(obj: dict) -> PlanDocument:
+    schedule_obj = _field(obj, "schedule", dict)
     schedule = BudgetSchedule(
         entries=tuple(
             BudgetEntry(
-                year=entry["year"],
-                budget=money(entry["budget"]),
-                low_tolerance=money(entry["low_tolerance"]),
-                high_tolerance=money(entry["high_tolerance"]),
+                year=int(_field(entry, "year")),
+                budget=money(_field(entry, "budget")),
+                low_tolerance=money(_field(entry, "low_tolerance")),
+                high_tolerance=money(_field(entry, "high_tolerance")),
             )
-            for entry in obj["schedule"]["entries"]
+            for entry in _objects(schedule_obj, "entries")
         ),
-        conservation_tolerance=money(obj["schedule"]["conservation_tolerance"]),
+        conservation_tolerance=money(_field(schedule_obj, "conservation_tolerance")),
     )
     clusters = tuple(
         DocumentCluster(
-            year=int(c["year"]),
-            center_id=c["center_id"],
-            budget=money(c["budget"]),
-            realized_cost=money(c["realized_cost"]),
-            members=tuple(_parse_member(m) for m in c["members"]),
+            year=int(_field(c, "year")),
+            center_id=_field(c, "center_id", str, optional=True),
+            budget=_cluster_budget(c),
+            realized_cost=money(_field(c, "realized_cost")),
+            members=tuple(_parse_member(m) for m in _objects(c, "members")),
         )
-        for c in obj["clusters"]
+        for c in _objects(obj, "clusters")
     )
-    metrics_obj = obj["metrics"]
+    metrics_obj = _field(obj, "metrics", dict)
+    overall = _field(metrics_obj, "overall", dict)
     metrics = PlanMetrics(
         per_year=tuple(
             YearMetrics(
-                year=int(y["year"]),
-                budget=money(y["budget"]),
-                realized_cost=money(y["realized_cost"]),
-                utilization=float(y["utilization"]),
-                member_count=int(y["member_count"]),
-                mean_member_distance_to_center=float(y["mean_member_distance_to_center"]),
-                mean_pairwise_distance=float(y["mean_pairwise_distance"]),
-                over_budget=bool(y["over_budget"]),
+                year=int(_field(y, "year")),
+                budget=money(_field(y, "budget")),
+                realized_cost=money(_field(y, "realized_cost")),
+                utilization=float(_field(y, "utilization")),
+                member_count=int(_field(y, "member_count")),
+                mean_member_distance_to_center=float(
+                    _field(y, "mean_member_distance_to_center")
+                ),
+                mean_pairwise_distance=float(_field(y, "mean_pairwise_distance")),
+                over_budget=_field(y, "over_budget", bool),
             )
-            for y in metrics_obj["per_year"]
+            for y in _objects(metrics_obj, "per_year")
         ),
         overall=OverallMetrics(
-            total_budget=money(metrics_obj["overall"]["total_budget"]),
-            total_cost=money(metrics_obj["overall"]["total_cost"]),
-            total_deviation=money(metrics_obj["overall"]["total_deviation"]),
-            weighted_mean_dispersion=float(
-                metrics_obj["overall"]["weighted_mean_dispersion"]
-            ),
+            total_budget=money(_field(overall, "total_budget")),
+            total_cost=money(_field(overall, "total_cost")),
+            total_deviation=money(_field(overall, "total_deviation")),
+            weighted_mean_dispersion=float(_field(overall, "weighted_mean_dispersion")),
         ),
-        unassigned_count=int(metrics_obj["unassigned_count"]),
+        unassigned_count=int(_field(metrics_obj, "unassigned_count")),
     )
+    diagnostics = []
+    for d in _objects(obj, "diagnostics"):
+        segment_ids = _field(d, "segment_ids", list)
+        if not all(isinstance(sid, str) for sid in segment_ids):
+            raise PavePlanError("plan document field 'segment_ids' must hold strings")
+        diagnostics.append(
+            Diagnostic(
+                code=_field(d, "code", str),
+                message=_field(d, "message", str),
+                year=_optional_int(_field(d, "year")),
+                segment_ids=tuple(segment_ids),
+            )
+        )
     return PlanDocument(
         format_version=obj["format_version"],
-        input_digest=obj["input_digest"],
+        input_digest=_field(obj, "input_digest", str),
         schedule=schedule,
         clusters=clusters,
-        unassigned=tuple(_parse_member(m) for m in obj["unassigned"]),
+        unassigned=tuple(_parse_member(m) for m in _objects(obj, "unassigned")),
         metrics=metrics,
-        diagnostics=tuple(
-            Diagnostic(
-                code=d["code"],
-                message=d["message"],
-                year=None if d["year"] is None else int(d["year"]),
-                segment_ids=tuple(d["segment_ids"]),
-            )
-            for d in obj["diagnostics"]
-        ),
+        diagnostics=tuple(diagnostics),
     )
 
 
@@ -558,6 +617,12 @@ YEAR_PALETTE = (
 UNASSIGNED_COLOR = "#bbbbbb"
 
 
+def _xml_text(text: str) -> str:
+    """``text`` escaped for XML character data, as ``xml.sax.saxutils.escape``
+    does; that module would pull in ``urllib`` and a few MB of memory."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_plan_svg(
     plan: Plan,
     segments: Iterable[Segment] | Mapping[str, Segment],
@@ -568,21 +633,24 @@ def render_plan_svg(
     """Schematic map: one marker per segment colored by assigned year,
     ringed cluster centers, and a year legend. Planar data only."""
     lookup = segment_lookup(segments)
+
+    def planar(sid: str) -> tuple[float, float]:
+        if sid not in lookup:
+            raise UnknownSegmentError(f"plan references unknown segment {sid!r}")
+        seg = lookup[sid]
+        if seg.dimension != 2:
+            raise DimensionMismatchError("SVG rendering needs 2-dimensional data")
+        return seg.coords[0], seg.coords[1]
+
     plotted: list[tuple[str, tuple[float, float], str, bool]] = []
     legend: list[tuple[str, str]] = []
     for index, cluster in enumerate(plan.clusters):
         color = YEAR_PALETTE[index % len(YEAR_PALETTE)]
         legend.append((str(cluster.year), color))
         for sid in cluster.member_ids:
-            seg = lookup[sid]
-            if seg.dimension != 2:
-                raise DimensionMismatchError("SVG rendering needs 2-dimensional data")
-            plotted.append((sid, (seg.coords[0], seg.coords[1]), color, sid == cluster.center_id))
+            plotted.append((sid, planar(sid), color, sid == cluster.center_id))
     for sid in plan.unassigned_ids:
-        seg = lookup[sid]
-        if seg.dimension != 2:
-            raise DimensionMismatchError("SVG rendering needs 2-dimensional data")
-        plotted.append((sid, (seg.coords[0], seg.coords[1]), UNASSIGNED_COLOR, False))
+        plotted.append((sid, planar(sid), UNASSIGNED_COLOR, False))
     if plan.unassigned_ids:
         legend.append(("unassigned", UNASSIGNED_COLOR))
 
@@ -611,7 +679,7 @@ def render_plan_svg(
         x, y = to_svg(point)
         parts.append(
             f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="{color}">'
-            f"<title>{sid}</title></circle>"
+            f"<title>{_xml_text(sid)}</title></circle>"
         )
         if is_center:
             parts.append(

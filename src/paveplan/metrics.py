@@ -9,12 +9,13 @@ clamped) when an over-budget singleton pushes it past 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .geometry import distance
+from .geometry import check_same_dimension, distance
 from .model import (
     UNASSIGNED_REMAINDER,
     ZERO,
@@ -81,14 +82,14 @@ def mean_pairwise_distance(cluster: Cluster, lookup: Mapping[str, Segment]) -> f
     if cluster.size <= 1:
         return 0.0
     coords = _member_coords(cluster, lookup)
+    check_same_dimension(coords)
+    dist = math.dist
+    # one left-to-right running sum: sum() and fsum() round differently
     total = 0.0
-    pairs = 0
-    for i in range(len(coords)):
-        a = coords[i]
-        for j in range(i + 1, len(coords)):
-            total += distance(a, coords[j])
-            pairs += 1
-    return total / pairs
+    for i, a in enumerate(coords):
+        for b in coords[i + 1 :]:
+            total += dist(a, b)
+    return total / (len(coords) * (len(coords) - 1) // 2)
 
 
 def compute_metrics(

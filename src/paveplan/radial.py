@@ -16,7 +16,12 @@ from dataclasses import dataclass
 from decimal import Decimal
 from typing import Callable, Iterable, Sequence
 
-from .geometry import Coords, furthest_point_from_cluster, order_by_distance
+from .geometry import (
+    Coords,
+    MinLinkageBounds,
+    furthest_point_from_cluster,
+    order_by_distance,
+)
 from .model import (
     EMPTY_CLUSTER,
     OVER_BUDGET_SINGLETON,
@@ -279,12 +284,18 @@ def main_algorithm(
 
 def landmark_next_center(axis: int) -> CenterPicker:
     """First center: max coordinate on ``axis``; afterwards: the remaining
-    point farthest from everything already clustered."""
+    point farthest from everything already clustered.
+
+    The farthest-point search carries its per-candidate bounds from year to
+    year, which relies on ``assigned_coords`` only growing by appending
+    within one driver run; a run starts afresh at its first year."""
+    bounds: MinLinkageBounds = {}
 
     def next_center(remaining, assigned_coords, index):
         if not assigned_coords:
+            bounds.clear()
             return select_initial_center(remaining, axis)
-        return furthest_point_from_cluster(remaining, assigned_coords)
+        return furthest_point_from_cluster(remaining, assigned_coords, bounds)
 
     return next_center
 

@@ -1,5 +1,7 @@
 import json
 from decimal import Decimal
+from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -409,3 +411,69 @@ def test_render_command(two_blob_files, tmp_path):
     )
     assert code == 0
     assert svg_path.read_text(encoding="utf-8").startswith("<svg")
+
+
+def _document_without_metrics():
+    obj = json.loads(
+        (Path(__file__).parent / "data" / "two_blob_plan.json").read_text(encoding="utf-8")
+    )
+    del obj["metrics"]
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("command", ["metrics", "render", "compare"])
+@pytest.mark.parametrize(
+    "text", ["[]", '{"format_version": "1"}', _document_without_metrics()]
+)
+def test_malformed_plan_document_exits_2(command, text, two_blob_files, tmp_path, capsys):
+    segments, _ = two_blob_files
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(text, encoding="utf-8")
+    plan_args = {
+        "metrics": ["--plan", str(plan_path)],
+        "render": ["--plan", str(plan_path), "--out", str(tmp_path / "plan.svg")],
+        "compare": ["--before", str(plan_path), "--after", str(plan_path)],
+    }[command]
+    code = main([command, *plan_args, "--segments", str(segments)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: plan document") and err.count("\n") == 1
+
+
+def test_render_unknown_segment_exits_2(two_blob_files, tmp_path, capsys):
+    segments, _ = two_blob_files
+    obj = json.loads(
+        (Path(__file__).parent / "data" / "two_blob_plan.json").read_text(encoding="utf-8")
+    )
+    obj["unassigned"].append(dict(obj["clusters"][0]["members"][0], id="zz"))
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(obj), encoding="utf-8")
+    code = main(
+        ["render", "--plan", str(plan_path), "--segments", str(segments),
+         "--out", str(tmp_path / "plan.svg")]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: plan references unknown segment 'zz'\n"
+
+
+def test_cluster_svg_is_well_formed_for_markup_ids(tmp_path):
+    segments = tmp_path / "segments.csv"
+    budgets = tmp_path / "budgets.csv"
+    svg_path = tmp_path / "plan.svg"
+    segments.write_text(
+        TWO_BLOB_SEGMENTS.replace("a1,", "a<b&c,"), encoding="utf-8"
+    )
+    budgets.write_text(TWO_BLOB_BUDGETS, encoding="utf-8")
+    code = main(
+        [
+            "cluster",
+            "--segments", str(segments),
+            "--budgets", str(budgets),
+            "--algo", "landmark",
+            "--svg", str(svg_path),
+        ]
+    )
+    assert code == 0
+    root = ElementTree.parse(svg_path).getroot()
+    titles = {t.text for t in root.iter("{http://www.w3.org/2000/svg}title")}
+    assert "a<b&c" in titles

@@ -99,6 +99,44 @@ def test_furthest_point_argument_roles_differ():
     assert from_a.id == "b1"
 
 
+def test_furthest_point_dimension_mismatch():
+    with pytest.raises(DimensionMismatchError):
+        furthest_point_from_cluster([seg("a", (0, 0)), seg("b", (1, 1, 1))], [(0.0, 0.0)])
+    with pytest.raises(DimensionMismatchError):
+        furthest_point_from_cluster([seg("a", (0, 0))], [(0.0, 0.0), (1.0, 1.0, 1.0)])
+    with pytest.raises(DimensionMismatchError):
+        furthest_point_from_cluster([seg("a", (0, 0, 0))], [(0.0, 0.0)])
+
+
+def test_furthest_point_bounds_keep_shared_ids_apart():
+    # a bound keyed by segment id would let "dup" far inherit "dup" near's
+    near, far = seg("dup", (1, 0)), seg("dup", (10, 0))
+    candidates = [near, seg("mid", (5, 0)), far]
+    clustered = []
+    bounds = {}
+    winners = []
+    for point in [(0.0, 0.0), (3.0, 0.0), (9.0, 0.0), (1.0, 1.0)]:
+        clustered.append(point)
+        winners.append(furthest_point_from_cluster(candidates, clustered, bounds))
+        assert winners[-1] is furthest_point_from_cluster(candidates, clustered)
+    assert winners[0] is far
+
+
+def test_furthest_point_bounds_carry_over_a_growing_set():
+    rng = random.Random(7)
+    segments = [seg(f"g{i}", (rng.randint(0, 9), rng.randint(0, 9))) for i in range(40)]
+    clustered = [(0.0, 0.0)]
+    bounds = {}
+    while len(clustered) < 30:
+        stateful = furthest_point_from_cluster(segments, clustered, bounds)
+        assert stateful is furthest_point_from_cluster(segments, clustered)
+        assert stateful.id == oracle_furthest_point(segments, clustered)
+        clustered.extend(
+            (float(rng.randint(0, 9)), float(rng.randint(0, 9)))
+            for _ in range(rng.randint(1, 3))
+        )
+
+
 def test_furthest_point_empty_inputs():
     with pytest.raises(ValueError):
         furthest_point_from_cluster([], [(0.0, 0.0)])

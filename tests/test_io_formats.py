@@ -1,7 +1,10 @@
+import json
 from decimal import Decimal
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
+from hypothesis import given, strategies as st
 
 from paveplan.costs import matrix_from_segments
 from paveplan.io_formats import (
@@ -17,11 +20,12 @@ from paveplan.io_formats import (
     load_cost_matrix,
     load_segments,
     parse_plan_document,
+    PlanDocument,
     plan_from_document,
     render_plan_svg,
 )
 from paveplan.metrics import compute_metrics
-from paveplan.model import Cluster, DimensionMismatchError, Plan
+from paveplan.model import Cluster, DimensionMismatchError, PavePlanError, Plan
 from paveplan.radial import landmark_based_radial_clustering
 
 from helpers import seg
@@ -223,6 +227,66 @@ class TestPlanDocument:
         assert member.scheduled_year in schedule_obj.years
 
 
+def _node_paths(node, prefix=()):
+    """Every path (a tuple of keys and indices) below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _node_paths(child, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+GOLDEN_TEXT = (DATA_DIR / "two_blob_plan.json").read_text(encoding="utf-8")
+
+
+class TestMalformedPlanDocument:
+    @pytest.mark.parametrize(
+        "text", ["[]", "null", "7", '"plan"', '{"format_version": "1"}', "[" * 100_000]
+    )
+    def test_named_error(self, text):
+        with pytest.raises(PavePlanError):
+            parse_plan_document(text)
+
+    def test_non_positive_cluster_budget(self):
+        obj = json.loads(GOLDEN_TEXT)
+        obj["clusters"][0]["budget"] = "0.00"
+        with pytest.raises(PavePlanError, match="not positive"):
+            parse_plan_document(json.dumps(obj))
+
+    @given(st.data())
+    def test_mutations_parse_or_raise_named_error(self, data):
+        # drop keys, swap value types and wrap values in arrays, anywhere in
+        # a valid document: the result parses or is refused by name
+        obj = json.loads(GOLDEN_TEXT)
+        for _ in range(data.draw(st.integers(1, 3))):
+            paths = list(_node_paths(obj))
+            action = data.draw(st.sampled_from(["drop", "swap", "wrap", "wrap_all"]))
+            if action == "wrap_all" or not paths:
+                obj = [obj]
+                continue
+            *parent_path, key = paths[data.draw(st.integers(0, len(paths) - 1))]
+            parent = obj
+            for step in parent_path:
+                parent = parent[step]
+            if action == "drop":
+                del parent[key]
+            elif action == "swap":
+                parent[key] = data.draw(JSON_VALUES)
+            else:
+                parent[key] = [parent[key]]
+        try:
+            document = parse_plan_document(json.dumps(obj))
+        except PavePlanError:
+            return
+        assert isinstance(document, PlanDocument)
+
+
 class TestRenderSvg:
     def test_single_segment(self):
         segments = [seg("a", (0, 0))]
@@ -247,6 +311,13 @@ class TestRenderSvg:
     def test_deterministic(self):
         plan, metrics, schedule_obj, segments, digest = _example_plan()
         assert render_plan_svg(plan, segments) == render_plan_svg(plan, segments)
+
+    def test_well_formed_for_any_id(self):
+        segments = [seg("a<b&c", (0, 0)), seg("\"d'>", (1, 1))]
+        plan = Plan((Cluster(2018, "a<b&c", ("a<b&c",), "1.00", "1.00"),), ("\"d'>",))
+        root = ElementTree.fromstring(render_plan_svg(plan, segments))
+        titles = [t.text for t in root.iter("{http://www.w3.org/2000/svg}title")]
+        assert titles == ["a<b&c", "\"d'>"]
 
     def test_rejects_non_planar(self):
         segments = [seg("a", (0, 0, 0))]

@@ -1,3 +1,4 @@
+import math
 import random
 from decimal import Decimal
 
@@ -6,9 +7,10 @@ import pytest
 from paveplan.metrics import (
     compare_plans,
     compute_metrics,
+    mean_pairwise_distance,
     plan_from_schedule,
 )
-from paveplan.model import Cluster, Plan, UnknownSegmentError
+from paveplan.model import Cluster, DimensionMismatchError, Plan, UnknownSegmentError
 from paveplan.radial import landmark_based_radial_clustering
 
 from helpers import random_segments, schedule, seg
@@ -37,6 +39,29 @@ class TestComputeMetrics:
         metrics = compute_metrics(plan, schedule([2]), segments)
         assert metrics.per_year[0].mean_member_distance_to_center == 0.0
         assert metrics.per_year[0].mean_pairwise_distance == 0.0
+
+    def test_pairwise_mean_is_one_left_to_right_sum(self):
+        # the plan bytes depend on the summation order, so pin it exactly
+        # mixed magnitudes: fsum() and a column-wise order give other floats
+        rng = random.Random(0)
+        segments = [
+            seg(f"p{i}", (rng.choice([1e-3, 1.0, 1e6]) * rng.uniform(-1, 1), rng.uniform(-1, 1)))
+            for i in range(25)
+        ]
+        ids = tuple(s.id for s in segments)
+        cluster = Cluster(2018, ids[0], ids, "25.00", "25.00")
+        total = 0.0
+        for i, a in enumerate(segments):
+            for b in segments[i + 1 :]:
+                total += math.dist(a.coords, b.coords)
+        lookup = {s.id: s for s in segments}
+        assert mean_pairwise_distance(cluster, lookup) == total / 300
+
+    def test_pairwise_mean_rejects_mixed_dimensions(self):
+        segments = [seg("a", (0, 0)), seg("b", (1, 1)), seg("c", (1, 1, 1))]
+        cluster = Cluster(2018, "a", ("a", "b", "c"), "3.00", "3.00")
+        with pytest.raises(DimensionMismatchError):
+            mean_pairwise_distance(cluster, {s.id: s for s in segments})
 
     def test_published_utilization(self):
         segments = [seg("a", (0, 0), cost="841152.51")]

@@ -1,16 +1,20 @@
 """The brute-force oracles vs the engine, on the documented fixed cases.
 
 The large randomized equivalence harnesses (1000+ seeded trials) live in
-test_acceptance.py; this module pins down the oracle semantics themselves.
+test_acceptance.py; this module pins down the oracle semantics themselves,
+and replays the landmark drivers' year-by-year center choices against them.
 """
 
 import random
 from decimal import Decimal
 
-from paveplan.geometry import furthest_point_from_cluster
-from paveplan.radial import radial_neighbor_clustering
+import pytest
 
-from helpers import line_segments, random_segments, seg
+from paveplan.geometry import furthest_point_from_cluster
+from paveplan.radial import landmark_based_radial_clustering, radial_neighbor_clustering
+from paveplan.refine import schedule_aware_plan
+
+from helpers import line_segments, random_schedule, random_segments, seg
 from oracles import oracle_furthest_point, oracle_prefix_cluster
 
 
@@ -54,3 +58,38 @@ def test_oracle_furthest_randomized_spot_check():
         ]
         engine = furthest_point_from_cluster(segments, clustered)
         assert engine.id == oracle_furthest_point(segments, clustered)
+
+
+def _grid_dataset(rng):
+    """Integer-grid points, so equal distances and coincident points occur."""
+    years = list(range(2018, 2018 + rng.randint(1, 30)))
+    segments = [
+        seg(
+            f"g{i:03d}",
+            (rng.randint(0, 8), rng.randint(0, 8)),
+            cost=Decimal(rng.randint(50, 300)) / 100,
+            year=rng.choice(years),
+            years=years,
+        )
+        for i in range(rng.randint(1, 80))
+    ]
+    return segments, random_schedule(rng, years, max_budget_cents=1000, with_tolerances=True)
+
+
+@pytest.mark.parametrize("driver", [landmark_based_radial_clustering, schedule_aware_plan])
+@pytest.mark.parametrize("trial", range(40))
+def test_landmark_centers_match_oracle_every_year(driver, trial):
+    rng = random.Random(60_000 + trial)
+    segments, sched = _grid_dataset(rng)
+    plan = driver(segments, sched, 0)
+    by_id = {s.id: s for s in segments}
+    assigned: set[str] = set()
+    assigned_coords = []
+    for cluster in plan.clusters:
+        if cluster.center_id is None:
+            continue  # the pool ran dry
+        if assigned_coords:
+            remaining = [s for s in segments if s.id not in assigned]
+            assert cluster.center_id == oracle_furthest_point(remaining, assigned_coords)
+        assigned.update(cluster.member_ids)
+        assigned_coords.extend(by_id[sid].coords for sid in cluster.member_ids)

@@ -9,6 +9,7 @@ from paveplan.radial import (
     STOP_CENTER_EXCEEDS_BUDGET,
     STOP_DATA_EXHAUSTED,
     landmark_based_radial_clustering,
+    landmark_next_center,
     main_algorithm,
     radial_neighbor_clustering,
     select_initial_center,
@@ -174,6 +175,15 @@ class TestLandmarkClustering:
         plan = landmark_based_radial_clustering(segments, schedule([2, 2]), 0)
         flagged = [d for d in plan.diagnostics if d.code == "over_budget_singleton"]
         assert flagged and flagged[0].segment_ids == ("a",)
+
+    def test_center_picker_starts_afresh_each_run(self):
+        # a run's carried bounds refer to that run's assigned coordinates
+        p, q = seg("p", (0, 0)), seg("q", (10, 0))
+        next_center = landmark_next_center(0)
+        next_center([p, q], [], 0)
+        assert next_center([p, q], [(0.0, 0.0)], 1) is q
+        next_center([p, q], [], 0)
+        assert next_center([p, q], [(10.0, 0.0)], 1) is p
 
     def test_deterministic(self):
         rng = random.Random(23)
