@@ -44,6 +44,7 @@ from .model import (
     Cluster,
     Diagnostic,
     DimensionMismatchError,
+    MismatchedInputsError,
     MissingCostError,
     PavePlanError,
     Plan,

@@ -1,9 +1,10 @@
 """Command-line front door: validate, cluster, metrics, compare, render, synth.
 
 Exit codes: 0 success, 1 validation failure (strict mode or a failed
-``validate``), 2 usage / I/O / parse errors. Diagnostics always go to
-standard error; artifacts are only written after the whole pipeline has
-run, so failures leave no partial output files.
+``validate``), 2 usage / I/O / parse errors and artifacts that did not come
+from the same inputs. Diagnostics always go to standard error; artifacts
+are only written after the whole pipeline has run, so failures leave no
+partial output files.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import os
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
+from itertools import chain
 from pathlib import Path
+from typing import Mapping
 
 from .costs import (
     apply_cost_matrix,
@@ -24,6 +27,7 @@ from .costs import (
 )
 from .io_formats import (
     CsvFormatError,
+    PlanDocument,
     emit_budgets_csv,
     emit_cost_matrix_csv,
     emit_plan,
@@ -41,11 +45,14 @@ from .metrics import compare_plans, compute_metrics, plan_from_schedule
 from .model import (
     BudgetEntry,
     BudgetSchedule,
+    MismatchedInputsError,
     PavePlanError,
     Plan,
     Segment,
+    UnknownSegmentError,
     ValidationFailedError,
     money,
+    segment_lookup,
     validate_dataset,
 )
 from .radial import landmark_based_radial_clustering, main_algorithm
@@ -225,11 +232,43 @@ def _cmd_cluster(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     return run(config)
 
 
+def _document_segments(path: Path, *documents: PlanDocument) -> Mapping[str, Segment]:
+    """The segments CSV at ``path`` by id, refused unless it holds every
+    member of the documents at the coordinates the documents record."""
+    lookup = segment_lookup(load_segments(_read(path)))
+    for document in documents:
+        members = chain.from_iterable(c.members for c in document.clusters)
+        for member in chain(members, document.unassigned):
+            if member.id not in lookup:
+                raise UnknownSegmentError(f"plan references unknown segment {member.id!r}")
+            coords = lookup[member.id].coords
+            if coords != member.coords:
+                raise MismatchedInputsError(
+                    f"segment {member.id!r} is at {list(coords)} in {path} "
+                    f"but at {list(member.coords)} in the plan document"
+                )
+    return lookup
+
+
+def _check_same_inputs(before: PlanDocument, after: PlanDocument) -> None:
+    """Refuse two plans built from different inputs; tolerance overrides are
+    flags, not inputs, so they may differ."""
+    if before.input_digest != after.input_digest:
+        raise MismatchedInputsError(
+            f"plans come from different inputs: input_digest {before.input_digest} "
+            f"vs {after.input_digest}"
+        )
+    if [(e.year, e.budget) for e in before.schedule.entries] != [
+        (e.year, e.budget) for e in after.schedule.entries
+    ]:
+        raise MismatchedInputsError("plans have different (year, budget) schedules")
+
+
 def _cmd_metrics(args: argparse.Namespace) -> int:
     document = parse_plan_document(_read(args.plan))
     plan = plan_from_document(document)
     # dispersion only needs coordinates; money figures come from the document
-    segments = load_segments(_read(args.segments))
+    segments = _document_segments(args.segments, document)
     schedule = document.schedule
     metrics = compute_metrics(plan, schedule, segments)
     report = conservation_report(plan, schedule)
@@ -245,9 +284,11 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     before_doc = parse_plan_document(_read(args.before))
     after_doc = parse_plan_document(_read(args.after))
+    _check_same_inputs(before_doc, after_doc)
     before = plan_from_document(before_doc)
     after = plan_from_document(after_doc)
-    segments = load_segments(_read(args.segments))
+    segments = _document_segments(args.segments, before_doc, after_doc)
+    # the years and budgets agree; only tolerance overrides may differ
     schedule = after_doc.schedule
     comparison = compare_plans(before, after, schedule, segments)
     obj = {
@@ -273,7 +314,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_render(args: argparse.Namespace) -> int:
     document = parse_plan_document(_read(args.plan))
     plan = plan_from_document(document)
-    segments = load_segments(_read(args.segments))
+    segments = _document_segments(args.segments, document)
     svg = render_plan_svg(plan, segments)
     Path(args.out).write_text(svg, encoding="utf-8")
     return 0

@@ -5,6 +5,10 @@ to the cluster center, and mean pairwise member distance. The second does
 not privilege center-grown clusters, so the overall figure weights it by
 member count. Budget use is a plain utilization fraction, flagged (not
 clamped) when an over-budget singleton pushes it past 1.
+
+Every float sum here is added left to right from ``0.0``, so the figures are
+the same bits on every supported Python: ``sum()`` compensates its float
+total on Python >= 3.12 and ``math.fsum`` rounds once at the end.
 """
 
 from __future__ import annotations
@@ -12,10 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import reduce
+from itertools import repeat
+from operator import add
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .geometry import check_same_dimension, distance
+from .geometry import check_same_dimension
 from .model import (
     UNASSIGNED_REMAINDER,
     ZERO,
@@ -67,14 +74,21 @@ def _member_coords(cluster: Cluster, lookup: Mapping[str, Segment]):
     return coords
 
 
+def _distance_total(point: Sequence[float], coords: Iterable[Sequence[float]]) -> float:
+    """Sum of the distances from ``point`` to each of ``coords``, added left
+    to right from 0.0 in one C-level loop; dimensions are the caller's check."""
+    return reduce(add, map(math.dist, repeat(point), coords), 0.0)
+
+
 def mean_distance_to_center(cluster: Cluster, lookup: Mapping[str, Segment]) -> float:
     """Mean over all members of their distance to the center (0 for the
     center itself); 0 for empty and singleton clusters."""
     if cluster.size <= 1:
         return 0.0
+    coords = _member_coords(cluster, lookup)  # the center is a member
     center = lookup[cluster.center_id].coords
-    coords = _member_coords(cluster, lookup)
-    return sum(distance(center, c) for c in coords) / len(coords)
+    check_same_dimension(coords)
+    return _distance_total(center, coords) / len(coords)
 
 
 def mean_pairwise_distance(cluster: Cluster, lookup: Mapping[str, Segment]) -> float:
@@ -138,14 +152,11 @@ def compute_metrics(
 
 
 def _medoid(members: Sequence[Segment]) -> Segment:
-    best = members[0]
-    best_key = None
-    for seg in members:
-        total = sum(distance(seg.coords, other.coords) for other in members)
-        key = (total, seg.id)
-        if best_key is None or key < best_key:
-            best, best_key = seg, key
-    return best
+    """The member with the least total distance to all members; the smaller
+    id wins a tie."""
+    coords = [seg.coords for seg in members]
+    check_same_dimension(coords)
+    return min(members, key=lambda seg: (_distance_total(seg.coords, coords), seg.id))
 
 
 def plan_from_schedule(

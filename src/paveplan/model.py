@@ -32,6 +32,10 @@ class UnknownSegmentError(PavePlanError):
     """A segment id could not be resolved against the dataset."""
 
 
+class MismatchedInputsError(PavePlanError):
+    """Artifacts combined by one command did not come from the same inputs."""
+
+
 class MissingCostError(PavePlanError):
     """A segment has no cost entry for the requested fiscal year."""
 

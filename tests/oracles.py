@@ -51,3 +51,18 @@ def oracle_furthest_point(candidates, clustered_coords):
     if best is None:
         raise ValueError("candidate list must not be empty")
     return best.id
+
+
+def oracle_medoid(members):
+    """Id of the member with the least total distance to all members, each
+    total added left to right from 0.0; the smaller id wins ties."""
+    best = None
+    for seg in members:
+        total = 0.0
+        for other in members:
+            total += euclid(seg.coords, other.coords)
+        if best is None or (total, seg.id) < best:
+            best = (total, seg.id)
+    if best is None:
+        raise ValueError("member list must not be empty")
+    return best[1]

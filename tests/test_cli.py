@@ -413,6 +413,95 @@ def test_render_command(two_blob_files, tmp_path):
     assert svg_path.read_text(encoding="utf-8").startswith("<svg")
 
 
+def _plan_file(command, segments, budgets, out, *flags):
+    code = main(
+        [command, "--segments", str(segments), "--budgets", str(budgets), *flags,
+         "--out", str(out)]
+    )
+    assert code == 0
+    return out
+
+
+def _compare(before, after, segments):
+    return main(
+        ["compare", "--before", str(before), "--after", str(after),
+         "--segments", str(segments)]
+    )
+
+
+def test_compare_refuses_plans_from_other_inputs(two_blob_files, tmp_path, capsys):
+    segments, budgets = two_blob_files
+    moved = tmp_path / "moved.csv"
+    moved.write_text(TWO_BLOB_SEGMENTS.replace("b3,100,1,", "b3,100,2,"), encoding="utf-8")
+    before = _plan_file("baseline", segments, budgets, tmp_path / "before.json")
+    after = _plan_file("cluster", moved, budgets, tmp_path / "after.json", "--algo", "schedule")
+    digests = [
+        parse_plan_document(p.read_text(encoding="utf-8")).input_digest
+        for p in (before, after)
+    ]
+    capsys.readouterr()
+    assert _compare(before, after, segments) == 2
+    assert capsys.readouterr().err == (
+        f"error: plans come from different inputs: input_digest {digests[0]} "
+        f"vs {digests[1]}\n"
+    )
+
+
+def test_compare_refuses_other_budgets(two_blob_files, tmp_path, capsys):
+    segments, budgets = two_blob_files
+    before = _plan_file("baseline", segments, budgets, tmp_path / "before.json")
+    obj = json.loads(before.read_text(encoding="utf-8"))
+    obj["schedule"]["entries"][1]["budget"] = "4.00"  # same input_digest
+    after = tmp_path / "after.json"
+    after.write_text(json.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    assert _compare(before, after, segments) == 2
+    assert capsys.readouterr().err == (
+        "error: plans have different (year, budget) schedules\n"
+    )
+
+
+def test_compare_allows_tolerance_overrides(two_blob_files, tmp_path, capsys):
+    segments, budgets = two_blob_files
+    before = _plan_file("baseline", segments, budgets, tmp_path / "before.json")
+    after = _plan_file(
+        "cluster", segments, budgets, tmp_path / "after.json",
+        "--algo", "schedule", "--low-tolerance", "1.00", "--high-tolerance", "2.00",
+    )
+    assert _compare(before, after, segments) == 0
+
+
+@pytest.mark.parametrize("command", ["metrics", "render", "compare"])
+def test_segments_from_another_seed_exit_2(command, tmp_path, capsys):
+    files = {}
+    for seed in (1, 2):
+        files[seed] = (tmp_path / f"segments{seed}.csv", tmp_path / f"budgets{seed}.csv")
+        assert main(
+            ["synth", "--n", "40", "--blobs", "2", "--years", "2018:2019",
+             "--seed", str(seed), "--out-segments", str(files[seed][0]),
+             "--out-budgets", str(files[seed][1])]
+        ) == 0
+    plan = _plan_file("cluster", *files[1], tmp_path / "plan.json", "--algo", "landmark")
+    document = parse_plan_document(plan.read_text(encoding="utf-8"))
+    first = document.clusters[0].members[0]
+    other = files[2][0]
+    other_coords = {
+        line.split(",")[0]: line.split(",")[1:3]
+        for line in other.read_text(encoding="utf-8").splitlines()[1:]
+    }
+    assert [float(c) for c in other_coords[first.id]] != list(first.coords)
+    args = {
+        "metrics": ["--plan", str(plan)],
+        "render": ["--plan", str(plan), "--out", str(tmp_path / "plan.svg")],
+        "compare": ["--before", str(plan), "--after", str(plan)],
+    }[command]
+    capsys.readouterr()
+    assert main([command, *args, "--segments", str(other)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: segment {first.id!r} is at ") and err.count("\n") == 1
+    assert not (tmp_path / "plan.svg").exists()
+
+
 def _document_without_metrics():
     obj = json.loads(
         (Path(__file__).parent / "data" / "two_blob_plan.json").read_text(encoding="utf-8")

@@ -7,6 +7,7 @@ import pytest
 from paveplan.metrics import (
     compare_plans,
     compute_metrics,
+    mean_distance_to_center,
     mean_pairwise_distance,
     plan_from_schedule,
 )
@@ -62,6 +63,22 @@ class TestComputeMetrics:
         cluster = Cluster(2018, "a", ("a", "b", "c"), "3.00", "3.00")
         with pytest.raises(DimensionMismatchError):
             mean_pairwise_distance(cluster, {s.id: s for s in segments})
+
+    def test_center_mean_is_one_left_to_right_sum(self):
+        # the 1.0s vanish into 1e16 one at a time; a compensated sum() (as on
+        # Python >= 3.12) or fsum() keeps them and yields another float
+        segments = [seg("c", (0, 0)), seg("far", (1e16, 0)), seg("u", (1, 0)), seg("v", (0, 1))]
+        ids = tuple(s.id for s in segments)
+        cluster = Cluster(2018, "c", ids, "4.00", "4.00")
+        expected = ((0.0 + 1e16) + 1.0 + 1.0) / 4
+        assert expected != math.fsum([0.0, 1e16, 1.0, 1.0]) / 4
+        assert mean_distance_to_center(cluster, {s.id: s for s in segments}) == expected
+
+    def test_center_mean_rejects_mixed_dimensions(self):
+        segments = [seg("a", (0, 0)), seg("b", (1, 1)), seg("c", (1, 1, 1))]
+        cluster = Cluster(2018, "a", ("a", "b", "c"), "3.00", "3.00")
+        with pytest.raises(DimensionMismatchError):
+            mean_distance_to_center(cluster, {s.id: s for s in segments})
 
     def test_published_utilization(self):
         segments = [seg("a", (0, 0), cost="841152.51")]
@@ -121,6 +138,17 @@ class TestPlanFromSchedule:
         ]
         plan = plan_from_schedule(segments, schedule([3]))
         assert plan.clusters[0].center_id == "mid"
+
+    def test_medoid_tie_goes_to_smaller_id(self):
+        # two members: each total is the one distance between them
+        segments = [seg("b", (0, 0)), seg("a", (3, 4))]
+        plan = plan_from_schedule(segments, schedule([2]))
+        assert plan.clusters[0].center_id == "a"
+
+    def test_medoid_rejects_mixed_dimensions(self):
+        segments = [seg("a", (0, 0)), seg("b", (1, 1)), seg("c", (1, 1, 1))]
+        with pytest.raises(DimensionMismatchError):
+            plan_from_schedule(segments, schedule([3]))
 
     def test_out_of_horizon_goes_unassigned(self):
         segments = [seg("a", (0, 0), year=2030, years=[2018])]

@@ -2,7 +2,8 @@
 
 The large randomized equivalence harnesses (1000+ seeded trials) live in
 test_acceptance.py; this module pins down the oracle semantics themselves,
-and replays the landmark drivers' year-by-year center choices against them.
+and replays the landmark drivers' year-by-year center choices and the
+baseline plan's medoids against them.
 """
 
 import random
@@ -11,11 +12,12 @@ from decimal import Decimal
 import pytest
 
 from paveplan.geometry import furthest_point_from_cluster
+from paveplan.metrics import plan_from_schedule
 from paveplan.radial import landmark_based_radial_clustering, radial_neighbor_clustering
 from paveplan.refine import schedule_aware_plan
 
 from helpers import line_segments, random_schedule, random_segments, seg
-from oracles import oracle_furthest_point, oracle_prefix_cluster
+from oracles import oracle_furthest_point, oracle_medoid, oracle_prefix_cluster
 
 
 def test_oracle_prefix_on_line():
@@ -93,3 +95,17 @@ def test_landmark_centers_match_oracle_every_year(driver, trial):
             assert cluster.center_id == oracle_furthest_point(remaining, assigned_coords)
         assigned.update(cluster.member_ids)
         assigned_coords.extend(by_id[sid].coords for sid in cluster.member_ids)
+
+
+@pytest.mark.parametrize("trial", range(40))
+def test_baseline_medoids_match_oracle(trial):
+    rng = random.Random(70_000 + trial)
+    segments, sched = _grid_dataset(rng)
+    # out of id order, so a tie on the total is settled by id, not position
+    rng.shuffle(segments)
+    plan = plan_from_schedule(segments, sched)
+    for cluster in plan.clusters:
+        members = [s for s in segments if s.scheduled_year == cluster.year]
+        assert cluster.member_ids == tuple(s.id for s in members)
+        expected = oracle_medoid(members) if members else None
+        assert cluster.center_id == expected
