@@ -8,7 +8,7 @@ import pytest
 import paveplan.cli
 import paveplan.refine
 from paveplan.cli import main
-from paveplan.io_formats import parse_plan_document
+from paveplan.io_formats import load_segments, parse_plan_document
 from paveplan.model import validate_dataset
 
 TWO_BLOB_SEGMENTS = (
@@ -485,11 +485,8 @@ def test_segments_from_another_seed_exit_2(command, tmp_path, capsys):
     document = parse_plan_document(plan.read_text(encoding="utf-8"))
     first = document.clusters[0].members[0]
     other = files[2][0]
-    other_coords = {
-        line.split(",")[0]: line.split(",")[1:3]
-        for line in other.read_text(encoding="utf-8").splitlines()[1:]
-    }
-    assert [float(c) for c in other_coords[first.id]] != list(first.coords)
+    other_segments = load_segments(other.read_text(encoding="utf-8"))
+    assert {s.id: s.coords for s in other_segments}[first.id] != first.coords
     args = {
         "metrics": ["--plan", str(plan)],
         "render": ["--plan", str(plan), "--out", str(tmp_path / "plan.svg")],
