@@ -59,11 +59,9 @@ from .radial import landmark_based_radial_clustering, main_algorithm
 from .refine import schedule_aware_plan
 from .synth import synthesize_dataset
 
-VERBOSE = bool(os.environ.get("PAVEPLAN_VERBOSE"))
-
-
 def _log(message: str) -> None:
-    if VERBOSE:
+    # read on every call, so a setting made after import takes effect
+    if os.environ.get("PAVEPLAN_VERBOSE"):
         print(message, file=sys.stderr)
 
 

@@ -55,7 +55,9 @@ def money(value: MoneyLike) -> Decimal:
     """Coerce to an exact cent amount.
 
     Values carrying more than two fractional digits are rejected rather than
-    rounded; rounding only ever happens explicitly (see cost synthesis).
+    rounded; rounding only ever happens explicitly (see cost synthesis). A
+    plain ``Decimal`` that is already a cent amount is returned itself, so
+    tables built from one validated cost share that one object.
     """
     if isinstance(value, Decimal):
         dec = value
@@ -72,6 +74,8 @@ def money(value: MoneyLike) -> Decimal:
         raise ValueError(f"not a money amount: {value!r}") from exc
     if quantized != dec:
         raise ValueError(f"money must have at most 2 decimal places, got {value!r}")
+    if type(dec) is Decimal and dec.same_quantum(quantized):
+        return dec
     return quantized
 
 
@@ -98,10 +102,14 @@ class Segment:
         if not coords:
             raise ValueError(f"segment {self.id}: needs at least one coordinate")
         table: dict[int, Decimal] = {}
+        raw = cost = None
         for year in sorted(self.cost_by_year):
-            cost = money(self.cost_by_year[year])
-            if cost <= 0:
-                raise ValueError(f"segment {self.id}: cost for {year} must be positive")
+            # a flat table holds one object for every year: check it once
+            if cost is None or self.cost_by_year[year] is not raw:
+                raw = self.cost_by_year[year]
+                cost = money(raw)
+                if cost <= 0:
+                    raise ValueError(f"segment {self.id}: cost for {year} must be positive")
             table[int(year)] = cost
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "cost_by_year", MappingProxyType(table))

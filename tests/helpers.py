@@ -2,6 +2,8 @@
 
 from decimal import Decimal
 
+from hypothesis import strategies as st
+
 from paveplan.model import BudgetEntry, BudgetSchedule, Segment
 
 
@@ -66,3 +68,29 @@ def random_schedule(rng, years, *, max_budget_cents=2_000_00, with_tolerances=Fa
             BudgetEntry(year=year, budget=budget, low_tolerance=low, high_tolerance=high)
         )
     return BudgetSchedule(tuple(entries))
+
+
+CSV_CELLS = st.sampled_from(
+    ["0", "1", "1.00", "2.50", "2018", "2019", "Y2018", "-1", "0.001", "1e400",
+     "nan", "1_0", "", " ", "id", '"', '"a,b"', "a\rb"]
+) | st.text(max_size=6)
+
+
+@st.composite
+def csv_texts(draw, header, row):
+    """Now and then arbitrary text; mostly ``header`` followed by rows made
+    from the valid template ``row`` (``{i}`` is the row index, ``{year}``
+    2018 + i) with a few cells swapped for plausible or arbitrary ones and,
+    now and then, a cell too many or too few."""
+    if draw(st.sampled_from([False] * 3 + [True])):
+        return draw(st.text())
+    lines = [header]
+    for i in range(draw(st.integers(1, 4))):
+        cells = row.format(i=i, year=2018 + i).split(",")
+        for k in range(len(cells)):
+            if draw(st.sampled_from([False] * 9 + [True])):
+                cells[k] = draw(CSV_CELLS)
+        width = draw(st.sampled_from([len(cells)] * 8 + [len(cells) - 1, len(cells) + 1]))
+        cells = (cells + [draw(CSV_CELLS)])[:width]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"

@@ -6,7 +6,8 @@ materialized up front, and the walk is written from the rules alone. They
 were written first and the engine's expected values were frozen from them.
 """
 
-from decimal import Decimal
+import json
+from decimal import Decimal, InvalidOperation
 
 
 def euclid(a, b):
@@ -66,3 +67,40 @@ def oracle_medoid(members):
     if best is None:
         raise ValueError("member list must not be empty")
     return best[1]
+
+
+def oracle_money(value):
+    """``value`` as a cent ``Decimal``, always a fresh quantized copy; more
+    than two fractional digits, NaN and infinities raise ``ValueError``."""
+    if isinstance(value, Decimal):
+        dec = value
+    elif isinstance(value, float):
+        dec = Decimal(str(value))
+    else:
+        try:
+            dec = Decimal(value)
+        except InvalidOperation as exc:
+            raise ValueError(f"not a money amount: {value!r}") from exc
+    try:
+        quantized = dec.quantize(Decimal("0.01"))
+    except InvalidOperation as exc:
+        raise ValueError(f"not a money amount: {value!r}") from exc
+    if quantized != dec:
+        raise ValueError(f"money must have at most 2 decimal places, got {value!r}")
+    return quantized
+
+
+def oracle_cost_table(table):
+    """A segment's cost table, every year's value checked on its own."""
+    checked = {}
+    for year, value in sorted(table.items()):
+        cost = oracle_money(value)
+        if cost <= 0:
+            raise ValueError(f"cost for {year} must be positive")
+        checked[year] = cost
+    return checked
+
+
+def oracle_document_json(obj):
+    """The canonical plan document text for the JSON value ``obj``."""
+    return json.dumps(obj, indent=2) + "\n"

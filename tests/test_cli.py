@@ -1,15 +1,19 @@
 import json
+import tempfile
 from decimal import Decimal
 from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import paveplan.cli
 import paveplan.refine
 from paveplan.cli import main
 from paveplan.io_formats import load_segments, parse_plan_document
 from paveplan.model import validate_dataset
+
+from helpers import csv_texts
 
 TWO_BLOB_SEGMENTS = (
     "id,x,y,scheduled_year,cost\n"
@@ -524,6 +528,59 @@ def test_malformed_plan_document_exits_2(command, text, two_blob_files, tmp_path
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: plan document") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["metrics", "render", "compare"])
+def test_fractional_year_in_plan_document_exits_2(
+    command, two_blob_files, tmp_path, capsys
+):
+    # int() would take 2018.7 as 2018, and re-emitting would change the bytes
+    segments, budgets = two_blob_files
+    before = _plan_file("baseline", segments, budgets, tmp_path / "before.json")
+    after = _plan_file("cluster", segments, budgets, tmp_path / "after.json", "--algo", "schedule")
+    obj = json.loads(after.read_text(encoding="utf-8"))
+    obj["clusters"][0]["members"][0]["scheduled_year"] = 2018.7
+    after.write_text(json.dumps(obj, indent=2), encoding="utf-8")
+    args = {
+        "metrics": ["--plan", str(after)],
+        "render": ["--plan", str(after), "--out", str(tmp_path / "plan.svg")],
+        "compare": ["--before", str(before), "--after", str(after)],
+    }[command]
+    capsys.readouterr()
+    assert main([command, *args, "--segments", str(segments)]) == 2
+    assert capsys.readouterr().err == (
+        "error: plan document field 'scheduled_year' must be an integer\n"
+    )
+    assert not (tmp_path / "plan.svg").exists()
+
+
+@settings(deadline=None)
+@given(
+    segments_text=csv_texts("id,x,y,scheduled_year,cost", "s{i},{i},0,{year},1.00"),
+    budgets_text=csv_texts("year,budget,e_l,e_h", "{year},1.00,0.00,0.00"),
+    matrix_text=st.none() | csv_texts("id,Y2018,Y2019", "s{i},1.00,1.00"),
+)
+def test_validate_any_csv_exits_0_1_or_2(segments_text, budgets_text, matrix_text):
+    with tempfile.TemporaryDirectory() as tmp:
+        args = ["validate"]
+        files = {"segments": segments_text, "budgets": budgets_text, "cost-matrix": matrix_text}
+        for name, text in files.items():
+            if text is not None:
+                path = Path(tmp) / f"{name}.csv"
+                path.write_text(text, encoding="utf-8")
+                args += [f"--{name}", str(path)]
+        assert main(args) in (0, 1, 2)
+
+
+def test_verbose_is_read_when_logging(two_blob_files, monkeypatch, capsys):
+    segments, budgets = two_blob_files
+    args = ["validate", "--segments", str(segments), "--budgets", str(budgets)]
+    monkeypatch.delenv("PAVEPLAN_VERBOSE", raising=False)
+    assert main(args) == 0
+    assert capsys.readouterr().err == ""
+    monkeypatch.setenv("PAVEPLAN_VERBOSE", "1")
+    assert main(args) == 0
+    assert capsys.readouterr().err == "loaded 6 segments over 2 years\n"
 
 
 def test_render_unknown_segment_exits_2(two_blob_files, tmp_path, capsys):

@@ -11,6 +11,7 @@ from paveplan.costs import (
     matrix_from_segments,
     synthesize_cost_matrix,
 )
+from paveplan.io_formats import load_segments
 from paveplan.model import (
     BudgetSchedule,
     Cluster,
@@ -128,6 +129,21 @@ class TestMatrixSegmentRoundTrip:
         assert schedule_aware_plan(flat, sched, 0) == schedule_aware_plan(
             via_matrix, sched, 0
         )
+
+
+def test_flat_table_shares_one_cost_object_per_segment():
+    # 30 years of one validated cost: one Decimal, not 30 copies
+    segments = load_segments(
+        "id,x,y,scheduled_year,cost\n"
+        "a,0,0,2018,10.00\n"
+        "b,1,0,2030,4.5\n"
+        "c,2,0,2047,7\n"
+    )
+    years = tuple(range(2018, 2048))
+    for loaded, flat in zip(segments, flat_cost_table(segments, years)):
+        assert tuple(flat.cost_by_year) == years
+        assert len({id(cost) for cost in flat.cost_by_year.values()}) == 1
+        assert flat.base_cost() == loaded.base_cost()
 
 
 def _published_fixture():

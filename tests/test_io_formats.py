@@ -1,4 +1,5 @@
 import json
+import math
 from decimal import Decimal
 from pathlib import Path
 from xml.etree import ElementTree
@@ -25,10 +26,19 @@ from paveplan.io_formats import (
     render_plan_svg,
 )
 from paveplan.metrics import compute_metrics
-from paveplan.model import Cluster, DimensionMismatchError, PavePlanError, Plan
+from paveplan.model import (
+    BudgetEntry,
+    BudgetSchedule,
+    Cluster,
+    DimensionMismatchError,
+    PavePlanError,
+    Plan,
+    Segment,
+)
 from paveplan.radial import landmark_based_radial_clustering
 
-from helpers import seg
+from helpers import csv_texts, seg
+from oracles import oracle_document_json
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -108,6 +118,80 @@ class TestSegmentsRoundTrip:
         twice = load_segments(emitted)
         assert twice == once
         assert emit_segments_csv(twice) == emitted
+
+
+# ids as load_segments returns them: stripped and non-empty; csv.reader
+# before Python 3.11 refuses NUL anywhere in its input
+SEGMENT_IDS = st.text(st.characters(blacklist_characters="\x00"), min_size=1, max_size=8)
+CENTS = st.integers(1, 10**12).map(lambda c: Decimal(c) / 100)
+
+
+@st.composite
+def _segment_lists(draw):
+    dimension = draw(st.integers(1, 4))
+    ids = SEGMENT_IDS.map(str.strip).filter(bool)
+    coords = st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * dimension)
+    segments = []
+    for sid in draw(st.lists(ids, min_size=1, max_size=5, unique=True)):
+        year = draw(st.integers(-10_000, 10_000))
+        segments.append(
+            Segment(sid, draw(coords), cost_by_year={year: draw(CENTS)}, scheduled_year=year)
+        )
+    return segments
+
+
+@st.composite
+def _schedules(draw):
+    entries = []
+    for year in sorted(draw(st.sets(st.integers(-10_000, 10_000), min_size=1, max_size=4))):
+        budget = draw(CENTS)
+        low = draw(st.integers(0, int(budget * 100) - 1)) / Decimal(100)
+        entries.append(BudgetEntry(year, budget, low, draw(CENTS) - Decimal("0.01")))
+    return BudgetSchedule(tuple(entries), draw(CENTS))
+
+
+@given(_segment_lists())
+def test_segments_csv_round_trip(segments):
+    assert load_segments(emit_segments_csv(segments)) == segments
+
+
+@given(_schedules())
+def test_budgets_csv_round_trip(schedule_obj):
+    text = emit_budgets_csv(schedule_obj)
+    tolerance = schedule_obj.conservation_tolerance
+    assert load_budgets(text, conservation_tolerance=tolerance) == schedule_obj
+
+
+@pytest.mark.parametrize(
+    "loader, header, row",
+    [
+        (load_segments, "id,x,y,scheduled_year,cost", "s{i},{i},0,{year},1.00"),
+        (load_segments, "id,x,scheduled_year", "s{i},0.5,{year}"),
+        (load_budgets, "year,budget", "{year},3.00"),
+        (load_budgets, "year,budget,e_l,e_h", "{year},3.00,0.50,1.00"),
+        (load_cost_matrix, "id,Y2018,Y2019", "s{i},1.00,2.00"),
+    ],
+    ids=["segments", "segments-no-cost", "budgets", "budgets-tolerances", "matrix"],
+)
+@given(data=st.data())
+def test_loaders_parse_or_raise_csv_format_error(loader, header, row, data):
+    text = data.draw(csv_texts(header, row))
+    try:
+        loader(text)
+    except CsvFormatError:
+        pass
+
+
+def test_oversized_field_is_a_csv_format_error():
+    with pytest.raises(CsvFormatError, match="row 2"):
+        load_segments("id,x,scheduled_year\n" + "a" * 200_000 + ",0,2018\n")
+
+
+def test_segment_ids_are_quoted_when_csv_needs_it():
+    segments = [seg(sid, (0, 0)) for sid in ['a,b', '"q"', "x\ny", "plain"]]
+    text = emit_segments_csv(segments)
+    assert text.splitlines()[-1] == "plain,0.0,0.0,2018,1.00"
+    assert [s.id for s in load_segments(text)] == ['a,b', '"q"', "x\ny", "plain"]
 
 
 class TestLoadBudgets:
@@ -245,7 +329,188 @@ JSON_VALUES = st.recursive(
 GOLDEN_TEXT = (DATA_DIR / "two_blob_plan.json").read_text(encoding="utf-8")
 
 
+def _ordered(**fields):
+    """JSON objects with ``fields`` in this key order, as the emitter writes them."""
+    keys = list(fields)
+    return st.tuples(*fields.values()).map(lambda values: dict(zip(keys, values)))
+
+
+def _money_text(cents):
+    return cents.map(lambda c: f"{Decimal(c) / 100:.2f}")
+
+
+TEXTS = st.text(max_size=8) | st.sampled_from(
+    ['q"u\\o"te', "\u00e9t\u00e9 \u2603", "\x00\x1f\n\t\u2028"]
+)
+FLOATS = st.floats() | st.sampled_from([-0.0, 1e16, math.nan, math.inf, -math.inf])
+YEARS = st.integers(-10_000, 10_000)
+MONEY = _money_text(st.integers(-10**12, 10**12)) | st.just("-0.00")
+POSITIVE_MONEY = _money_text(st.integers(1, 10**12))
+
+
+@st.composite
+def _schedule_objs(draw):
+    years = sorted(draw(st.sets(YEARS, max_size=3)))
+    entries = []
+    for year in years:
+        budget = draw(st.integers(1, 10**12))
+        entries.append(
+            {
+                "year": year,
+                "budget": f"{Decimal(budget) / 100:.2f}",
+                "low_tolerance": f"{Decimal(draw(st.integers(0, budget - 1))) / 100:.2f}",
+                "high_tolerance": draw(_money_text(st.integers(0, 10**12))),
+            }
+        )
+    tolerance = draw(_money_text(st.integers(0, 10**6)))
+    return {"conservation_tolerance": tolerance, "entries": entries}
+
+
+def _members(assigned):
+    member = _ordered(
+        id=TEXTS,
+        coords=st.lists(FLOATS, min_size=1, max_size=3),
+        scheduled_year=YEARS,
+        assigned_year=YEARS if assigned else st.none(),
+        cost_used=MONEY if assigned else st.none(),
+    )
+    return st.lists(member, max_size=3)
+
+
+DOCUMENT_OBJS = _ordered(
+    format_version=st.just("1"),
+    input_digest=TEXTS,
+    schedule=_schedule_objs(),
+    clusters=st.lists(
+        _ordered(
+            year=YEARS,
+            center_id=st.none() | TEXTS,
+            budget=POSITIVE_MONEY,
+            realized_cost=MONEY,
+            members=_members(assigned=True),
+        ),
+        max_size=3,
+    ),
+    unassigned=_members(assigned=False),
+    metrics=_ordered(
+        per_year=st.lists(
+            _ordered(
+                year=YEARS,
+                budget=MONEY,
+                realized_cost=MONEY,
+                utilization=FLOATS,
+                member_count=st.integers(0, 10**6),
+                mean_member_distance_to_center=FLOATS,
+                mean_pairwise_distance=FLOATS,
+                over_budget=st.booleans(),
+            ),
+            max_size=3,
+        ),
+        overall=_ordered(
+            total_budget=MONEY,
+            total_cost=MONEY,
+            total_deviation=MONEY,
+            weighted_mean_dispersion=FLOATS,
+        ),
+        unassigned_count=st.integers(0, 10**6),
+    ),
+    diagnostics=st.lists(
+        _ordered(
+            code=TEXTS,
+            message=TEXTS,
+            year=st.none() | YEARS,
+            segment_ids=st.lists(TEXTS, max_size=3),
+        ),
+        max_size=2,
+    ),
+)
+
+
+@given(DOCUMENT_OBJS)
+def test_document_json_is_json_dumps(obj):
+    # NaN and infinities reach the document through json.loads, as from a file
+    text = oracle_document_json(obj)
+    assert document_to_json(parse_plan_document(text)) == text
+
+
+def test_large_document_json_is_json_dumps():
+    # far more encoder chunks than one write batch holds
+    obj = json.loads(GOLDEN_TEXT)
+    member = obj["clusters"][0]["members"][0]
+    obj["unassigned"] = [
+        dict(member, id=f"u{i}", assigned_year=None, cost_used=None) for i in range(2_000)
+    ]
+    text = oracle_document_json(obj)
+    assert document_to_json(parse_plan_document(text)) == text
+
+
+def _golden_with(path, value):
+    obj = json.loads(GOLDEN_TEXT)
+    *parent_path, key = path
+    parent = obj
+    for step in parent_path:
+        parent = parent[step]
+    parent[key] = value
+    return json.dumps(obj)
+
+
+DIAGNOSTIC = {"code": "c", "message": "m", "year": 2018, "segment_ids": []}
+
+MEMBER = ("clusters", 0, "members", 0)
+PER_YEAR = ("metrics", "per_year", 0)
+OVERALL = ("metrics", "overall")
+INTEGER_FIELDS = [
+    ("schedule", "entries", 0, "year"),
+    ("clusters", 0, "year"),
+    MEMBER + ("scheduled_year",),
+    MEMBER + ("assigned_year",),
+    PER_YEAR + ("year",),
+    PER_YEAR + ("member_count",),
+    ("metrics", "unassigned_count"),
+]
+
+
 class TestMalformedPlanDocument:
+    @pytest.mark.parametrize("path", INTEGER_FIELDS, ids=lambda p: ".".join(map(str, p)))
+    @pytest.mark.parametrize("value", [2018.7, 2018.0, True, "2018"], ids=repr)
+    def test_integer_fields_must_be_integers(self, path, value):
+        text = _golden_with(path, value)
+        with pytest.raises(PavePlanError, match=f"field {path[-1]!r} must be an integer"):
+            parse_plan_document(text)
+
+    @pytest.mark.parametrize("value", [2018.7, 2018.0, True, "2018"], ids=repr)
+    def test_diagnostic_year_must_be_an_integer(self, value):
+        text = _golden_with(("diagnostics",), [dict(DIAGNOSTIC, year=value)])
+        with pytest.raises(PavePlanError, match="field 'year' must be an integer or null"):
+            parse_plan_document(text)
+
+    def test_diagnostic_year_may_be_null(self):
+        text = _golden_with(("diagnostics",), [dict(DIAGNOSTIC, year=None), DIAGNOSTIC])
+        years = [d.year for d in parse_plan_document(text).diagnostics]
+        assert years == [None, 2018]
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (MEMBER + ("coords",), [True, 0.0], "'coords' must hold numbers"),
+            (MEMBER + ("coords",), ["1.5", 0.0], "'coords' must hold numbers"),
+            (PER_YEAR + ("utilization",), True, "'utilization' must be a number"),
+            (PER_YEAR + ("mean_pairwise_distance",), "1.0", "'mean_pairwise_distance' must be"),
+            (OVERALL + ("weighted_mean_dispersion",), False, "'weighted_mean_dispersion' must be"),
+            (("clusters", 0, "budget"), True, "'budget' must be a string"),
+            (MEMBER + ("cost_used",), 1.0, "'cost_used' must be a string or null"),
+            (OVERALL + ("total_cost",), "1.005", "'total_cost': money must have"),
+        ],
+    )
+    def test_number_fields_refuse_other_types(self, path, value, message):
+        with pytest.raises(PavePlanError, match=message):
+            parse_plan_document(_golden_with(path, value))
+
+    def test_integer_coords_are_accepted(self):
+        text = _golden_with(MEMBER + ("coords",), [101, 0])
+        member = parse_plan_document(text).clusters[0].members[0]
+        assert member.coords == (101.0, 0.0)
+
     @pytest.mark.parametrize(
         "text", ["[]", "null", "7", '"plan"', '{"format_version": "1"}', "[" * 100_000]
     )

@@ -1,6 +1,8 @@
+import re
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, strategies as st
 
 from paveplan.model import (
     BudgetEntry,
@@ -16,6 +18,11 @@ from paveplan.model import (
 )
 
 from helpers import line_segments, schedule, seg
+from oracles import oracle_cost_table, oracle_money
+
+
+class SubDecimal(Decimal):
+    """A ``Decimal`` subclass; money() must hand back a plain ``Decimal``."""
 
 
 class TestMoney:
@@ -37,6 +44,46 @@ class TestMoney:
         with pytest.raises(ValueError):
             money("nan")
 
+    @given(
+        st.one_of(
+            st.decimals(allow_nan=True, allow_infinity=True),
+            st.decimals(places=2, allow_nan=False, allow_infinity=False),
+            st.sampled_from(
+                [
+                    Decimal("-0.00"),
+                    Decimal("0E-2"),
+                    Decimal("NaN"),
+                    Decimal("-sNaN"),
+                    Decimal("sNaN"),
+                    Decimal("Infinity"),
+                    Decimal("-Infinity"),
+                    Decimal("9" * 29 + ".00"),
+                    Decimal("9" * 26 + ".00"),
+                    Decimal("1E+2"),
+                    Decimal("1.0"),
+                    SubDecimal("2.50"),
+                    SubDecimal("2.5"),
+                ]
+            ),
+            st.integers(),
+            st.floats(),
+            st.text(max_size=12),
+            st.decimals(places=2, allow_nan=False, allow_infinity=False).map(str),
+        )
+    )
+    def test_matches_oracle_and_keeps_canonical_values(self, value):
+        try:
+            expected = oracle_money(value)
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                money(value)
+            return
+        got = money(value)
+        assert type(got) is Decimal
+        assert got == expected and str(got) == str(expected)
+        if type(value) is Decimal and str(value) == str(expected):
+            assert got is value
+
 
 class TestSegment:
     def test_normalizes_fields(self):
@@ -50,6 +97,32 @@ class TestSegment:
             seg("a", (0, 0), cost="0.00")
         with pytest.raises(ValueError):
             seg("a", (0, 0), cost="-1.00")
+
+    @given(
+        st.lists(
+            st.sampled_from(
+                [Decimal("5.00"), Decimal("5"), Decimal("0.00"), Decimal("-1.00"),
+                 Decimal("1.005"), Decimal("NaN"), SubDecimal("2.50"), "3.10", 7, 0.5, None]
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_cost_table_checks_every_year(self, values):
+        # one object may fill many years (sampled_from repeats it); the table
+        # still equals a year-by-year check, and fails at the same year
+        table = {2018 + i: value for i, value in enumerate(values)}
+        try:
+            expected = oracle_cost_table(table)
+        except (ValueError, TypeError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                Segment(id="a", coords=(0,), cost_by_year=table, scheduled_year=2018)
+            return
+        segment = Segment(id="a", coords=(0,), cost_by_year=table, scheduled_year=2018)
+        assert {y: str(c) for y, c in segment.cost_by_year.items()} == {
+            y: str(c) for y, c in expected.items()
+        }
+        assert all(type(c) is Decimal for c in segment.cost_by_year.values())
 
     def test_missing_year_raises(self):
         s = seg("a", (0, 0), year=2018)
