@@ -6,17 +6,14 @@ from .costs import (
     CostScenarioMatrix,
     apply_cost_matrix,
     conservation_report,
-    cost_at_year,
     flat_cost_table,
     matrix_from_segments,
     synthesize_cost_matrix,
 )
 from .geometry import (
     DistanceOrdering,
-    distance,
     furthest_point_from_cluster,
     order_by_distance,
-    point_set_distance,
 )
 from .io_formats import (
     CsvFormatError,

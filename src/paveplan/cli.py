@@ -13,11 +13,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
+from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .costs import (
     apply_cost_matrix,
@@ -65,41 +65,24 @@ def _log(message: str) -> None:
         print(message, file=sys.stderr)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one clustering run needs; mirrors the CLI flags."""
-
-    segments_path: Path
-    budgets_path: Path
-    algorithm: str
-    cost_matrix_path: Path | None = None
-    seed: int | None = None
-    axis: int = 0
-    low_tolerance: Decimal | None = None
-    high_tolerance: Decimal | None = None
-    conservation_tolerance: Decimal = Decimal("0.00")
-    strict: bool = False
-    skip_mode: bool = False
-    plan_out: Path | None = None
-    svg_out: Path | None = None
-
-
 def _read(path: Path) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    # newline="" keeps a CR inside a quoted CSV field, and the digest sees
+    # the bytes as written
+    with open(path, encoding="utf-8", newline="") as file:
+        return file.read()
 
 
-def _load_dataset(
-    segments_path: Path,
-    budgets_path: Path,
-    cost_matrix_path: Path | None,
-    conservation_tolerance: Decimal,
-) -> tuple[list[Segment], BudgetSchedule, str]:
-    segments_text = _read(segments_path)
-    budgets_text = _read(budgets_path)
-    matrix_text = _read(cost_matrix_path) if cost_matrix_path else ""
+def _load_dataset(args: argparse.Namespace) -> tuple[list[Segment], BudgetSchedule, str]:
+    """The segments, with cost tables, the schedule and the input digest the
+    dataset flags name."""
+    segments_text = _read(args.segments)
+    budgets_text = _read(args.budgets)
+    matrix_text = _read(args.cost_matrix) if args.cost_matrix else ""
     segments = load_segments(segments_text)
-    schedule = load_budgets(budgets_text, conservation_tolerance=conservation_tolerance)
-    if cost_matrix_path:
+    schedule = load_budgets(
+        budgets_text, conservation_tolerance=args.conservation_tolerance
+    )
+    if args.cost_matrix:
         matrix = load_cost_matrix(matrix_text)
         segments = apply_cost_matrix(segments, matrix)
     else:
@@ -126,66 +109,36 @@ def _with_tolerance_overrides(
     return BudgetSchedule(entries, schedule.conservation_tolerance)
 
 
-def _print_diagnostics(plan: Plan) -> None:
+def _write_plan(
+    plan: Plan,
+    schedule: BudgetSchedule,
+    segments: Sequence[Segment],
+    digest: str,
+    plan_out: Path | None,
+    svg_out: Path | None = None,
+) -> int:
+    """Print the plan's diagnostics, then write its document to ``plan_out``
+    (stdout if omitted) and its SVG map to ``svg_out`` if given. Nothing is
+    written until every artifact is built."""
+    metrics = compute_metrics(plan, schedule, segments)
+    plan_text = emit_plan(plan, metrics, schedule, segments, digest)
+    svg_text = render_plan_svg(plan, segments) if svg_out else None
     for diag in plan.diagnostics:
         where = f" [{diag.year}]" if diag.year is not None else ""
         print(f"{diag.code}{where}: {diag.message}", file=sys.stderr)
-
-
-def run(config: RunConfig) -> int:
-    """Execute one clustering run and write its artifacts."""
-    segments, schedule, digest = _load_dataset(
-        config.segments_path,
-        config.budgets_path,
-        config.cost_matrix_path,
-        config.conservation_tolerance,
-    )
-    if config.strict and config.algorithm != "schedule":
-        # the schedule pipeline validates, and raises in strict mode, itself
-        report = validate_dataset(segments, schedule)
-        if not report.ok:
-            raise ValidationFailedError(report)
-
-    if config.algorithm == "random":
-        plan = main_algorithm(
-            segments, schedule, config.seed, skip_mode=config.skip_mode
-        )
-    elif config.algorithm == "landmark":
-        plan = landmark_based_radial_clustering(
-            segments, schedule, config.axis, skip_mode=config.skip_mode
-        )
-    else:
-        schedule = _with_tolerance_overrides(
-            schedule, config.low_tolerance, config.high_tolerance
-        )
-        plan = schedule_aware_plan(
-            segments,
-            schedule,
-            config.axis,
-            strict=config.strict,
-            skip_mode=config.skip_mode,
-        )
-
-    metrics = compute_metrics(plan, schedule, segments)
-    plan_text = emit_plan(plan, metrics, schedule, segments, digest)
-    svg_text = render_plan_svg(plan, segments) if config.svg_out else None
-
-    _print_diagnostics(plan)
-    if config.plan_out:
-        Path(config.plan_out).write_text(plan_text, encoding="utf-8")
-        _log(f"wrote {config.plan_out}")
+    if plan_out:
+        Path(plan_out).write_text(plan_text, encoding="utf-8")
+        _log(f"wrote {plan_out}")
     else:
         sys.stdout.write(plan_text)
-    if config.svg_out and svg_text is not None:
-        Path(config.svg_out).write_text(svg_text, encoding="utf-8")
-        _log(f"wrote {config.svg_out}")
+    if svg_out:
+        Path(svg_out).write_text(svg_text, encoding="utf-8")
+        _log(f"wrote {svg_out}")
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    segments, schedule, _ = _load_dataset(
-        args.segments, args.budgets, args.cost_matrix, args.conservation_tolerance
-    )
+    segments, schedule, _ = _load_dataset(args)
     report = validate_dataset(segments, schedule)
     if report.ok:
         print("dataset is admissible")
@@ -212,22 +165,27 @@ def _cmd_cluster(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         # the ablation engines price projects at their own scheduled year, so
         # a year-dependent matrix would desync their accounting
         parser.error("--cost-matrix only applies to --algo schedule")
-    config = RunConfig(
-        segments_path=args.segments,
-        budgets_path=args.budgets,
-        cost_matrix_path=args.cost_matrix,
-        algorithm=args.algo,
-        seed=args.seed,
-        axis=args.axis if args.axis is not None else 0,
-        low_tolerance=args.low_tolerance,
-        high_tolerance=args.high_tolerance,
-        conservation_tolerance=args.conservation_tolerance,
-        strict=args.strict,
-        skip_mode=args.skip_mode,
-        plan_out=args.out,
-        svg_out=args.svg,
-    )
-    return run(config)
+    segments, schedule, digest = _load_dataset(args)
+    if args.strict and args.algo != "schedule":
+        # the schedule pipeline validates, and raises in strict mode, itself
+        report = validate_dataset(segments, schedule)
+        if not report.ok:
+            raise ValidationFailedError(report)
+    axis = 0 if args.axis is None else args.axis
+    if args.algo == "random":
+        plan = main_algorithm(segments, schedule, args.seed, skip_mode=args.skip_mode)
+    elif args.algo == "landmark":
+        plan = landmark_based_radial_clustering(
+            segments, schedule, axis, skip_mode=args.skip_mode
+        )
+    else:
+        schedule = _with_tolerance_overrides(
+            schedule, args.low_tolerance, args.high_tolerance
+        )
+        plan = schedule_aware_plan(
+            segments, schedule, axis, strict=args.strict, skip_mode=args.skip_mode
+        )
+    return _write_plan(plan, schedule, segments, digest, args.out, args.svg)
 
 
 def _document_segments(path: Path, *documents: PlanDocument) -> Mapping[str, Segment]:
@@ -319,18 +277,9 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    segments, schedule, digest = _load_dataset(
-        args.segments, args.budgets, args.cost_matrix, args.conservation_tolerance
-    )
+    segments, schedule, digest = _load_dataset(args)
     plan = plan_from_schedule(segments, schedule)
-    metrics = compute_metrics(plan, schedule, segments)
-    text = emit_plan(plan, metrics, schedule, segments, digest)
-    _print_diagnostics(plan)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_plan(plan, schedule, segments, digest, args.out)
 
 
 def _parse_years(spec: str) -> tuple[int, ...]:
@@ -427,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cluster.add_argument("--out", type=Path, help="plan JSON path (stdout if omitted)")
     p_cluster.add_argument("--svg", type=Path, help="also render a schematic SVG map")
-    p_cluster.set_defaults(handler=None)  # wired below; needs the parser for errors
+    p_cluster.set_defaults(handler=partial(_cmd_cluster, parser=parser))
 
     p_metrics = sub.add_parser("metrics", help="recompute metrics for a plan document")
     p_metrics.add_argument("--plan", type=Path, required=True)
@@ -475,10 +424,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "cluster":
-            # cluster needs the parser itself for usage errors
-            sub_parser = parser
-            return _cmd_cluster(args, sub_parser)
         return args.handler(args)
     except ValidationFailedError as exc:
         for issue in exc.report.issues:

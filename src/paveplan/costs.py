@@ -18,7 +18,6 @@ from .model import (
     CENT,
     ZERO,
     BudgetSchedule,
-    MissingCostError,
     Plan,
     Segment,
     UnknownSegmentError,
@@ -53,19 +52,6 @@ class CostScenarioMatrix:
             rows[sid] = row
         object.__setattr__(self, "years", years)
         object.__setattr__(self, "per_segment", MappingProxyType(rows))
-
-
-def cost_at_year(matrix: CostScenarioMatrix, segment_id: str, year: int) -> Decimal:
-    """Exact table lookup; missing data is an error, never a stand-in value."""
-    if segment_id not in matrix.per_segment:
-        raise UnknownSegmentError(f"segment {segment_id!r} is not in the cost matrix")
-    try:
-        index = matrix.years.index(year)
-    except ValueError:
-        raise MissingCostError(
-            f"year {year} is not in the cost matrix horizon {matrix.years}"
-        ) from None
-    return matrix.per_segment[segment_id][index]
 
 
 def synthesize_cost_matrix(

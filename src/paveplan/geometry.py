@@ -1,6 +1,5 @@
-"""Distance kernel: point-point and point-to-set distances, distance-ordered
-enumeration around an anchor, and the farthest-remaining-point search used
-to seed new clusters.
+"""Distance kernel: distance-ordered enumeration around an anchor, and the
+farthest-remaining-point search used to seed new clusters.
 
 Everything here is deterministic and exact. The farthest-point search is
 incremental: across the years of one plan, each candidate point keeps the
@@ -24,27 +23,6 @@ from .model import DimensionMismatchError, Segment
 Coords = tuple[float, ...]
 
 
-def distance(a: Sequence[float], b: Sequence[float]) -> float:
-    """Euclidean distance; raises on mixed dimensionality."""
-    if len(a) != len(b):
-        raise DimensionMismatchError(
-            f"points have dimensions {len(a)} and {len(b)}"
-        )
-    return math.dist(a, b)
-
-
-def point_set_distance(point_set: Iterable[Coords], point: Sequence[float]) -> float:
-    """Min-linkage distance from ``point`` to the set; 0 when it belongs."""
-    best: float | None = None
-    for member in point_set:
-        d = distance(member, point)
-        if best is None or d < best:
-            best = d
-    if best is None:
-        raise ValueError("point set must not be empty")
-    return best
-
-
 @dataclass(frozen=True)
 class DistanceOrdering:
     """All segments except the anchor, nearest first; ties by ascending id."""
@@ -56,10 +34,10 @@ class DistanceOrdering:
 def order_by_distance(segments: Sequence[Segment], anchor: Segment) -> DistanceOrdering:
     if not any(seg.id == anchor.id for seg in segments):
         raise ValueError(f"anchor {anchor.id!r} is not in the segment list")
+    check_same_dimension(chain((anchor.coords,), (seg.coords for seg in segments)))
+    dist, point = math.dist, anchor.coords
     ranked = sorted(
-        (distance(anchor.coords, seg.coords), seg.id)
-        for seg in segments
-        if seg.id != anchor.id
+        (dist(point, seg.coords), seg.id) for seg in segments if seg.id != anchor.id
     )
     return DistanceOrdering(anchor.id, tuple(sid for _, sid in ranked))
 
@@ -72,8 +50,9 @@ MinLinkageBounds = dict[Coords, tuple[float, int]]
 
 
 def check_same_dimension(points: Iterable[Sequence[float]]) -> None:
-    """Raise unless every point has the dimension of the first; lets hot
-    loops call ``math.dist`` directly instead of :func:`distance`."""
+    """Raise unless every point has the dimension of the first, so a hot
+    loop checked once can call ``math.dist`` (a bare ``ValueError`` on a
+    mismatch) directly."""
     dimension = None
     for point in points:
         if dimension is None:

@@ -516,14 +516,22 @@ def _float_field(obj: dict, key: str) -> float:
 
 
 def _money_field(obj: dict, key: str, optional: bool = False) -> Decimal | None:
-    """``obj[key]``, a money string (or null when ``optional``)."""
+    """``obj[key]``, a money string in the canonical form emission writes
+    (or null when ``optional``)."""
     value = _field(obj, key, str, optional)
     if value is None:
         return None
     try:
-        return money(value)
+        amount = money(value)
     except ValueError as exc:
         raise PavePlanError(f"plan document field {key!r}: {exc}") from None
+    if _money_str(amount) != value:
+        # "3", " 3.00" or "+3.00" would re-emit as other bytes
+        raise PavePlanError(
+            f"plan document field {key!r}: money {value!r} is not written as "
+            f"{_money_str(amount)!r}"
+        )
+    return amount
 
 
 def _cluster_budget(obj: dict) -> Decimal:

@@ -116,13 +116,30 @@ def _walk(
     return _admit(center, nearest_first(), cap, cost, skip_mode)
 
 
+def _cluster(
+    year: int | None,
+    center: Segment,
+    admitted: Sequence[tuple[str, Decimal]],
+    cap: Decimal,
+) -> Cluster:
+    """The cluster of the ``admitted`` (id, running total) pairs around
+    ``center`` under ``cap``, in ``year`` or else the center's own year."""
+    return Cluster(
+        year=center.scheduled_year if year is None else year,
+        center_id=center.id,
+        member_ids=tuple(sid for sid, _ in admitted),
+        realized_cost=admitted[-1][1],
+        budget=cap,
+    )
+
+
 def radial_neighbor_clustering(
     pool: Sequence[Segment],
     center: Segment,
     budget,
     *,
     year: int | None = None,
-    cost: CostFn | None = None,
+    cost: CostFn = scheduled_year_cost,
     skip_mode: bool = False,
 ) -> tuple[Cluster, ClusterBuildTrace]:
     """Grow one cluster outward from ``center`` until the budget stops it.
@@ -133,16 +150,8 @@ def radial_neighbor_clustering(
     within the cap.
     """
     cap = money(budget)
-    admitted, stop_reason = _walk(
-        list(pool), center, cap, cost or scheduled_year_cost, skip_mode
-    )
-    cluster = Cluster(
-        year=center.scheduled_year if year is None else year,
-        center_id=center.id,
-        member_ids=tuple(sid for sid, _ in admitted),
-        realized_cost=admitted[-1][1],
-        budget=cap,
-    )
+    admitted, stop_reason = _walk(list(pool), center, cap, cost, skip_mode)
+    cluster = _cluster(year, center, admitted, cap)
     return cluster, ClusterBuildTrace(center.id, tuple(admitted), stop_reason)
 
 

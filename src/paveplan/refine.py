@@ -11,12 +11,14 @@ centers and prices every admission at the cluster's own fiscal year.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
+from itertools import chain
 from typing import Sequence
 
-from .geometry import distance
+from .geometry import check_same_dimension
 from .model import (
     BudgetSchedule,
     Cluster,
@@ -35,6 +37,7 @@ from .radial import (
     CostFn,
     _admit,
     _check_segments,
+    _cluster,
     _drain_pool,
     _walk,
     cost_fn_for_year,
@@ -55,21 +58,16 @@ class ToleranceBand:
 
 
 def band_order(
-    band: Sequence[Segment], center: Segment, *, cost: CostFn | None = None
+    band: Sequence[Segment], center: Segment, *, cost: CostFn = scheduled_year_cost
 ) -> list[Segment]:
     """Urgency order for band points: ascending scheduled year (overdue work
     naturally sorts first), then ascending cost, then distance to the
     center, then id."""
-    if cost is None:
-        cost = scheduled_year_cost
+    check_same_dimension(chain((center.coords,), (seg.coords for seg in band)))
+    dist, point = math.dist, center.coords
     return sorted(
         band,
-        key=lambda seg: (
-            seg.scheduled_year,
-            cost(seg),
-            distance(center.coords, seg.coords),
-            seg.id,
-        ),
+        key=lambda seg: (seg.scheduled_year, cost(seg), dist(point, seg.coords), seg.id),
     )
 
 
@@ -81,7 +79,7 @@ def build_tolerance_band(
     high_tolerance,
     *,
     year: int | None = None,
-    cost: CostFn | None = None,
+    cost: CostFn = scheduled_year_cost,
 ) -> ToleranceBand:
     """Cut the inner/nominal/outer clusters from one walk around ``center``.
 
@@ -97,23 +95,13 @@ def build_tolerance_band(
         raise ValueError("tolerances must be non-negative")
     if cap - low <= 0:
         raise ValueError("low tolerance must leave a positive inner budget")
-    if cost is None:
-        cost = scheduled_year_cost
-    if year is None:
-        year = center.scheduled_year
     pool = list(pool)
     admitted, _ = _walk(pool, center, cap + high, cost)
     totals = [total for _, total in admitted]
 
     def cut(limit: Decimal) -> Cluster:
         size = max(1, bisect_right(totals, limit))
-        return Cluster(
-            year=year,
-            center_id=center.id,
-            member_ids=tuple(sid for sid, _ in admitted[:size]),
-            realized_cost=totals[size - 1],
-            budget=limit,
-        )
+        return _cluster(year, center, admitted[:size], limit)
 
     low_cluster = cut(cap - low)
     by_id = {seg.id: seg for seg in pool}
@@ -132,7 +120,7 @@ def schedule_aware_cluster(
     high_tolerance,
     *,
     year: int | None = None,
-    cost: CostFn | None = None,
+    cost: CostFn = scheduled_year_cost,
     skip_mode: bool = False,
 ) -> tuple[Cluster, ClusterBuildTrace]:
     """Final cluster: all of the inner cluster, then band points in urgency
@@ -143,10 +131,6 @@ def schedule_aware_cluster(
     they need not: skipping applies only to the band, which is then empty.
     """
     cap = money(budget)
-    if cost is None:
-        cost = scheduled_year_cost
-    if year is None:
-        year = center.scheduled_year
     pool = list(pool)
     band = build_tolerance_band(
         pool, center, cap, low_tolerance, high_tolerance, year=year, cost=cost
@@ -162,13 +146,7 @@ def schedule_aware_cluster(
         stop_reason = (
             STOP_DATA_EXHAUSTED if len(admitted) == len(pool) else STOP_BUDGET_REACHED
         )
-    cluster = Cluster(
-        year=year,
-        center_id=center.id,
-        member_ids=tuple(sid for sid, _ in admitted),
-        realized_cost=admitted[-1][1],
-        budget=cap,
-    )
+    cluster = _cluster(year, center, admitted, cap)
     return cluster, ClusterBuildTrace(center.id, tuple(admitted), stop_reason)
 
 

@@ -1,5 +1,11 @@
+import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 from xml.etree import ElementTree
@@ -10,10 +16,16 @@ from hypothesis import given, settings, strategies as st
 import paveplan.cli
 import paveplan.refine
 from paveplan.cli import main
-from paveplan.io_formats import load_segments, parse_plan_document
-from paveplan.model import validate_dataset
+from paveplan.io_formats import (
+    document_to_json,
+    emit_budgets_csv,
+    emit_segments_csv,
+    load_segments,
+    parse_plan_document,
+)
+from paveplan.model import BudgetEntry, BudgetSchedule, validate_dataset
 
-from helpers import csv_texts
+from helpers import csv_texts, seg
 
 TWO_BLOB_SEGMENTS = (
     "id,x,y,scheduled_year,cost\n"
@@ -511,9 +523,22 @@ def _document_without_metrics():
     return json.dumps(obj)
 
 
+def _document_with_budget(value):
+    obj = json.loads(
+        (Path(__file__).parent / "data" / "two_blob_plan.json").read_text(encoding="utf-8")
+    )
+    obj["clusters"][0]["budget"] = value
+    return json.dumps(obj)
+
+
 @pytest.mark.parametrize("command", ["metrics", "render", "compare"])
 @pytest.mark.parametrize(
-    "text", ["[]", '{"format_version": "1"}', _document_without_metrics()]
+    "text",
+    ["[]", '{"format_version": "1"}', _document_without_metrics()]
+    + [
+        pytest.param(_document_with_budget(value), id=f"budget={value!r}")
+        for value in ["3", "3.0", " 3.00", "3.000", "+3.00"]
+    ],
 )
 def test_malformed_plan_document_exits_2(command, text, two_blob_files, tmp_path, capsys):
     segments, _ = two_blob_files
@@ -620,3 +645,135 @@ def test_cluster_svg_is_well_formed_for_markup_ids(tmp_path):
     root = ElementTree.parse(svg_path).getroot()
     titles = {t.text for t in root.iter("{http://www.w3.org/2000/svg}title")}
     assert "a<b&c" in titles
+
+
+def test_cr_inside_a_quoted_id_survives_the_cli(tmp_path):
+    segments = tmp_path / "segments.csv"
+    budgets = tmp_path / "budgets.csv"
+    renamed = [
+        replace(s, id="a\rb") if s.id == "a1" else s
+        for s in load_segments(TWO_BLOB_SEGMENTS)
+    ]
+    segments.write_text(emit_segments_csv(renamed), encoding="utf-8")
+    budgets.write_text(TWO_BLOB_BUDGETS, encoding="utf-8")
+    plan = _plan_file("cluster", segments, budgets, tmp_path / "plan.json", "--algo", "landmark")
+    document = parse_plan_document(plan.read_text(encoding="utf-8"))
+    assert "a\rb" in {m.id for c in document.clusters for m in c.members}
+    assert main(["metrics", "--plan", str(plan), "--segments", str(segments)]) == 0
+
+
+def test_crlf_inputs_give_the_same_plan_under_another_digest(two_blob_files, tmp_path):
+    # the digest covers the bytes as written, line endings included
+    crlf = []
+    for path in two_blob_files:
+        copy = tmp_path / f"crlf_{path.name}"
+        copy.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        crlf.append(copy)
+    lf_text, crlf_text = (
+        _plan_file("cluster", *files, tmp_path / f"{name}.json", "--algo", "schedule")
+        .read_text(encoding="utf-8")
+        for name, files in (("lf", two_blob_files), ("crlf", crlf))
+    )
+    lf_digest = parse_plan_document(lf_text).input_digest
+    crlf_digest = parse_plan_document(crlf_text).input_digest
+    assert lf_digest != crlf_digest
+    assert crlf_text.replace(crlf_digest, lf_digest) == lf_text
+
+
+def test_cli_loads_only_the_standard_library(tmp_path):
+    # xml.sax.saxutils alone once added about 3 MB of peak memory
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import paveplan.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    src = Path(paveplan.cli.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(json.loads(proc.stdout))
+    assert "paveplan.cli" in loaded
+    top_level = {name.split(".")[0] for name in loaded}
+    assert top_level - set(sys.stdlib_module_names) == {"paveplan"}
+    assert not loaded & {"xml.sax", "urllib.request", "http.client", "email", "ssl"}
+
+
+# ids that need CSV quoting, SVG escaping or more than one UTF-8 byte
+IDS = st.text(alphabet=list(',"\r\n<&>é中 ab'), min_size=1, max_size=5).map(str.strip)
+ALGOS = [["--algo", "schedule"], ["--algo", "landmark"], ["--algo", "random", "--seed", "3"]]
+
+
+@st.composite
+def datasets(draw):
+    years = range(2018, 2018 + draw(st.integers(2, 3)))
+    ids = draw(st.lists(IDS.filter(bool), min_size=1, max_size=12, unique=True))
+    segments = [
+        seg(
+            sid,
+            draw(st.tuples(st.integers(0, 20), st.integers(0, 20))),
+            cost=Decimal(draw(st.integers(1, 500))) / 100,
+            year=draw(st.sampled_from(years)),
+        )
+        for sid in ids
+    ]
+    entries = []
+    for year in years:
+        budget = draw(st.integers(100, 2000))
+        entries.append(
+            BudgetEntry(
+                year,
+                Decimal(budget) / 100,
+                Decimal(draw(st.integers(0, min(budget - 1, 200)))) / 100,
+                Decimal(draw(st.integers(0, 200))) / 100,
+            )
+        )
+    return segments, BudgetSchedule(tuple(entries))
+
+
+@settings(max_examples=25, deadline=None)
+@given(dataset=datasets(), algo=st.sampled_from(ALGOS))
+def test_every_artifact_reads_back_through_the_cli(dataset, algo):
+    segments, schedule = dataset
+    with tempfile.TemporaryDirectory() as tmp:
+        path = {
+            name: str(Path(tmp) / name)
+            for name in ["segments.csv", "budgets.csv", "plan.json", "svg_plan.json",
+                         "plan.svg", "before.json", "render.svg"]
+        }
+        Path(path["segments.csv"]).write_text(emit_segments_csv(segments), encoding="utf-8")
+        Path(path["budgets.csv"]).write_text(emit_budgets_csv(schedule), encoding="utf-8")
+        dataset_args = ["--segments", path["segments.csv"], "--budgets", path["budgets.csv"]]
+        read_args = ["--segments", path["segments.csv"]]
+        commands = [
+            ["cluster", *dataset_args, *algo, "--out", path["plan.json"]],
+            ["cluster", *dataset_args, *algo, "--out", path["svg_plan.json"],
+             "--svg", path["plan.svg"]],
+            ["baseline", *dataset_args, "--out", path["before.json"]],
+            ["compare", "--before", path["before.json"], "--after", path["plan.json"],
+             *read_args],
+            ["metrics", "--plan", path["svg_plan.json"], *read_args],
+            ["render", "--plan", path["plan.json"], *read_args, "--out", path["render.svg"]],
+        ]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            for command in commands:
+                assert main(command) == 0, command
+        texts = {
+            name: Path(path[name]).read_text(encoding="utf-8")
+            for name in ["plan.json", "svg_plan.json", "before.json"]
+        }
+        assert texts["plan.json"] == texts["svg_plan.json"]
+        for text in texts.values():
+            document = parse_plan_document(text)
+            assert document_to_json(document) == text
+            members = [m.id for c in document.clusters for m in c.members]
+            assert sorted(members + [m.id for m in document.unassigned]) == sorted(
+                s.id for s in segments
+            )
+        for name in ["plan.svg", "render.svg"]:
+            ElementTree.parse(path[name])

@@ -6,7 +6,6 @@ from paveplan.costs import (
     CostScenarioMatrix,
     apply_cost_matrix,
     conservation_report,
-    cost_at_year,
     flat_cost_table,
     matrix_from_segments,
     synthesize_cost_matrix,
@@ -15,7 +14,6 @@ from paveplan.io_formats import load_segments
 from paveplan.model import (
     BudgetSchedule,
     Cluster,
-    MissingCostError,
     Plan,
     UnknownSegmentError,
 )
@@ -43,23 +41,6 @@ class TestCostScenarioMatrix:
     def test_costs_must_be_positive(self):
         with pytest.raises(ValueError):
             CostScenarioMatrix((2018,), {"a": (Decimal("0.00"),)})
-
-    def test_lookup(self):
-        matrix = CostScenarioMatrix(
-            (2018, 2019), {"a": (Decimal("10.00"), Decimal("12.00"))}
-        )
-        assert cost_at_year(matrix, "a", 2019) == Decimal("12.00")
-        assert cost_at_year(matrix, "a", 2018) == Decimal("10.00")
-
-    def test_missing_year_is_an_error(self):
-        matrix = CostScenarioMatrix((2018,), {"a": (Decimal("10.00"),)})
-        with pytest.raises(MissingCostError):
-            cost_at_year(matrix, "a", 2020)
-
-    def test_missing_id_is_an_error(self):
-        matrix = CostScenarioMatrix((2018,), {"a": (Decimal("10.00"),)})
-        with pytest.raises(UnknownSegmentError):
-            cost_at_year(matrix, "b", 2018)
 
 
 class TestSynthesizeCostMatrix:

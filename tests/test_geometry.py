@@ -1,52 +1,23 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from paveplan.geometry import (
-    distance,
-    furthest_point_from_cluster,
-    order_by_distance,
-    point_set_distance,
-)
+from paveplan.geometry import furthest_point_from_cluster, order_by_distance
 from paveplan.model import DimensionMismatchError
+from paveplan.refine import band_order
 
 from helpers import random_segments, seg
 from oracles import oracle_furthest_point
 
 
-def test_distance_identity():
-    assert distance((0.0, 0.0), (0.0, 0.0)) == 0.0
-
-
-def test_distance_3_4_5():
-    assert distance((0.0, 0.0), (3.0, 4.0)) == 5.0
-
-
-def test_distance_offset_3_4_5():
-    assert distance((1.0, 1.0), (4.0, 5.0)) == 5.0
-
-
-def test_distance_dimension_mismatch():
+def test_order_by_distance_and_band_order_dimension_mismatch():
+    anchor, flat = seg("a", (0, 0)), seg("b", (0,))
     with pytest.raises(DimensionMismatchError):
-        distance((0.0,), (0.0, 0.0))
-
-
-def test_point_set_distance_singleton():
-    assert point_set_distance([(0.0, 0.0)], (3.0, 4.0)) == 5.0
-
-
-def test_point_set_distance_takes_min():
-    assert point_set_distance([(0.0, 0.0), (10.0, 0.0)], (4.0, 0.0)) == 4.0
-
-
-def test_point_set_distance_zero_for_member():
-    assert point_set_distance([(1.0, 2.0), (3.0, 4.0)], (3.0, 4.0)) == 0.0
-
-
-def test_point_set_distance_empty_set():
-    with pytest.raises(ValueError):
-        point_set_distance([], (0.0, 0.0))
+        order_by_distance([anchor, flat], anchor)
+    with pytest.raises(DimensionMismatchError):
+        band_order([flat], anchor)
 
 
 def test_order_by_distance_line():
@@ -153,7 +124,7 @@ def test_ordering_properties(trial_seed):
     assert len(ordering.ordered_ids) == len(segments) - 1
     assert anchor.id not in ordering.ordered_ids
     by_id = {s.id: s for s in segments}
-    dists = [distance(anchor.coords, by_id[sid].coords) for sid in ordering.ordered_ids]
+    dists = [math.dist(anchor.coords, by_id[sid].coords) for sid in ordering.ordered_ids]
     assert dists == sorted(dists)
     assert order_by_distance(segments, anchor) == ordering  # re-run bit-identical
 
@@ -167,7 +138,10 @@ def test_furthest_point_maximality(trial_seed):
         for _ in range(rng.randint(1, 8))
     ]
     best = furthest_point_from_cluster(segments, clustered)
-    best_d = point_set_distance(clustered, best.coords)
+    def min_linkage(point):
+        return min(math.dist(member, point) for member in clustered)
+
+    best_d = min_linkage(best.coords)
     for other in segments:
-        assert best_d >= point_set_distance(clustered, other.coords)
+        assert best_d >= min_linkage(other.coords)
     assert best.id == oracle_furthest_point(segments, clustered)

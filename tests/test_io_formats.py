@@ -469,6 +469,15 @@ INTEGER_FIELDS = [
     ("metrics", "unassigned_count"),
 ]
 
+MONEY_FIELDS = [
+    ("schedule", "entries", 0, "budget"),
+    ("clusters", 0, "budget"),
+    MEMBER + ("cost_used",),
+    OVERALL + ("total_cost",),
+]
+# money() takes each of these as 3.00, which re-emits as other bytes
+NON_CANONICAL_MONEY = ["3", "3.0", " 3.00", "3.000", "+3.00"]
+
 
 class TestMalformedPlanDocument:
     @pytest.mark.parametrize("path", INTEGER_FIELDS, ids=lambda p: ".".join(map(str, p)))
@@ -500,6 +509,11 @@ class TestMalformedPlanDocument:
             (("clusters", 0, "budget"), True, "'budget' must be a string"),
             (MEMBER + ("cost_used",), 1.0, "'cost_used' must be a string or null"),
             (OVERALL + ("total_cost",), "1.005", "'total_cost': money must have"),
+            *[
+                (path, value, f"'{path[-1]}': money '.*' is not written as '3.00'")
+                for path in MONEY_FIELDS
+                for value in NON_CANONICAL_MONEY
+            ],
         ],
     )
     def test_number_fields_refuse_other_types(self, path, value, message):
