@@ -11,6 +11,7 @@ from .costs import (
     synthesize_cost_matrix,
 )
 from .geometry import (
+    ClusterBalls,
     DistanceOrdering,
     furthest_point_from_cluster,
     order_by_distance,

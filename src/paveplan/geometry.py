@@ -1,19 +1,50 @@
 """Distance kernel: distance-ordered enumeration around an anchor, and the
 farthest-remaining-point search used to seed new clusters.
 
-Everything here is deterministic and exact. The farthest-point search is
-incremental: across the years of one plan, each candidate point keeps the
-exact minimum of its distances to a prefix of the (append-only) clustered
-set, and resumes from there. A candidate whose minimum already fails to
-beat the best so far is skipped or stops scanning, because the minimum can
-only shrink. So no candidate/assigned pair is measured twice, most are
-never measured, and the chosen point is exactly the one a full quadratic
-scan picks.
+Everything here is deterministic and exact: the farthest-point search picks
+the very candidate a plain scan of every candidate/clustered pair with
+``math.dist`` picks, ties included (the earliest candidate in input order).
+
+**How the search prunes.** The clustered set is held as balls
+(:class:`ClusterBalls`), one per cluster: a center ``c`` and the other
+members sorted by their radius ``r = dist(c, x)``. For a candidate ``p`` at
+``dpc = dist(p, c)`` the triangle inequality puts every member at least
+``|dpc - r|`` away (Elkan, ICML 2003), so a member whose ``|dpc - r|``
+already reaches the candidate's running minimum ``m`` cannot lower it, and
+neither can any member further out in ``r`` on that side. A candidate's
+balls are scanned nearest center first, outward from ``bisect(radii,
+dpc)``, each side stopping at the first such member; a ball lying wholly
+beyond ``m`` (``dpc - r_max >= m``) is the case where the scan stops at
+once. Across the years of one plan each candidate keeps ``(m, the balls it
+has fully scanned)``, so a new year only scans the new cluster. A candidate
+stops as soon as ``m`` falls to the best minimum found so far, because
+``m`` only shrinks; it wins only with every ball scanned and ``m`` strictly
+above the best, which is the plain scan's tie rule (farthest-point
+traversal, Gonzalez, TCS 1985).
+
+**The float margin.** The pruning tests compare computed values, so each
+carries a margin ``eps = 1e-9 * (dpc + r_max) + 1e-9`` and reads ``|dpc -
+r| - eps >= m``. A member may be skipped only when the ``math.dist`` value
+the plain scan would have computed for it is itself ``>= m``: then that
+scan would not have lowered ``m`` either, and the minimum comes out the
+same float. ``math.dist`` rounds each coordinate difference once and is
+accurate to about one ulp after that, so each computed distance is within a
+relative ``4u`` of the true one (``u = 2**-53``). The lower bound ``|dpc -
+r|``, the margin and the subtraction add a few more roundings, each at most
+``u`` relative to ``dpc + r_max``. All of it stays under ``12u * (dpc +
+r_max)``, about ``1.3e-15`` of it, which the relative ``1e-9`` covers about
+a million times over; the absolute ``1e-9`` covers subnormal results, where
+relative bounds fail. A larger margin only prunes less; it never changes a
+pick. The input is finite (``Segment`` and :meth:`ClusterBalls.add` refuse
+anything else), but a distance between finite points can still overflow to
+``inf``: then the margin is ``inf`` too and the test reads ``nan`` or
+``-inf``, which never skips, so such members are measured.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
@@ -42,13 +73,6 @@ def order_by_distance(segments: Sequence[Segment], anchor: Segment) -> DistanceO
     return DistanceOrdering(anchor.id, tuple(sid for _, sid in ranked))
 
 
-# candidate coords -> (m, k): m is the exact min-linkage distance from that
-# point to clustered[:k]. The bound depends on the point alone, so keying it
-# by coordinates (never by segment id) is exact: segments sharing an id but
-# not their coords get bounds of their own.
-MinLinkageBounds = dict[Coords, tuple[float, int]]
-
-
 def check_same_dimension(points: Iterable[Sequence[float]]) -> None:
     """Raise unless every point has the dimension of the first, so a hot
     loop checked once can call ``math.dist`` (a bare ``ValueError`` on a
@@ -63,10 +87,86 @@ def check_same_dimension(points: Iterable[Sequence[float]]) -> None:
             )
 
 
+
+
+class ClusterBalls:
+    """An append-only clustered point set held as one ball per cluster, plus
+    what the farthest-point search has learnt about each candidate so far.
+
+    ``len()`` is the number of clustered points. Hand one instance to
+    :func:`furthest_point_from_cluster` year after year, adding each year's
+    cluster as it is placed, and every call resumes from the last.
+    """
+
+    def __init__(self, groups: Iterable[Sequence[Coords]] = ()) -> None:
+        # (center, radii ascending, the other members in that order)
+        self.balls: list[tuple[Coords, list[float], list[Coords]]] = []
+        self._size = 0
+        # candidate coords -> (m, bit set of fully scanned balls): m is the
+        # minimum of distances actually measured from that point, and no
+        # member of a scanned ball is nearer than m. It depends on the point
+        # alone, so keying it by coordinates (never by segment id) is exact.
+        self.bounds: dict[Coords, tuple[float, int]] = {}
+        for group in groups:
+            self.add(group)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def add(self, group: Sequence[Coords]) -> None:
+        """Append one cluster's coordinates; the first is its ball's center."""
+        group = list(group)
+        if not group:
+            raise ValueError("a clustered group must not be empty")
+        anchor = [self.balls[0][0]] if self.balls else []
+        check_same_dimension(chain(anchor, group))
+        if not all(map(math.isfinite, chain.from_iterable(group))):
+            raise ValueError("clustered coordinates must be finite")
+        dist, center = math.dist, group[0]
+        ranked = sorted((dist(center, x), i) for i, x in enumerate(group) if i)
+        self.balls.append(
+            (center, [r for r, _ in ranked], [group[i] for _, i in ranked])
+        )
+        self._size += len(group)
+
+
+def _scan_ball(
+    point: Coords,
+    dpc: float,
+    radii: list[float],
+    members: list[Coords],
+    m: float,
+    floor: float,
+) -> float:
+    """``m`` lowered by the ball's members that can lower it: outward from
+    ``dpc`` in radius, each side up to the first member provably at ``>= m``
+    (see the module notes for the margin). Returns early, incomplete, once
+    ``m <= floor``."""
+    dist = math.dist
+    eps = 1e-9 * (dpc + radii[-1]) + 1e-9 if radii else 0.0
+    start = bisect(radii, dpc)
+    for k in range(start, len(radii)):
+        if radii[k] - dpc - eps >= m:
+            break
+        d = dist(point, members[k])
+        if d < m:
+            m = d
+            if m <= floor:
+                return m
+    for k in range(start - 1, -1, -1):
+        if dpc - radii[k] - eps >= m:
+            break
+        d = dist(point, members[k])
+        if d < m:
+            m = d
+            if m <= floor:
+                return m
+    return m
+
+
 def furthest_point_from_cluster(
     candidates: Sequence[Segment],
-    clustered: Sequence[Coords],
-    bounds: MinLinkageBounds | None = None,
+    clustered: Sequence[Coords] | ClusterBalls,
 ) -> Segment:
     """The candidate farthest (min-linkage) from the clustered coordinates.
 
@@ -74,38 +174,47 @@ def furthest_point_from_cluster(
     the earliest one in input order. Note the two arguments play different
     roles: swapping them asks a different question.
 
-    ``bounds`` carries the search across calls whose ``clustered`` only
-    ever grows by appending (one plan's assigned coordinates, year after
-    year); it is updated in place. Without it every call starts afresh.
+    ``clustered`` is either plain coordinates, searched afresh as one ball
+    around the first, or a :class:`ClusterBalls` that carries the search
+    from call to call and is updated in place.
     """
     candidates = list(candidates)
     if not candidates:
         raise ValueError("candidate list must not be empty")
-    clustered = list(clustered)
-    if not clustered:
+    if not isinstance(clustered, ClusterBalls):
+        clustered = list(clustered)
+        clustered = ClusterBalls([clustered] if clustered else [])
+    if not len(clustered):
         raise ValueError("clustered point set must not be empty")
-    check_same_dimension(chain(clustered, (seg.coords for seg in candidates)))
-    if bounds is None:
-        bounds = {}
+    balls, bounds = clustered.balls, clustered.bounds
+    check_same_dimension(chain((balls[0][0],), (seg.coords for seg in candidates)))
     dist = math.dist
-    size = len(clustered)
-    first = clustered[0]
+    scanned_all = (1 << len(balls)) - 1
     best: Segment | None = None
     best_distance = -math.inf
     for seg in candidates:
         point = seg.coords
-        m, k = bounds.get(point) or (dist(first, point), 1)
-        # m only shrinks as the scan goes on, so once m <= best_distance the
-        # candidate cannot win; the first candidate is always scanned in full
-        if m > best_distance or best is None:
-            while k < size:
-                d = dist(clustered[k], point)
-                k += 1
-                if d < m:
-                    m = d
-                    if m <= best_distance:
-                        break
-            else:
-                best, best_distance = seg, m
-        bounds[point] = (m, k)
+        m, scanned = bounds.get(point, (math.inf, 0))
+        # m only shrinks, so once m <= best_distance the candidate cannot win
+        if m <= best_distance:
+            continue
+        if scanned != scanned_all:
+            pending = []
+            for index, (center, _, _) in enumerate(balls):
+                if not scanned >> index & 1:
+                    dpc = dist(center, point)
+                    if dpc < m:
+                        m = dpc
+                    pending.append((dpc, index))
+            pending.sort()
+            for dpc, index in pending:
+                if m <= best_distance:
+                    break
+                _, radii, members = balls[index]
+                m = _scan_ball(point, dpc, radii, members, m, best_distance)
+                if m > best_distance:
+                    scanned |= 1 << index
+            bounds[point] = (m, scanned)
+        if m > best_distance:
+            best, best_distance = seg, m
     return best

@@ -685,10 +685,16 @@ YEAR_PALETTE = (
 UNASSIGNED_COLOR = "#bbbbbb"
 
 
+# characters XML 1.0 allows in no document, escaped or not
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def _xml_text(text: str) -> str:
     """``text`` escaped for XML character data, as ``xml.sax.saxutils.escape``
-    does; that module would pull in ``urllib`` and a few MB of memory."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    does (that module would pull in ``urllib`` and a few MB of memory), with
+    each character XML 1.0 forbids replaced by U+FFFD."""
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return _NOT_XML_CHAR.sub("\ufffd", text)
 
 
 def render_plan_svg(

@@ -9,6 +9,7 @@ dataset-level rules live in :func:`validate_dataset`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from types import MappingProxyType
@@ -101,6 +102,8 @@ class Segment:
         coords = tuple(float(c) for c in self.coords)
         if not coords:
             raise ValueError(f"segment {self.id}: needs at least one coordinate")
+        if not all(map(math.isfinite, coords)):
+            raise ValueError(f"segment {self.id}: coordinates must be finite, got {coords}")
         table: dict[int, Decimal] = {}
         raw = cost = None
         for year in sorted(self.cost_by_year):

@@ -17,8 +17,8 @@ from decimal import Decimal
 from typing import Callable, Iterable, Sequence
 
 from .geometry import (
+    ClusterBalls,
     Coords,
-    MinLinkageBounds,
     furthest_point_from_cluster,
     order_by_distance,
 )
@@ -178,7 +178,7 @@ def select_initial_center(segments: Sequence[Segment], axis: int = 0) -> Segment
     return best
 
 
-CenterPicker = Callable[[list[Segment], list[Coords], int], Segment]
+CenterPicker = Callable[[list[Segment], list[list[Coords]]], Segment]
 ClusterBuilder = Callable[
     [list[Segment], Segment, BudgetEntry], tuple[Cluster, ClusterBuildTrace]
 ]
@@ -208,11 +208,12 @@ def _drain_pool(
     """
     remaining = list(segments)
     by_id = {seg.id: seg for seg in remaining}
-    assigned_coords: list[Coords] = []
+    # each placed cluster's coordinates, its center first
+    placed: list[list[Coords]] = []
     clusters: list[Cluster] = []
     traces: list[ClusterBuildTrace | None] = []
     diagnostics = list(initial_diagnostics)
-    for index, entry in enumerate(schedule.entries):
+    for entry in schedule.entries:
         if not remaining:
             clusters.append(_empty_cluster(entry))
             traces.append(None)
@@ -224,7 +225,7 @@ def _drain_pool(
                 )
             )
             continue
-        center = next_center(remaining, assigned_coords, index)
+        center = next_center(remaining, placed)
         cluster, trace = build_cluster(remaining, center, entry)
         if trace.stop_reason == STOP_CENTER_EXCEEDS_BUDGET:
             diagnostics.append(
@@ -238,7 +239,7 @@ def _drain_pool(
             )
         member_set = set(cluster.member_ids)
         remaining = [seg for seg in remaining if seg.id not in member_set]
-        assigned_coords.extend(by_id[sid].coords for sid in cluster.member_ids)
+        placed.append([by_id[sid].coords for sid in cluster.member_ids])
         clusters.append(cluster)
         traces.append(trace)
     if remaining:
@@ -284,7 +285,7 @@ def main_algorithm(
     segments = _check_segments(segments)
     rng = random.Random(seed)
 
-    def next_center(remaining, assigned_coords, index):
+    def next_center(remaining, placed):
         return remaining[rng.randrange(len(remaining))]
 
     plan, _ = _drain_pool(schedule, segments, next_center, _radial_builder(skip_mode))
@@ -295,16 +296,22 @@ def landmark_next_center(axis: int) -> CenterPicker:
     """First center: max coordinate on ``axis``; afterwards: the remaining
     point farthest from everything already clustered.
 
-    The farthest-point search carries its per-candidate bounds from year to
-    year, which relies on ``assigned_coords`` only growing by appending
-    within one driver run; a run starts afresh at its first year."""
-    bounds: MinLinkageBounds = {}
+    Each placed cluster joins the search as one ball around its center (the
+    first of its coordinates), and the search carries what it learnt about
+    each candidate from year to year, so a year mostly measures distances
+    to the newest cluster. That relies on ``placed`` only growing by
+    appending within one driver run; a run starts afresh at its first
+    year."""
+    clustered = ClusterBalls()
 
-    def next_center(remaining, assigned_coords, index):
-        if not assigned_coords:
-            bounds.clear()
+    def next_center(remaining, placed):
+        nonlocal clustered
+        if not placed:
+            clustered = ClusterBalls()
             return select_initial_center(remaining, axis)
-        return furthest_point_from_cluster(remaining, assigned_coords, bounds)
+        for group in placed[len(clustered.balls) :]:
+            clustered.add(group)
+        return furthest_point_from_cluster(remaining, clustered)
 
     return next_center
 

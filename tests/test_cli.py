@@ -704,8 +704,11 @@ def test_cli_loads_only_the_standard_library(tmp_path):
     assert not loaded & {"xml.sax", "urllib.request", "http.client", "email", "ssl"}
 
 
-# ids that need CSV quoting, SVG escaping or more than one UTF-8 byte
-IDS = st.text(alphabet=list(',"\r\n<&>é中 ab'), min_size=1, max_size=5).map(str.strip)
+# ids that need CSV quoting, SVG escaping or more than one UTF-8 byte, or
+# hold characters XML 1.0 forbids in a document
+IDS = st.text(
+    alphabet=list(',"\r\n<&>é中 ab\x0b\x1f\ufffe'), min_size=1, max_size=5
+).map(str.strip)
 ALGOS = [["--algo", "schedule"], ["--algo", "landmark"], ["--algo", "random", "--seed", "3"]]
 
 

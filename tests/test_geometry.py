@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from paveplan.geometry import furthest_point_from_cluster, order_by_distance
+from paveplan.geometry import ClusterBalls, furthest_point_from_cluster, order_by_distance
 from paveplan.model import DimensionMismatchError
 from paveplan.refine import band_order
 
@@ -84,11 +84,12 @@ def test_furthest_point_bounds_keep_shared_ids_apart():
     near, far = seg("dup", (1, 0)), seg("dup", (10, 0))
     candidates = [near, seg("mid", (5, 0)), far]
     clustered = []
-    bounds = {}
+    balls = ClusterBalls()
     winners = []
     for point in [(0.0, 0.0), (3.0, 0.0), (9.0, 0.0), (1.0, 1.0)]:
         clustered.append(point)
-        winners.append(furthest_point_from_cluster(candidates, clustered, bounds))
+        balls.add([point])
+        winners.append(furthest_point_from_cluster(candidates, balls))
         assert winners[-1] is furthest_point_from_cluster(candidates, clustered)
     assert winners[0] is far
 
@@ -97,15 +98,86 @@ def test_furthest_point_bounds_carry_over_a_growing_set():
     rng = random.Random(7)
     segments = [seg(f"g{i}", (rng.randint(0, 9), rng.randint(0, 9))) for i in range(40)]
     clustered = [(0.0, 0.0)]
-    bounds = {}
+    balls = ClusterBalls([clustered])
     while len(clustered) < 30:
-        stateful = furthest_point_from_cluster(segments, clustered, bounds)
+        stateful = furthest_point_from_cluster(segments, balls)
         assert stateful is furthest_point_from_cluster(segments, clustered)
         assert stateful.id == oracle_furthest_point(segments, clustered)
-        clustered.extend(
+        group = [
             (float(rng.randint(0, 9)), float(rng.randint(0, 9)))
             for _ in range(rng.randint(1, 3))
-        )
+        ]
+        clustered.extend(group)
+        balls.add(group)
+    assert len(balls) == len(clustered)
+
+
+# (offsets, unit, dimensions): coordinates are offset + k * unit. On the
+# integer grid distances tie and points coincide; around 1e7 one ulp apart
+# every distance sits at the margin's absolute term; and in 1-D, points near
+# -1e7, 0 and 1e7 tie or miss a tie by an ulp at distances of 1e7 and 2e7.
+# Each is exact in math.dist and the oracle's sum of squares alike.
+ULP = math.ulp(1e7)
+SCALES = [((0.0,), 1.0, (1, 2, 3)), ((1e7,), ULP, (1, 2, 3)), ((-1e7, 0.0, 1e7), ULP, (1,))]
+
+
+@st.composite
+def grown_clusters(draw):
+    offsets, unit, dimensions = draw(st.sampled_from(SCALES))
+    coordinate = st.builds(
+        lambda offset, k: offset + k * unit, st.sampled_from(offsets), st.integers(0, 4)
+    )
+    point = st.tuples(*[coordinate] * draw(st.sampled_from(dimensions)))
+    candidates = draw(st.lists(point, min_size=1, max_size=30))
+    groups = draw(st.lists(st.lists(point, min_size=1, max_size=8), min_size=1, max_size=6))
+    return [seg(f"c{i}", p) for i, p in enumerate(candidates)], groups
+
+
+@given(grown_clusters())
+def test_carried_ball_search_matches_fresh_scan_and_oracle(case):
+    candidates, groups = case
+    balls = ClusterBalls()
+    clustered = []
+    for group in groups:
+        # each year's cluster joins with its center first, as the drivers add it
+        balls.add(group)
+        clustered.extend(group)
+        if not candidates:
+            break
+        stateful = furthest_point_from_cluster(candidates, balls)
+        assert stateful is furthest_point_from_cluster(candidates, clustered)
+        assert stateful.id == oracle_furthest_point(candidates, clustered)
+        candidates.remove(stateful)
+
+
+def test_cluster_balls_refuse_non_finite_and_empty_groups():
+    balls = ClusterBalls([[(0.0, 0.0)]])
+    for bad in [(math.inf, 0.0), (0.0, math.nan)]:
+        with pytest.raises(ValueError, match="finite"):
+            balls.add([(1.0, 1.0), bad])
+    with pytest.raises(ValueError):
+        balls.add([])
+    with pytest.raises(DimensionMismatchError):
+        balls.add([(1.0, 1.0, 1.0)])
+    assert len(balls) == 1 and len(balls.balls) == 1
+
+
+@pytest.mark.parametrize(
+    "member, p",
+    [
+        ((0.7e308,), (0.8e308,)),  # dist(p, center) overflows to inf
+        ((0.8e308,), (0.7e308,)),  # the member's radius overflows to inf
+    ],
+)
+def test_overflowing_distances_are_measured_not_pruned(member, p):
+    # p's true nearest member is 1e307 away: a margin of inf must not make
+    # the member look out of reach
+    center = (-1e308,)
+    p, q = seg("p", p), seg("q", (0.0,))
+    balls = ClusterBalls([[center, member]])
+    winner = furthest_point_from_cluster([p, q], balls)
+    plain = max([p, q], key=lambda s: min(math.dist(s.coords, c) for c in (center, member)))
+    assert winner is plain is q
 
 
 def test_furthest_point_empty_inputs():

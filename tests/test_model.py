@@ -1,3 +1,4 @@
+import math
 import re
 from decimal import Decimal
 
@@ -91,6 +92,12 @@ class TestSegment:
         assert s.coords == (1.0, 2.0)
         assert s.cost_by_year[2018] == Decimal("5.00")
         assert s.base_cost() == Decimal("5.00")
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, "inf", "nan"])
+    def test_rejects_non_finite_coordinates(self, bad):
+        with pytest.raises(ValueError, match="segment road-7: coordinates must be finite"):
+            Segment(id="road-7", coords=(0.0, bad), cost_by_year={2018: "5.00"},
+                    scheduled_year=2018)
 
     def test_rejects_nonpositive_cost(self):
         with pytest.raises(ValueError):

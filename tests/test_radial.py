@@ -180,10 +180,10 @@ class TestLandmarkClustering:
         # a run's carried bounds refer to that run's assigned coordinates
         p, q = seg("p", (0, 0)), seg("q", (10, 0))
         next_center = landmark_next_center(0)
-        next_center([p, q], [], 0)
-        assert next_center([p, q], [(0.0, 0.0)], 1) is q
-        next_center([p, q], [], 0)
-        assert next_center([p, q], [(10.0, 0.0)], 1) is p
+        next_center([p, q], [])
+        assert next_center([p, q], [[(0.0, 0.0)]]) is q
+        next_center([p, q], [])
+        assert next_center([p, q], [[(10.0, 0.0)]]) is p
 
     def test_deterministic(self):
         rng = random.Random(23)

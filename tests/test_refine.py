@@ -1,9 +1,12 @@
+import hashlib
 import random
 from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paveplan.io_formats import emit_plan
+from paveplan.metrics import compute_metrics
 from paveplan.model import BudgetSchedule, Segment, ValidationFailedError, cluster_cost
 from paveplan.radial import (
     STOP_CENTER_EXCEEDS_BUDGET,
@@ -271,3 +274,16 @@ class TestScheduleAwarePlan:
         assert schedule_aware_plan(segments, sched, 0) == landmark_based_radial_clustering(
             segments, sched, 0
         )
+
+
+def test_plan_bytes_at_14400_segments():
+    # the largest scale the benchmark leaves out, pinned on every supported
+    # Python: center search prunes on math.dist's accuracy there
+    segments, sched = synthesize_dataset(
+        14400, 11, range(2018, 2023), 1, tolerance_fraction=0.05
+    )
+    plan = schedule_aware_plan(segments, sched)
+    text = emit_plan(plan, compute_metrics(plan, sched, segments), sched, segments)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "02f04a3468c8ed33302b194f4fafb6ee4cb857535340d3ed19deca4be7149509"
+    )
