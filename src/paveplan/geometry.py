@@ -182,8 +182,8 @@ def furthest_point_from_cluster(
     if not candidates:
         raise ValueError("candidate list must not be empty")
     if not isinstance(clustered, ClusterBalls):
-        clustered = list(clustered)
-        clustered = ClusterBalls([clustered] if clustered else [])
+        points = list(clustered)
+        clustered = ClusterBalls([points] if points else [])
     if not len(clustered):
         raise ValueError("clustered point set must not be empty")
     balls, bounds = clustered.balls, clustered.bounds
