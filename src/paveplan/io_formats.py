@@ -685,7 +685,8 @@ YEAR_PALETTE = (
 UNASSIGNED_COLOR = "#bbbbbb"
 
 
-# characters XML 1.0 allows in no document, escaped or not
+# characters XML 1.0 allows in no document, escaped or not; none of them is
+# printable (controls, surrogates, noncharacters), so printable text skips it
 _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
@@ -694,7 +695,7 @@ def _xml_text(text: str) -> str:
     does (that module would pull in ``urllib`` and a few MB of memory), with
     each character XML 1.0 forbids replaced by U+FFFD."""
     text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    return _NOT_XML_CHAR.sub("\ufffd", text)
+    return text if text.isprintable() else _NOT_XML_CHAR.sub("\ufffd", text)
 
 
 def render_plan_svg(
