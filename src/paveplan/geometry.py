@@ -87,8 +87,6 @@ def check_same_dimension(points: Iterable[Sequence[float]]) -> None:
             )
 
 
-
-
 class ClusterBalls:
     """An append-only clustered point set held as one ball per cluster, plus
     what the farthest-point search has learnt about each candidate so far.
