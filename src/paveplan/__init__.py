@@ -49,7 +49,6 @@ from .model import (
     Segment,
     UnknownSegmentError,
     ValidationFailedError,
-    ValidationReport,
     cluster_cost,
     money,
     validate_dataset,

@@ -59,6 +59,7 @@ from .radial import landmark_based_radial_clustering, main_algorithm
 from .refine import schedule_aware_plan
 from .synth import synthesize_dataset
 
+
 def _log(message: str) -> None:
     # read on every call, so a setting made after import takes effect
     if os.environ.get("PAVEPLAN_VERBOSE"):
@@ -139,11 +140,11 @@ def _write_plan(
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     segments, schedule, _ = _load_dataset(args)
-    report = validate_dataset(segments, schedule)
-    if report.ok:
+    issues = validate_dataset(segments, schedule)
+    if not issues:
         print("dataset is admissible")
         return 0
-    for issue in report.issues:
+    for issue in issues:
         print(f"{issue.code}: {issue.message}")
     return 1
 
@@ -168,9 +169,9 @@ def _cmd_cluster(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     segments, schedule, digest = _load_dataset(args)
     if args.strict and args.algo != "schedule":
         # the schedule pipeline validates, and raises in strict mode, itself
-        report = validate_dataset(segments, schedule)
-        if not report.ok:
-            raise ValidationFailedError(report)
+        issues = validate_dataset(segments, schedule)
+        if issues:
+            raise ValidationFailedError(issues)
     axis = 0 if args.axis is None else args.axis
     if args.algo == "random":
         plan = main_algorithm(segments, schedule, args.seed, skip_mode=args.skip_mode)
@@ -426,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except ValidationFailedError as exc:
-        for issue in exc.report.issues:
+        for issue in exc.issues:
             print(f"{issue.code}: {issue.message}", file=sys.stderr)
         return 1
     except (CsvFormatError, PavePlanError, OSError, ValueError) as exc:

@@ -163,25 +163,21 @@ def _scan_ball(
 
 
 def furthest_point_from_cluster(
-    candidates: Sequence[Segment],
-    clustered: Sequence[Coords] | ClusterBalls,
+    candidates: Sequence[Segment], clustered: ClusterBalls
 ) -> Segment:
-    """The candidate farthest (min-linkage) from the clustered coordinates.
+    """The candidate farthest (min-linkage) from the clustered points.
 
     A later candidate must be strictly farther to take over, so ties keep
     the earliest one in input order. Note the two arguments play different
     roles: swapping them asks a different question.
 
-    ``clustered`` is either plain coordinates, searched afresh as one ball
-    around the first, or a :class:`ClusterBalls` that carries the search
-    from call to call and is updated in place.
+    ``clustered`` carries the search from call to call and is updated in
+    place; plain coordinates are searched as ``ClusterBalls([coords])``, one
+    ball around the first.
     """
     candidates = list(candidates)
     if not candidates:
         raise ValueError("candidate list must not be empty")
-    if not isinstance(clustered, ClusterBalls):
-        points = list(clustered)
-        clustered = ClusterBalls([points] if points else [])
     if not len(clustered):
         raise ValueError("clustered point set must not be empty")
     balls, bounds = clustered.balls, clustered.bounds

@@ -699,14 +699,10 @@ def _xml_text(text: str) -> str:
 
 
 def render_plan_svg(
-    plan: Plan,
-    segments: Iterable[Segment] | Mapping[str, Segment],
-    *,
-    width: int = 800,
-    height: int = 600,
+    plan: Plan, segments: Iterable[Segment] | Mapping[str, Segment]
 ) -> str:
-    """Schematic map: one marker per segment colored by assigned year,
-    ringed cluster centers, and a year legend. Planar data only."""
+    """Schematic 800 x 600 map: one marker per segment colored by assigned
+    year, ringed cluster centers, and a year legend. Planar data only."""
     lookup = segment_lookup(segments)
 
     def planar(sid: str) -> tuple[float, float]:
@@ -729,7 +725,7 @@ def render_plan_svg(
     if plan.unassigned_ids:
         legend.append(("unassigned", UNASSIGNED_COLOR))
 
-    margin = 50.0
+    width, height, margin = 800, 600, 50.0
     xs = [p[1][0] for p in plotted] or [0.0]
     ys = [p[1][1] for p in plotted] or [0.0]
     min_x, max_x = min(xs), max(xs)
@@ -739,6 +735,8 @@ def render_plan_svg(
     scale_x = (width - 2 * margin) / span_x if span_x > 0 else 1.0
     scale_y = (height - 2 * margin) / span_y if span_y > 0 else 1.0
     scale = min(scale_x, scale_y)
+    if not all(map(math.isfinite, (span_x, span_y, scale))):
+        raise PavePlanError(f"an extent of {span_x!r} by {span_y!r} cannot be plotted")
 
     def to_svg(point: tuple[float, float]) -> tuple[float, float]:
         x = margin + (point[0] - min_x) * scale

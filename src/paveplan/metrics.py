@@ -29,6 +29,7 @@ from .model import (
     BudgetSchedule,
     Cluster,
     Diagnostic,
+    PavePlanError,
     Plan,
     Segment,
     UnknownSegmentError,
@@ -111,7 +112,8 @@ def compute_metrics(
     schedule: BudgetSchedule,
     segments: Iterable[Segment] | Mapping[str, Segment],
 ) -> PlanMetrics:
-    """Fill every metrics field for the plan; purely a function of its inputs."""
+    """Fill every metrics field for the plan; purely a function of its inputs.
+    A year whose distances overflow the float range raises PavePlanError."""
     if len(plan.clusters) != len(schedule.entries) or any(
         c.year != e.year for c, e in zip(plan.clusters, schedule.entries)
     ):
@@ -140,6 +142,8 @@ def compute_metrics(
         )
         weighted += cluster.size * pairwise
         weight += cluster.size
+        if not (math.isfinite(to_center) and math.isfinite(weighted)):
+            raise PavePlanError(f"year {cluster.year}: member distances overflow floats")
     total_budget = sum((c.budget for c in plan.clusters), ZERO)
     total_cost = sum((c.realized_cost for c in plan.clusters), ZERO)
     overall = OverallMetrics(

@@ -4,7 +4,7 @@ Money is exact: every cost, budget, and tolerance is a ``Decimal`` quantized
 to cents, so budget comparisons and the global conservation check never
 suffer float drift. Coordinates are plain floats in projected map units.
 All types are frozen; construction performs the cheap structural checks,
-dataset-level rules live in :func:`validate_dataset`.
+dataset-level rules live in :func:`validate_dataset` (plan diagnostics).
 """
 
 from __future__ import annotations
@@ -42,14 +42,14 @@ class MissingCostError(PavePlanError):
 
 
 class ValidationFailedError(PavePlanError):
-    """Raised in strict mode when a dataset fails validation."""
+    """Raised in strict mode with the diagnostics of a failed validation."""
 
-    def __init__(self, report: "ValidationReport"):
+    def __init__(self, issues: tuple[Diagnostic, ...]):
         super().__init__(
-            f"dataset failed validation with {len(report.issues)} issue(s): "
-            + "; ".join(issue.message for issue in report.issues[:5])
+            f"dataset failed validation with {len(issues)} issue(s): "
+            + "; ".join(issue.message for issue in issues[:5])
         )
-        self.report = report
+        self.issues = issues
 
 
 def money(value: MoneyLike) -> Decimal:
@@ -86,15 +86,13 @@ class Segment:
 
     ``cost_by_year`` maps fiscal years to the money the project costs if
     executed in that year; ``scheduled_year`` is the year the upstream plan
-    put it in. ``metadata`` is an opaque pass-through (e.g. a condition
-    index) that no algorithm reads.
+    put it in.
     """
 
     id: str
     coords: tuple[float, ...]
     cost_by_year: Mapping[int, Decimal]
     scheduled_year: int
-    metadata: Mapping[str, str] | None = None
 
     def __post_init__(self) -> None:
         if not self.id:
@@ -117,8 +115,6 @@ class Segment:
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "cost_by_year", MappingProxyType(table))
         object.__setattr__(self, "scheduled_year", int(self.scheduled_year))
-        if self.metadata is not None:
-            object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
 
     @property
     def dimension(self) -> int:
@@ -228,7 +224,7 @@ class Cluster:
 
 @dataclass(frozen=True)
 class Diagnostic:
-    """Structured warning attached to a plan."""
+    """Structured warning attached to a plan, or found by validation."""
 
     code: str
     message: str
@@ -285,30 +281,6 @@ class Plan:
         return frozenset(ids)
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
-    code: str
-    message: str
-    segment_id: str | None = None
-    year: int | None = None
-    amount: Decimal | None = None
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    issues: tuple[ValidationIssue, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "issues", tuple(self.issues))
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-    def codes(self) -> tuple[str, ...]:
-        return tuple(issue.code for issue in self.issues)
-
-
 def segment_lookup(
     segments: Iterable[Segment] | Mapping[str, Segment],
 ) -> Mapping[str, Segment]:
@@ -320,42 +292,35 @@ def segment_lookup(
 
 def validate_dataset(
     segments: Iterable[Segment], schedule: BudgetSchedule
-) -> ValidationReport:
+) -> tuple[Diagnostic, ...]:
     """Check the dataset-level invariants; never raises, callers decide.
 
-    The report lists one issue per violation: duplicate ids, inconsistent
-    coordinate dimensionality, cost tables missing a schedule year, projects
-    scheduled outside the plan horizon, and the global conservation check
-    (total scheduled cost vs total budget, within the schedule's tolerance).
-    An empty report means the dataset is admissible.
+    One diagnostic (code, message, year if any) per violation: duplicate
+    ids, inconsistent coordinate dimensionality, cost tables missing a
+    schedule year, projects scheduled outside the plan horizon, and the
+    global conservation check (total scheduled cost vs total budget, within
+    the schedule's tolerance). An empty tuple means the dataset is admissible.
     """
-    issues: list[ValidationIssue] = []
     segments = list(segments)
     if not segments:
-        issues.append(ValidationIssue("empty_dataset", "no segments supplied"))
-        return ValidationReport(tuple(issues))
+        return (Diagnostic("empty_dataset", "no segments supplied"),)
+    issues: list[Diagnostic] = []
 
-    seen: dict[str, int] = {}
-    for position, seg in enumerate(segments):
+    seen: set[str] = set()
+    for seg in segments:
         if seg.id in seen:
             issues.append(
-                ValidationIssue(
-                    "duplicate_id",
-                    f"segment id {seg.id!r} appears more than once",
-                    segment_id=seg.id,
-                )
+                Diagnostic("duplicate_id", f"segment id {seg.id!r} appears more than once")
             )
-        else:
-            seen[seg.id] = position
+        seen.add(seg.id)
 
     dimension = segments[0].dimension
     for seg in segments[1:]:
         if seg.dimension != dimension:
             issues.append(
-                ValidationIssue(
+                Diagnostic(
                     "dimension_mismatch",
                     f"segment {seg.id} has {seg.dimension} coordinates, expected {dimension}",
-                    segment_id=seg.id,
                 )
             )
 
@@ -364,20 +329,18 @@ def validate_dataset(
         for year in schedule.years:
             if year not in seg.cost_by_year:
                 issues.append(
-                    ValidationIssue(
+                    Diagnostic(
                         "missing_cost_year",
                         f"segment {seg.id} has no cost for schedule year {year}",
-                        segment_id=seg.id,
                         year=year,
                     )
                 )
         if seg.scheduled_year not in schedule_years:
             issues.append(
-                ValidationIssue(
+                Diagnostic(
                     "bad_scheduled_year",
                     f"segment {seg.id} is scheduled for {seg.scheduled_year}, "
                     f"which is not a plan year",
-                    segment_id=seg.id,
                     year=seg.scheduled_year,
                 )
             )
@@ -389,14 +352,13 @@ def validate_dataset(
     deviation = total_cost - schedule.total_budget()
     if abs(deviation) > schedule.conservation_tolerance:
         issues.append(
-            ValidationIssue(
+            Diagnostic(
                 CONSERVATION_MISMATCH,
                 f"total scheduled cost {total_cost} deviates from total budget "
                 f"{schedule.total_budget()} by {deviation}",
-                amount=deviation,
             )
         )
-    return ValidationReport(tuple(issues))
+    return tuple(issues)
 
 
 def cluster_cost(

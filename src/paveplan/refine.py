@@ -22,7 +22,6 @@ from .geometry import check_same_dimension
 from .model import (
     BudgetSchedule,
     Cluster,
-    Diagnostic,
     Plan,
     Segment,
     ValidationFailedError,
@@ -162,16 +161,12 @@ def schedule_aware_plan(
     every admission priced at the cluster's own fiscal year.
 
     Dataset validation runs first; in strict mode any issue aborts,
-    otherwise issues are carried into the plan's diagnostics.
+    otherwise its diagnostics lead the plan's.
     """
     segments = _check_segments(segments, axis)
-    report = validate_dataset(segments, schedule)
-    if strict and not report.ok:
-        raise ValidationFailedError(report)
-    initial_diagnostics = tuple(
-        Diagnostic(issue.code, issue.message, year=issue.year)
-        for issue in report.issues
-    )
+    issues = validate_dataset(segments, schedule)
+    if strict and issues:
+        raise ValidationFailedError(issues)
 
     def build(remaining, center, entry):
         return schedule_aware_cluster(
@@ -190,6 +185,6 @@ def schedule_aware_plan(
         segments,
         landmark_next_center(axis),
         build,
-        initial_diagnostics=initial_diagnostics,
+        initial_diagnostics=issues,
     )
     return plan

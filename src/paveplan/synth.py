@@ -37,11 +37,9 @@ def synthesize_dataset(
     *,
     spread: float = 2000.0,
     blob_radius: float = 50000.0,
-    cost_range: tuple[Decimal, Decimal] = (Decimal("5000.00"), Decimal("15000.00")),
     budgets: Sequence[Decimal] | None = None,
     growth_rate: float = 0.0,
     tolerance_fraction: float = 0.0,
-    conservation_tolerance: Decimal = ZERO,
 ) -> tuple[list[Segment], BudgetSchedule]:
     """Generate ``n`` segments in ``blobs`` spatial groups over ``years``.
 
@@ -57,22 +55,24 @@ def synthesize_dataset(
         raise ValueError("need at least one year")
     if budgets is None and n < len(years):
         raise ValueError("auto-sized budgets need at least one project per year")
+    if not math.isfinite(growth_rate):
+        raise ValueError(f"growth rate must be finite, got {growth_rate}")
+    if not (math.isfinite(tolerance_fraction) and tolerance_fraction >= 0):
+        raise ValueError(
+            f"tolerance fraction must be finite and non-negative, got {tolerance_fraction}"
+        )
     rng = random.Random(seed)
     centers = _blob_centers(blobs, blob_radius)
 
     year_cycle = [years[i % len(years)] for i in range(n)]
     rng.shuffle(year_cycle)
-    low_cents = int(money(cost_range[0]) * 100)
-    high_cents = int(money(cost_range[1]) * 100)
-    if not 0 < low_cents <= high_cents:
-        raise ValueError("cost range must be positive and ordered")
 
     segments: list[Segment] = []
     for i in range(n):
         cx, cy = centers[i % blobs]
         x = rng.gauss(cx, spread)
         y = rng.gauss(cy, spread)
-        base = Decimal(rng.randint(low_cents, high_cents)) / 100
+        base = Decimal(rng.randint(500_000, 1_500_000)) / 100  # 5,000.00-15,000.00
         scheduled = year_cycle[i]
         table = {year: base for year in years}
         segments.append(
@@ -124,4 +124,4 @@ def synthesize_dataset(
                 high_tolerance=tolerance,
             )
         )
-    return segments, BudgetSchedule(tuple(entries), conservation_tolerance)
+    return segments, BudgetSchedule(tuple(entries))

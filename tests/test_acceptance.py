@@ -33,7 +33,7 @@ from paveplan.synth import synthesize_dataset
 
 from helpers import random_segments, random_schedule, schedule, seg
 from oracles import oracle_furthest_point, oracle_prefix_cluster
-from paveplan.geometry import furthest_point_from_cluster
+from paveplan.geometry import ClusterBalls, furthest_point_from_cluster
 
 
 def _report(number, name, ok, detail=""):
@@ -127,7 +127,7 @@ def test_criterion_3_oracle_equivalence():
         split = rng.randint(1, n - 1) if n > 1 else 1
         clustered = [s.coords for s in segments[:split]]
         candidates = segments[split:] or segments[:1]
-        engine = furthest_point_from_cluster(candidates, clustered)
+        engine = furthest_point_from_cluster(candidates, ClusterBalls([clustered]))
         if engine.id != oracle_furthest_point(candidates, clustered):
             furthest_mismatches += 1
 
@@ -180,7 +180,7 @@ def test_criterion_5_conservation_accounting():
         segments, sched = synthesize_dataset(
             120, 4, range(2018, 2022), seed=trial, growth_rate=growth
         )
-        if not validate_dataset(segments, sched).ok:
+        if validate_dataset(segments, sched):
             ok = False
             details.append(f"trial {trial}: validation failed")
         report = conservation_report(plan_from_schedule(segments, sched), sched, segments)

@@ -7,6 +7,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from decimal import Decimal
+from itertools import chain
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -347,6 +348,105 @@ def test_growth_rate_requires_matrix_output(tmp_path, capsys):
     )
     assert code == 2
     assert "--out-matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, parameter",
+    [
+        (["--tolerance-fraction", "nan"], "tolerance fraction"),
+        (["--tolerance-fraction", "inf"], "tolerance fraction"),
+        (["--tolerance-fraction", "-1"], "tolerance fraction"),
+        (["--growth-rate", "nan"], "growth rate"),
+        (["--growth-rate", "inf"], "growth rate"),
+    ],
+)
+def test_synth_refuses_non_finite_options(flags, parameter, tmp_path, capsys):
+    code = main(
+        [
+            "synth",
+            "--n", "20",
+            "--blobs", "2",
+            "--years", "2018:2019",
+            "--seed", "1",
+            *flags,
+            "--out-segments", str(tmp_path / "s.csv"),
+            "--out-budgets", str(tmp_path / "b.csv"),
+            "--out-matrix", str(tmp_path / "m.csv"),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert parameter in err
+    assert list(tmp_path.iterdir()) == []
+
+
+# two points 1.8e308 apart: finite coordinates whose distance overflows
+OVERFLOW_SEGMENTS = (
+    "id,x,y,scheduled_year,cost\n"
+    "a,9e307,0,2020,5.00\n"
+    "b,-9e307,0,2020,5.00\n"
+    "c,0,1,2021,5.00\n"
+)
+OVERFLOW_BUDGETS = "year,budget\n2020,10.00\n2021,5.00\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["cluster", "--algo", "schedule", "--svg", "plan.svg"],
+        ["baseline"],
+    ],
+)
+def test_overflowing_dispersion_exits_2_and_writes_nothing(command, tmp_path, capsys):
+    segments = tmp_path / "segments.csv"
+    budgets = tmp_path / "budgets.csv"
+    segments.write_text(OVERFLOW_SEGMENTS, encoding="utf-8")
+    budgets.write_text(OVERFLOW_BUDGETS, encoding="utf-8")
+    command = [str(tmp_path / a) if a.endswith(".svg") else a for a in command]
+    code = main(
+        [*command, "--segments", str(segments), "--budgets", str(budgets),
+         "--out", str(tmp_path / "plan.json")]
+    )
+    assert code == 2
+    assert "error: year 2020:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["budgets.csv", "segments.csv"]
+
+
+def test_plan_document_records_validation_diagnostics(tmp_path):
+    # every year's cost is missing for 2020, c is scheduled outside the plan
+    # and the budgets exceed the scheduled cost; year 2018 takes every point
+    paths = {}
+    for name, text in (
+        ("segments", "id,x,y,scheduled_year,cost\n"
+                     "a,0,0,2018,1.00\nb,1,0,2018,1.00\nc,2,0,2021,1.00\n"),
+        ("budgets", "year,budget\n2018,10.00\n2019,1.00\n2020,1.00\n"),
+        ("cost-matrix", "id,Y2018,Y2019\na,1.00,1.00\nb,1.00,1.00\nc,1.00,1.00\n"),
+    ):
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text(text, encoding="utf-8")
+    out = tmp_path / "plan.json"
+    code = main(
+        ["cluster", "--algo", "schedule", "--out", str(out),
+         *chain.from_iterable((f"--{name}", str(path)) for name, path in paths.items())]
+    )
+    assert code == 0
+    diagnostics = json.loads(out.read_text(encoding="utf-8"))["diagnostics"]
+    assert diagnostics == [
+        {"code": kind, "message": message, "year": year, "segment_ids": []}
+        for kind, message, year in [
+            ("missing_cost_year", "segment a has no cost for schedule year 2020", 2020),
+            ("missing_cost_year", "segment b has no cost for schedule year 2020", 2020),
+            ("missing_cost_year", "segment c has no cost for schedule year 2020", 2020),
+            ("bad_scheduled_year",
+             "segment c is scheduled for 2021, which is not a plan year", 2021),
+            ("conservation_mismatch",
+             "total scheduled cost 2.00 deviates from total budget 12.00 by -10.00",
+             None),
+            ("empty_cluster", "no projects left for year 2019", 2019),
+            ("empty_cluster", "no projects left for year 2020", 2020),
+        ]
+    ]
 
 
 def test_metrics_command(two_blob_files, tmp_path, capsys):

@@ -46,37 +46,41 @@ def test_order_by_distance_anchor_missing():
 
 def test_furthest_point_larger_distance_wins():
     x = [seg("near", (1, 0)), seg("far", (5, 0))]
-    assert furthest_point_from_cluster(x, [(0.0, 0.0)]).id == "far"
+    assert furthest_point_from_cluster(x, ClusterBalls([[(0.0, 0.0)]])).id == "far"
 
 
 def test_furthest_point_tie_keeps_input_order():
     x = [seg("first", (2, 0)), seg("second", (-2, 0))]
-    assert furthest_point_from_cluster(x, [(0.0, 0.0)]).id == "first"
+    assert furthest_point_from_cluster(x, ClusterBalls([[(0.0, 0.0)]])).id == "first"
 
 
 def test_furthest_point_degenerate_all_zero():
     x = [seg("a", (1, 1)), seg("b", (2, 2))]
     clustered = [(1.0, 1.0), (2.0, 2.0)]
-    assert furthest_point_from_cluster(x, clustered).id == "a"
+    assert furthest_point_from_cluster(x, ClusterBalls([clustered])).id == "a"
 
 
 def test_furthest_point_argument_roles_differ():
     # swapping the roles asks a different question, so answers may differ
     a = [seg("a1", (0, 0)), seg("a2", (10, 0))]
     b = [seg("b1", (4, 0))]
-    from_b = furthest_point_from_cluster(a, [s.coords for s in b])
-    from_a = furthest_point_from_cluster(b, [s.coords for s in a])
+    from_b = furthest_point_from_cluster(a, ClusterBalls([[s.coords for s in b]]))
+    from_a = furthest_point_from_cluster(b, ClusterBalls([[s.coords for s in a]]))
     assert from_b.id == "a2"
     assert from_a.id == "b1"
 
 
 def test_furthest_point_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        furthest_point_from_cluster([seg("a", (0, 0)), seg("b", (1, 1, 1))], [(0.0, 0.0)])
+        furthest_point_from_cluster(
+            [seg("a", (0, 0)), seg("b", (1, 1, 1))], ClusterBalls([[(0.0, 0.0)]])
+        )
     with pytest.raises(DimensionMismatchError):
-        furthest_point_from_cluster([seg("a", (0, 0))], [(0.0, 0.0), (1.0, 1.0, 1.0)])
+        furthest_point_from_cluster(
+            [seg("a", (0, 0))], ClusterBalls([[(0.0, 0.0), (1.0, 1.0, 1.0)]])
+        )
     with pytest.raises(DimensionMismatchError):
-        furthest_point_from_cluster([seg("a", (0, 0, 0))], [(0.0, 0.0)])
+        furthest_point_from_cluster([seg("a", (0, 0, 0))], ClusterBalls([[(0.0, 0.0)]]))
 
 
 def test_furthest_point_bounds_keep_shared_ids_apart():
@@ -90,7 +94,9 @@ def test_furthest_point_bounds_keep_shared_ids_apart():
         clustered.append(point)
         balls.add([point])
         winners.append(furthest_point_from_cluster(candidates, balls))
-        assert winners[-1] is furthest_point_from_cluster(candidates, clustered)
+        assert winners[-1] is furthest_point_from_cluster(
+            candidates, ClusterBalls([clustered])
+        )
     assert winners[0] is far
 
 
@@ -101,7 +107,7 @@ def test_furthest_point_bounds_carry_over_a_growing_set():
     balls = ClusterBalls([clustered])
     while len(clustered) < 30:
         stateful = furthest_point_from_cluster(segments, balls)
-        assert stateful is furthest_point_from_cluster(segments, clustered)
+        assert stateful is furthest_point_from_cluster(segments, ClusterBalls([clustered]))
         assert stateful.id == oracle_furthest_point(segments, clustered)
         group = [
             (float(rng.randint(0, 9)), float(rng.randint(0, 9)))
@@ -145,7 +151,9 @@ def test_carried_ball_search_matches_fresh_scan_and_oracle(case):
         if not candidates:
             break
         stateful = furthest_point_from_cluster(candidates, balls)
-        assert stateful is furthest_point_from_cluster(candidates, clustered)
+        assert stateful is furthest_point_from_cluster(
+            candidates, ClusterBalls([clustered])
+        )
         assert stateful.id == oracle_furthest_point(candidates, clustered)
         candidates.remove(stateful)
 
@@ -182,9 +190,9 @@ def test_overflowing_distances_are_measured_not_pruned(member, p):
 
 def test_furthest_point_empty_inputs():
     with pytest.raises(ValueError):
-        furthest_point_from_cluster([], [(0.0, 0.0)])
+        furthest_point_from_cluster([], ClusterBalls([[(0.0, 0.0)]]))
     with pytest.raises(ValueError):
-        furthest_point_from_cluster([seg("a", (0, 0))], [])
+        furthest_point_from_cluster([seg("a", (0, 0))], ClusterBalls())
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -209,7 +217,7 @@ def test_furthest_point_maximality(trial_seed):
         (rng.uniform(0, 10000), rng.uniform(0, 10000))
         for _ in range(rng.randint(1, 8))
     ]
-    best = furthest_point_from_cluster(segments, clustered)
+    best = furthest_point_from_cluster(segments, ClusterBalls([clustered]))
     def min_linkage(point):
         return min(math.dist(member, point) for member in clustered)
 

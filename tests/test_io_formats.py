@@ -598,6 +598,15 @@ class TestRenderSvg:
         titles = [t.text for t in root.iter("{http://www.w3.org/2000/svg}title")]
         assert titles == ["a<b&c", "\"d'>"]
 
+    @pytest.mark.parametrize(
+        "a, b", [((9e307, 0), (-9e307, 0)), ((0, 9e307), (0, -9e307))], ids=["x", "y"]
+    )
+    def test_rejects_an_extent_that_overflows(self, a, b):
+        segments = [seg("a", a), seg("b", b)]
+        plan = Plan((Cluster(2018, "a", ("a", "b"), "2.00", "2.00"),))
+        with pytest.raises(PavePlanError, match="cannot be plotted"):
+            render_plan_svg(plan, segments)
+
     def test_rejects_non_planar(self):
         segments = [seg("a", (0, 0, 0))]
         plan = Plan((Cluster(2018, "a", ("a",), "1.00", "1.00"),))

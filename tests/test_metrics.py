@@ -11,7 +11,13 @@ from paveplan.metrics import (
     mean_pairwise_distance,
     plan_from_schedule,
 )
-from paveplan.model import Cluster, DimensionMismatchError, Plan, UnknownSegmentError
+from paveplan.model import (
+    Cluster,
+    DimensionMismatchError,
+    PavePlanError,
+    Plan,
+    UnknownSegmentError,
+)
 from paveplan.radial import landmark_based_radial_clustering
 
 from helpers import random_segments, schedule, seg
@@ -24,6 +30,25 @@ def two_point_fixture():
 
 
 class TestComputeMetrics:
+    def test_overflowing_dispersion_names_the_year(self):
+        # finite points 1.8e308 apart: their distance overflows to inf
+        segments = [seg("a", (9e307, 0)), seg("b", (-9e307, 0)), seg("c", (0, 1))]
+        plan = Plan(
+            (
+                Cluster(2018, "c", ("c",), "1.00", "1.00"),
+                Cluster(2019, "a", ("a", "b"), "2.00", "2.00"),
+            )
+        )
+        with pytest.raises(PavePlanError, match="^year 2019: "):
+            compute_metrics(plan, schedule([1, 2]), segments)
+
+    def test_overflowing_weighted_dispersion_names_the_year(self):
+        # each mean is finite, but twice the second one is not
+        segments = [seg("a", (9e307, 0)), seg("c", (0, 1))]
+        plan = Plan((Cluster(2018, "a", ("a", "c"), "2.00", "2.00"),))
+        with pytest.raises(PavePlanError, match="^year 2018: "):
+            compute_metrics(plan, schedule([2]), segments)
+
     def test_two_member_dispersion(self):
         segments, sched, plan = two_point_fixture()
         metrics = compute_metrics(plan, sched, segments)

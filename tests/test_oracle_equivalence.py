@@ -11,7 +11,7 @@ from decimal import Decimal
 
 import pytest
 
-from paveplan.geometry import furthest_point_from_cluster
+from paveplan.geometry import ClusterBalls, furthest_point_from_cluster
 from paveplan.metrics import plan_from_schedule
 from paveplan.radial import landmark_based_radial_clustering, radial_neighbor_clustering
 from paveplan.refine import schedule_aware_plan
@@ -58,7 +58,7 @@ def test_oracle_furthest_randomized_spot_check():
             (rng.uniform(0, 10000), rng.uniform(0, 10000))
             for _ in range(rng.randint(1, 6))
         ]
-        engine = furthest_point_from_cluster(segments, clustered)
+        engine = furthest_point_from_cluster(segments, ClusterBalls([clustered]))
         assert engine.id == oracle_furthest_point(segments, clustered)
 
 

@@ -254,6 +254,29 @@ class TestScheduleAwarePlan:
         plan = schedule_aware_plan(segments, schedule([5]), 0)
         assert "conservation_mismatch" in [d.code for d in plan.diagnostics]
 
+    def test_validation_diagnostics_carry_code_message_and_year(self):
+        # the center a costs more than the budget, so no walk measures the
+        # three-dimensional b and the plan is built despite the mismatch
+        segments = [
+            seg("a", (5, 0), cost="5.00"),
+            seg("a", (4, 0)),
+            seg("b", (1, 0, 0)),
+        ]
+        plan = schedule_aware_plan(segments, schedule([2]), 0)
+        validation = [
+            (d.code, d.message, d.year, d.segment_ids) for d in plan.diagnostics[:3]
+        ]
+        assert validation == [
+            ("duplicate_id", "segment id 'a' appears more than once", None, ()),
+            ("dimension_mismatch", "segment b has 3 coordinates, expected 2", None, ()),
+            ("conservation_mismatch",
+             "total scheduled cost 7.00 deviates from total budget 2.00 by 5.00",
+             None, ()),
+        ]
+        assert [d.code for d in plan.diagnostics[3:]] == [
+            "over_budget_singleton", "unassigned_remainder"
+        ]
+
     def test_realized_cost_recomputes_exactly_with_grown_costs(self):
         for trial_seed in range(10):
             segments, sched = synthesize_dataset(
