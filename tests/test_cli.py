@@ -398,15 +398,15 @@ OVERFLOW_BUDGETS = "year,budget\n2020,10.00\n2021,5.00\n"
         ["baseline"],
     ],
 )
-def test_overflowing_dispersion_exits_2_and_writes_nothing(command, tmp_path, capsys):
-    segments = tmp_path / "segments.csv"
-    budgets = tmp_path / "budgets.csv"
-    segments.write_text(OVERFLOW_SEGMENTS, encoding="utf-8")
-    budgets.write_text(OVERFLOW_BUDGETS, encoding="utf-8")
-    command = [str(tmp_path / a) if a.endswith(".svg") else a for a in command]
+def test_overflowing_dispersion_exits_2_and_writes_nothing(
+    command, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    Path("segments.csv").write_text(OVERFLOW_SEGMENTS, encoding="utf-8")
+    Path("budgets.csv").write_text(OVERFLOW_BUDGETS, encoding="utf-8")
     code = main(
-        [*command, "--segments", str(segments), "--budgets", str(budgets),
-         "--out", str(tmp_path / "plan.json")]
+        [*command, "--segments", "segments.csv", "--budgets", "budgets.csv",
+         "--out", "plan.json"]
     )
     assert code == 2
     assert "error: year 2020:" in capsys.readouterr().err
