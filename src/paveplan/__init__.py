@@ -40,6 +40,7 @@ from .model import (
     BudgetEntry,
     BudgetSchedule,
     Cluster,
+    CostRow,
     Diagnostic,
     DimensionMismatchError,
     MismatchedInputsError,

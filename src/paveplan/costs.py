@@ -9,15 +9,17 @@ accounting compares a plan's realized per-year costs against the budgets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .model import (
     CENT,
+    MONEY_LIMIT,
     ZERO,
     BudgetSchedule,
+    CostRow,
     Plan,
     Segment,
     UnknownSegmentError,
@@ -80,9 +82,13 @@ def synthesize_cost_matrix(
         anchor_index = years.index(anchor)
         row = []
         for index in range(len(years)):
-            value = (base * factor ** (index - anchor_index)).quantize(
-                CENT, rounding=ROUND_HALF_UP
-            )
+            value = base * factor ** (index - anchor_index)
+            if value >= MONEY_LIMIT:
+                raise ValueError(
+                    f"segment {sid}: synthesized cost for year {years[index]} "
+                    f"is {value:.3E}, not below {MONEY_LIMIT:.0E}"
+                )
+            value = value.quantize(CENT, rounding=ROUND_HALF_UP)
             if value <= 0:
                 raise ValueError(
                     f"segment {sid}: synthesized cost for year {years[index]} "
@@ -96,13 +102,15 @@ def synthesize_cost_matrix(
 def apply_cost_matrix(
     segments: Iterable[Segment], matrix: CostScenarioMatrix
 ) -> list[Segment]:
-    """New segments whose cost tables come straight from the matrix."""
+    """New segments whose cost rows are the matrix's own row tuples, under
+    one year index shared by all of them."""
+    index = dict(sorted(zip(matrix.years, range(len(matrix.years)))))
     out = []
     for seg in segments:
         if seg.id not in matrix.per_segment:
             raise UnknownSegmentError(f"segment {seg.id} is missing from the cost matrix")
-        table = dict(zip(matrix.years, matrix.per_segment[seg.id]))
-        out.append(replace(seg, cost_by_year=table))
+        row = CostRow(index, matrix.per_segment[seg.id])
+        out.append(Segment(seg.id, seg.coords, row, seg.scheduled_year))
     return out
 
 
@@ -116,13 +124,20 @@ def matrix_from_segments(
 
 
 def flat_cost_table(segments: Iterable[Segment], years: Sequence[int]) -> list[Segment]:
-    """Broadcast each segment's scheduled-year cost across every plan year."""
+    """Price each segment at its scheduled-year cost in every plan year.
+
+    Every row holds that one cost under one year index that all rows share.
+    A segment scheduled outside the plan years is also priced in its own
+    year, under an index of its own.
+    """
+    shared = dict.fromkeys(sorted({int(y) for y in years}), 0)
     out = []
     for seg in segments:
-        base = seg.base_cost()
-        table = {int(y): base for y in years}
-        table[seg.scheduled_year] = base
-        out.append(replace(seg, cost_by_year=table))
+        index = shared
+        if seg.scheduled_year not in shared:
+            index = dict.fromkeys(sorted([*shared, seg.scheduled_year]), 0)
+        row = CostRow(index, (seg.base_cost(),))
+        out.append(Segment(seg.id, seg.coords, row, seg.scheduled_year))
     return out
 
 

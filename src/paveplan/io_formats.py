@@ -22,9 +22,12 @@ from typing import Iterable, Mapping, Sequence
 from .costs import CostScenarioMatrix
 from .metrics import OverallMetrics, PlanMetrics, YearMetrics
 from .model import (
+    MONEY_LIMIT,
+    TOTAL_LIMIT,
     BudgetEntry,
     BudgetSchedule,
     Cluster,
+    CostRow,
     Diagnostic,
     DimensionMismatchError,
     PavePlanError,
@@ -101,8 +104,7 @@ def load_segments(text: str) -> list[Segment]:
 
     Row order is preserved; it defines the input order used for
     deterministic tie-breaking downstream. When the cost column is present
-    each segment gets a single-entry cost table at its scheduled year
-    (broadcast or replace it via the cost-model helpers before planning).
+    each segment gets a single-entry cost table at its scheduled year.
     """
     rows = _rows(text)
     if not rows:
@@ -128,6 +130,7 @@ def load_segments(text: str) -> list[Segment]:
 
     segments: list[Segment] = []
     first_row_of: dict[str, int] = {}
+    indexes: dict[int, dict[int, int]] = {}  # rows of one year share its index
     for line_no, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise CsvFormatError(
@@ -154,9 +157,9 @@ def load_segments(text: str) -> list[Segment]:
                 raise CsvFormatError(
                     f"cost must be positive, got {cost}", row=line_no, column="cost"
                 )
-            table: dict[int, Decimal] = {year: cost}
+            table = CostRow(indexes.setdefault(year, {year: 0}), (cost,))
         else:
-            table = {}
+            table = CostRow({}, ())
         segments.append(
             Segment(id=sid, coords=coords, cost_by_year=table, scheduled_year=year)
         )
@@ -515,14 +518,16 @@ def _float_field(obj: dict, key: str) -> float:
     return float(value)
 
 
-def _money_field(obj: dict, key: str, optional: bool = False) -> Decimal | None:
+def _money_field(
+    obj: dict, key: str, optional: bool = False, limit: Decimal = MONEY_LIMIT
+) -> Decimal | None:
     """``obj[key]``, a money string in the canonical form emission writes
-    (or null when ``optional``)."""
+    (or null when ``optional``); sums pass ``TOTAL_LIMIT``."""
     value = _field(obj, key, str, optional)
     if value is None:
         return None
     try:
-        amount = money(value)
+        amount = money(value, limit)
     except ValueError as exc:
         raise PavePlanError(f"plan document field {key!r}: {exc}") from None
     if _money_str(amount) != value:
@@ -596,7 +601,7 @@ def _document_from_json(obj: dict) -> PlanDocument:
             year=_int_field(c, "year"),
             center_id=_field(c, "center_id", str, optional=True),
             budget=_cluster_budget(c),
-            realized_cost=_money_field(c, "realized_cost"),
+            realized_cost=_money_field(c, "realized_cost", limit=TOTAL_LIMIT),
             members=tuple(_parse_member(m) for m in _objects(c, "members")),
         )
         for c in _objects(obj, "clusters")
@@ -608,7 +613,7 @@ def _document_from_json(obj: dict) -> PlanDocument:
             YearMetrics(
                 year=_int_field(y, "year"),
                 budget=_money_field(y, "budget"),
-                realized_cost=_money_field(y, "realized_cost"),
+                realized_cost=_money_field(y, "realized_cost", limit=TOTAL_LIMIT),
                 utilization=_float_field(y, "utilization"),
                 member_count=_int_field(y, "member_count"),
                 mean_member_distance_to_center=_float_field(
@@ -620,9 +625,9 @@ def _document_from_json(obj: dict) -> PlanDocument:
             for y in _objects(metrics_obj, "per_year")
         ),
         overall=OverallMetrics(
-            total_budget=_money_field(overall, "total_budget"),
-            total_cost=_money_field(overall, "total_cost"),
-            total_deviation=_money_field(overall, "total_deviation"),
+            total_budget=_money_field(overall, "total_budget", limit=TOTAL_LIMIT),
+            total_cost=_money_field(overall, "total_cost", limit=TOTAL_LIMIT),
+            total_deviation=_money_field(overall, "total_deviation", limit=TOTAL_LIMIT),
             weighted_mean_dispersion=_float_field(overall, "weighted_mean_dispersion"),
         ),
         unassigned_count=_int_field(metrics_obj, "unassigned_count"),

@@ -10,13 +10,18 @@ dataset-level rules live in :func:`validate_dataset` (plan diagnostics).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from operator import is_not
+from typing import Iterable, Union
 
 CENT = Decimal("0.01")
 ZERO = Decimal("0.00")
+# Amounts stay below 10**18 and totals below 10**26, so a sum of up to 10**8
+# amounts keeps every cent in the default 28-digit decimal context.
+MONEY_LIMIT = Decimal(10) ** 18
+TOTAL_LIMIT = Decimal(10) ** 26
 
 MoneyLike = Union[Decimal, int, str, float]
 
@@ -52,13 +57,15 @@ class ValidationFailedError(PavePlanError):
         self.issues = issues
 
 
-def money(value: MoneyLike) -> Decimal:
-    """Coerce to an exact cent amount.
+def money(value: MoneyLike, limit: Decimal = MONEY_LIMIT) -> Decimal:
+    """Coerce to an exact cent amount below ``limit`` in magnitude.
 
     Values carrying more than two fractional digits are rejected rather than
-    rounded; rounding only ever happens explicitly (see cost synthesis). A
-    plain ``Decimal`` that is already a cent amount is returned itself, so
-    tables built from one validated cost share that one object.
+    rounded; rounding only ever happens explicitly (see cost synthesis). So
+    are amounts of 10**18 or more: every sum paveplan forms then stays exact.
+    Totals pass ``TOTAL_LIMIT``. A plain ``Decimal`` that is already a cent
+    amount is returned itself, so cost rows built from one validated cost
+    share that one object.
     """
     if isinstance(value, Decimal):
         dec = value
@@ -75,9 +82,56 @@ def money(value: MoneyLike) -> Decimal:
         raise ValueError(f"not a money amount: {value!r}") from exc
     if quantized != dec:
         raise ValueError(f"money must have at most 2 decimal places, got {value!r}")
+    if not -limit < dec < limit:
+        raise ValueError(f"money must be below {limit:.0E} in magnitude, got {value!r}")
     if type(dec) is Decimal and dec.same_quantum(quantized):
         return dec
     return quantized
+
+
+class CostRow(Mapping):
+    """One segment's read-only year -> cost table.
+
+    ``index`` maps each year, in ascending order, to a position in
+    ``costs``, and every position is some year's. Rows share their index: a flat table maps every plan year to
+    position 0 of a 1-tuple, and the rows of one cost matrix share one map
+    onto each matrix row's own tuple, so no cost is copied per year.
+    """
+
+    __slots__ = ("_index", "_costs")
+
+    def __init__(self, index: Mapping[int, int], costs: tuple[Decimal, ...]):
+        self._index = index
+        self._costs = costs
+
+    def __getitem__(self, year: int) -> Decimal:
+        return self._costs[self._index[year]]
+
+    def __contains__(self, year: object) -> bool:
+        return year in self._index
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __repr__(self) -> str:
+        return f"CostRow({dict(self)!r})"
+
+
+def _row_of(table: Mapping[int, MoneyLike]) -> CostRow:
+    """A row of its own holding ``table``'s costs, years made ``int``; an
+    object filling many years is held once."""
+    index: dict[int, int] = {}
+    costs: list = []
+    position_of: dict[int, int] = {}  # id(cost) -> position
+    for year, cost in sorted({int(y): c for y, c in table.items()}.items()):
+        if id(cost) not in position_of:
+            position_of[id(cost)] = len(costs)
+            costs.append(cost)
+        index[year] = position_of[id(cost)]
+    return CostRow(index, tuple(costs))
 
 
 @dataclass(frozen=True)
@@ -86,7 +140,9 @@ class Segment:
 
     ``cost_by_year`` maps fiscal years to the money the project costs if
     executed in that year; ``scheduled_year`` is the year the upstream plan
-    put it in.
+    put it in. It is always a :class:`CostRow`: one given is kept as it is,
+    any other mapping is converted. Segments compare by value, whatever
+    table they were built from, and are not hashable.
     """
 
     id: str
@@ -97,23 +153,25 @@ class Segment:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("segment id must be a non-empty string")
-        coords = tuple(float(c) for c in self.coords)
+        coords = tuple(map(float, self.coords))
         if not coords:
             raise ValueError(f"segment {self.id}: needs at least one coordinate")
         if not all(map(math.isfinite, coords)):
             raise ValueError(f"segment {self.id}: coordinates must be finite, got {coords}")
-        table: dict[int, Decimal] = {}
-        raw = cost = None
-        for year in sorted(self.cost_by_year):
-            # a flat table holds one object for every year: check it once
-            if cost is None or self.cost_by_year[year] is not raw:
-                raw = self.cost_by_year[year]
-                cost = money(raw)
-                if cost <= 0:
-                    raise ValueError(f"segment {self.id}: cost for {year} must be positive")
-            table[int(year)] = cost
+        row = self.cost_by_year
+        if type(row) is not CostRow:
+            row = _row_of(row)
+        costs = []
+        for position, raw in enumerate(row._costs):
+            cost = money(raw)
+            if cost <= 0:
+                year = next(y for y, at in row._index.items() if at == position)
+                raise ValueError(f"segment {self.id}: cost for {year} must be positive")
+            costs.append(cost)
+        if any(map(is_not, costs, row._costs)):
+            row = CostRow(row._index, tuple(costs))
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "cost_by_year", MappingProxyType(table))
+        object.__setattr__(self, "cost_by_year", row)
         object.__setattr__(self, "scheduled_year", int(self.scheduled_year))
 
     @property
@@ -121,8 +179,9 @@ class Segment:
         return len(self.coords)
 
     def cost_at(self, year: int) -> Decimal:
+        row = self.cost_by_year
         try:
-            return self.cost_by_year[year]
+            return row._costs[row._index[year]]
         except KeyError:
             raise MissingCostError(
                 f"segment {self.id} has no cost for year {year}"
@@ -211,7 +270,9 @@ class Cluster:
         elif self.center_id is not None:
             raise ValueError(f"cluster {self.year}: empty cluster cannot have a center")
         object.__setattr__(self, "member_ids", members)
-        object.__setattr__(self, "realized_cost", money(self.realized_cost))
+        object.__setattr__(
+            self, "realized_cost", money(self.realized_cost, TOTAL_LIMIT)
+        )
         object.__setattr__(self, "budget", money(self.budget))
 
     @property
@@ -325,16 +386,22 @@ def validate_dataset(
             )
 
     schedule_years = set(schedule.years)
+    # rows share their year index, so each distinct index is checked once
+    missing_by_index: dict[int, list[int]] = {}
     for seg in segments:
-        for year in schedule.years:
-            if year not in seg.cost_by_year:
-                issues.append(
-                    Diagnostic(
-                        "missing_cost_year",
-                        f"segment {seg.id} has no cost for schedule year {year}",
-                        year=year,
-                    )
+        index = seg.cost_by_year._index
+        missing = missing_by_index.get(id(index))
+        if missing is None:
+            missing = [year for year in schedule.years if year not in index]
+            missing_by_index[id(index)] = missing
+        for year in missing:
+            issues.append(
+                Diagnostic(
+                    "missing_cost_year",
+                    f"segment {seg.id} has no cost for schedule year {year}",
+                    year=year,
                 )
+            )
         if seg.scheduled_year not in schedule_years:
             issues.append(
                 Diagnostic(

@@ -14,7 +14,7 @@ from decimal import Decimal, ROUND_DOWN
 from typing import Sequence
 
 from .costs import apply_cost_matrix, synthesize_cost_matrix
-from .model import CENT, ZERO, BudgetEntry, BudgetSchedule, Segment, money
+from .model import CENT, ZERO, BudgetEntry, BudgetSchedule, CostRow, Segment, money
 
 
 def _blob_centers(blobs: int, radius: float) -> list[tuple[float, float]]:
@@ -67,20 +67,19 @@ def synthesize_dataset(
     year_cycle = [years[i % len(years)] for i in range(n)]
     rng.shuffle(year_cycle)
 
+    index = dict.fromkeys(sorted(years), 0)  # every row's one cost, each year
     segments: list[Segment] = []
     for i in range(n):
         cx, cy = centers[i % blobs]
         x = rng.gauss(cx, spread)
         y = rng.gauss(cy, spread)
         base = Decimal(rng.randint(500_000, 1_500_000)) / 100  # 5,000.00-15,000.00
-        scheduled = year_cycle[i]
-        table = {year: base for year in years}
         segments.append(
             Segment(
                 id=f"s{i:05d}",
                 coords=(x, y),
-                cost_by_year=table,
-                scheduled_year=scheduled,
+                cost_by_year=CostRow(index, (base,)),
+                scheduled_year=year_cycle[i],
             )
         )
     if growth_rate:

@@ -71,7 +71,8 @@ def oracle_medoid(members):
 
 def oracle_money(value):
     """``value`` as a cent ``Decimal``, always a fresh quantized copy; more
-    than two fractional digits, NaN and infinities raise ``ValueError``."""
+    than two fractional digits, NaN, infinities and magnitudes of 10**18 or
+    more raise ``ValueError``."""
     if isinstance(value, Decimal):
         dec = value
     elif isinstance(value, float):
@@ -87,6 +88,8 @@ def oracle_money(value):
         raise ValueError(f"not a money amount: {value!r}") from exc
     if quantized != dec:
         raise ValueError(f"money must have at most 2 decimal places, got {value!r}")
+    if len(str(abs(quantized.to_integral_value(rounding="ROUND_DOWN")))) > 18:
+        raise ValueError(f"money of 19 or more integer digits: {value!r}")
     return quantized
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -411,6 +412,96 @@ def test_overflowing_dispersion_exits_2_and_writes_nothing(
     assert code == 2
     assert "error: year 2020:" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["budgets.csv", "segments.csv"]
+
+
+HUGE = "99999999999999999999999999.99"
+
+
+@pytest.mark.parametrize(
+    "command", [["validate"], ["cluster", "--algo", "schedule", "--out", "plan.json"]]
+)
+@pytest.mark.parametrize(
+    "segments_text, budgets_text, column",
+    [
+        # two such costs summed to 200000000000000000000000000.00 in the
+        # 28-digit context, and the dataset passed as conserved
+        (
+            f"id,x,y,scheduled_year,cost\na,0,0,2018,{HUGE}\nb,1,0,2019,{HUGE}\n",
+            f"year,budget\n2018,{HUGE}\n2019,{HUGE}\n",
+            "cost",
+        ),
+        (
+            "id,x,y,scheduled_year,cost\na,0,0,2018,1.00\n",
+            "year,budget\n2018,1000000000000000000.00\n",
+            "budget",
+        ),
+    ],
+)
+def test_money_of_ten_to_the_eighteenth_exits_2(
+    command, segments_text, budgets_text, column, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    Path("segments.csv").write_text(segments_text, encoding="utf-8")
+    Path("budgets.csv").write_text(budgets_text, encoding="utf-8")
+    assert main([*command, "--segments", "segments.csv", "--budgets", "budgets.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: row 2, column {column!r}: money must be below 1E+18")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["budgets.csv", "segments.csv"]
+
+
+def test_totals_past_the_money_limit_read_back(tmp_path, capsys):
+    # three costs just under 10**18 in one year: the baseline's realized
+    # cost and the document totals exceed it, and every command reads them
+    amount = "999999999999999999.99"
+    segments = tmp_path / "segments.csv"
+    budgets = tmp_path / "budgets.csv"
+    segments.write_text(
+        "id,x,y,scheduled_year,cost\n"
+        + "".join(f"s{i},{i},0,2018,{amount}\n" for i in range(3)),
+        encoding="utf-8",
+    )
+    budgets.write_text(f"year,budget\n2018,{amount}\n", encoding="utf-8")
+    plan = _plan_file("baseline", segments, budgets, tmp_path / "plan.json")
+    text = plan.read_text(encoding="utf-8")
+    assert '"realized_cost": "2999999999999999999.97"' in text
+    document = parse_plan_document(text)
+    assert document_to_json(document) == text
+    assert main(["metrics", "--plan", str(plan), "--segments", str(segments)]) == 0
+    assert main(["compare", "--before", str(plan), "--after", str(plan),
+                 "--segments", str(segments)]) == 0
+
+
+def test_plan_document_money_past_the_limit_exits_2(two_blob_files, tmp_path, capsys):
+    segments, budgets = two_blob_files
+    plan = _plan_file("baseline", segments, budgets, tmp_path / "plan.json")
+    text = plan.read_text(encoding="utf-8")
+    plan.write_text(
+        text.replace('"budget": "3.00"', '"budget": "1000000000000000000.00"', 1),
+        encoding="utf-8",
+    )
+    capsys.readouterr()
+    assert main(["metrics", "--plan", str(plan), "--segments", str(segments)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: plan document field 'budget': money must be below 1E+18"
+    )
+
+
+def test_cost_matrix_plan_bytes(tmp_path, monkeypatch):
+    # no benchmark workload plans with --cost-matrix; pin its bytes here
+    monkeypatch.chdir(tmp_path)
+    assert main(
+        ["synth", "--n", "300", "--blobs", "3", "--years", "2018:2022", "--seed", "5",
+         "--tolerance-fraction", "0.05", "--growth-rate", "0.08",
+         "--out-segments", "s.csv", "--out-budgets", "b.csv", "--out-matrix", "m.csv"]
+    ) == 0
+    assert main(
+        ["cluster", "--segments", "s.csv", "--budgets", "b.csv", "--cost-matrix", "m.csv",
+         "--algo", "schedule", "--out", "plan.json"]
+    ) == 0
+    assert hashlib.sha256(Path("plan.json").read_bytes()).hexdigest() == (
+        "d497046c8477519dda6f27c98578582a99ef1b5ce65549740097fab451d7fedc"
+    )
 
 
 def test_plan_document_records_validation_diagnostics(tmp_path):

@@ -70,6 +70,12 @@ class TestSynthesizeCostMatrix:
         with pytest.raises(ValueError):
             synthesize_cost_matrix({"a": Decimal("1.00")}, (2018,), -1.0, {"a": 2018})
 
+    def test_cost_at_or_over_the_money_limit_is_an_error(self):
+        with pytest.raises(ValueError, match="year 2030 is 1.000E\\+18, not below 1E\\+18"):
+            synthesize_cost_matrix(
+                {"a": Decimal("1000000.00")}, range(2018, 2031), 9.0, {"a": 2018}
+            )
+
     def test_rounded_to_zero_is_an_error(self):
         with pytest.raises(ValueError):
             synthesize_cost_matrix(
@@ -125,6 +131,36 @@ def test_flat_table_shares_one_cost_object_per_segment():
         assert tuple(flat.cost_by_year) == years
         assert len({id(cost) for cost in flat.cost_by_year.values()}) == 1
         assert flat.base_cost() == loaded.base_cost()
+
+
+def test_flat_rows_share_one_year_index():
+    segments = [
+        seg("a", (0, 0), cost="10.00", year=2018),
+        seg("b", (1, 0), cost="4.50", year=2030),
+        seg("c", (2, 0), cost="7.00", year=2051),
+    ]
+    years = tuple(range(2047, 2017, -1))
+    a, b, c = flat_cost_table(segments, years)
+    assert a.cost_by_year._index is b.cost_by_year._index
+    assert tuple(b.cost_by_year) == years[::-1]
+    # scheduled outside the plan years: also priced in its own year
+    assert c.cost_by_year._index is not a.cost_by_year._index
+    assert tuple(c.cost_by_year) == (*years[::-1], 2051)
+    assert c.cost_at(2051) == c.cost_at(2018) == Decimal("7.00")
+
+
+def test_matrix_rows_are_not_copied():
+    years = (2019, 2018)
+    segments = [seg("a", (0, 0), year=2018), seg("b", (1, 0), year=2019)]
+    matrix = CostScenarioMatrix(
+        years,
+        {"a": (Decimal("2.00"), Decimal("1.00")), "b": (Decimal("4.00"), Decimal("3.00"))},
+    )
+    a, b = apply_cost_matrix(segments, matrix)
+    assert a.cost_by_year._costs is matrix.per_segment["a"]
+    assert a.cost_by_year._index is b.cost_by_year._index
+    assert dict(b.cost_by_year) == {2018: Decimal("3.00"), 2019: Decimal("4.00")}
+    assert list(b.cost_by_year) == [2018, 2019]
 
 
 def _published_fixture():

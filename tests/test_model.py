@@ -6,9 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from paveplan.model import (
+    ZERO,
+    MONEY_LIMIT,
+    TOTAL_LIMIT,
     BudgetEntry,
     BudgetSchedule,
     Cluster,
+    CostRow,
     MissingCostError,
     Plan,
     Segment,
@@ -44,6 +48,25 @@ class TestMoney:
             money("not money")
         with pytest.raises(ValueError):
             money("nan")
+
+    def test_amounts_stay_below_ten_to_the_eighteenth(self):
+        largest = "999999999999999999.99"
+        assert str(money(largest)) == largest
+        assert str(money("-" + largest)) == "-" + largest
+        too_large = ("1000000000000000000.00", "-1E+18", 10**18, "9" * 26 + ".99")
+        for value in too_large:
+            with pytest.raises(ValueError, match=re.escape(repr(value))):
+                money(value)
+
+    def test_sums_of_largest_amounts_stay_exact(self):
+        # 10**8 amounts just below the limit: every cent survives the
+        # default 28-digit context, and a total passes TOTAL_LIMIT
+        amount = money("999999999999999999.99")
+        total = amount * 10**8
+        assert total == Decimal("99999999999999999999000000.00")
+        assert sum((amount, amount, amount), ZERO) == Decimal("2999999999999999999.97")
+        assert money(total, TOTAL_LIMIT) is total
+        assert TOTAL_LIMIT == MONEY_LIMIT * 10**8
 
     @given(
         st.one_of(
@@ -144,6 +167,60 @@ class TestSegment:
             s.cost_by_year[2019] = Decimal("1.00")
 
 
+class TestCostRow:
+    TABLE = {2019: Decimal("2.00"), 2018: Decimal("1.00"), 2020: Decimal("3.00")}
+
+    def test_segment_equality_ignores_the_table_type(self):
+        years = (2018, 2019, 2020)
+        row = CostRow({2018: 0, 2019: 1, 2020: 2}, tuple(self.TABLE[y] for y in years))
+        from_row = Segment("a", (0.0,), row, 2018)
+        from_dict = Segment("a", (0.0,), self.TABLE, 2018)
+        assert from_row == from_dict
+        assert from_dict == from_row
+        assert from_row.cost_by_year == self.TABLE
+        assert self.TABLE == from_row.cost_by_year
+        other = Segment("a", (0.0,), {**self.TABLE, 2020: Decimal("3.01")}, 2018)
+        assert from_row != other and other != from_row
+
+    def test_segments_are_not_hashable(self):
+        with pytest.raises(TypeError):
+            hash(Segment("a", (0.0,), self.TABLE, 2018))
+        with pytest.raises(TypeError):
+            hash(Segment("a", (0.0,), self.TABLE, 2018).cost_by_year)
+
+    def test_read_only(self):
+        row = Segment("a", (0.0,), self.TABLE, 2018).cost_by_year
+        with pytest.raises(TypeError):
+            row[2021] = Decimal("4.00")
+        with pytest.raises(TypeError):
+            del row[2018]
+        with pytest.raises(AttributeError):
+            row.extra = 1
+
+    def test_iterates_years_ascending(self):
+        row = Segment("a", (0.0,), self.TABLE, 2018).cost_by_year
+        assert type(row) is CostRow
+        assert list(row) == [2018, 2019, 2020]
+        assert list(row.items()) == sorted(self.TABLE.items())
+        assert len(row) == 3
+        assert 2019 in row and 2021 not in row and "2019" not in row
+        assert row.get(2021) is None
+
+    def test_a_row_is_kept_without_copying(self):
+        row = CostRow(dict.fromkeys((2018, 2019), 0), (Decimal("5.00"),))
+        assert Segment("a", (0.0,), row, 2018).cost_by_year is row
+
+    def test_a_row_is_checked_like_a_table(self):
+        flat = CostRow({2018: 0, 2019: 0}, (Decimal("5"),))
+        row = Segment("a", (0.0,), flat, 2018).cost_by_year
+        assert [str(cost) for cost in row.values()] == ["5.00", "5.00"]
+        zero_in_2019 = CostRow({2018: 0, 2019: 1}, (Decimal("1.00"), ZERO))
+        with pytest.raises(ValueError, match="segment a: cost for 2019 must be positive"):
+            Segment("a", (0.0,), zero_in_2019, 2018)
+        with pytest.raises(ValueError, match="1E\\+18"):
+            Segment("a", (0.0,), CostRow({2018: 0}, (MONEY_LIMIT,)), 2018)
+
+
 class TestBudgetSchedule:
     def test_years_must_increase(self):
         with pytest.raises(ValueError):
@@ -234,6 +311,30 @@ class TestValidateDataset:
         segments = [seg("a", (0, 0), year=2018)]
         issues = validate_dataset(segments, schedule([1, 1]))  # 2018, 2019
         assert "missing_cost_year" in [i.code for i in issues]
+
+    @given(st.lists(
+        st.sets(st.integers(2017, 2021), min_size=1), min_size=1, max_size=8
+    ))
+    def test_missing_cost_years_match_each_table(self, tables):
+        # rows of one shared index are checked once; the findings must be
+        # those of a year-by-year check of every segment's own table
+        sched = schedule([1, 1, 1])  # 2018, 2019, 2020
+        shared = CostRow(dict.fromkeys((2018, 2020), 0), (Decimal("1.00"),))
+        segments = [
+            Segment(
+                f"s{i}", (0.0,), shared if i % 2 else dict.fromkeys(years, "1.00"), min(years)
+            )
+            for i, years in enumerate(tables)
+        ]
+        expected = [
+            (f"s{i}", year)
+            for i, years in enumerate(tables)
+            for year in sched.years
+            if year not in ({2018, 2020} if i % 2 else years)
+        ]
+        issues = validate_dataset(segments, sched)
+        missing = [i for i in issues if i.code == "missing_cost_year"]
+        assert [(i.message.split()[1], i.year) for i in missing] == expected
 
     def test_bad_scheduled_year_flagged(self):
         segments = [seg("a", (0, 0), year=2030, years=[2018])]
