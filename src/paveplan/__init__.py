@@ -1,15 +1,7 @@
 """Budget-capped spatial clustering of maintenance projects into
 per-fiscal-year plans."""
 
-from .costs import (
-    ConservationReport,
-    CostScenarioMatrix,
-    apply_cost_matrix,
-    conservation_report,
-    flat_cost_table,
-    matrix_from_segments,
-    synthesize_cost_matrix,
-)
+from .costs import ConservationReport, conservation_report, flat_cost_table
 from .geometry import (
     ClusterBalls,
     DistanceOrdering,

@@ -10,8 +10,10 @@ partial output files.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
+import stat
 import sys
 from decimal import Decimal
 from functools import partial
@@ -19,12 +21,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .costs import (
-    apply_cost_matrix,
-    conservation_report,
-    flat_cost_table,
-    matrix_from_segments,
-)
+from .costs import conservation_report, flat_cost_table
 from .io_formats import (
     CsvFormatError,
     PlanDocument,
@@ -84,8 +81,7 @@ def _load_dataset(args: argparse.Namespace) -> tuple[list[Segment], BudgetSchedu
         budgets_text, conservation_tolerance=args.conservation_tolerance
     )
     if args.cost_matrix:
-        matrix = load_cost_matrix(matrix_text)
-        segments = apply_cost_matrix(segments, matrix)
+        segments = load_cost_matrix(matrix_text, segments)
     else:
         segments = flat_cost_table(segments, schedule.years)
     digest = input_digest(segments_text, budgets_text, matrix_text)
@@ -110,6 +106,49 @@ def _with_tolerance_overrides(
     return BudgetSchedule(entries, schedule.conservation_tolerance)
 
 
+def _write_outputs(files: Sequence[tuple[Path, str]], stdout_text: str = "") -> None:
+    """Write each ``(path, text)``, then ``stdout_text`` to standard output.
+
+    A new or regular file is first written to a hidden sibling, and each
+    sibling is renamed over its path only once all are written. So if a write
+    fails, the siblings go, no new file appears and every existing file keeps
+    its bytes. Any other path (``/dev/stdout``, a symlink, a pipe) is written
+    in place after the renames.
+    """
+    staged: list[tuple[Path, Path]] = []
+    in_place: list[tuple[Path, str]] = []
+    try:
+        for number, (path, text) in enumerate(files):
+            path = Path(path)
+            mode = path.lstat().st_mode if os.path.lexists(path) else None
+            if mode is not None and not stat.S_ISREG(mode):
+                if stat.S_ISDIR(mode):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+                in_place.append((path, text))
+                continue
+            sibling = path.with_name(f".{path.name}.{os.getpid()}.{number}.tmp")
+            try:
+                with open(sibling, "x", encoding="utf-8") as file:
+                    staged.append((sibling, path))
+                    file.write(text)
+            except OSError as exc:
+                exc.filename = str(path)  # name the output, not its sibling
+                raise
+            if mode is not None:
+                os.chmod(sibling, stat.S_IMODE(mode))
+    except BaseException:
+        for sibling, _ in staged:
+            sibling.unlink(missing_ok=True)
+        raise
+    for sibling, path in staged:
+        os.replace(sibling, path)
+        _log(f"wrote {path}")
+    for path, text in in_place:
+        path.write_text(text, encoding="utf-8")
+        _log(f"wrote {path}")
+    sys.stdout.write(stdout_text)
+
+
 def _write_plan(
     plan: Plan,
     schedule: BudgetSchedule,
@@ -121,20 +160,16 @@ def _write_plan(
     """Print the plan's diagnostics, then write its document to ``plan_out``
     (stdout if omitted) and its SVG map to ``svg_out`` if given. Nothing is
     written until every artifact is built."""
-    metrics = compute_metrics(plan, schedule, segments)
-    plan_text = emit_plan(plan, metrics, schedule, segments, digest)
-    svg_text = render_plan_svg(plan, segments) if svg_out else None
+    lookup = segment_lookup(segments)
+    metrics = compute_metrics(plan, schedule, lookup)
+    plan_text = emit_plan(plan, metrics, schedule, lookup, digest)
+    files = [(plan_out, plan_text)] if plan_out else []
+    if svg_out:
+        files.append((svg_out, render_plan_svg(plan, lookup)))
     for diag in plan.diagnostics:
         where = f" [{diag.year}]" if diag.year is not None else ""
         print(f"{diag.code}{where}: {diag.message}", file=sys.stderr)
-    if plan_out:
-        Path(plan_out).write_text(plan_text, encoding="utf-8")
-        _log(f"wrote {plan_out}")
-    else:
-        sys.stdout.write(plan_text)
-    if svg_out:
-        Path(svg_out).write_text(svg_text, encoding="utf-8")
-        _log(f"wrote {svg_out}")
+    _write_outputs(files, "" if plan_out else plan_text)
     return 0
 
 
@@ -272,8 +307,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     document = parse_plan_document(_read(args.plan))
     plan = plan_from_document(document)
     segments = _document_segments(args.segments, document)
-    svg = render_plan_svg(plan, segments)
-    Path(args.out).write_text(svg, encoding="utf-8")
+    _write_outputs([(args.out, render_plan_svg(plan, segments))])
     return 0
 
 
@@ -310,20 +344,17 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         growth_rate=args.growth_rate,
         tolerance_fraction=args.tolerance_fraction,
     )
-    segments_text = emit_segments_csv(segments)
-    budgets_text = emit_budgets_csv(schedule)
-    matrix_text = None
+    files = [
+        (args.out_segments, emit_segments_csv(segments)),
+        (args.out_budgets, emit_budgets_csv(schedule)),
+    ]
     if args.out_matrix:
-        matrix_text = emit_cost_matrix_csv(matrix_from_segments(segments, years))
+        files.append((args.out_matrix, emit_cost_matrix_csv(segments, years)))
     elif args.growth_rate:
         raise PavePlanError(
             "--growth-rate produces year-dependent costs; also pass --out-matrix"
         )
-    Path(args.out_segments).write_text(segments_text, encoding="utf-8")
-    Path(args.out_budgets).write_text(budgets_text, encoding="utf-8")
-    if matrix_text is not None:
-        Path(args.out_matrix).write_text(matrix_text, encoding="utf-8")
-    _log(f"wrote {args.out_segments} and {args.out_budgets}")
+    _write_outputs(files)
     return 0
 
 

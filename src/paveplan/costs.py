@@ -1,17 +1,20 @@
 """Year-dependent project costs.
 
-A cost scenario matrix holds, for every project, its price at every horizon
-year; lookups are exact, never interpolated. The synthetic generator stands
-in for per-year planning-software runs: a base cost compounds by a growth
-rate per year away from the project's own scheduled year. Conservation
-accounting compares a plan's realized per-year costs against the budgets.
+A segment's prices live in its ``CostRow``; lookups are exact, never
+interpolated. A cost matrix is no type of its own: it is segments whose rows
+share one year index (``io_formats.load_cost_matrix`` reads one,
+``io_formats.emit_cost_matrix_csv`` writes one). Without a matrix,
+:func:`flat_cost_table` prices each segment at its scheduled-year cost in
+every plan year. :func:`compounded_costs` stands in for per-year
+planning-software runs: a base cost compounds by a growth rate per year away
+from the project's own scheduled year. Conservation accounting compares a
+plan's realized per-year costs against the budgets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
-from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .model import (
@@ -22,105 +25,41 @@ from .model import (
     CostRow,
     Plan,
     Segment,
-    UnknownSegmentError,
     cluster_cost,
-    money,
     segment_lookup,
 )
 
 
-@dataclass(frozen=True)
-class CostScenarioMatrix:
-    """Per-project cost at every horizon year; rows align with ``years``."""
-
-    years: tuple[int, ...]
-    per_segment: Mapping[str, tuple[Decimal, ...]]
-
-    def __post_init__(self) -> None:
-        years = tuple(int(y) for y in self.years)
-        if not years:
-            raise ValueError("matrix needs at least one year")
-        if len(set(years)) != len(years):
-            raise ValueError("matrix years must be unique")
-        rows: dict[str, tuple[Decimal, ...]] = {}
-        for sid, values in self.per_segment.items():
-            row = tuple(money(v) for v in values)
-            if len(row) != len(years):
-                raise ValueError(
-                    f"segment {sid}: expected {len(years)} cost values, got {len(row)}"
-                )
-            if any(v <= 0 for v in row):
-                raise ValueError(f"segment {sid}: all costs must be positive")
-            rows[sid] = row
-        object.__setattr__(self, "years", years)
-        object.__setattr__(self, "per_segment", MappingProxyType(rows))
-
-
-def synthesize_cost_matrix(
-    base_costs: Mapping[str, Decimal],
+def compounded_costs(
+    segment_id: str,
+    base: Decimal,
+    scheduled_year: int,
     years: Sequence[int],
     growth_rate: float,
-    scheduled_years: Mapping[str, int],
-) -> CostScenarioMatrix:
-    """Exponential cost table: each project's base cost compounds by
-    ``growth_rate`` per year away from its own scheduled year (so earlier
-    years discount it), rounded half-up to cents."""
+) -> tuple[Decimal, ...]:
+    """One segment's costs in ``years``, in that order: ``base`` compounded
+    by ``growth_rate`` per position away from ``scheduled_year`` (so earlier
+    years discount it), each rounded half-up to cents."""
     if growth_rate <= -1:
         raise ValueError("growth rate must be greater than -1")
-    years = tuple(int(y) for y in years)
     factor = Decimal(1) + Decimal(str(growth_rate))
-    rows: dict[str, tuple[Decimal, ...]] = {}
-    for sid, base in base_costs.items():
-        base = money(base)
-        if sid not in scheduled_years:
-            raise ValueError(f"no scheduled year for segment {sid}")
-        anchor = scheduled_years[sid]
-        if anchor not in years:
+    anchor = years.index(scheduled_year)
+    row = []
+    for index, year in enumerate(years):
+        value = base * factor ** (index - anchor)
+        if value >= MONEY_LIMIT:
             raise ValueError(
-                f"segment {sid}: scheduled year {anchor} is outside the horizon"
+                f"segment {segment_id}: synthesized cost for year {year} "
+                f"is {value:.3E}, not below {MONEY_LIMIT:.0E}"
             )
-        anchor_index = years.index(anchor)
-        row = []
-        for index in range(len(years)):
-            value = base * factor ** (index - anchor_index)
-            if value >= MONEY_LIMIT:
-                raise ValueError(
-                    f"segment {sid}: synthesized cost for year {years[index]} "
-                    f"is {value:.3E}, not below {MONEY_LIMIT:.0E}"
-                )
-            value = value.quantize(CENT, rounding=ROUND_HALF_UP)
-            if value <= 0:
-                raise ValueError(
-                    f"segment {sid}: synthesized cost for year {years[index]} "
-                    f"rounds to {value}, which is not positive"
-                )
-            row.append(value)
-        rows[sid] = tuple(row)
-    return CostScenarioMatrix(years, rows)
-
-
-def apply_cost_matrix(
-    segments: Iterable[Segment], matrix: CostScenarioMatrix
-) -> list[Segment]:
-    """New segments whose cost rows are the matrix's own row tuples, under
-    one year index shared by all of them."""
-    index = dict(sorted(zip(matrix.years, range(len(matrix.years)))))
-    out = []
-    for seg in segments:
-        if seg.id not in matrix.per_segment:
-            raise UnknownSegmentError(f"segment {seg.id} is missing from the cost matrix")
-        row = CostRow(index, matrix.per_segment[seg.id])
-        out.append(Segment(seg.id, seg.coords, row, seg.scheduled_year))
-    return out
-
-
-def matrix_from_segments(
-    segments: Iterable[Segment], years: Sequence[int]
-) -> CostScenarioMatrix:
-    """Inverse of :func:`apply_cost_matrix`; the round trip is lossless."""
-    years = tuple(int(y) for y in years)
-    rows = {seg.id: tuple(seg.cost_at(y) for y in years) for seg in segments}
-    return CostScenarioMatrix(years, rows)
+        value = value.quantize(CENT, rounding=ROUND_HALF_UP)
+        if value <= 0:
+            raise ValueError(
+                f"segment {segment_id}: synthesized cost for year {year} "
+                f"rounds to {value}, which is not positive"
+            )
+        row.append(value)
+    return tuple(row)
 
 
 def flat_cost_table(segments: Iterable[Segment], years: Sequence[int]) -> list[Segment]:

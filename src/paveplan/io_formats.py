@@ -17,9 +17,9 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from itertools import islice
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
-from .costs import CostScenarioMatrix
 from .metrics import OverallMetrics, PlanMetrics, YearMetrics
 from .model import (
     MONEY_LIMIT,
@@ -234,20 +234,29 @@ def emit_budgets_csv(schedule: BudgetSchedule) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_cost_matrix(text: str) -> CostScenarioMatrix:
-    """Parse the cost-matrix CSV: header ``id,Y<year1>,Y<year2>,...``."""
+def load_cost_matrix(text: str, segments: Iterable[Segment]) -> list[Segment]:
+    """``segments`` priced by the cost-matrix CSV, header ``id,Y<year1>,...``.
+
+    Each segment's costs are its matrix row's tuple, under one year index that
+    all rows share. Each cell is parsed and checked once, here; a segment the
+    matrix lacks raises :class:`UnknownSegmentError`.
+    """
     rows = _rows(text)
     if not rows:
         raise CsvFormatError("cost matrix CSV is empty")
     header = [h.strip() for h in rows[0]]
     if not header or header[0] != "id" or len(header) < 2:
         raise CsvFormatError("header must be 'id,Y<year>,...'", row=1)
-    years = []
-    for name in header[1:]:
+    index: dict[int, int] = {}
+    for position, name in enumerate(header[1:]):
         if not name.startswith("Y"):
             raise CsvFormatError(f"year column {name!r} must start with 'Y'", row=1)
-        years.append(_parse_int(name[1:], 1, name))
-    per_segment: dict[str, tuple[Decimal, ...]] = {}
+        year = _parse_int(name[1:], 1, name)
+        if year in index:
+            raise CsvFormatError(f"duplicate year {year}", row=1, column=name)
+        index[year] = position
+    index = dict(sorted(index.items()))
+    costs_of: dict[str, tuple[Decimal, ...]] = {}
     for line_no, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise CsvFormatError(
@@ -256,25 +265,32 @@ def load_cost_matrix(text: str) -> CostScenarioMatrix:
         sid = row[0].strip()
         if not sid:
             raise CsvFormatError("empty id", row=line_no, column="id")
-        if sid in per_segment:
+        if sid in costs_of:
             raise CsvFormatError(f"duplicate id {sid!r}", row=line_no, column="id")
-        values = tuple(
-            _parse_money(row[i + 1], line_no, header[i + 1]) for i in range(len(years))
-        )
-        if any(v <= 0 for v in values):
-            raise CsvFormatError("costs must be positive", row=line_no)
-        per_segment[sid] = values
-    try:
-        return CostScenarioMatrix(tuple(years), per_segment)
-    except ValueError as exc:
-        raise CsvFormatError(str(exc)) from None
+        costs = []
+        for cell, column in zip(row[1:], header[1:]):
+            cost = _parse_money(cell, line_no, column)
+            if cost <= 0:
+                raise CsvFormatError(
+                    f"cost must be positive, got {cost}", row=line_no, column=column
+                )
+            costs.append(cost)
+        costs_of[sid] = tuple(costs)
+    out = []
+    for seg in segments:
+        if seg.id not in costs_of:
+            raise UnknownSegmentError(f"segment {seg.id} is missing from the cost matrix")
+        row = CostRow(index, costs_of[seg.id])
+        out.append(Segment(seg.id, seg.coords, row, seg.scheduled_year))
+    return out
 
 
-def emit_cost_matrix_csv(matrix: CostScenarioMatrix) -> str:
-    lines = ["id," + ",".join(f"Y{year}" for year in matrix.years)]
-    for sid in sorted(matrix.per_segment):
-        values = ",".join(f"{v:.2f}" for v in matrix.per_segment[sid])
-        lines.append(f"{_csv_cell(sid)},{values}")
+def emit_cost_matrix_csv(segments: Iterable[Segment], years: Sequence[int]) -> str:
+    """The cost-matrix CSV of ``segments`` over ``years``, rows in id order."""
+    lines = ["id," + ",".join(f"Y{year}" for year in years)]
+    for seg in sorted(segments, key=attrgetter("id")):
+        values = ",".join(f"{seg.cost_at(year):.2f}" for year in years)
+        lines.append(f"{_csv_cell(seg.id)},{values}")
     return "\n".join(lines) + "\n"
 
 

@@ -13,7 +13,7 @@ import random
 from decimal import Decimal, ROUND_DOWN
 from typing import Sequence
 
-from .costs import apply_cost_matrix, synthesize_cost_matrix
+from .costs import compounded_costs
 from .model import CENT, ZERO, BudgetEntry, BudgetSchedule, CostRow, Segment, money
 
 
@@ -67,29 +67,30 @@ def synthesize_dataset(
     year_cycle = [years[i % len(years)] for i in range(n)]
     rng.shuffle(year_cycle)
 
-    index = dict.fromkeys(sorted(years), 0)  # every row's one cost, each year
+    if growth_rate:
+        # every row's costs in ``years`` order, one position per year
+        index = dict(sorted(zip(years, range(len(years)))))
+    else:
+        index = dict.fromkeys(sorted(years), 0)  # every row's one cost, each year
     segments: list[Segment] = []
     for i in range(n):
         cx, cy = centers[i % blobs]
         x = rng.gauss(cx, spread)
         y = rng.gauss(cy, spread)
         base = Decimal(rng.randint(500_000, 1_500_000)) / 100  # 5,000.00-15,000.00
+        sid = f"s{i:05d}"
+        if growth_rate:
+            costs = compounded_costs(sid, base, year_cycle[i], years, growth_rate)
+        else:
+            costs = (base,)
         segments.append(
             Segment(
-                id=f"s{i:05d}",
+                id=sid,
                 coords=(x, y),
-                cost_by_year=CostRow(index, (base,)),
+                cost_by_year=CostRow(index, costs),
                 scheduled_year=year_cycle[i],
             )
         )
-    if growth_rate:
-        matrix = synthesize_cost_matrix(
-            {seg.id: seg.base_cost() for seg in segments},
-            years,
-            growth_rate,
-            {seg.id: seg.scheduled_year for seg in segments},
-        )
-        segments = apply_cost_matrix(segments, matrix)
 
     if budgets is None:
         sums = {year: ZERO for year in years}

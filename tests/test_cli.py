@@ -487,21 +487,73 @@ def test_plan_document_money_past_the_limit_exits_2(two_blob_files, tmp_path, ca
     )
 
 
-def test_cost_matrix_plan_bytes(tmp_path, monkeypatch):
-    # no benchmark workload plans with --cost-matrix; pin its bytes here
+@pytest.mark.parametrize(
+    "growth_rate, sha256",
+    [
+        ("0.08", "d497046c8477519dda6f27c98578582a99ef1b5ce65549740097fab451d7fedc"),
+        # discounts later years: pins the half-up rounding both ways
+        ("-0.02", "ef34d6530a608315abceed362fedc7c521177edbca6534a8aaab2cabb4aefba1"),
+    ],
+)
+def test_cost_matrix_plan_bytes(growth_rate, sha256, tmp_path, monkeypatch):
+    # no benchmark workload plans with --cost-matrix; pin its bytes here. The
+    # input digest covers the synthesized CSVs, so this pins them too
     monkeypatch.chdir(tmp_path)
     assert main(
         ["synth", "--n", "300", "--blobs", "3", "--years", "2018:2022", "--seed", "5",
-         "--tolerance-fraction", "0.05", "--growth-rate", "0.08",
+         "--tolerance-fraction", "0.05", "--growth-rate", growth_rate,
          "--out-segments", "s.csv", "--out-budgets", "b.csv", "--out-matrix", "m.csv"]
     ) == 0
     assert main(
         ["cluster", "--segments", "s.csv", "--budgets", "b.csv", "--cost-matrix", "m.csv",
          "--algo", "schedule", "--out", "plan.json"]
     ) == 0
-    assert hashlib.sha256(Path("plan.json").read_bytes()).hexdigest() == (
-        "d497046c8477519dda6f27c98578582a99ef1b5ce65549740097fab451d7fedc"
+    assert hashlib.sha256(Path("plan.json").read_bytes()).hexdigest() == sha256
+
+
+def test_failed_svg_write_leaves_no_plan(two_blob_files, tmp_path, capsys):
+    segments, budgets = two_blob_files
+    command = ["cluster", "--algo", "schedule", "--segments", str(segments),
+               "--budgets", str(budgets), "--out", str(tmp_path / "p.json")]
+    assert main([*command, "--svg", str(tmp_path / "nodir" / "x.svg")]) == 2
+    assert "nodir" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["budgets.csv", "segments.csv"]
+    # an existing plan keeps its bytes
+    (tmp_path / "p.json").write_text("old", encoding="utf-8")
+    assert main([*command, "--svg", str(tmp_path / "nodir" / "x.svg")]) == 2
+    assert (tmp_path / "p.json").read_text(encoding="utf-8") == "old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "budgets.csv", "p.json", "segments.csv"
+    ]
+
+
+def test_failed_matrix_write_leaves_no_synth_output(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("b.csv").write_text("old", encoding="utf-8")
+    code = main(
+        ["synth", "--n", "20", "--blobs", "2", "--years", "2018:2019", "--seed", "1",
+         "--growth-rate", "0.05", "--out-segments", "s.csv", "--out-budgets", "b.csv",
+         "--out-matrix", "nodir/m.csv"]
     )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: [Errno 2] No such file or directory: 'nodir/m.csv'\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["b.csv"]
+    assert Path("b.csv").read_text(encoding="utf-8") == "old"
+
+
+@pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="needs /dev/stdout")
+def test_plan_to_dev_stdout_is_written_in_place(two_blob_files, capfd):
+    segments, budgets = two_blob_files
+    command = ["cluster", "--algo", "schedule", "--segments", str(segments),
+               "--budgets", str(budgets)]
+    assert main(command) == 0
+    expected = capfd.readouterr().out
+    before = os.lstat("/dev/stdout")
+    assert main([*command, "--out", "/dev/stdout"]) == 0
+    assert capfd.readouterr().out == expected
+    assert os.lstat("/dev/stdout") == before  # not replaced by a file
 
 
 def test_plan_document_records_validation_diagnostics(tmp_path):

@@ -2,21 +2,9 @@ from decimal import Decimal
 
 import pytest
 
-from paveplan.costs import (
-    CostScenarioMatrix,
-    apply_cost_matrix,
-    conservation_report,
-    flat_cost_table,
-    matrix_from_segments,
-    synthesize_cost_matrix,
-)
-from paveplan.io_formats import load_segments
-from paveplan.model import (
-    BudgetSchedule,
-    Cluster,
-    Plan,
-    UnknownSegmentError,
-)
+from paveplan.costs import compounded_costs, conservation_report, flat_cost_table
+from paveplan.io_formats import emit_cost_matrix_csv, load_cost_matrix, load_segments
+from paveplan.model import BudgetSchedule, Cluster, Plan
 from paveplan.refine import schedule_aware_plan
 
 from helpers import schedule, seg
@@ -33,89 +21,53 @@ PUBLISHED_ROWS = [
 PUBLISHED_TOTAL = Decimal("21311945.11")
 
 
-class TestCostScenarioMatrix:
-    def test_row_width_must_match_years(self):
-        with pytest.raises(ValueError):
-            CostScenarioMatrix((2018, 2019), {"a": (Decimal("1.00"),)})
-
-    def test_costs_must_be_positive(self):
-        with pytest.raises(ValueError):
-            CostScenarioMatrix((2018,), {"a": (Decimal("0.00"),)})
-
-
-class TestSynthesizeCostMatrix:
+class TestCompoundedCosts:
     def test_zero_growth_is_flat(self):
-        matrix = synthesize_cost_matrix(
-            {"a": Decimal("100.00")}, (2018, 2019, 2020), 0.0, {"a": 2019}
-        )
-        assert matrix.per_segment["a"] == (
-            Decimal("100.00"),
-            Decimal("100.00"),
-            Decimal("100.00"),
-        )
+        costs = compounded_costs("a", Decimal("100.00"), 2019, (2018, 2019, 2020), 0.0)
+        assert costs == (Decimal("100.00"),) * 3
 
     def test_one_year_later_compounds(self):
-        matrix = synthesize_cost_matrix(
-            {"a": Decimal("100.00")}, (2018, 2019), 0.10, {"a": 2018}
-        )
-        assert matrix.per_segment["a"][1] == Decimal("110.00")
+        costs = compounded_costs("a", Decimal("100.00"), 2018, (2018, 2019), 0.10)
+        assert costs[1] == Decimal("110.00")
 
     def test_one_year_earlier_discounts_half_up(self):
-        matrix = synthesize_cost_matrix(
-            {"a": Decimal("100.00")}, (2018, 2019), 0.10, {"a": 2019}
-        )
-        assert matrix.per_segment["a"][0] == Decimal("90.91")  # 100 / 1.1
+        costs = compounded_costs("a", Decimal("100.00"), 2019, (2018, 2019), 0.10)
+        assert costs[0] == Decimal("90.91")  # 100 / 1.1
+
+    def test_negative_growth_rounds_half_up_both_ways(self):
+        # 100 * 0.98 ** -1 = 102.0408..., 100 * 0.98 ** 2 = 96.04 exactly,
+        # 10.25 * 0.98 = 10.045 rounds up to 10.05
+        costs = compounded_costs("a", Decimal("100.00"), 2019, (2018, 2019, 2020, 2021), -0.02)
+        assert costs == tuple(map(Decimal, ("102.04", "100.00", "98.00", "96.04")))
+        costs = compounded_costs("a", Decimal("10.25"), 2018, (2018, 2019), -0.02)
+        assert costs == (Decimal("10.25"), Decimal("10.05"))
 
     def test_growth_rate_floor(self):
-        with pytest.raises(ValueError):
-            synthesize_cost_matrix({"a": Decimal("1.00")}, (2018,), -1.0, {"a": 2018})
+        with pytest.raises(ValueError, match="greater than -1"):
+            compounded_costs("a", Decimal("1.00"), 2018, (2018,), -1.0)
 
     def test_cost_at_or_over_the_money_limit_is_an_error(self):
-        with pytest.raises(ValueError, match="year 2030 is 1.000E\\+18, not below 1E\\+18"):
-            synthesize_cost_matrix(
-                {"a": Decimal("1000000.00")}, range(2018, 2031), 9.0, {"a": 2018}
-            )
+        with pytest.raises(
+            ValueError, match="segment a: synthesized cost for year 2030 is 1.000E\\+18, not below 1E\\+18"
+        ):
+            compounded_costs("a", Decimal("1000000.00"), 2018, tuple(range(2018, 2031)), 9.0)
 
     def test_rounded_to_zero_is_an_error(self):
-        with pytest.raises(ValueError):
-            synthesize_cost_matrix(
-                {"a": Decimal("0.01")}, (2018, 2019), 1.6, {"a": 2019}
-            )
+        with pytest.raises(ValueError, match="segment a: .* 2018 rounds to 0.00"):
+            compounded_costs("a", Decimal("0.01"), 2019, (2018, 2019), 1.6)
 
 
-class TestMatrixSegmentRoundTrip:
-    def test_lossless(self):
-        years = (2018, 2019)
-        segments = [
-            seg("a", (0, 0), cost="10.00", year=2018, years=years),
-            seg("b", (1, 0), cost="4.50", year=2019, years=years),
-        ]
-        matrix = matrix_from_segments(segments, years)
-        rebuilt = apply_cost_matrix(segments, matrix)
-        assert rebuilt == segments
-        assert matrix_from_segments(rebuilt, years) == matrix
-
-    def test_unknown_segment_rejected(self):
-        matrix = CostScenarioMatrix((2018,), {"a": (Decimal("1.00"),)})
-        with pytest.raises(UnknownSegmentError):
-            apply_cost_matrix([seg("b", (0, 0))], matrix)
-
-    def test_flat_equivalence_through_pipeline(self):
-        years = (2018, 2019)
-        base = [
-            seg("a", (0, 0), cost="2.00", year=2018),
-            seg("b", (50, 0), cost="2.00", year=2019),
-        ]
-        flat = flat_cost_table(base, years)
-        matrix = synthesize_cost_matrix(
-            {s.id: s.base_cost() for s in base}, years, 0.0,
-            {s.id: s.scheduled_year for s in base},
-        )
-        via_matrix = apply_cost_matrix(flat, matrix)
-        sched = schedule([2, 2])
-        assert schedule_aware_plan(flat, sched, 0) == schedule_aware_plan(
-            via_matrix, sched, 0
-        )
+def test_flat_and_matrix_costs_give_the_same_plan():
+    years = (2018, 2019)
+    base = [
+        seg("a", (0, 0), cost="2.00", year=2018),
+        seg("b", (50, 0), cost="2.00", year=2019),
+    ]
+    flat = flat_cost_table(base, years)
+    via_matrix = load_cost_matrix(emit_cost_matrix_csv(flat, years), base)
+    assert via_matrix == flat
+    sched = schedule([2, 2])
+    assert schedule_aware_plan(flat, sched, 0) == schedule_aware_plan(via_matrix, sched, 0)
 
 
 def test_flat_table_shares_one_cost_object_per_segment():
@@ -147,20 +99,6 @@ def test_flat_rows_share_one_year_index():
     assert c.cost_by_year._index is not a.cost_by_year._index
     assert tuple(c.cost_by_year) == (*years[::-1], 2051)
     assert c.cost_at(2051) == c.cost_at(2018) == Decimal("7.00")
-
-
-def test_matrix_rows_are_not_copied():
-    years = (2019, 2018)
-    segments = [seg("a", (0, 0), year=2018), seg("b", (1, 0), year=2019)]
-    matrix = CostScenarioMatrix(
-        years,
-        {"a": (Decimal("2.00"), Decimal("1.00")), "b": (Decimal("4.00"), Decimal("3.00"))},
-    )
-    a, b = apply_cost_matrix(segments, matrix)
-    assert a.cost_by_year._costs is matrix.per_segment["a"]
-    assert a.cost_by_year._index is b.cost_by_year._index
-    assert dict(b.cost_by_year) == {2018: Decimal("3.00"), 2019: Decimal("4.00")}
-    assert list(b.cost_by_year) == [2018, 2019]
 
 
 def _published_fixture():

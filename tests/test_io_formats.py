@@ -1,13 +1,15 @@
 import json
 import math
+import operator
 from decimal import Decimal
+from functools import partial
 from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, strategies as st
 
-from paveplan.costs import matrix_from_segments
+import paveplan.io_formats
 from paveplan.io_formats import (
     CsvFormatError,
     build_plan_document,
@@ -34,6 +36,7 @@ from paveplan.model import (
     PavePlanError,
     Plan,
     Segment,
+    UnknownSegmentError,
 )
 from paveplan.radial import landmark_based_radial_clustering
 
@@ -169,7 +172,7 @@ def test_budgets_csv_round_trip(schedule_obj):
         (load_segments, "id,x,scheduled_year", "s{i},0.5,{year}"),
         (load_budgets, "year,budget", "{year},3.00"),
         (load_budgets, "year,budget,e_l,e_h", "{year},3.00,0.50,1.00"),
-        (load_cost_matrix, "id,Y2018,Y2019", "s{i},1.00,2.00"),
+        (partial(load_cost_matrix, segments=[]), "id,Y2018,Y2019", "s{i},1.00,2.00"),
     ],
     ids=["segments", "segments-no-cost", "budgets", "budgets-tolerances", "matrix"],
 )
@@ -222,26 +225,70 @@ class TestLoadBudgets:
         assert emit_budgets_csv(load_budgets(text)) == text
 
 
-class TestCostMatrixCsv:
-    def test_round_trip(self):
-        text = "id,Y2018,Y2019\na,10.00,12.00\nb,4.50,4.60\n"
-        matrix = load_cost_matrix(text)
-        assert matrix.years == (2018, 2019)
-        assert emit_cost_matrix_csv(matrix) == text
+MATRIX = "id,Y2019,Y2018\na,2.00,1.00\nb,4.00,3.00\n"
 
-    def test_matches_matrix_from_segments(self):
+
+class TestCostMatrixCsv:
+    def test_prices_the_segments(self):
+        a, b = load_cost_matrix(MATRIX, [seg("a", (0, 0)), seg("b", (1, 0), year=2019)])
+        assert (a.id, a.coords, a.scheduled_year) == ("a", (0.0, 0.0), 2018)
+        assert dict(b.cost_by_year) == {2018: Decimal("3.00"), 2019: Decimal("4.00")}
+        assert list(b.cost_by_year) == [2018, 2019]
+
+    def test_rows_share_one_index_and_keep_the_parsed_cells(self, monkeypatch):
+        parsed = []
+
+        def parse_money(value, row, column):
+            parsed.append(_parse_money(value, row, column))
+            return parsed[-1]
+
+        _parse_money = paveplan.io_formats._parse_money
+        monkeypatch.setattr(paveplan.io_formats, "_parse_money", parse_money)
+        a, b = load_cost_matrix(MATRIX, [seg("a", (0, 0)), seg("b", (1, 0))])
+        assert a.cost_by_year._index is b.cost_by_year._index
+        # each cell parsed once, and each segment holds its row as parsed
+        assert len(parsed) == 4
+        assert all(map(operator.is_, a.cost_by_year._costs, parsed[:2]))
+        assert all(map(operator.is_, b.cost_by_year._costs, parsed[2:]))
+        assert type(a.cost_by_year._costs) is tuple
+
+    def test_emit_load_round_trip(self):
         years = (2018, 2019)
-        segments = [seg("a", (0, 0), cost="10.00", years=years)]
-        emitted = emit_cost_matrix_csv(matrix_from_segments(segments, years))
-        assert load_cost_matrix(emitted) == matrix_from_segments(segments, years)
+        segments = [
+            Segment("b", (1.0, 0.0), {2018: Decimal("4.50"), 2019: Decimal("4.60")}, 2019),
+            seg("a", (0, 0), cost="10.00", year=2018, years=years),
+        ]
+        text = emit_cost_matrix_csv(segments, years)
+        assert text == "id,Y2018,Y2019\na,10.00,10.00\nb,4.50,4.60\n"
+        assert load_cost_matrix(text, segments) == segments
+        assert emit_cost_matrix_csv(load_cost_matrix(text, segments), years) == text
+
+    def test_unknown_segment_rejected(self):
+        with pytest.raises(UnknownSegmentError, match="segment c is missing"):
+            load_cost_matrix(MATRIX, [seg("a", (0, 0)), seg("c", (1, 0))])
 
     def test_bad_year_column(self):
-        with pytest.raises(CsvFormatError):
-            load_cost_matrix("id,2018\na,1.00\n")
+        with pytest.raises(CsvFormatError, match="row 1"):
+            load_cost_matrix("id,2018\na,1.00\n", [])
+
+    def test_duplicate_year_columns(self):
+        with pytest.raises(CsvFormatError, match="row 1, column 'Y02018': duplicate year 2018"):
+            load_cost_matrix("id,Y2018,Y2019,Y02018\na,1.00,1.00,1.00\n", [])
 
     def test_wrong_row_width(self):
-        with pytest.raises(CsvFormatError):
-            load_cost_matrix("id,Y2018,Y2019\na,1.00\n")
+        with pytest.raises(CsvFormatError, match="row 3: expected 3 fields, got 2"):
+            load_cost_matrix("id,Y2018,Y2019\na,1.00,1.00\nb,1.00\n", [])
+
+    @pytest.mark.parametrize("cell", ["0.00", "-1.00"])
+    def test_costs_must_be_positive(self, cell):
+        with pytest.raises(
+            CsvFormatError, match=f"row 2, column 'Y2019': cost must be positive, got {cell}"
+        ):
+            load_cost_matrix(f"id,Y2018,Y2019\na,1.00,{cell}\n", [])
+
+    def test_malformed_money_names_row_and_column(self):
+        with pytest.raises(CsvFormatError, match="row 2, column 'Y2018': money must have"):
+            load_cost_matrix("id,Y2018\na,1.001\n", [])
 
 
 class TestInputDigest:
