@@ -15,6 +15,7 @@ import json
 import os
 import stat
 import sys
+from dataclasses import asdict
 from decimal import Decimal
 from functools import partial
 from itertools import chain
@@ -33,7 +34,6 @@ from .io_formats import (
     load_budgets,
     load_cost_matrix,
     load_segments,
-    metrics_to_obj,
     parse_plan_document,
     plan_from_document,
     render_plan_svg,
@@ -264,12 +264,13 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     schedule = document.schedule
     metrics = compute_metrics(plan, schedule, segments)
     report = conservation_report(plan, schedule)
-    obj = metrics_to_obj(metrics)
+    obj = asdict(metrics)
     obj["conservation"] = {
         "total_deviation": f"{report.total_deviation:.2f}",
         "within_tolerance": report.within_tolerance,
     }
-    print(json.dumps(obj, indent=2))
+    # money amounts, the only values json cannot write, as "0.00" strings
+    print(json.dumps(obj, indent=2, default="{:.2f}".format))
     return 0
 
 

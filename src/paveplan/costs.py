@@ -6,15 +6,15 @@ share one year index (``io_formats.load_cost_matrix`` reads one,
 ``io_formats.emit_cost_matrix_csv`` writes one). Without a matrix,
 :func:`flat_cost_table` prices each segment at its scheduled-year cost in
 every plan year. :func:`compounded_costs` stands in for per-year
-planning-software runs: a base cost compounds by a growth rate per year away
-from the project's own scheduled year. Conservation accounting compares a
-plan's realized per-year costs against the budgets.
+planning-software runs: a base cost compounds by a growth rate per calendar
+year away from the project's own scheduled year. Conservation accounting
+compares a plan's realized per-year costs against the budgets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, ROUND_HALF_UP
+from decimal import Decimal, Overflow, ROUND_HALF_UP
 from typing import Iterable, Mapping, Sequence
 
 from .model import (
@@ -38,15 +38,17 @@ def compounded_costs(
     growth_rate: float,
 ) -> tuple[Decimal, ...]:
     """One segment's costs in ``years``, in that order: ``base`` compounded
-    by ``growth_rate`` per position away from ``scheduled_year`` (so earlier
-    years discount it), each rounded half-up to cents."""
+    by ``growth_rate`` per calendar year away from ``scheduled_year``, gaps in
+    ``years`` included (earlier years discount it), each rounded half-up to cents."""
     if growth_rate <= -1:
         raise ValueError("growth rate must be greater than -1")
     factor = Decimal(1) + Decimal(str(growth_rate))
-    anchor = years.index(scheduled_year)
     row = []
-    for index, year in enumerate(years):
-        value = base * factor ** (index - anchor)
+    for year in years:
+        try:
+            value = base * factor ** (year - scheduled_year)
+        except Overflow:  # years too far apart for any Decimal
+            value = Decimal("Infinity")
         if value >= MONEY_LIMIT:
             raise ValueError(
                 f"segment {segment_id}: synthesized cost for year {year} "

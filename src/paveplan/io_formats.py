@@ -3,7 +3,9 @@
 Formats are deliberately deterministic: identical inputs yield byte-identical
 documents, money is always rendered with two decimals, and floats use their
 shortest round-trip form. Parsing a document and re-emitting it reproduces
-the original bytes.
+the original bytes. A plan document is written from a fixed template, never
+built as one object; its bytes are ``json.dumps(obj, indent=2) + "\\n"`` of
+the object it describes, which tests and CI check on every supported Python.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal
-from itertools import islice
+from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -336,144 +338,127 @@ class PlanDocument:
     diagnostics: tuple[Diagnostic, ...]
 
 
-def build_plan_document(
-    plan: Plan,
-    metrics: PlanMetrics,
-    schedule: BudgetSchedule,
-    segments: Iterable[Segment] | Mapping[str, Segment],
-    digest: str = "",
-) -> PlanDocument:
-    lookup = segment_lookup(segments)
-    clusters = []
-    for cluster in plan.clusters:
-        members = tuple(
-            DocumentMember(
-                id=sid,
-                coords=lookup[sid].coords,
-                scheduled_year=lookup[sid].scheduled_year,
-                assigned_year=cluster.year,
-                cost_used=lookup[sid].cost_at(cluster.year),
-            )
-            for sid in cluster.member_ids
-        )
-        clusters.append(
-            DocumentCluster(
-                year=cluster.year,
-                center_id=cluster.center_id,
-                budget=cluster.budget,
-                realized_cost=cluster.realized_cost,
-                members=members,
-            )
-        )
-    unassigned = tuple(
-        DocumentMember(
-            id=sid,
-            coords=lookup[sid].coords,
-            scheduled_year=lookup[sid].scheduled_year,
-            assigned_year=None,
-            cost_used=None,
-        )
-        for sid in plan.unassigned_ids
-    )
-    return PlanDocument(
-        format_version=FORMAT_VERSION,
-        input_digest=digest,
-        schedule=schedule,
-        clusters=tuple(clusters),
-        unassigned=unassigned,
-        metrics=metrics,
-        diagnostics=plan.diagnostics,
-    )
-
-
 def _money_str(value: Decimal) -> str:
     return f"{value:.2f}"
 
 
-def _member_obj(member: DocumentMember) -> dict:
-    return {
-        "id": member.id,
-        "coords": list(member.coords),
-        "scheduled_year": member.scheduled_year,
-        "assigned_year": member.assigned_year,
-        "cost_used": None if member.cost_used is None else _money_str(member.cost_used),
-    }
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json spells them
 
 
-def metrics_to_obj(metrics: PlanMetrics) -> dict:
-    return {
-        "per_year": [
-            {
-                "year": y.year,
-                "budget": _money_str(y.budget),
-                "realized_cost": _money_str(y.realized_cost),
-                "utilization": y.utilization,
-                "member_count": y.member_count,
-                "mean_member_distance_to_center": y.mean_member_distance_to_center,
-                "mean_pairwise_distance": y.mean_pairwise_distance,
-                "over_budget": y.over_budget,
-            }
-            for y in metrics.per_year
-        ],
-        "overall": {
-            "total_budget": _money_str(metrics.overall.total_budget),
-            "total_cost": _money_str(metrics.overall.total_cost),
-            "total_deviation": _money_str(metrics.overall.total_deviation),
-            "weighted_mean_dispersion": metrics.overall.weighted_mean_dispersion,
-        },
-        "unassigned_count": metrics.unassigned_count,
-    }
+def _float(value: float) -> str:
+    text = float.__repr__(value)
+    return _FLOAT_WORDS.get(text, text)
+
+
+def _int(value: int | None) -> str:
+    return "null" if value is None else int.__repr__(value)
+
+
+def _money(value: Decimal | None) -> str:
+    return "null" if value is None else f'"{_money_str(value)}"'
+
+
+def _write_array(write, pad: str, items: Iterable, write_item) -> None:
+    """Write the JSON array of ``items`` whose line is indented by ``pad``:
+    ``[]`` when empty, else each ``write_item(item)`` on lines of its own."""
+    opening = "[\n"
+    for item in items:
+        write(opening)
+        write_item(item)
+        opening = ",\n"
+    write("[]" if opening == "[\n" else f"\n{pad}]")
+
+
+def _write_member(write, pad: str, member: tuple) -> None:
+    """Write ``member``, a tuple ``(id, coords, scheduled_year, assigned_year,
+    cost_used)``, as an object indented by ``pad``."""
+    sid, coords, scheduled_year, assigned_year, cost_used = member
+    key, coord = f"\n{pad}  ", f",\n{pad}    "
+    coords = f"[{coord[1:]}{coord.join(map(_float, coords))}{key}]" if coords else "[]"
+    write(
+        f'{pad}{{{key}"id": {_quote(sid)},{key}"coords": {coords},'
+        f'{key}"scheduled_year": {int.__repr__(scheduled_year)},'
+        f'{key}"assigned_year": {_int(assigned_year)},'
+        f'{key}"cost_used": {_money(cost_used)}\n{pad}}}'
+    )
+
+
+def _plan_text(digest, schedule, clusters, unassigned, metrics, diagnostics) -> str:
+    """The plan document, written from a fixed template into one buffer: byte
+    for byte ``json.dumps(obj, indent=2) + "\\n"`` of the object it describes.
+    ``clusters`` pairs each cluster (``year``, ``center_id``, ``budget``,
+    ``realized_cost``) with its members: ``_write_member``'s tuples, as
+    ``unassigned`` holds."""
+    out = io.StringIO()
+    write = out.write
+    write(
+        f'{{\n  "format_version": "{FORMAT_VERSION}",\n  "input_digest": {_quote(digest)},\n'
+        f'  "schedule": {{\n    "conservation_tolerance": '
+        f'{_money(schedule.conservation_tolerance)},\n    "entries": '
+    )
+    _write_array(write, "    ", schedule.entries, lambda e: write(
+        f'      {{\n        "year": {_int(e.year)},\n        "budget": {_money(e.budget)},\n'
+        f'        "low_tolerance": {_money(e.low_tolerance)},\n'
+        f'        "high_tolerance": {_money(e.high_tolerance)}\n      }}'
+    ))
+
+    def write_cluster(item) -> None:
+        cluster, members = item
+        center = "null" if cluster.center_id is None else _quote(cluster.center_id)
+        write(
+            f'    {{\n      "year": {_int(cluster.year)},\n      "center_id": {center},\n'
+            f'      "budget": {_money(cluster.budget)},\n'
+            f'      "realized_cost": {_money(cluster.realized_cost)},\n      "members": '
+        )
+        _write_array(write, "      ", members, lambda m: _write_member(write, "        ", m))
+        write("\n    }")
+
+    write('\n  },\n  "clusters": ')
+    _write_array(write, "  ", clusters, write_cluster)
+    write(',\n  "unassigned": ')
+    _write_array(write, "  ", unassigned, lambda m: _write_member(write, "    ", m))
+    write(',\n  "metrics": {\n    "per_year": ')
+    _write_array(write, "    ", metrics.per_year, lambda y: write(
+        f'      {{\n        "year": {_int(y.year)},\n        "budget": {_money(y.budget)},\n'
+        f'        "realized_cost": {_money(y.realized_cost)},\n'
+        f'        "utilization": {_float(y.utilization)},\n'
+        f'        "member_count": {_int(y.member_count)},\n'
+        f'        "mean_member_distance_to_center": {_float(y.mean_member_distance_to_center)},\n'
+        f'        "mean_pairwise_distance": {_float(y.mean_pairwise_distance)},\n'
+        f'        "over_budget": {"true" if y.over_budget else "false"}\n      }}'
+    ))
+    overall = metrics.overall
+    write(
+        f',\n    "overall": {{\n      "total_budget": {_money(overall.total_budget)},\n'
+        f'      "total_cost": {_money(overall.total_cost)},\n'
+        f'      "total_deviation": {_money(overall.total_deviation)},\n'
+        f'      "weighted_mean_dispersion": {_float(overall.weighted_mean_dispersion)}\n'
+        f'    }},\n    "unassigned_count": {_int(metrics.unassigned_count)}\n  }},\n'
+        '  "diagnostics": '
+    )
+
+    def write_diagnostic(diag: Diagnostic) -> None:
+        write(
+            f'    {{\n      "code": {_quote(diag.code)},\n      "message": {_quote(diag.message)},\n'
+            f'      "year": {_int(diag.year)},\n      "segment_ids": '
+        )
+        _write_array(write, "      ", diag.segment_ids, lambda sid: write("        " + _quote(sid)))
+        write("\n    }")
+
+    _write_array(write, "  ", diagnostics, write_diagnostic)
+    write("\n}\n")
+    return out.getvalue()
 
 
 def document_to_json(document: PlanDocument) -> str:
     """Canonical rendering: fixed key order, 2-decimal money strings,
     shortest round-trip floats. Identical documents are byte-identical."""
-    obj = {
-        "format_version": document.format_version,
-        "input_digest": document.input_digest,
-        "schedule": {
-            "conservation_tolerance": _money_str(document.schedule.conservation_tolerance),
-            "entries": [
-                {
-                    "year": entry.year,
-                    "budget": _money_str(entry.budget),
-                    "low_tolerance": _money_str(entry.low_tolerance),
-                    "high_tolerance": _money_str(entry.high_tolerance),
-                }
-                for entry in document.schedule.entries
-            ],
-        },
-        "clusters": [
-            {
-                "year": cluster.year,
-                "center_id": cluster.center_id,
-                "budget": _money_str(cluster.budget),
-                "realized_cost": _money_str(cluster.realized_cost),
-                "members": [_member_obj(m) for m in cluster.members],
-            }
-            for cluster in document.clusters
-        ],
-        "unassigned": [_member_obj(m) for m in document.unassigned],
-        "metrics": metrics_to_obj(document.metrics),
-        "diagnostics": [
-            {
-                "code": diag.code,
-                "message": diag.message,
-                "year": diag.year,
-                "segment_ids": list(diag.segment_ids),
-            }
-            for diag in document.diagnostics
-        ],
-    }
-    # the encoder json.dumps uses, so the bytes are the same, but joined in
-    # batches instead of from one list of every chunk (~19 MB at 14,400
-    # members); writelines(), one call per chunk, ran ~20% slower on 3.11
-    chunks = json.JSONEncoder(indent=2).iterencode(obj)
-    out = io.StringIO()
-    while batch := list(islice(chunks, 8192)):
-        out.write("".join(batch))
-    out.write("\n")
-    return out.getvalue()
+    fields = attrgetter("id", "coords", "scheduled_year", "assigned_year", "cost_used")
+    clusters = ((c, map(fields, c.members)) for c in document.clusters)
+    return _plan_text(
+        document.input_digest, document.schedule, clusters, map(fields, document.unassigned),
+        document.metrics, document.diagnostics,
+    )
 
 
 def emit_plan(
@@ -483,7 +468,18 @@ def emit_plan(
     segments: Iterable[Segment] | Mapping[str, Segment],
     digest: str = "",
 ) -> str:
-    return document_to_json(build_plan_document(plan, metrics, schedule, segments, digest))
+    """The plan's document, written straight from the plan and its segments."""
+    lookup = segment_lookup(segments)
+
+    def members(ids: Iterable[str], year: int | None = None):
+        for sid in ids:
+            seg = lookup[sid]
+            cost = None if year is None else seg.cost_at(year)
+            yield sid, seg.coords, seg.scheduled_year, year, cost
+
+    clusters = ((c, members(c.member_ids, c.year)) for c in plan.clusters)
+    unassigned = members(plan.unassigned_ids)
+    return _plan_text(digest, schedule, clusters, unassigned, metrics, plan.diagnostics)
 
 
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean"}

@@ -107,3 +107,82 @@ def oracle_cost_table(table):
 def oracle_document_json(obj):
     """The canonical plan document text for the JSON value ``obj``."""
     return json.dumps(obj, indent=2) + "\n"
+
+
+def oracle_plan_obj(plan, metrics, schedule, lookup, digest):
+    """The plan document as plain dicts and lists, built from the plan, its
+    metrics and schedule, and the segments by id: each member with both its
+    years and its cost in its cluster's year, money as two-decimal strings."""
+
+    def cents(amount):
+        return format(amount, ".2f")
+
+    def member(sid, year):
+        seg = lookup[sid]
+        return {
+            "id": sid,
+            "coords": list(seg.coords),
+            "scheduled_year": seg.scheduled_year,
+            "assigned_year": year,
+            "cost_used": None if year is None else cents(seg.cost_by_year[year]),
+        }
+
+    overall = metrics.overall
+    return {
+        "format_version": "1",
+        "input_digest": digest,
+        "schedule": {
+            "conservation_tolerance": cents(schedule.conservation_tolerance),
+            "entries": [
+                {
+                    "year": entry.year,
+                    "budget": cents(entry.budget),
+                    "low_tolerance": cents(entry.low_tolerance),
+                    "high_tolerance": cents(entry.high_tolerance),
+                }
+                for entry in schedule.entries
+            ],
+        },
+        "clusters": [
+            {
+                "year": cluster.year,
+                "center_id": cluster.center_id,
+                "budget": cents(cluster.budget),
+                "realized_cost": cents(cluster.realized_cost),
+                "members": [member(sid, cluster.year) for sid in cluster.member_ids],
+            }
+            for cluster in plan.clusters
+        ],
+        "unassigned": [member(sid, None) for sid in plan.unassigned_ids],
+        "metrics": {
+            "per_year": [
+                {
+                    "year": y.year,
+                    "budget": cents(y.budget),
+                    "realized_cost": cents(y.realized_cost),
+                    "utilization": y.utilization,
+                    "member_count": y.member_count,
+                    "mean_member_distance_to_center": y.mean_member_distance_to_center,
+                    "mean_pairwise_distance": y.mean_pairwise_distance,
+                    "over_budget": y.over_budget,
+                }
+                for y in metrics.per_year
+            ],
+            "overall": {
+                "total_budget": cents(overall.total_budget),
+                "total_cost": cents(overall.total_cost),
+                "total_deviation": cents(overall.total_deviation),
+                "weighted_mean_dispersion": overall.weighted_mean_dispersion,
+            },
+            "unassigned_count": metrics.unassigned_count,
+        },
+        "diagnostics": [
+            {
+                "code": diag.code,
+                "message": diag.message,
+                "year": diag.year,
+                "segment_ids": list(diag.segment_ids),
+            }
+            for diag in plan.diagnostics
+        ],
+    }

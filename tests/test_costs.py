@@ -42,6 +42,20 @@ class TestCompoundedCosts:
         costs = compounded_costs("a", Decimal("10.25"), 2018, (2018, 2019), -0.02)
         assert costs == (Decimal("10.25"), Decimal("10.05"))
 
+    def test_gapped_years_compound_per_calendar_year(self):
+        # 2018 to 2020 is two steps of 1.1 whether or not 2019 is a plan year
+        costs = compounded_costs("a", Decimal("100.00"), 2018, (2018, 2020), 0.10)
+        assert costs == (Decimal("100.00"), Decimal("121.00"))
+        costs = compounded_costs("a", Decimal("100.00"), 2020, (2017, 2020, 2021), 0.10)
+        assert costs == tuple(map(Decimal, ("75.13", "100.00", "110.00")))  # 100 / 1.331
+        assert compounded_costs("a", Decimal("100.00"), 2018, (2020,), 0.10) == (
+            Decimal("121.00"),
+        )
+
+    def test_years_too_far_apart_are_over_the_money_limit(self):
+        with pytest.raises(ValueError, match="year 100000000 is Infinity, not below 1E\\+18"):
+            compounded_costs("a", Decimal("1.00"), 0, (0, 10**8), 0.1)
+
     def test_growth_rate_floor(self):
         with pytest.raises(ValueError, match="greater than -1"):
             compounded_costs("a", Decimal("1.00"), 2018, (2018,), -1.0)

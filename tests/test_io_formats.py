@@ -7,12 +7,11 @@ from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import paveplan.io_formats
 from paveplan.io_formats import (
     CsvFormatError,
-    build_plan_document,
     document_to_json,
     emit_budgets_csv,
     emit_cost_matrix_csv,
@@ -27,11 +26,12 @@ from paveplan.io_formats import (
     plan_from_document,
     render_plan_svg,
 )
-from paveplan.metrics import compute_metrics
+from paveplan.metrics import OverallMetrics, PlanMetrics, YearMetrics, compute_metrics
 from paveplan.model import (
     BudgetEntry,
     BudgetSchedule,
     Cluster,
+    Diagnostic,
     DimensionMismatchError,
     PavePlanError,
     Plan,
@@ -41,7 +41,7 @@ from paveplan.model import (
 from paveplan.radial import landmark_based_radial_clustering
 
 from helpers import csv_texts, seg
-from oracles import oracle_document_json
+from oracles import oracle_document_json, oracle_plan_obj
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -322,8 +322,12 @@ class TestPlanDocument:
 
     def test_document_equality_after_parse(self):
         plan, metrics, schedule_obj, segments, digest = _example_plan()
-        document = build_plan_document(plan, metrics, schedule_obj, segments, digest)
+        document = parse_plan_document(emit_plan(plan, metrics, schedule_obj, segments, digest))
         assert parse_plan_document(document_to_json(document)) == document
+        assert document.input_digest == digest
+        assert document.schedule == schedule_obj
+        assert document.metrics == metrics
+        assert document.diagnostics == plan.diagnostics
 
     def test_plan_reconstruction(self):
         plan, metrics, schedule_obj, segments, digest = _example_plan()
@@ -352,10 +356,15 @@ class TestPlanDocument:
 
     def test_members_carry_both_years(self):
         plan, metrics, schedule_obj, segments, digest = _example_plan()
-        document = build_plan_document(plan, metrics, schedule_obj, segments, digest)
-        member = document.clusters[0].members[0]
-        assert member.assigned_year == document.clusters[0].year
-        assert member.scheduled_year in schedule_obj.years
+        document = parse_plan_document(emit_plan(plan, metrics, schedule_obj, segments, digest))
+        lookup = {seg.id: seg for seg in segments}
+        for cluster in document.clusters:
+            for member in cluster.members:
+                assert member.assigned_year == cluster.year
+                assert member.scheduled_year == lookup[member.id].scheduled_year
+                assert member.scheduled_year in schedule_obj.years
+                assert member.cost_used == lookup[member.id].cost_at(cluster.year)
+        assert any(m.scheduled_year != c.year for c in document.clusters for m in c.members)
 
 
 def _node_paths(node, prefix=()):
@@ -386,10 +395,18 @@ def _money_text(cents):
     return cents.map(lambda c: f"{Decimal(c) / 100:.2f}")
 
 
-TEXTS = st.text(max_size=8) | st.sampled_from(
-    ['q"u\\o"te', "\u00e9t\u00e9 \u2603", "\x00\x1f\n\t\u2028"]
-)
-FLOATS = st.floats() | st.sampled_from([-0.0, 1e16, math.nan, math.inf, -math.inf])
+# every C0 control, DEL, both Unicode line breaks and a lone surrogate,
+# which json.loads can produce
+AWKWARD_TEXTS = [
+    'q"u\\o"te',
+    "\u00e9t\u00e9 \u2603",
+    "\x00\x1f\n\t\u2028",
+    "".join(map(chr, range(0x20))) + "\x7f\u2029",
+    "\ud800",
+]
+TEXTS = st.text(max_size=8) | st.sampled_from(AWKWARD_TEXTS)
+AWKWARD_FLOATS = [-0.0, 5e-324, 1e16, 1.7976931348623157e308, 1e22, -1e-7]
+FLOATS = st.floats() | st.sampled_from([*AWKWARD_FLOATS, math.nan, math.inf, -math.inf])
 YEARS = st.integers(-10_000, 10_000)
 MONEY = _money_text(st.integers(-10**12, 10**12)) | st.just("-0.00")
 POSITIVE_MONEY = _money_text(st.integers(1, 10**12))
@@ -480,8 +497,109 @@ def test_document_json_is_json_dumps(obj):
     assert document_to_json(parse_plan_document(text)) == text
 
 
+WRITE_IDS = st.text(min_size=1, max_size=6) | st.sampled_from(AWKWARD_TEXTS)
+COORDS = st.lists(
+    st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(AWKWARD_FLOATS),
+    min_size=1,
+    max_size=3,
+)
+CENTS = st.integers(1, 10**12).map(lambda c: Decimal(c) / 100)
+
+
+@st.composite
+def _plans(draw):
+    """A plan, its metrics and schedule, its segments by id and a digest:
+    any ids and coordinates, empty clusters, unassigned segments, and
+    metrics and diagnostics with any values the document holds."""
+    years = sorted(draw(st.sets(YEARS, max_size=3)))
+    ids = draw(st.lists(WRITE_IDS, unique=True, max_size=6))
+    where = [draw(st.integers(-1, len(years) - 1)) for _ in ids]  # -1: unassigned
+    lookup = {}
+    for sid in ids:
+        scheduled = draw(YEARS)
+        costs = {year: draw(CENTS) for year in {*years, scheduled}}
+        lookup[sid] = Segment(sid, tuple(draw(COORDS)), costs, scheduled)
+    clusters = []
+    for index, year in enumerate(years):
+        members = [sid for sid, at in zip(ids, where) if at == index]
+        center = draw(st.sampled_from(members)) if members else None
+        clusters.append(Cluster(year, center, tuple(members), draw(CENTS), draw(CENTS)))
+    unassigned = tuple(sid for sid, at in zip(ids, where) if at == -1)
+    diagnostics = draw(
+        st.lists(
+            st.builds(
+                Diagnostic, TEXTS, TEXTS, st.none() | YEARS, st.lists(WRITE_IDS, max_size=2)
+            ),
+            max_size=2,
+        )
+    )
+    plan = Plan(tuple(clusters), unassigned, tuple(diagnostics))
+    entries = []
+    for year in years:
+        budget = draw(st.integers(1, 10**12))
+        low = draw(st.integers(0, budget - 1))
+        entries.append(BudgetEntry(year, Decimal(budget) / 100, Decimal(low) / 100, draw(CENTS)))
+    schedule_obj = BudgetSchedule(tuple(entries), draw(CENTS))
+    per_year = tuple(
+        YearMetrics(
+            c.year, c.budget, c.realized_cost, draw(FLOATS), c.size,
+            draw(FLOATS), draw(FLOATS), draw(st.booleans()),
+        )
+        for c in clusters
+    )
+    overall = OverallMetrics(draw(CENTS), draw(CENTS), -draw(CENTS), draw(FLOATS))
+    metrics = PlanMetrics(per_year, overall, len(unassigned))
+    return plan, metrics, schedule_obj, lookup, draw(TEXTS)
+
+
+def _awkward_case():
+    """One plan holding every awkward value ``_plans`` may draw."""
+    segments = [
+        Segment(sid, coords, {2018: Decimal("1.00"), 2020: Decimal("2.50")}, 2018)
+        for sid, coords in zip(
+            AWKWARD_TEXTS, [(-0.0,), (5e-324, 1e16), (1e22, -1e-7, 0.5), (1.0, 2.0), (3.0,)]
+        )
+    ]
+    ids = [seg.id for seg in segments]
+    plan = Plan(
+        (
+            Cluster(2018, ids[1], tuple(ids[:3]), Decimal("3.00"), Decimal("4.00")),
+            Cluster(2019, None, (), Decimal("0.00"), Decimal("4.00")),
+        ),
+        tuple(ids[3:]),
+        (
+            Diagnostic("empty_cluster", "year 2019 is empty", None, ()),
+            Diagnostic("c\u2028", 'm"\\', 2019, tuple(ids[3:])),
+        ),
+    )
+    schedule_obj = BudgetSchedule(
+        (BudgetEntry(2018, Decimal("4.00")), BudgetEntry(2019, Decimal("4.00"))),
+        Decimal("0.50"),
+    )
+    metrics = PlanMetrics(
+        (
+            YearMetrics(2018, Decimal("4.00"), Decimal("3.00"), 0.75, 3, math.nan, 1e16, False),
+            YearMetrics(2019, Decimal("4.00"), Decimal("0.00"), 0.0, 0, -0.0, math.inf, True),
+        ),
+        OverallMetrics(Decimal("8.00"), Decimal("3.00"), Decimal("-5.00"), -math.inf),
+        2,
+    )
+    return plan, metrics, schedule_obj, {seg.id: seg for seg in segments}, "d\u00efgest"
+
+
+@given(_plans())
+@example(_awkward_case())
+def test_emit_plan_is_json_dumps(case):
+    # the write side never builds a PlanDocument, so the parse-side property
+    # above cannot see it; this one builds the object independently
+    plan, metrics, schedule_obj, lookup, digest = case
+    text = emit_plan(plan, metrics, schedule_obj, lookup, digest)
+    assert text == oracle_document_json(oracle_plan_obj(*case))
+    assert document_to_json(parse_plan_document(text)) == text
+
+
 def test_large_document_json_is_json_dumps():
-    # far more encoder chunks than one write batch holds
+    # thousands of members, not the golden document's six
     obj = json.loads(GOLDEN_TEXT)
     member = obj["clusters"][0]["members"][0]
     obj["unassigned"] = [
