@@ -38,7 +38,7 @@ from .io_formats import (
     plan_from_document,
     render_plan_svg,
 )
-from .metrics import compare_plans, compute_metrics, plan_from_schedule
+from .metrics import PlanMetrics, baseline_plan, compare_plans, compute_metrics
 from .model import (
     BudgetEntry,
     BudgetSchedule,
@@ -130,7 +130,9 @@ def _write_outputs(files: Sequence[tuple[Path, str]], stdout_text: str = "") -> 
             try:
                 with open(sibling, "x", encoding="utf-8") as file:
                     staged.append((sibling, path))
-                    file.write(text)
+                    # in slices: one write would hold a UTF-8 copy of the whole text
+                    for start in range(0, len(text), 1 << 16):
+                        file.write(text[start : start + (1 << 16)])
             except OSError as exc:
                 exc.filename = str(path)  # name the output, not its sibling
                 raise
@@ -151,17 +153,16 @@ def _write_outputs(files: Sequence[tuple[Path, str]], stdout_text: str = "") -> 
 
 def _write_plan(
     plan: Plan,
+    metrics: PlanMetrics,
     schedule: BudgetSchedule,
-    segments: Sequence[Segment],
+    lookup: Mapping[str, Segment],
     digest: str,
     plan_out: Path | None,
     svg_out: Path | None = None,
 ) -> int:
-    """Print the plan's diagnostics, then write its document to ``plan_out``
-    (stdout if omitted) and its SVG map to ``svg_out`` if given. Nothing is
-    written until every artifact is built."""
-    lookup = segment_lookup(segments)
-    metrics = compute_metrics(plan, schedule, lookup)
+    """Print the plan's diagnostics, then write its document, with
+    ``metrics``, to ``plan_out`` (stdout if omitted) and its SVG map to
+    ``svg_out`` if given. Nothing is written until every artifact is built."""
     plan_text = emit_plan(plan, metrics, schedule, lookup, digest)
     files = [(plan_out, plan_text)] if plan_out else []
     if svg_out:
@@ -221,7 +222,9 @@ def _cmd_cluster(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         plan = schedule_aware_plan(
             segments, schedule, axis, strict=args.strict, skip_mode=args.skip_mode
         )
-    return _write_plan(plan, schedule, segments, digest, args.out, args.svg)
+    lookup = segment_lookup(segments)
+    metrics = compute_metrics(plan, schedule, lookup)
+    return _write_plan(plan, metrics, schedule, lookup, digest, args.out, args.svg)
 
 
 def _document_segments(path: Path, *documents: PlanDocument) -> Mapping[str, Segment]:
@@ -314,8 +317,8 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
     segments, schedule, digest = _load_dataset(args)
-    plan = plan_from_schedule(segments, schedule)
-    return _write_plan(plan, schedule, segments, digest, args.out)
+    plan, metrics = baseline_plan(segments, schedule)
+    return _write_plan(plan, metrics, schedule, segment_lookup(segments), digest, args.out)
 
 
 def _parse_years(spec: str) -> tuple[int, ...]:

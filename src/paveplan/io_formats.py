@@ -518,16 +518,12 @@ def _int_field(obj: dict, key: str, optional: bool = False) -> int | None:
     )
 
 
-def _is_number(value) -> bool:
-    # bool is an int subclass, but true is not a number in a plan document
-    return type(value) is float or type(value) is int
-
-
 def _float_field(obj: dict, key: str) -> float:
+    """``obj[key]``, a JSON float: ``101`` and ``true`` re-emit as other bytes."""
     value = _field(obj, key)
-    if not _is_number(value):
-        raise PavePlanError(f"plan document field {key!r} must be a number")
-    return float(value)
+    if type(value) is not float:
+        raise PavePlanError(f"plan document field {key!r} must be a number written as a float")
+    return value
 
 
 def _money_field(
@@ -559,17 +555,42 @@ def _cluster_budget(obj: dict) -> Decimal:
     return budget
 
 
-def _parse_member(obj: dict) -> DocumentMember:
+def _parse_member(obj: dict, year: int | None) -> DocumentMember:
+    """A member of the cluster of ``year``, or an unassigned one: it must
+    have that ``assigned_year``, and a ``cost_used`` just when it has a year."""
     coords = _field(obj, "coords", list)
-    if not all(map(_is_number, coords)):
-        raise PavePlanError("plan document field 'coords' must hold numbers")
-    return DocumentMember(
+    if not all(type(c) is float for c in coords):
+        raise PavePlanError("plan document field 'coords' must hold numbers written as floats")
+    member = DocumentMember(
         id=_field(obj, "id", str),
-        coords=tuple(map(float, coords)),
+        coords=tuple(coords),
         scheduled_year=_int_field(obj, "scheduled_year"),
         assigned_year=_int_field(obj, "assigned_year", optional=True),
         cost_used=_money_field(obj, "cost_used", optional=True),
     )
+    if member.assigned_year != year or (member.cost_used is None) != (year is None):
+        where = "unassigned" if year is None else f"in cluster {year}"
+        raise PavePlanError(
+            f"plan document member {member.id!r} {where} has assigned_year "
+            f"{member.assigned_year} and cost_used {member.cost_used}"
+        )
+    return member
+
+
+def _parse_cluster(obj: dict) -> DocumentCluster:
+    year = _int_field(obj, "year")
+    cluster = DocumentCluster(
+        year=year,
+        center_id=_field(obj, "center_id", str, optional=True),
+        budget=_cluster_budget(obj),
+        realized_cost=_money_field(obj, "realized_cost", limit=TOTAL_LIMIT),
+        members=tuple(_parse_member(m, year) for m in _objects(obj, "members")),
+    )
+    if sum(m.cost_used for m in cluster.members) != cluster.realized_cost:
+        raise PavePlanError(
+            f"plan document cluster {year}: its members' cost_used do not sum to its realized_cost"
+        )
+    return cluster
 
 
 def parse_plan_document(text: str) -> PlanDocument:
@@ -589,8 +610,7 @@ def parse_plan_document(text: str) -> PlanDocument:
     try:
         return _document_from_json(obj)
     except (ValueError, ArithmeticError) as exc:
-        # a value the schedule refuses (a non-positive budget, years out of
-        # order) or an integer too large for a float
+        # a value the schedule refuses (a non-positive budget, years out of order)
         raise PavePlanError(f"plan document has a bad value: {exc}") from None
 
 
@@ -608,16 +628,7 @@ def _document_from_json(obj: dict) -> PlanDocument:
         ),
         conservation_tolerance=_money_field(schedule_obj, "conservation_tolerance"),
     )
-    clusters = tuple(
-        DocumentCluster(
-            year=_int_field(c, "year"),
-            center_id=_field(c, "center_id", str, optional=True),
-            budget=_cluster_budget(c),
-            realized_cost=_money_field(c, "realized_cost", limit=TOTAL_LIMIT),
-            members=tuple(_parse_member(m) for m in _objects(c, "members")),
-        )
-        for c in _objects(obj, "clusters")
-    )
+    clusters = tuple(map(_parse_cluster, _objects(obj, "clusters")))
     metrics_obj = _field(obj, "metrics", dict)
     overall = _field(metrics_obj, "overall", dict)
     metrics = PlanMetrics(
@@ -662,7 +673,7 @@ def _document_from_json(obj: dict) -> PlanDocument:
         input_digest=_field(obj, "input_digest", str),
         schedule=schedule,
         clusters=clusters,
-        unassigned=tuple(_parse_member(m) for m in _objects(obj, "unassigned")),
+        unassigned=tuple(_parse_member(m, None) for m in _objects(obj, "unassigned")),
         metrics=metrics,
         diagnostics=tuple(diagnostics),
     )

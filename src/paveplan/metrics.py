@@ -9,6 +9,10 @@ clamped) when an over-budget singleton pushes it past 1.
 Every float sum here is added left to right from ``0.0``, so the figures are
 the same bits on every supported Python: ``sum()`` compensates its float
 total on Python >= 3.12 and ``math.fsum`` rounds once at the end.
+
+``baseline_plan`` measures each member pair once for its medoid and both
+dispersion figures, and gets ``compute_metrics``' bits: ``math.dist(a, b)``
+is ``math.dist(b, a)``, and ``_pair_sums`` adds every sum in the same order.
 """
 
 from __future__ import annotations
@@ -107,27 +111,13 @@ def mean_pairwise_distance(cluster: Cluster, lookup: Mapping[str, Segment]) -> f
     return total / (len(coords) * (len(coords) - 1) // 2)
 
 
-def compute_metrics(
-    plan: Plan,
-    schedule: BudgetSchedule,
-    segments: Iterable[Segment] | Mapping[str, Segment],
-) -> PlanMetrics:
-    """Fill every metrics field for the plan; purely a function of its inputs.
-    A year whose distances overflow the float range raises PavePlanError."""
-    if len(plan.clusters) != len(schedule.entries) or any(
-        c.year != e.year for c, e in zip(plan.clusters, schedule.entries)
-    ):
-        raise ValueError("plan clusters do not align with the schedule years")
-    lookup = segment_lookup(segments)
-    for sid in plan.unassigned_ids:
-        if sid not in lookup:
-            raise UnknownSegmentError(f"unassigned id {sid!r} is unknown")
+def _plan_metrics(plan: Plan, figures: Iterable[tuple[float, float]]) -> PlanMetrics:
+    """``plan``'s metrics from each cluster's (mean distance to center, mean
+    pairwise distance); a year whose distances overflow raises PavePlanError."""
     per_year = []
     weighted = 0.0
     weight = 0
-    for cluster in plan.clusters:
-        to_center = mean_distance_to_center(cluster, lookup)
-        pairwise = mean_pairwise_distance(cluster, lookup)
+    for cluster, (to_center, pairwise) in zip(plan.clusters, figures):
         per_year.append(
             YearMetrics(
                 year=cluster.year,
@@ -155,49 +145,67 @@ def compute_metrics(
     return PlanMetrics(tuple(per_year), overall, len(plan.unassigned_ids))
 
 
-def _medoid(members: Sequence[Segment]) -> Segment:
-    """The member with the least total distance to all members; the smaller
-    id wins a tie."""
-    coords = [seg.coords for seg in members]
-    check_same_dimension(coords)
-    return min(members, key=lambda seg: (_distance_total(seg.coords, coords), seg.id))
+def compute_metrics(
+    plan: Plan,
+    schedule: BudgetSchedule,
+    segments: Iterable[Segment] | Mapping[str, Segment],
+) -> PlanMetrics:
+    """Fill every metrics field for the plan; purely a function of its inputs.
+    A year whose distances overflow the float range raises PavePlanError."""
+    if len(plan.clusters) != len(schedule.entries) or any(
+        c.year != e.year for c, e in zip(plan.clusters, schedule.entries)
+    ):
+        raise ValueError("plan clusters do not align with the schedule years")
+    lookup = segment_lookup(segments)
+    for sid in plan.unassigned_ids:
+        if sid not in lookup:
+            raise UnknownSegmentError(f"unassigned id {sid!r} is unknown")
+    figures = (
+        (mean_distance_to_center(c, lookup), mean_pairwise_distance(c, lookup))
+        for c in plan.clusters
+    )
+    return _plan_metrics(plan, figures)
 
 
-def plan_from_schedule(
+def _pair_sums(coords: Sequence[Sequence[float]]) -> tuple[list[float], float]:
+    """Each point's ``_distance_total`` over ``coords`` (in member order,
+    skipping only its own ``+ 0.0``) and ``mean_pairwise_distance``'s
+    row-major pair sum, from one distance per pair; dimensions are the
+    caller's check."""
+    totals = [0.0] * len(coords)
+    pair_total = 0.0
+    for k, a in enumerate(coords):
+        row = list(map(math.dist, repeat(a), coords[k + 1 :]))
+        totals[k] = reduce(add, row, totals[k])
+        totals[k + 1 :] = map(add, totals[k + 1 :], row)
+        pair_total = reduce(add, row, pair_total)
+    return totals, pair_total
+
+
+def _schedule_plan(
     segments: Iterable[Segment], schedule: BudgetSchedule
-) -> Plan:
-    """The plan the input schedule already implies: one cluster per year
-    holding the segments scheduled in it, centered on the medoid.
-
-    Useful as the before side of a comparison against any re-clustering.
-    """
+) -> tuple[Plan, list[tuple[float, float]]]:
+    """``plan_from_schedule``'s plan, and each cluster's figures for ``_plan_metrics``."""
     segments = list(segments)
     plan_years = set(schedule.years)
     clusters = []
+    figures = []
     for entry in schedule.entries:
         members = [seg for seg in segments if seg.scheduled_year == entry.year]
+        center_id, to_center, pairwise = None, 0.0, 0.0
         if members:
-            center = _medoid(members)
-            realized = sum((seg.cost_at(entry.year) for seg in members), ZERO)
-            clusters.append(
-                Cluster(
-                    year=entry.year,
-                    center_id=center.id,
-                    member_ids=tuple(seg.id for seg in members),
-                    realized_cost=realized,
-                    budget=entry.budget,
-                )
-            )
-        else:
-            clusters.append(
-                Cluster(
-                    year=entry.year,
-                    center_id=None,
-                    member_ids=(),
-                    realized_cost=ZERO,
-                    budget=entry.budget,
-                )
-            )
+            coords = [seg.coords for seg in members]
+            check_same_dimension(coords)
+            totals, pair_total = _pair_sums(coords)
+            # the medoid: least total distance, the smaller id on a tie
+            total, center_id = min(zip(totals, (seg.id for seg in members)))
+            m = len(members)
+            to_center = total / m
+            pairwise = pair_total / (m * (m - 1) // 2) if m > 1 else 0.0
+        ids = tuple(seg.id for seg in members)
+        realized = sum((seg.cost_at(entry.year) for seg in members), ZERO)
+        clusters.append(Cluster(entry.year, center_id, ids, realized, entry.budget))
+        figures.append((to_center, pairwise))
     unassigned = tuple(seg.id for seg in segments if seg.scheduled_year not in plan_years)
     diagnostics = ()
     if unassigned:
@@ -208,7 +216,25 @@ def plan_from_schedule(
                 segment_ids=unassigned,
             ),
         )
-    return Plan(tuple(clusters), unassigned, diagnostics)
+    return Plan(tuple(clusters), unassigned, diagnostics), figures
+
+
+def plan_from_schedule(segments: Iterable[Segment], schedule: BudgetSchedule) -> Plan:
+    """The plan the input schedule already implies: one cluster per year
+    holding the segments scheduled in it, centered on the medoid (the member
+    with the least total distance to all members; the smaller id on a tie).
+
+    Useful as the before side of a comparison against any re-clustering.
+    """
+    return _schedule_plan(segments, schedule)[0]
+
+
+def baseline_plan(
+    segments: Iterable[Segment], schedule: BudgetSchedule
+) -> tuple[Plan, PlanMetrics]:
+    """``plan_from_schedule``'s plan and its metrics, from one distance per pair."""
+    plan, figures = _schedule_plan(segments, schedule)
+    return plan, _plan_metrics(plan, figures)
 
 
 @dataclass(frozen=True)

@@ -511,6 +511,42 @@ def test_cost_matrix_plan_bytes(growth_rate, sha256, tmp_path, monkeypatch):
     assert hashlib.sha256(Path("plan.json").read_bytes()).hexdigest() == sha256
 
 
+EMPTY_AND_SINGLETON_SEGMENTS = (
+    "id,x,y,scheduled_year,cost\n"
+    "n1,0.5,0.25,2018,3.10\n"
+    "n2,7.125,-2.5,2018,4.20\n"
+    "n3,3.3,9.1,2018,1.05\n"
+    "n4,-4.75,1.5,2018,2.00\n"
+    "solo,12.5,-7.25,2020,6.00\n"
+    "late,1,1,2031,1.00\n"
+)
+EMPTY_AND_SINGLETON_BUDGETS = "year,budget\n2018,10.35\n2019,5.00\n2020,6.00\n"
+
+
+@pytest.mark.parametrize(
+    "case, sha256",
+    [
+        ("synth", "9668a667ce5c34ee6bdb2f55cfe49ad27d1beb2190fef82404f24bb61a265bd3"),
+        # 2019 holds no project, 2020 one, and one project lies past the plan
+        ("empty-and-singleton", "18da65348bed09b50b7ac9356be89a50a3e3b26292f063cefda5fbf12ecdec61"),
+    ],
+)
+def test_baseline_plan_bytes(case, sha256, tmp_path, monkeypatch):
+    # the baseline writes its medoids and dispersion figures from one pass
+    # over each year's pairs; pin the bytes the two-pass code wrote
+    monkeypatch.chdir(tmp_path)
+    if case == "synth":
+        assert main(
+            ["synth", "--n", "300", "--blobs", "3", "--years", "2018:2022", "--seed", "5",
+             "--tolerance-fraction", "0.05", "--out-segments", "s.csv", "--out-budgets", "b.csv"]
+        ) == 0
+    else:
+        Path("s.csv").write_text(EMPTY_AND_SINGLETON_SEGMENTS, encoding="utf-8")
+        Path("b.csv").write_text(EMPTY_AND_SINGLETON_BUDGETS, encoding="utf-8")
+    assert main(["baseline", "--segments", "s.csv", "--budgets", "b.csv", "--out", "plan.json"]) == 0
+    assert hashlib.sha256(Path("plan.json").read_bytes()).hexdigest() == sha256
+
+
 def test_failed_svg_write_leaves_no_plan(two_blob_files, tmp_path, capsys):
     segments, budgets = two_blob_files
     command = ["cluster", "--algo", "schedule", "--segments", str(segments),
@@ -822,6 +858,63 @@ def test_fractional_year_in_plan_document_exits_2(
     assert not (tmp_path / "plan.svg").exists()
 
 
+def _golden_document(edit):
+    obj = json.loads(
+        (Path(__file__).parent / "data" / "two_blob_plan.json").read_text(encoding="utf-8")
+    )
+    edit(obj)
+    return json.dumps(obj, indent=2)
+
+
+def _edit_member(**fields):
+    return lambda obj: obj["clusters"][0]["members"][0].update(fields)
+
+
+def _edit_utilization(obj):
+    obj["metrics"]["per_year"][0]["utilization"] = 1
+
+
+@pytest.mark.parametrize("command", ["metrics", "render", "compare"])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # each would re-emit as other bytes: 101.0, 1.0
+        (_edit_member(coords=[101, 0]), "field 'coords' must hold numbers written as floats"),
+        (_edit_utilization, "field 'utilization' must be a number written as a float"),
+        # the first 2018 member, moved to another year at another cost
+        (_edit_member(assigned_year=1999, cost_used="123.45"), "member 'b2' in cluster 2018"),
+        (_edit_member(cost_used="123.45"), "cluster 2018: its members' cost_used do not sum"),
+    ],
+    ids=["int-coords", "int-utilization", "member-year", "member-cost"],
+)
+def test_inconsistent_plan_document_exits_2(
+    command, edit, message, two_blob_files, tmp_path, capsys
+):
+    segments, _ = two_blob_files
+    plan = tmp_path / "plan.json"
+    plan.write_text(_golden_document(edit), encoding="utf-8")
+    args = {
+        "metrics": ["--plan", str(plan)],
+        "render": ["--plan", str(plan), "--out", str(tmp_path / "plan.svg")],
+        "compare": ["--before", str(plan), "--after", str(plan)],
+    }[command]
+    assert main([command, *args, "--segments", str(segments)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: plan document") and message in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["budgets.csv", "plan.json", "segments.csv"]
+
+
+def test_over_budget_singleton_plan_reads_back(tmp_path, capsys):
+    segments = tmp_path / "segments.csv"
+    budgets = tmp_path / "budgets.csv"
+    segments.write_text("id,x,y,scheduled_year,cost\na,0,0,2018,5.00\n", encoding="utf-8")
+    budgets.write_text("year,budget\n2018,3.00\n", encoding="utf-8")
+    plan = _plan_file("cluster", segments, budgets, tmp_path / "plan.json", "--algo", "landmark")
+    assert "over_budget_singleton" in capsys.readouterr().err
+    assert main(["metrics", "--plan", str(plan), "--segments", str(segments)]) == 0
+    assert json.loads(capsys.readouterr().out)["per_year"][0]["over_budget"] is True
+
+
 @settings(deadline=None)
 @given(
     segments_text=csv_texts("id,x,y,scheduled_year,cost", "s{i},{i},0,{year},1.00"),
@@ -856,7 +949,9 @@ def test_render_unknown_segment_exits_2(two_blob_files, tmp_path, capsys):
     obj = json.loads(
         (Path(__file__).parent / "data" / "two_blob_plan.json").read_text(encoding="utf-8")
     )
-    obj["unassigned"].append(dict(obj["clusters"][0]["members"][0], id="zz"))
+    obj["unassigned"].append(
+        dict(obj["clusters"][0]["members"][0], id="zz", assigned_year=None, cost_used=None)
+    )
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps(obj), encoding="utf-8")
     code = main(

@@ -430,32 +430,44 @@ def _schedule_objs(draw):
     return {"conservation_tolerance": tolerance, "entries": entries}
 
 
-def _members(assigned):
+def _members(year=None):
+    """Members assigned to ``year`` at some cost, or unassigned if None."""
     member = _ordered(
         id=TEXTS,
         coords=st.lists(FLOATS, min_size=1, max_size=3),
         scheduled_year=YEARS,
-        assigned_year=YEARS if assigned else st.none(),
-        cost_used=MONEY if assigned else st.none(),
+        assigned_year=st.none() if year is None else st.just(year),
+        cost_used=st.none() if year is None else MONEY,
     )
     return st.lists(member, max_size=3)
+
+
+@st.composite
+def _cluster_objs(draw):
+    # a parsed cluster's members are in its year and sum to its realized cost
+    year = draw(YEARS)
+    center_id = draw(st.none() | TEXTS)
+    budget = draw(POSITIVE_MONEY)
+    members = draw(_members(year))
+    realized = sum((Decimal(m["cost_used"]) for m in members), Decimal("0.00"))
+    realized_cost = f"{realized:.2f}"
+    if realized == 0:
+        realized_cost = draw(st.sampled_from([realized_cost, "-0.00"]))
+    return {
+        "year": year,
+        "center_id": center_id,
+        "budget": budget,
+        "realized_cost": realized_cost,
+        "members": members,
+    }
 
 
 DOCUMENT_OBJS = _ordered(
     format_version=st.just("1"),
     input_digest=TEXTS,
     schedule=_schedule_objs(),
-    clusters=st.lists(
-        _ordered(
-            year=YEARS,
-            center_id=st.none() | TEXTS,
-            budget=POSITIVE_MONEY,
-            realized_cost=MONEY,
-            members=_members(assigned=True),
-        ),
-        max_size=3,
-    ),
-    unassigned=_members(assigned=False),
+    clusters=st.lists(_cluster_objs(), max_size=3),
+    unassigned=_members(),
     metrics=_ordered(
         per_year=st.lists(
             _ordered(
@@ -523,7 +535,8 @@ def _plans(draw):
     for index, year in enumerate(years):
         members = [sid for sid, at in zip(ids, where) if at == index]
         center = draw(st.sampled_from(members)) if members else None
-        clusters.append(Cluster(year, center, tuple(members), draw(CENTS), draw(CENTS)))
+        realized = sum((lookup[sid].cost_at(year) for sid in members), Decimal("0.00"))
+        clusters.append(Cluster(year, center, tuple(members), realized, draw(CENTS)))
     unassigned = tuple(sid for sid, at in zip(ids, where) if at == -1)
     diagnostics = draw(
         st.lists(
@@ -685,10 +698,59 @@ class TestMalformedPlanDocument:
         with pytest.raises(PavePlanError, match=message):
             parse_plan_document(_golden_with(path, value))
 
-    def test_integer_coords_are_accepted(self):
-        text = _golden_with(MEMBER + ("coords",), [101, 0])
-        member = parse_plan_document(text).clusters[0].members[0]
-        assert member.coords == (101.0, 0.0)
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (MEMBER + ("coords",), [101, 0]),
+            (MEMBER + ("coords",), [101.0, 0]),
+            (PER_YEAR + ("utilization",), 1),
+            (PER_YEAR + ("mean_member_distance_to_center",), 0),
+            (PER_YEAR + ("mean_pairwise_distance",), 10**400),
+            (OVERALL + ("weighted_mean_dispersion",), 0),
+        ],
+        ids=["coords", "one-int-coord", "utilization", "to-center", "huge-pairwise", "weighted"],
+    )
+    def test_integer_floats_are_refused(self, path, value):
+        # 101 and 1 would re-emit as 101.0 and 1.0, and 10**400 overflows float()
+        with pytest.raises(PavePlanError, match=f"{path[-1]!r} must .* written as (a float|floats)$"):
+            parse_plan_document(_golden_with(path, value))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("assigned_year", 1999, "member 'b2' in cluster 2018 has assigned_year 1999 "),
+            ("assigned_year", None, "member 'b2' in cluster 2018 has assigned_year None "),
+            ("cost_used", None, "member 'b2' in cluster 2018 .* and cost_used None$"),
+            ("cost_used", "123.45", "cluster 2018: its members' cost_used do not sum"),
+            ("cost_used", "0.99", "cluster 2018: its members' cost_used do not sum"),
+        ],
+    )
+    def test_member_must_agree_with_its_cluster(self, field, value, message):
+        with pytest.raises(PavePlanError, match=message):
+            parse_plan_document(_golden_with(MEMBER + (field,), value))
+
+    @pytest.mark.parametrize(
+        "field, value", [("assigned_year", 2018), ("cost_used", "1.00")]
+    )
+    def test_unassigned_member_has_no_year_or_cost(self, field, value):
+        obj = json.loads(GOLDEN_TEXT)
+        member = dict(obj["clusters"][0]["members"][0], id="u", assigned_year=None, cost_used=None)
+        obj["unassigned"] = [dict(member, **{field: value})]
+        with pytest.raises(PavePlanError, match="member 'u' unassigned has assigned_year"):
+            parse_plan_document(json.dumps(obj))
+
+    def test_over_budget_singleton_parses(self):
+        obj = json.loads(GOLDEN_TEXT)
+        cluster = obj["clusters"][0]
+        cluster["members"] = cluster["members"][:1]
+        cluster.update(budget="0.50", realized_cost="1.00")
+        document = parse_plan_document(json.dumps(obj))
+        assert document.clusters[0].realized_cost > document.clusters[0].budget
+
+    @pytest.mark.parametrize("path", sorted(DATA_DIR.glob("*.json")), ids=lambda p: p.name)
+    def test_plan_fixtures_parse(self, path):
+        text = path.read_text(encoding="utf-8")
+        assert document_to_json(parse_plan_document(text)) == text
 
     @pytest.mark.parametrize(
         "text", ["[]", "null", "7", '"plan"', '{"format_version": "1"}', "[" * 100_000]

@@ -1,10 +1,17 @@
 import math
 import random
+from collections import Counter
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from paveplan.cli import main
+from paveplan.io_formats import load_segments
 from paveplan.metrics import (
+    _distance_total,
+    _pair_sums,
     compare_plans,
     compute_metrics,
     mean_distance_to_center,
@@ -141,6 +148,58 @@ class TestComputeMetrics:
         _, sched, plan = two_point_fixture()
         with pytest.raises(UnknownSegmentError):
             compute_metrics(plan, sched, [seg("a", (0, 0))])
+
+
+# duplicates, signed zeros, the least subnormal, and points 1.8e308 apart,
+# whose distance overflows to inf
+KERNEL_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 1.0, 9e307, -9e307]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def _point_sets(draw):
+    dimension = draw(st.integers(1, 3))
+    point = st.tuples(*[KERNEL_FLOATS] * dimension)
+    return draw(st.lists(point, max_size=12))
+
+
+@given(_point_sets())
+@example([])
+@example([(1.0, 2.0)])
+@example([(0.0, 0.0), (3.0, 4.0)])
+@example([(1.5, -2.0)] * 3 + [(-0.0, 5e-324), (0.0, -0.0)])
+@example([(9e307, 0.0), (-9e307, 0.0), (0.0, 1.0)])
+@example([(5e-324,), (-5e-324,), (-0.0,), (1e16,), (1.0,), (1.0,)])
+def test_pair_sums_match_the_per_point_and_pairwise_sums(coords):
+    # one distance per pair must give the same bits as the two sums it replaces
+    totals, pair_total = _pair_sums(coords)
+    assert [t.hex() for t in totals] == [_distance_total(p, coords).hex() for p in coords]
+    expected = 0.0
+    for i, a in enumerate(coords):
+        for b in coords[i + 1 :]:
+            expected += math.dist(a, b)
+    assert pair_total.hex() == expected.hex()
+
+
+def test_baseline_measures_each_pair_once(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(
+        ["synth", "--n", "60", "--blobs", "2", "--years", "2018:2021", "--seed", "3",
+         "--out-segments", "s.csv", "--out-budgets", "b.csv"]
+    ) == 0
+    sizes = Counter(s.scheduled_year for s in load_segments(Path("s.csv").read_text()))
+    calls = 0
+    dist = math.dist
+
+    def counting_dist(a, b):
+        nonlocal calls
+        calls += 1
+        return dist(a, b)
+
+    monkeypatch.setattr(math, "dist", counting_dist)
+    assert main(["baseline", "--segments", "s.csv", "--budgets", "b.csv", "--out", "p.json"]) == 0
+    assert calls == sum(m * (m - 1) // 2 for m in sizes.values())
 
 
 class TestPlanFromSchedule:
