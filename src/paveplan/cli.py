@@ -15,14 +15,14 @@ import json
 import os
 import stat
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from decimal import Decimal
 from functools import partial
 from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .costs import conservation_report, flat_cost_table
+from .costs import conservation_report
 from .io_formats import (
     CsvFormatError,
     PlanDocument,
@@ -40,7 +40,6 @@ from .io_formats import (
 )
 from .metrics import PlanMetrics, baseline_plan, compare_plans, compute_metrics
 from .model import (
-    BudgetEntry,
     BudgetSchedule,
     MismatchedInputsError,
     PavePlanError,
@@ -72,18 +71,20 @@ def _read(path: Path) -> str:
 
 def _load_dataset(args: argparse.Namespace) -> tuple[list[Segment], BudgetSchedule, str]:
     """The segments, with cost tables, the schedule and the input digest the
-    dataset flags name."""
+    dataset flags name. The budgets are read first, so that each segment is
+    priced as it is parsed; a bad segments file is still the one reported."""
     segments_text = _read(args.segments)
     budgets_text = _read(args.budgets)
     matrix_text = _read(args.cost_matrix) if args.cost_matrix else ""
-    segments = load_segments(segments_text)
-    schedule = load_budgets(
-        budgets_text, conservation_tolerance=args.conservation_tolerance
-    )
+    try:
+        schedule = load_budgets(budgets_text, conservation_tolerance=args.conservation_tolerance)
+    except CsvFormatError:
+        load_segments(segments_text)
+        raise
     if args.cost_matrix:
-        segments = load_cost_matrix(matrix_text, segments)
+        segments = load_cost_matrix(matrix_text, load_segments(segments_text))
     else:
-        segments = flat_cost_table(segments, schedule.years)
+        segments = load_segments(segments_text, schedule.years)
     digest = input_digest(segments_text, budgets_text, matrix_text)
     _log(f"loaded {len(segments)} segments over {len(schedule.entries)} years")
     return segments, schedule, digest
@@ -92,18 +93,9 @@ def _load_dataset(args: argparse.Namespace) -> tuple[list[Segment], BudgetSchedu
 def _with_tolerance_overrides(
     schedule: BudgetSchedule, low: Decimal | None, high: Decimal | None
 ) -> BudgetSchedule:
-    if low is None and high is None:
-        return schedule
-    entries = tuple(
-        BudgetEntry(
-            year=entry.year,
-            budget=entry.budget,
-            low_tolerance=entry.low_tolerance if low is None else low,
-            high_tolerance=entry.high_tolerance if high is None else high,
-        )
-        for entry in schedule.entries
-    )
-    return BudgetSchedule(entries, schedule.conservation_tolerance)
+    overrides = {"low_tolerance": low, "high_tolerance": high}
+    overrides = {name: value for name, value in overrides.items() if value is not None}
+    return replace(schedule, entries=tuple(replace(e, **overrides) for e in schedule.entries))
 
 
 def _write_outputs(files: Sequence[tuple[Path, str]], stdout_text: str = "") -> None:

@@ -3,19 +3,21 @@
 A segment's prices live in its ``CostRow``; lookups are exact, never
 interpolated. A cost matrix is no type of its own: it is segments whose rows
 share one year index (``io_formats.load_cost_matrix`` reads one,
-``io_formats.emit_cost_matrix_csv`` writes one). Without a matrix,
-:func:`flat_cost_table` prices each segment at its scheduled-year cost in
-every plan year. :func:`compounded_costs` stands in for per-year
-planning-software runs: a base cost compounds by a growth rate per calendar
-year away from the project's own scheduled year. Conservation accounting
-compares a plan's realized per-year costs against the budgets.
+``io_formats.emit_cost_matrix_csv`` writes one). Without a matrix, a
+segment costs its scheduled-year cost in every plan year, in a row from
+:func:`flat_rows`, which ``io_formats.load_segments`` builds as it parses
+(:func:`flat_cost_table` reprices built segments). :func:`compounded_costs`
+stands in for per-year planning-software runs: a base cost compounds by a
+growth rate per calendar year away from the project's own scheduled year.
+Conservation accounting compares a plan's realized per-year costs against
+the budgets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal, Overflow, ROUND_HALF_UP
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .model import (
     CENT,
@@ -64,22 +66,28 @@ def compounded_costs(
     return tuple(row)
 
 
-def flat_cost_table(segments: Iterable[Segment], years: Sequence[int]) -> list[Segment]:
-    """Price each segment at its scheduled-year cost in every plan year.
-
-    Every row holds that one cost under one year index that all rows share.
-    A segment scheduled outside the plan years is also priced in its own
-    year, under an index of its own.
-    """
+def flat_rows(years: Iterable[int]) -> Callable[[int, Decimal], CostRow]:
+    """``row(year, cost)``: ``cost`` in every plan year, under one index all
+    rows share; a year outside ``years`` is added under an index of its own,
+    shared by that year's rows."""
     shared = dict.fromkeys(sorted({int(y) for y in years}), 0)
-    out = []
-    for seg in segments:
-        index = shared
-        if seg.scheduled_year not in shared:
-            index = dict.fromkeys(sorted([*shared, seg.scheduled_year]), 0)
-        row = CostRow(index, (seg.base_cost(),))
-        out.append(Segment(seg.id, seg.coords, row, seg.scheduled_year))
-    return out
+    indexes = dict.fromkeys(shared, shared)
+
+    def row(year: int, cost: Decimal) -> CostRow:
+        if year not in indexes:
+            indexes[year] = dict.fromkeys(sorted([*shared, year]), 0)
+        return CostRow(indexes[year], (cost,))
+
+    return row
+
+
+def flat_cost_table(segments: Iterable[Segment], years: Sequence[int]) -> list[Segment]:
+    """Price each segment at its scheduled-year cost in every plan year."""
+    row = flat_rows(years)
+    return [
+        Segment(s.id, s.coords, row(s.scheduled_year, s.base_cost()), s.scheduled_year)
+        for s in segments
+    ]
 
 
 @dataclass(frozen=True)

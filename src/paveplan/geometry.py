@@ -1,9 +1,13 @@
-"""Distance kernel: distance-ordered enumeration around an anchor, and the
+"""Distance kernel: a nearest-first stream around an anchor, and the
 farthest-remaining-point search used to seed new clusters.
 
-Everything here is deterministic and exact: the farthest-point search picks
-the very candidate a plain scan of every candidate/clustered pair with
-``math.dist`` picks, ties included (the earliest candidate in input order).
+Everything here is deterministic and exact. The stream (:func:`nearest_first`)
+heapifies ``(distance, id, index)`` at its first read and pops lazily, so a
+walk that stops at its cap pops only what it reads (incremental nearest
+neighbours, Hjaltason & Samet, ACM TODS 1999); ties go by ascending id. The
+farthest-point search picks the very candidate a plain scan of every
+candidate/clustered pair with ``math.dist`` picks, ties included (the
+earliest candidate in input order).
 
 **How the search prunes.** The clustered set is held as balls
 (:class:`ClusterBalls`), one per cluster: a center ``c`` and the other
@@ -47,7 +51,8 @@ import math
 from bisect import bisect
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from operator import attrgetter
+from typing import Iterable, Iterator, Sequence
 
 from .model import DimensionMismatchError, Segment
 
@@ -62,15 +67,28 @@ class DistanceOrdering:
     ordered_ids: tuple[str, ...]
 
 
-def order_by_distance(segments: Sequence[Segment], anchor: Segment) -> DistanceOrdering:
-    if not any(seg.id == anchor.id for seg in segments):
+def nearest_first(segments: Sequence[Segment], anchor: Segment) -> Iterator[Segment]:
+    """Every segment but the anchor (by id), nearest to it first. The anchor
+    is looked for at once; nothing is measured before the first read."""
+    if anchor.id not in map(attrgetter("id"), segments):
         raise ValueError(f"anchor {anchor.id!r} is not in the segment list")
-    check_same_dimension(chain((anchor.coords,), (seg.coords for seg in segments)))
-    dist, point = math.dist, anchor.coords
-    ranked = sorted(
-        (dist(point, seg.coords), seg.id) for seg in segments if seg.id != anchor.id
-    )
-    return DistanceOrdering(anchor.id, tuple(sid for _, sid in ranked))
+
+    def pop_nearest() -> Iterator[Segment]:
+        from heapq import heapify, heappop  # imported by the commands that walk only
+        dist, point, anchor_id = math.dist, anchor.coords, anchor.id
+        check_same_dimension(chain((point,), (seg.coords for seg in segments)))
+        heap = [
+            (dist(point, s.coords), s.id, i) for i, s in enumerate(segments) if s.id != anchor_id
+        ]
+        heapify(heap)
+        while heap:
+            yield segments[heappop(heap)[2]]
+
+    return pop_nearest()
+
+
+def order_by_distance(segments: Sequence[Segment], anchor: Segment) -> DistanceOrdering:
+    return DistanceOrdering(anchor.id, tuple(s.id for s in nearest_first(segments, anchor)))
 
 
 def check_same_dimension(points: Iterable[Sequence[float]]) -> None:

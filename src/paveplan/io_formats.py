@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from decimal import Decimal
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
+from .costs import flat_rows
 from .metrics import OverallMetrics, PlanMetrics, YearMetrics
 from .model import (
     MONEY_LIMIT,
@@ -58,13 +59,33 @@ class CsvFormatError(PavePlanError):
         self.column = column
 
 
-def _rows(text: str) -> list[list[str]]:
+def _rows(text: str) -> Iterator[list[str]]:
+    """The non-blank rows of ``text``, each parsed only when it is read."""
     reader = csv.reader(io.StringIO(text))
     try:
-        return [row for row in reader if any(cell.strip() for cell in row)]
+        for row in reader:
+            if any(cell.strip() for cell in row):
+                yield row
     except csv.Error as exc:
         # e.g. a field over the csv module's size limit
         raise CsvFormatError(str(exc), row=reader.line_num) from None
+
+
+def _table(text: str, what: str) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """The ``what`` CSV's stripped header, and its data rows numbered among
+    the non-blank rows (the header is row 1), each checked for width as read."""
+    rows = _rows(text)
+    header = next(rows, None)
+    if header is None:
+        raise CsvFormatError(f"{what} CSV is empty")
+
+    def numbered() -> Iterator[tuple[int, list[str]]]:
+        for line_no, row in enumerate(rows, start=2):
+            if len(row) != len(header):
+                raise CsvFormatError(f"expected {len(header)} fields, got {len(row)}", row=line_no)
+            yield line_no, row
+
+    return [cell.strip() for cell in header], numbered()
 
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]').search
@@ -101,17 +122,16 @@ def _parse_money(value: str, row: int, column: str) -> Decimal:
         raise CsvFormatError(str(exc), row=row, column=column) from None
 
 
-def load_segments(text: str) -> list[Segment]:
+def load_segments(text: str, years: Iterable[int] | None = None) -> list[Segment]:
     """Parse the segments CSV: ``id,x,y[,z...],scheduled_year[,cost]``.
 
     Row order is preserved; it defines the input order used for
-    deterministic tie-breaking downstream. When the cost column is present
-    each segment gets a single-entry cost table at its scheduled year.
+    deterministic tie-breaking downstream. Each segment is built once, with
+    its cost column in a flat row (``costs.flat_rows``) over the plan
+    ``years``, or over its scheduled year alone without them. Given ``years``
+    but no cost column, the first segment raises ``MissingCostError``.
     """
-    rows = _rows(text)
-    if not rows:
-        raise CsvFormatError("segments CSV is empty")
-    header = [h.strip() for h in rows[0]]
+    header, rows = _table(text, "segments")
     if not header or header[0] != "id":
         raise CsvFormatError("first column must be 'id'", row=1)
     if "scheduled_year" not in header:
@@ -132,12 +152,8 @@ def load_segments(text: str) -> list[Segment]:
 
     segments: list[Segment] = []
     first_row_of: dict[str, int] = {}
-    indexes: dict[int, dict[int, int]] = {}  # rows of one year share its index
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise CsvFormatError(
-                f"expected {len(header)} fields, got {len(row)}", row=line_no
-            )
+    flat_row = flat_rows(years or ())
+    for line_no, row in rows:
         sid = row[0].strip()
         if not sid:
             raise CsvFormatError("empty id", row=line_no, column="id")
@@ -159,7 +175,7 @@ def load_segments(text: str) -> list[Segment]:
                 raise CsvFormatError(
                     f"cost must be positive, got {cost}", row=line_no, column="cost"
                 )
-            table = CostRow(indexes.setdefault(year, {year: 0}), (cost,))
+            table = flat_row(year, cost)
         else:
             table = CostRow({}, ())
         segments.append(
@@ -167,6 +183,8 @@ def load_segments(text: str) -> list[Segment]:
         )
     if not segments:
         raise CsvFormatError("segments CSV has no data rows")
+    if years is not None and not has_cost:
+        segments[0].base_cost()  # raises MissingCostError, once the rows parse
     return segments
 
 
@@ -194,21 +212,14 @@ def load_budgets(
     text: str, *, conservation_tolerance: Decimal = Decimal("0.00")
 ) -> BudgetSchedule:
     """Parse the budgets CSV: ``year,budget[,e_l,e_h]``."""
-    rows = _rows(text)
-    if not rows:
-        raise CsvFormatError("budgets CSV is empty")
-    header = [h.strip() for h in rows[0]]
+    header, rows = _table(text, "budgets")
     if header not in (["year", "budget"], ["year", "budget", "e_l", "e_h"]):
         raise CsvFormatError(
             "header must be 'year,budget' or 'year,budget,e_l,e_h'", row=1
         )
     with_tolerances = len(header) == 4
     entries = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise CsvFormatError(
-                f"expected {len(header)} fields, got {len(row)}", row=line_no
-            )
+    for line_no, row in rows:
         year = _parse_int(row[0], line_no, "year")
         budget = _parse_money(row[1], line_no, "budget")
         low = _parse_money(row[2], line_no, "e_l") if with_tolerances else Decimal("0.00")
@@ -243,10 +254,7 @@ def load_cost_matrix(text: str, segments: Iterable[Segment]) -> list[Segment]:
     all rows share. Each cell is parsed and checked once, here; a segment the
     matrix lacks raises :class:`UnknownSegmentError`.
     """
-    rows = _rows(text)
-    if not rows:
-        raise CsvFormatError("cost matrix CSV is empty")
-    header = [h.strip() for h in rows[0]]
+    header, rows = _table(text, "cost matrix")
     if not header or header[0] != "id" or len(header) < 2:
         raise CsvFormatError("header must be 'id,Y<year>,...'", row=1)
     index: dict[int, int] = {}
@@ -259,11 +267,7 @@ def load_cost_matrix(text: str, segments: Iterable[Segment]) -> list[Segment]:
         index[year] = position
     index = dict(sorted(index.items()))
     costs_of: dict[str, tuple[Decimal, ...]] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise CsvFormatError(
-                f"expected {len(header)} fields, got {len(row)}", row=line_no
-            )
+    for line_no, row in rows:
         sid = row[0].strip()
         if not sid:
             raise CsvFormatError("empty id", row=line_no, column="id")

@@ -3,10 +3,10 @@ drivers that differ only in how each year's center is picked: seeded random
 choice, or the farthest remaining point from everything already assigned
 (the landmark rule).
 
-Admission follows prefix semantics: pool points are visited nearest-first
-and enumeration stops at the first point that would overflow the cap, with
-no skipping. ``skip_mode`` relaxes that as a documented extension (keep
-scanning for smaller projects further out); it is off by default.
+Admission follows prefix semantics: pool points are popped nearest-first from
+the heap of ``geometry.nearest_first`` as the walk reads them, and the walk
+stops at the first point that would overflow the cap, with no skipping.
+``skip_mode`` (off by default) keeps scanning for smaller projects further out.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .geometry import (
     ClusterBalls,
     Coords,
     furthest_point_from_cluster,
-    order_by_distance,
+    nearest_first,
 )
 from .model import (
     EMPTY_CLUSTER,
@@ -62,7 +62,7 @@ class ClusterBuildTrace:
     """Audit trail of one cluster build: admissions with running totals."""
 
     center_id: str
-    admitted: tuple[tuple[str, Decimal], ...]
+    admitted: tuple[tuple[Segment, Decimal], ...]
     stop_reason: str
 
 
@@ -72,15 +72,15 @@ def _admit(
     cap: Decimal,
     cost: CostFn,
     skip_mode: bool = False,
-) -> tuple[list[tuple[str, Decimal]], str]:
+) -> tuple[list[tuple[Segment, Decimal]], str]:
     """The center, then each candidate in turn while the running total stays
-    within ``cap``: the admitted ``(id, running total)`` pairs and the stop
-    reason. A center at or over the cap is admitted alone, without reading
-    ``candidates``, so the overrun is reported, never silent."""
+    within ``cap``: the admitted ``(segment, running total)`` pairs and the
+    stop reason. A center at or over the cap is admitted alone, without
+    reading ``candidates``, so the overrun is reported, never silent."""
     if cap <= 0:
         raise ValueError("cluster budget must be positive")
     total = cost(center)
-    admitted = [(center.id, total)]
+    admitted = [(center, total)]
     if total >= cap:
         return admitted, STOP_CENTER_EXCEEDS_BUDGET
     stop_reason = STOP_DATA_EXHAUSTED
@@ -88,7 +88,7 @@ def _admit(
         candidate_cost = cost(seg)
         if total + candidate_cost <= cap:
             total += candidate_cost
-            admitted.append((seg.id, total))
+            admitted.append((seg, total))
         else:
             stop_reason = STOP_BUDGET_REACHED
             if not skip_mode:
@@ -102,32 +102,24 @@ def _walk(
     cap: Decimal,
     cost: CostFn,
     skip_mode: bool = False,
-) -> tuple[list[tuple[str, Decimal]], str]:
+) -> tuple[list[tuple[Segment, Decimal]], str]:
     """:func:`_admit` over the rest of the pool, nearest to ``center`` first."""
-    by_id = {seg.id: seg for seg in pool}
-    if center.id not in by_id:
-        raise ValueError(f"center {center.id!r} is not in the pool")
-
-    def nearest_first():
-        # a generator, so a flagged center never pays for the sort
-        for sid in order_by_distance(pool, center).ordered_ids:
-            yield by_id[sid]
-
-    return _admit(center, nearest_first(), cap, cost, skip_mode)
+    # the stream looks for the center at once: a flagged center must be in the pool too
+    return _admit(center, nearest_first(pool, center), cap, cost, skip_mode)
 
 
 def _cluster(
     year: int | None,
     center: Segment,
-    admitted: Sequence[tuple[str, Decimal]],
+    admitted: Sequence[tuple[Segment, Decimal]],
     cap: Decimal,
 ) -> Cluster:
-    """The cluster of the ``admitted`` (id, running total) pairs around
+    """The cluster of the ``admitted`` (segment, running total) pairs around
     ``center`` under ``cap``, in ``year`` or else the center's own year."""
     return Cluster(
         year=center.scheduled_year if year is None else year,
         center_id=center.id,
-        member_ids=tuple(sid for sid, _ in admitted),
+        member_ids=tuple(seg.id for seg, _ in admitted),
         realized_cost=admitted[-1][1],
         budget=cap,
     )
@@ -145,7 +137,7 @@ def radial_neighbor_clustering(
     """Grow one cluster outward from ``center`` until the budget stops it.
 
     The center is always a member; a center at or over the budget comes
-    back as a flagged singleton. Otherwise the remaining pool is visited
+    back as a flagged singleton. Otherwise the remaining pool is streamed
     nearest-first and each point is admitted while the running total stays
     within the cap.
     """
@@ -200,23 +192,20 @@ def _drain_pool(
     next_center: CenterPicker,
     build_cluster: ClusterBuilder,
     initial_diagnostics: Iterable[Diagnostic] = (),
-) -> tuple[Plan, tuple[ClusterBuildTrace | None, ...]]:
+) -> Plan:
     """One cluster per schedule entry, each subtracted from the pool.
 
     Shared by the random and landmark drivers so diagnostics and leftover
     handling are identical across pipelines.
     """
     remaining = list(segments)
-    by_id = {seg.id: seg for seg in remaining}
     # each placed cluster's coordinates, its center first
     placed: list[list[Coords]] = []
     clusters: list[Cluster] = []
-    traces: list[ClusterBuildTrace | None] = []
     diagnostics = list(initial_diagnostics)
     for entry in schedule.entries:
         if not remaining:
             clusters.append(_empty_cluster(entry))
-            traces.append(None)
             diagnostics.append(
                 Diagnostic(
                     EMPTY_CLUSTER,
@@ -239,9 +228,8 @@ def _drain_pool(
             )
         member_set = set(cluster.member_ids)
         remaining = [seg for seg in remaining if seg.id not in member_set]
-        placed.append([by_id[sid].coords for sid in cluster.member_ids])
+        placed.append([seg.coords for seg, _ in trace.admitted])
         clusters.append(cluster)
-        traces.append(trace)
     if remaining:
         diagnostics.append(
             Diagnostic(
@@ -250,12 +238,11 @@ def _drain_pool(
                 segment_ids=tuple(seg.id for seg in remaining),
             )
         )
-    plan = Plan(
+    return Plan(
         clusters=tuple(clusters),
         unassigned_ids=tuple(seg.id for seg in remaining),
         diagnostics=tuple(diagnostics),
     )
-    return plan, tuple(traces)
 
 
 def _radial_builder(skip_mode: bool) -> ClusterBuilder:
@@ -288,8 +275,7 @@ def main_algorithm(
     def next_center(remaining, placed):
         return remaining[rng.randrange(len(remaining))]
 
-    plan, _ = _drain_pool(schedule, segments, next_center, _radial_builder(skip_mode))
-    return plan
+    return _drain_pool(schedule, segments, next_center, _radial_builder(skip_mode))
 
 
 def landmark_next_center(axis: int) -> CenterPicker:
@@ -325,7 +311,6 @@ def landmark_based_radial_clustering(
 ) -> Plan:
     """Deterministic whole-plan driver using landmark centers."""
     segments = _check_segments(segments, axis)
-    plan, _ = _drain_pool(
+    return _drain_pool(
         schedule, segments, landmark_next_center(axis), _radial_builder(skip_mode)
     )
-    return plan

@@ -1,6 +1,6 @@
 """Tolerance-band cluster construction.
 
-Around one center, three nested clusters are cut from one distance-ordered
+Around one center, three nested clusters are cut from one nearest-first
 walk by the per-year tolerances: inner (cap - low), nominal (cap), and
 outer (cap + high). Points inside the inner cluster enter the final cluster
 purely by distance; the band between inner and outer is then refilled by
@@ -48,12 +48,17 @@ from .radial import (
 
 @dataclass(frozen=True)
 class ToleranceBand:
-    """The three nested clusters plus the band between them in refill order."""
+    """The three nested clusters, the inner one's segments and the band's in refill order."""
 
     low_cluster: Cluster
     mid_cluster: Cluster
     high_cluster: Cluster
-    band_ids: tuple[str, ...]
+    inner: tuple[Segment, ...]
+    band: tuple[Segment, ...]
+
+    @property
+    def band_ids(self) -> tuple[str, ...]:
+        return tuple(seg.id for seg in self.band)
 
 
 def band_order(
@@ -94,8 +99,7 @@ def build_tolerance_band(
         raise ValueError("tolerances must be non-negative")
     if cap - low <= 0:
         raise ValueError("low tolerance must leave a positive inner budget")
-    pool = list(pool)
-    admitted, _ = _walk(pool, center, cap + high, cost)
+    admitted, _ = _walk(list(pool), center, cap + high, cost)
     totals = [total for _, total in admitted]
 
     def cut(limit: Decimal) -> Cluster:
@@ -103,12 +107,9 @@ def build_tolerance_band(
         return _cluster(year, center, admitted[:size], limit)
 
     low_cluster = cut(cap - low)
-    by_id = {seg.id: seg for seg in pool}
-    band_segments = [by_id[sid] for sid, _ in admitted[low_cluster.size :]]
-    ordered = band_order(band_segments, center, cost=cost)
-    return ToleranceBand(
-        low_cluster, cut(cap), cut(cap + high), tuple(seg.id for seg in ordered)
-    )
+    walked = tuple(seg for seg, _ in admitted)
+    band = tuple(band_order(walked[low_cluster.size :], center, cost=cost))
+    return ToleranceBand(low_cluster, cut(cap), cut(cap + high), walked[: low_cluster.size], band)
 
 
 def schedule_aware_cluster(
@@ -134,12 +135,9 @@ def schedule_aware_cluster(
     band = build_tolerance_band(
         pool, center, cap, low_tolerance, high_tolerance, year=year, cost=cost
     )
-    by_id = {seg.id: seg for seg in pool}
     # the inner cluster fits under cap - low, so all of it is admitted again
-    candidates = band.low_cluster.member_ids[1:] + band.band_ids
-    admitted, stop_reason = _admit(
-        center, (by_id[sid] for sid in candidates), cap, cost, skip_mode
-    )
+    candidates = band.inner[1:] + band.band
+    admitted, stop_reason = _admit(center, candidates, cap, cost, skip_mode)
     if stop_reason != STOP_CENTER_EXCEEDS_BUDGET:
         # the outer walk may have stopped short of the pool
         stop_reason = (
@@ -180,11 +178,6 @@ def schedule_aware_plan(
             skip_mode=skip_mode,
         )
 
-    plan, _ = _drain_pool(
-        schedule,
-        segments,
-        landmark_next_center(axis),
-        build,
-        initial_diagnostics=issues,
+    return _drain_pool(
+        schedule, segments, landmark_next_center(axis), build, initial_diagnostics=issues
     )
-    return plan

@@ -25,7 +25,7 @@ from paveplan.io_formats import (
     load_segments,
     parse_plan_document,
 )
-from paveplan.model import BudgetEntry, BudgetSchedule, validate_dataset
+from paveplan.model import BudgetEntry, BudgetSchedule, Segment, validate_dataset
 
 from helpers import csv_texts, seg
 
@@ -545,6 +545,78 @@ def test_baseline_plan_bytes(case, sha256, tmp_path, monkeypatch):
         Path("b.csv").write_text(EMPTY_AND_SINGLETON_BUDGETS, encoding="utf-8")
     assert main(["baseline", "--segments", "s.csv", "--budgets", "b.csv", "--out", "plan.json"]) == 0
     assert hashlib.sha256(Path("plan.json").read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize(
+    "algo, sha256",
+    [
+        (["landmark"], "eae2b82e0ac9f458d337f3f9afb9b1a5b0274ddfb8296a2f49e60dcdcd9f8e98"),
+        (["random", "--seed", "3", "--skip-mode"],
+         "36f8f132606bb3f2bc3069ba4e9cc0f0f43bdbfd75395eb3f797c9d445ede02b"),
+        (["schedule", "--skip-mode"],
+         "49b785a8195d10b31f2bbe28a7437cb269f2ac8e274e8e9d1029c225cacfc2f1"),
+    ],
+    ids=["landmark", "random-skip", "schedule-skip"],
+)
+def test_walk_plan_bytes(algo, sha256, tmp_path, monkeypatch):
+    # walk paths no benchmark workload runs: the landmark engine, and
+    # skip mode, which reads the nearest-first stream past the first miss
+    monkeypatch.chdir(tmp_path)
+    assert main(
+        ["synth", "--n", "300", "--blobs", "3", "--years", "2018:2022", "--seed", "5",
+         "--tolerance-fraction", "0.05", "--out-segments", "s.csv", "--out-budgets", "b.csv"]
+    ) == 0
+    assert main(
+        ["cluster", "--segments", "s.csv", "--budgets", "b.csv", "--algo", *algo,
+         "--out", "plan.json"]
+    ) == 0
+    assert hashlib.sha256(Path("plan.json").read_bytes()).hexdigest() == sha256
+
+
+def test_cluster_builds_each_segment_once(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(
+        ["synth", "--n", "120", "--blobs", "3", "--years", "2018:2022", "--seed", "5",
+         "--tolerance-fraction", "0.05", "--out-segments", "s.csv", "--out-budgets", "b.csv"]
+    ) == 0
+    ids = [s.id for s in load_segments(Path("s.csv").read_text(encoding="utf-8"))]
+    built = []
+    post_init = Segment.__post_init__
+    monkeypatch.setattr(Segment, "__post_init__", lambda s: built.append(s.id) or post_init(s))
+    assert main(
+        ["cluster", "--segments", "s.csv", "--budgets", "b.csv", "--algo", "schedule",
+         "--out", "plan.json"]
+    ) == 0
+    assert built == ids  # once per CSV row, in row order
+    assert len(ids) == 120
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["validate"], ["cluster", "--algo", "schedule", "--out", "plan.json"],
+     ["baseline", "--out", "plan.json"]],
+)
+def test_both_files_malformed_names_the_segments_row(command, tmp_path, monkeypatch, capsys):
+    # the budgets are read first, yet the segments file's fault is the one
+    # reported, as when the segments were read first
+    monkeypatch.chdir(tmp_path)
+    Path("segments.csv").write_text(
+        "id,x,y,scheduled_year,cost\na,0,0,2018,1.00\nb,1,north,2018,1.00\n",
+        encoding="utf-8",
+    )
+    Path("budgets.csv").write_text("year,budget\n2018,lots\n", encoding="utf-8")
+    args = [*command, "--segments", "segments.csv", "--budgets", "budgets.csv"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err == "error: row 3, column 'y': malformed number 'north'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["budgets.csv", "segments.csv"]
+    # with the segments mended, the budget is named
+    Path("segments.csv").write_text(
+        "id,x,y,scheduled_year,cost\na,0,0,2018,1.00\n", encoding="utf-8"
+    )
+    assert main(args) == 2
+    assert "row 2, column 'budget'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["budgets.csv", "segments.csv"]
 
 
 def test_failed_svg_write_leaves_no_plan(two_blob_files, tmp_path, capsys):

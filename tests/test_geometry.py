@@ -4,7 +4,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from paveplan.geometry import ClusterBalls, furthest_point_from_cluster, order_by_distance
+from paveplan.geometry import (
+    ClusterBalls,
+    furthest_point_from_cluster,
+    nearest_first,
+    order_by_distance,
+)
 from paveplan.model import DimensionMismatchError
 from paveplan.refine import band_order
 
@@ -42,6 +47,51 @@ def test_order_by_distance_single_other():
 def test_order_by_distance_anchor_missing():
     with pytest.raises(ValueError):
         order_by_distance([seg("a", (0, 0))], seg("b", (1, 1)))
+
+
+@st.composite
+def _grid_pools(draw):
+    # a small integer grid: many equal distances, and repeated points
+    dimension = draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(-2, 2)] * dimension)
+    points = draw(st.lists(point, min_size=1, max_size=25))
+    points += draw(st.lists(st.sampled_from(points), max_size=5))
+    ids = draw(st.permutations([f"s{i:02d}" for i in range(len(points))]))
+    segments = [seg(sid, coords) for sid, coords in zip(ids, points)]
+    return segments, draw(st.sampled_from(segments))
+
+
+@given(_grid_pools())
+def test_nearest_first_is_the_sorted_order(pool):
+    segments, anchor = pool
+    expected = sorted(
+        (math.dist(anchor.coords, s.coords), s.id) for s in segments if s is not anchor
+    )
+    streamed = list(nearest_first(segments, anchor))
+    assert [s.id for s in streamed] == [sid for _, sid in expected]
+    by_id = {s.id: s for s in segments}
+    assert all(s is by_id[s.id] for s in streamed)  # the pool's own segments
+    assert order_by_distance(segments, anchor).ordered_ids == tuple(
+        sid for _, sid in expected
+    )
+
+
+def test_nearest_first_measures_each_point_once_and_only_when_read(monkeypatch):
+    measured = []
+    dist = math.dist
+    monkeypatch.setattr(math, "dist", lambda a, b: measured.append(b) or dist(a, b))
+    segments = [seg(f"s{x}", (x, 0)) for x in range(6)]
+    stream = nearest_first(segments, segments[2])
+    assert measured == []
+    assert next(stream).id == "s1"
+    assert len(measured) == 5
+    assert [s.id for s in stream] == ["s3", "s0", "s4", "s5"]
+    assert len(measured) == 5
+
+
+def test_nearest_first_checks_the_anchor_before_any_read():
+    with pytest.raises(ValueError, match="anchor 'b' is not in the segment list"):
+        nearest_first([seg("a", (0, 0))], seg("b", (1, 1)))
 
 
 def test_furthest_point_larger_distance_wins():

@@ -26,6 +26,7 @@ from paveplan.io_formats import (
     plan_from_document,
     render_plan_svg,
 )
+from paveplan.costs import flat_cost_table
 from paveplan.metrics import OverallMetrics, PlanMetrics, YearMetrics, compute_metrics
 from paveplan.model import (
     BudgetEntry,
@@ -33,6 +34,7 @@ from paveplan.model import (
     Cluster,
     Diagnostic,
     DimensionMismatchError,
+    MissingCostError,
     PavePlanError,
     Plan,
     Segment,
@@ -87,6 +89,35 @@ class TestLoadSegments:
             load_segments(text)
         assert excinfo.value.row == 2
         assert excinfo.value.column == "x"
+
+    def test_plan_years_give_the_flat_cost_table_rows(self):
+        text = (
+            "id,x,y,scheduled_year,cost\n"
+            "a,0,0,2019,10.00\nb,1,0,2031,4.50\nc,2,0,2018,7\nd,3,0,2031,1.00\n"
+        )
+        years = (2020, 2018, 2019)
+        loaded = load_segments(text, years)
+        assert loaded == flat_cost_table(load_segments(text), years)
+        a, b, c, d = loaded
+        assert a.cost_by_year._index is c.cost_by_year._index
+        assert tuple(a.cost_by_year) == (2018, 2019, 2020)
+        assert len({id(cost) for cost in a.cost_by_year.values()}) == 1
+        # scheduled outside the plan years: also priced in its own year
+        assert tuple(b.cost_by_year) == (2018, 2019, 2020, 2031)
+        assert b.cost_by_year._index is d.cost_by_year._index
+        assert b.cost_by_year._index is not a.cost_by_year._index
+
+    def test_plan_years_without_a_cost_column(self):
+        # every row is parsed first, so a malformed row is the error reported
+        with pytest.raises(CsvFormatError, match="row 3, column 'y'"):
+            load_segments("id,x,y,scheduled_year\na,0,0,2018\nb,1,north,2018\n", (2018,))
+        with pytest.raises(MissingCostError, match="segment a has no cost for year 2018"):
+            load_segments("id,x,y,scheduled_year\na,0,0,2018\nb,1,1,2018\n", (2018,))
+
+    def test_rows_are_numbered_among_the_non_blank_rows(self):
+        text = "id,x,y,scheduled_year,cost\n\n , \na,0,0,2018,1.00\n\nb,0,x,2018,1.00\n"
+        with pytest.raises(CsvFormatError, match="row 3, column 'y'"):
+            load_segments(text)
 
     def test_missing_scheduled_year_column(self):
         with pytest.raises(CsvFormatError):
@@ -304,8 +335,6 @@ def _example_plan():
     segments_csv, budgets_csv = two_blob_inputs()
     segments = load_segments(segments_csv)
     schedule_obj = load_budgets(budgets_csv)
-    from paveplan.costs import flat_cost_table
-
     segments = flat_cost_table(segments, schedule_obj.years)
     plan = landmark_based_radial_clustering(segments, schedule_obj, 0)
     metrics = compute_metrics(plan, schedule_obj, segments)

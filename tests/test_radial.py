@@ -8,6 +8,7 @@ from paveplan.radial import (
     STOP_BUDGET_REACHED,
     STOP_CENTER_EXCEEDS_BUDGET,
     STOP_DATA_EXHAUSTED,
+    _walk,
     landmark_based_radial_clustering,
     landmark_next_center,
     main_algorithm,
@@ -49,6 +50,22 @@ class TestRadialNeighborClustering:
         pool = line_segments([0, 1])
         with pytest.raises(ValueError):
             radial_neighbor_clustering(pool, seg("z", (9, 9)), "1.00")
+
+    @pytest.mark.parametrize("cap", ["1.00", "100.00"])
+    def test_walk_refuses_a_center_outside_the_pool(self, cap):
+        # at 1.00 the center is flagged and no candidate is read: the
+        # center is still looked for before anything is admitted
+        pool = line_segments([0, 1])
+        center = seg("z", (9, 9), cost="5.00")
+        with pytest.raises(ValueError, match="'z' is not in the segment list"):
+            _walk(pool, center, Decimal(cap), lambda s: s.base_cost())
+
+    def test_walk_admits_the_pool_segments_nearest_first(self):
+        pool = line_segments([3, 0, 2, 1])
+        admitted, stop = _walk(pool, pool[1], Decimal("3.00"), lambda s: s.base_cost())
+        assert [s.id for s, _ in admitted] == ["s0", "s1", "s2"]
+        assert all(any(s is p for p in pool) for s, _ in admitted)
+        assert stop == STOP_BUDGET_REACHED
 
     def test_nonpositive_budget(self):
         pool = line_segments([0])
