@@ -1,7 +1,7 @@
 """Budget-capped spatial clustering of maintenance projects into
 per-fiscal-year plans."""
 
-from .costs import ConservationReport, conservation_report, flat_cost_table
+from .costs import flat_cost_table
 from .geometry import (
     ClusterBalls,
     DistanceOrdering,
@@ -42,7 +42,6 @@ from .model import (
     Segment,
     UnknownSegmentError,
     ValidationFailedError,
-    cluster_cost,
     money,
     validate_dataset,
 )

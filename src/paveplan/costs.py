@@ -9,27 +9,14 @@ segment costs its scheduled-year cost in every plan year, in a row from
 (:func:`flat_cost_table` reprices built segments). :func:`compounded_costs`
 stands in for per-year planning-software runs: a base cost compounds by a
 growth rate per calendar year away from the project's own scheduled year.
-Conservation accounting compares a plan's realized per-year costs against
-the budgets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, Overflow, ROUND_HALF_UP
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .model import (
-    CENT,
-    MONEY_LIMIT,
-    ZERO,
-    BudgetSchedule,
-    CostRow,
-    Plan,
-    Segment,
-    cluster_cost,
-    segment_lookup,
-)
+from .model import CENT, MONEY_LIMIT, CostRow, Segment
 
 
 def compounded_costs(
@@ -88,58 +75,3 @@ def flat_cost_table(segments: Iterable[Segment], years: Sequence[int]) -> list[S
         Segment(s.id, s.coords, row(s.scheduled_year, s.base_cost()), s.scheduled_year)
         for s in segments
     ]
-
-
-@dataclass(frozen=True)
-class YearConservation:
-    year: int
-    budget: Decimal
-    realized_cost: Decimal
-    deviation: Decimal  # realized - budget; positive means over-run
-
-
-@dataclass(frozen=True)
-class ConservationReport:
-    rows: tuple[YearConservation, ...]
-    total_budget: Decimal
-    total_cost: Decimal
-    total_deviation: Decimal
-    tolerance: Decimal
-    within_tolerance: bool
-
-
-def conservation_report(
-    plan: Plan,
-    schedule: BudgetSchedule,
-    segments: Iterable[Segment] | Mapping[str, Segment] | None = None,
-) -> ConservationReport:
-    """Per-year budget vs realized cost with signed deviations.
-
-    Totals are exact decimal column sums. When ``segments`` is given the
-    realized costs are recomputed from the lookup instead of trusting the
-    stored values.
-    """
-    if len(plan.clusters) != len(schedule.entries) or any(
-        c.year != e.year for c, e in zip(plan.clusters, schedule.entries)
-    ):
-        raise ValueError("plan clusters do not align with the schedule years")
-    lookup = segment_lookup(segments) if segments is not None else None
-    rows = []
-    for cluster, entry in zip(plan.clusters, schedule.entries):
-        realized = (
-            cluster_cost(cluster, lookup) if lookup is not None else cluster.realized_cost
-        )
-        rows.append(
-            YearConservation(entry.year, entry.budget, realized, realized - entry.budget)
-        )
-    total_budget = sum((r.budget for r in rows), ZERO)
-    total_cost = sum((r.realized_cost for r in rows), ZERO)
-    total_deviation = total_cost - total_budget
-    return ConservationReport(
-        rows=tuple(rows),
-        total_budget=total_budget,
-        total_cost=total_cost,
-        total_deviation=total_deviation,
-        tolerance=schedule.conservation_tolerance,
-        within_tolerance=abs(total_deviation) <= schedule.conservation_tolerance,
-    )

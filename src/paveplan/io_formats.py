@@ -18,6 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal
+from itertools import zip_longest
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -597,6 +598,18 @@ def _parse_cluster(obj: dict) -> DocumentCluster:
     return cluster
 
 
+def _check_clusters_match(clusters: Sequence[DocumentCluster], schedule: BudgetSchedule) -> None:
+    """Refuse clusters that are not the schedule's entries, one for one and in
+    order, by year and budget: metrics total the clusters' budgets, and
+    conservation is judged against the schedule's."""
+    for cluster, entry in zip_longest(clusters, schedule.entries):
+        found, expected = (f"{x.year} at {x.budget}" if x else "none" for x in (cluster, entry))
+        if found != expected:
+            raise PavePlanError(
+                f"plan document cluster {found} does not match schedule entry {expected}"
+            )
+
+
 def parse_plan_document(text: str) -> PlanDocument:
     """The document ``text`` holds. Invalid JSON and any structural fault (a
     missing key, a value of the wrong type or out of range) raise
@@ -633,6 +646,7 @@ def _document_from_json(obj: dict) -> PlanDocument:
         conservation_tolerance=_money_field(schedule_obj, "conservation_tolerance"),
     )
     clusters = tuple(map(_parse_cluster, _objects(obj, "clusters")))
+    _check_clusters_match(clusters, schedule)
     metrics_obj = _field(obj, "metrics", dict)
     overall = _field(metrics_obj, "overall", dict)
     metrics = PlanMetrics(

@@ -426,16 +426,3 @@ def validate_dataset(
             )
         )
     return tuple(issues)
-
-
-def cluster_cost(
-    cluster: Cluster, segments: Iterable[Segment] | Mapping[str, Segment]
-) -> Decimal:
-    """Recompute a cluster's cost: each member priced at the cluster's year."""
-    lookup = segment_lookup(segments)
-    total = ZERO
-    for sid in cluster.member_ids:
-        if sid not in lookup:
-            raise UnknownSegmentError(f"cluster {cluster.year}: unknown member {sid!r}")
-        total += lookup[sid].cost_at(cluster.year)
-    return total

@@ -69,6 +69,16 @@ def oracle_medoid(members):
     return best[1]
 
 
+def oracle_cluster_cost(cluster, segments):
+    """The cluster's cost recomputed from its members: each member's cost in
+    the cluster's year, not its own scheduled year, summed exactly."""
+    by_id = {seg.id: seg for seg in segments}
+    total = Decimal("0.00")
+    for sid in cluster.member_ids:
+        total += by_id[sid].cost_by_year[cluster.year]
+    return total
+
+
 def oracle_money(value):
     """``value`` as a cent ``Decimal``, always a fresh quantized copy; more
     than two fractional digits, NaN, infinities and magnitudes of 10**18 or

@@ -14,8 +14,7 @@ from decimal import Decimal
 import pytest
 
 from paveplan.cli import main
-from paveplan.costs import conservation_report
-from paveplan.metrics import compare_plans, plan_from_schedule
+from paveplan.metrics import compare_plans, compute_metrics, plan_from_schedule
 from paveplan.model import (
     BudgetSchedule,
     Cluster,
@@ -32,7 +31,7 @@ from paveplan.refine import build_tolerance_band, schedule_aware_cluster, schedu
 from paveplan.synth import synthesize_dataset
 
 from helpers import random_segments, random_schedule, schedule, seg
-from oracles import oracle_furthest_point, oracle_prefix_cluster
+from oracles import oracle_cluster_cost, oracle_furthest_point, oracle_prefix_cluster
 from paveplan.geometry import ClusterBalls, furthest_point_from_cluster
 
 
@@ -183,10 +182,16 @@ def test_criterion_5_conservation_accounting():
         if validate_dataset(segments, sched):
             ok = False
             details.append(f"trial {trial}: validation failed")
-        report = conservation_report(plan_from_schedule(segments, sched), sched, segments)
-        if report.total_deviation != Decimal("0.00"):
+        plan = plan_from_schedule(segments, sched)
+        # recomputed from the segments' costs, and as metrics give it
+        recomputed = sum(oracle_cluster_cost(c, segments) for c in plan.clusters)
+        deviations = {
+            recomputed - sum(entry.budget for entry in sched.entries),
+            compute_metrics(plan, sched, segments).overall.total_deviation,
+        }
+        if deviations != {Decimal("0.00")}:
             ok = False
-            details.append(f"trial {trial}: total deviation {report.total_deviation}")
+            details.append(f"trial {trial}: total deviation {sorted(deviations)}")
 
     # the five published year-rows reproduce their per-year deviations to the
     # cent and a zero total
@@ -203,14 +208,18 @@ def test_criterion_5_conservation_accounting():
             for year, budget, cost in PUBLISHED_ROWS
         )
     )
-    report = conservation_report(plan, sched)
-    if [str(r.deviation) for r in report.rows] != PUBLISHED_DEVIATIONS:
+    metrics = compute_metrics(plan, sched, ())  # singletons: no distance to measure
+    deviations = [str(y.realized_cost - y.budget) for y in metrics.per_year]
+    if deviations != PUBLISHED_DEVIATIONS:
         ok = False
-        details.append(f"published deviations came out {[str(r.deviation) for r in report.rows]}")
-    if report.total_deviation != Decimal("0.00") or not report.within_tolerance:
+        details.append(f"published deviations came out {deviations}")
+    overall = metrics.overall
+    if overall.total_deviation != Decimal("0.00") or not (
+        abs(overall.total_deviation) <= sched.conservation_tolerance
+    ):
         ok = False
-        details.append(f"published total deviation {report.total_deviation}")
-    if report.total_budget != Decimal("21311945.11") or report.total_cost != Decimal(
+        details.append(f"published total deviation {overall.total_deviation}")
+    if overall.total_budget != Decimal("21311945.11") or overall.total_cost != Decimal(
         "21311945.11"
     ):
         ok = False

@@ -382,6 +382,21 @@ def test_synth_refuses_non_finite_options(flags, parameter, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "spec, problem",
+    [(spec, "is not a year list or range") for spec in ["2018:", ":2020", "2018,,2019", "x", "2018:2019:2020"]]
+    + [("2020:2018", "is a reversed range")],
+)
+def test_synth_names_a_bad_years_spec(spec, problem, tmp_path, capsys):
+    code = main(
+        ["synth", "--n", "20", "--blobs", "2", "--years", spec, "--seed", "1",
+         "--out-segments", str(tmp_path / "s.csv"), "--out-budgets", str(tmp_path / "b.csv")]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: --years {spec!r} {problem}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # two points 1.8e308 apart: finite coordinates whose distance overflows
 OVERFLOW_SEGMENTS = (
     "id,x,y,scheduled_year,cost\n"
@@ -720,6 +735,38 @@ def test_metrics_command(two_blob_files, tmp_path, capsys):
     assert payload["conservation"]["within_tolerance"] is True
 
 
+@pytest.mark.parametrize(
+    "command, deviation, within, sha256",
+    [
+        (["cluster", "--algo", "schedule"], "-27864.18", False,
+         "83c034aa9421138e3a77a25f969c62be3814c4eb7fc68ffedce87384fd411895"),
+        (["cluster", "--algo", "schedule", "--conservation-tolerance", "100000.00"],
+         "-27864.18", True,
+         "6cca89ddc82f98d00899d6478a3084b903a49515ac9ce0ea56ef156ee7253dc9"),
+        (["baseline"], "0.00", True,
+         "34d6ea405fa5198dc8ba36e80cc828dd35fbe686b2d9727f07e71d24f845f1e1"),
+    ],
+    ids=["schedule", "schedule-tolerant", "baseline"],
+)
+def test_metrics_stdout_bytes(command, deviation, within, sha256, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(
+        ["synth", "--n", "300", "--blobs", "3", "--years", "2018:2022", "--seed", "5",
+         "--tolerance-fraction", "0.05", "--out-segments", "s.csv", "--out-budgets", "b.csv"]
+    ) == 0
+    assert main(
+        [command[0], "--segments", "s.csv", "--budgets", "b.csv", *command[1:],
+         "--out", "plan.json"]
+    ) == 0
+    capsys.readouterr()
+    assert main(["metrics", "--plan", "plan.json", "--segments", "s.csv"]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert payload["conservation"] == {"total_deviation": deviation, "within_tolerance": within}
+    assert payload["overall"]["total_deviation"] == deviation
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
+
 def test_compare_command(two_blob_files, tmp_path, capsys):
     segments, budgets = two_blob_files
     before_path = tmp_path / "before.json"
@@ -818,7 +865,8 @@ def test_compare_refuses_other_budgets(two_blob_files, tmp_path, capsys):
     segments, budgets = two_blob_files
     before = _plan_file("baseline", segments, budgets, tmp_path / "before.json")
     obj = json.loads(before.read_text(encoding="utf-8"))
-    obj["schedule"]["entries"][1]["budget"] = "4.00"  # same input_digest
+    # same input_digest; a cluster's budget is its schedule entry's
+    obj["schedule"]["entries"][1]["budget"] = obj["clusters"][1]["budget"] = "4.00"
     after = tmp_path / "after.json"
     after.write_text(json.dumps(obj), encoding="utf-8")
     capsys.readouterr()
@@ -973,6 +1021,50 @@ def test_inconsistent_plan_document_exits_2(
     assert main([command, *args, "--segments", str(segments)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: plan document") and message in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["budgets.csv", "plan.json", "segments.csv"]
+
+
+def _edit_cluster_budget(obj):
+    obj["clusters"][0]["budget"] = "30.00"
+
+
+def _edit_entry_budget(obj):
+    obj["schedule"]["entries"][0]["budget"] = "9.00"
+
+
+def _drop_last_cluster(obj):
+    del obj["clusters"][-1]
+
+
+def _swap_clusters(obj):
+    obj["clusters"].reverse()
+
+
+@pytest.mark.parametrize("command", ["metrics", "render", "compare"])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_edit_cluster_budget, "cluster 2018 at 30.00 does not match schedule entry 2018 at 3.00"),
+        (_edit_entry_budget, "cluster 2018 at 3.00 does not match schedule entry 2018 at 9.00"),
+        (_drop_last_cluster, "cluster none does not match schedule entry 2019 at 3.00"),
+        (_swap_clusters, "cluster 2019 at 3.00 does not match schedule entry 2018 at 3.00"),
+    ],
+    ids=["cluster-budget", "entry-budget", "missing-cluster", "swapped-clusters"],
+)
+def test_cluster_must_match_its_schedule_entry(
+    command, edit, message, two_blob_files, tmp_path, capsys
+):
+    # the clusters' and the schedule's budgets give one conservation figure
+    segments, _ = two_blob_files
+    plan = tmp_path / "plan.json"
+    plan.write_text(_golden_document(edit), encoding="utf-8")
+    args = {
+        "metrics": ["--plan", str(plan)],
+        "render": ["--plan", str(plan), "--out", str(tmp_path / "plan.svg")],
+        "compare": ["--before", str(plan), "--after", str(plan)],
+    }[command]
+    assert main([command, *args, "--segments", str(segments)]) == 2
+    assert capsys.readouterr().err == f"error: plan document {message}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["budgets.csv", "plan.json", "segments.csv"]
 
 

@@ -2,23 +2,11 @@ from decimal import Decimal
 
 import pytest
 
-from paveplan.costs import compounded_costs, conservation_report, flat_cost_table
+from paveplan.costs import compounded_costs, flat_cost_table
 from paveplan.io_formats import emit_cost_matrix_csv, load_cost_matrix, load_segments
-from paveplan.model import BudgetSchedule, Cluster, Plan
 from paveplan.refine import schedule_aware_plan
 
 from helpers import schedule, seg
-
-# Published five-year budget/cost pairs whose columns both total
-# 21,311,945.11: the canonical conservation fixture.
-PUBLISHED_ROWS = [
-    (2018, "1047131.09", "1080947.98"),
-    (2019, "7481612.12", "7742091.49"),
-    (2020, "6551389.79", "6751923.97"),
-    (2021, "4856840.61", "4895829.16"),
-    (2022, "1374971.50", "841152.51"),
-]
-PUBLISHED_TOTAL = Decimal("21311945.11")
 
 
 class TestCompoundedCosts:
@@ -113,66 +101,3 @@ def test_flat_rows_share_one_year_index():
     assert c.cost_by_year._index is not a.cost_by_year._index
     assert tuple(c.cost_by_year) == (*years[::-1], 2051)
     assert c.cost_at(2051) == c.cost_at(2018) == Decimal("7.00")
-
-
-def _published_fixture():
-    years = [row[0] for row in PUBLISHED_ROWS]
-    sched = BudgetSchedule(
-        tuple(
-            schedule([budget], start_year=year).entries[0]
-            for year, budget, _ in PUBLISHED_ROWS
-        )
-    )
-    segments = [
-        seg(f"city{year}", (float(i), 0.0), cost=cost, year=year, years=years)
-        for i, (year, _, cost) in enumerate(PUBLISHED_ROWS)
-    ]
-    clusters = tuple(
-        Cluster(year, f"city{year}", (f"city{year}",), Decimal(cost), Decimal(budget))
-        for year, budget, cost in PUBLISHED_ROWS
-    )
-    return segments, sched, Plan(clusters)
-
-
-class TestConservationReport:
-    def test_published_rows_reproduce_deviations(self):
-        segments, sched, plan = _published_fixture()
-        report = conservation_report(plan, sched, segments)
-        deviations = [row.deviation for row in report.rows]
-        assert deviations == [
-            Decimal("33816.89"),
-            Decimal("260479.37"),
-            Decimal("200534.18"),
-            Decimal("38988.55"),
-            Decimal("-533818.99"),
-        ]
-        assert report.total_budget == PUBLISHED_TOTAL
-        assert report.total_cost == PUBLISHED_TOTAL
-        assert report.total_deviation == Decimal("0.00")
-        assert report.within_tolerance
-
-    def test_stored_and_recomputed_agree(self):
-        segments, sched, plan = _published_fixture()
-        assert conservation_report(plan, sched) == conservation_report(
-            plan, sched, segments
-        )
-
-    def test_empty_plan_zero_budgets(self):
-        report = conservation_report(Plan(()), BudgetSchedule(()))
-        assert report.rows == ()
-        assert report.total_budget == Decimal("0.00")
-        assert report.total_cost == Decimal("0.00")
-        assert report.total_deviation == Decimal("0.00")
-        assert report.within_tolerance
-
-    def test_exact_budget_has_zero_deviation(self):
-        sched = schedule(["5.00"])
-        plan = Plan((Cluster(2018, "a", ("a",), "5.00", "5.00"),))
-        report = conservation_report(plan, sched)
-        assert report.rows[0].deviation == Decimal("0.00")
-
-    def test_misaligned_plan_rejected(self):
-        sched = schedule(["5.00"])
-        plan = Plan((Cluster(2020, "a", ("a",), "5.00", "5.00"),))
-        with pytest.raises(ValueError):
-            conservation_report(plan, sched)

@@ -438,7 +438,6 @@ AWKWARD_FLOATS = [-0.0, 5e-324, 1e16, 1.7976931348623157e308, 1e22, -1e-7]
 FLOATS = st.floats() | st.sampled_from([*AWKWARD_FLOATS, math.nan, math.inf, -math.inf])
 YEARS = st.integers(-10_000, 10_000)
 MONEY = _money_text(st.integers(-10**12, 10**12)) | st.just("-0.00")
-POSITIVE_MONEY = _money_text(st.integers(1, 10**12))
 
 
 @st.composite
@@ -472,11 +471,12 @@ def _members(year=None):
 
 
 @st.composite
-def _cluster_objs(draw):
-    # a parsed cluster's members are in its year and sum to its realized cost
-    year = draw(YEARS)
+def _cluster_objs(draw, entry):
+    # a parsed cluster has its schedule entry's year and budget, and its
+    # members are in that year and sum to its realized cost
+    year = entry["year"]
     center_id = draw(st.none() | TEXTS)
-    budget = draw(POSITIVE_MONEY)
+    budget = entry["budget"]
     members = draw(_members(year))
     realized = sum((Decimal(m["cost_used"]) for m in members), Decimal("0.00"))
     realized_cost = f"{realized:.2f}"
@@ -491,11 +491,17 @@ def _cluster_objs(draw):
     }
 
 
+def _with_clusters(obj):
+    """``obj`` with one cluster for each of its schedule entries, in order."""
+    clusters = st.tuples(*map(_cluster_objs, obj["schedule"]["entries"]))
+    return clusters.map(lambda c: {**obj, "clusters": list(c)})
+
+
 DOCUMENT_OBJS = _ordered(
     format_version=st.just("1"),
     input_digest=TEXTS,
     schedule=_schedule_objs(),
-    clusters=st.lists(_cluster_objs(), max_size=3),
+    clusters=st.just([]),  # drawn by _with_clusters
     unassigned=_members(),
     metrics=_ordered(
         per_year=st.lists(
@@ -528,7 +534,7 @@ DOCUMENT_OBJS = _ordered(
         ),
         max_size=2,
     ),
-)
+).flatmap(_with_clusters)
 
 
 @given(DOCUMENT_OBJS)
@@ -560,12 +566,19 @@ def _plans(draw):
         scheduled = draw(YEARS)
         costs = {year: draw(CENTS) for year in {*years, scheduled}}
         lookup[sid] = Segment(sid, tuple(draw(COORDS)), costs, scheduled)
+    entries = []
+    for year in years:
+        budget = draw(st.integers(1, 10**12))
+        low = draw(st.integers(0, budget - 1))
+        entries.append(BudgetEntry(year, Decimal(budget) / 100, Decimal(low) / 100, draw(CENTS)))
+    schedule_obj = BudgetSchedule(tuple(entries), draw(CENTS))
     clusters = []
-    for index, year in enumerate(years):
+    for index, entry in enumerate(entries):
+        # a cluster has its schedule entry's year and budget
         members = [sid for sid, at in zip(ids, where) if at == index]
         center = draw(st.sampled_from(members)) if members else None
-        realized = sum((lookup[sid].cost_at(year) for sid in members), Decimal("0.00"))
-        clusters.append(Cluster(year, center, tuple(members), realized, draw(CENTS)))
+        realized = sum((lookup[sid].cost_at(entry.year) for sid in members), Decimal("0.00"))
+        clusters.append(Cluster(entry.year, center, tuple(members), realized, entry.budget))
     unassigned = tuple(sid for sid, at in zip(ids, where) if at == -1)
     diagnostics = draw(
         st.lists(
@@ -576,12 +589,6 @@ def _plans(draw):
         )
     )
     plan = Plan(tuple(clusters), unassigned, tuple(diagnostics))
-    entries = []
-    for year in years:
-        budget = draw(st.integers(1, 10**12))
-        low = draw(st.integers(0, budget - 1))
-        entries.append(BudgetEntry(year, Decimal(budget) / 100, Decimal(low) / 100, draw(CENTS)))
-    schedule_obj = BudgetSchedule(tuple(entries), draw(CENTS))
     per_year = tuple(
         YearMetrics(
             c.year, c.budget, c.realized_cost, draw(FLOATS), c.size,
@@ -773,6 +780,7 @@ class TestMalformedPlanDocument:
         cluster = obj["clusters"][0]
         cluster["members"] = cluster["members"][:1]
         cluster.update(budget="0.50", realized_cost="1.00")
+        obj["schedule"]["entries"][0]["budget"] = "0.50"
         document = parse_plan_document(json.dumps(obj))
         assert document.clusters[0].realized_cost > document.clusters[0].budget
 
@@ -787,6 +795,12 @@ class TestMalformedPlanDocument:
     def test_named_error(self, text):
         with pytest.raises(PavePlanError):
             parse_plan_document(text)
+
+    def test_cluster_without_schedule_entry(self):
+        obj = json.loads(GOLDEN_TEXT)
+        obj["clusters"].append(dict(obj["clusters"][1], year=2020, members=[], realized_cost="0.00"))
+        with pytest.raises(PavePlanError, match="^plan document cluster 2020 at 3.00 does not match schedule entry none$"):
+            parse_plan_document(json.dumps(obj))
 
     def test_non_positive_cluster_budget(self):
         obj = json.loads(GOLDEN_TEXT)

@@ -19,6 +19,7 @@ from paveplan.metrics import (
     plan_from_schedule,
 )
 from paveplan.model import (
+    BudgetSchedule,
     Cluster,
     DimensionMismatchError,
     PavePlanError,
@@ -28,6 +29,7 @@ from paveplan.model import (
 from paveplan.radial import landmark_based_radial_clustering
 
 from helpers import random_segments, schedule, seg
+from oracles import oracle_cluster_cost
 
 
 def two_point_fixture():
@@ -150,12 +152,98 @@ class TestComputeMetrics:
             compute_metrics(plan, sched, [seg("a", (0, 0))])
 
 
+# Published five-year budget/cost pairs whose columns both total
+# 21,311,945.11: the canonical conservation fixture.
+PUBLISHED_ROWS = [
+    (2018, "1047131.09", "1080947.98"),
+    (2019, "7481612.12", "7742091.49"),
+    (2020, "6551389.79", "6751923.97"),
+    (2021, "4856840.61", "4895829.16"),
+    (2022, "1374971.50", "841152.51"),
+]
+PUBLISHED_TOTAL = Decimal("21311945.11")
+
+
+def _published_fixture():
+    years = [row[0] for row in PUBLISHED_ROWS]
+    sched = BudgetSchedule(
+        tuple(
+            schedule([budget], start_year=year).entries[0]
+            for year, budget, _ in PUBLISHED_ROWS
+        )
+    )
+    segments = [
+        seg(f"city{year}", (float(i), 0.0), cost=cost, year=year, years=years)
+        for i, (year, _, cost) in enumerate(PUBLISHED_ROWS)
+    ]
+    clusters = tuple(
+        Cluster(year, f"city{year}", (f"city{year}",), Decimal(cost), Decimal(budget))
+        for year, budget, cost in PUBLISHED_ROWS
+    )
+    return segments, sched, Plan(clusters)
+
+
+class TestConservation:
+    """A year's deviation is its ``realized_cost - budget``; the plan's is
+    ``overall.total_deviation``, within tolerance when its magnitude is at
+    most the schedule's ``conservation_tolerance``."""
+
+    def test_published_rows_reproduce_deviations(self):
+        segments, sched, plan = _published_fixture()
+        metrics = compute_metrics(plan, sched, segments)
+        recomputed = [
+            oracle_cluster_cost(c, segments) - e.budget
+            for c, e in zip(plan.clusters, sched.entries)
+        ]
+        deviations = [y.realized_cost - y.budget for y in metrics.per_year]
+        assert recomputed == deviations == [
+            Decimal("33816.89"),
+            Decimal("260479.37"),
+            Decimal("200534.18"),
+            Decimal("38988.55"),
+            Decimal("-533818.99"),
+        ]
+        overall = metrics.overall
+        assert overall.total_budget == PUBLISHED_TOTAL
+        assert overall.total_cost == PUBLISHED_TOTAL
+        assert overall.total_deviation == Decimal("0.00")
+        assert abs(overall.total_deviation) <= sched.conservation_tolerance
+
+    def test_stored_and_recomputed_agree(self):
+        segments, sched, plan = _published_fixture()
+        metrics = compute_metrics(plan, sched, segments)
+        assert [y.realized_cost for y in metrics.per_year] == [
+            oracle_cluster_cost(c, segments) for c in plan.clusters
+        ]
+
+    def test_empty_plan_zero_budgets(self):
+        sched = BudgetSchedule(())
+        metrics = compute_metrics(Plan(()), sched, [])
+        assert metrics.per_year == ()
+        overall = metrics.overall
+        assert overall.total_budget == Decimal("0.00")
+        assert overall.total_cost == Decimal("0.00")
+        assert overall.total_deviation == Decimal("0.00")
+        assert abs(overall.total_deviation) <= sched.conservation_tolerance
+
+    def test_exact_budget_has_zero_deviation(self):
+        sched = schedule(["5.00"])
+        plan = Plan((Cluster(2018, "a", ("a",), "5.00", "5.00"),))
+        (year,) = compute_metrics(plan, sched, [seg("a", (0, 0), cost="5.00")]).per_year
+        assert year.realized_cost - year.budget == Decimal("0.00")
+
+    def test_misaligned_plan_rejected(self):
+        sched = schedule(["5.00"])
+        plan = Plan((Cluster(2020, "a", ("a",), "5.00", "5.00"),))
+        with pytest.raises(ValueError, match="do not align with the schedule years"):
+            compute_metrics(plan, sched, [seg("a", (0, 0), cost="5.00", year=2020)])
+
+
 # duplicates, signed zeros, the least subnormal, and points 1.8e308 apart,
 # whose distance overflows to inf
 KERNEL_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 1.0, 9e307, -9e307]) | st.floats(
     allow_nan=False, allow_infinity=False
 )
-
 
 @st.composite
 def _point_sets(draw):

@@ -16,8 +16,6 @@ from paveplan.model import (
     MissingCostError,
     Plan,
     Segment,
-    UnknownSegmentError,
-    cluster_cost,
     money,
     validate_dataset,
 )
@@ -354,40 +352,3 @@ class TestValidateDataset:
         segments = line_segments(range(3))
         sched = schedule([2])
         assert validate_dataset(segments, sched) == validate_dataset(segments, sched)
-
-
-class TestClusterCost:
-    def test_singleton(self):
-        s = seg("a", (0, 0), cost="7.50")
-        c = Cluster(2018, "a", ("a",), "7.50", "10.00")
-        assert cluster_cost(c, [s]) == Decimal("7.50")
-
-    def test_sum(self):
-        segments = [
-            seg("a", (0, 0), cost="1.00"),
-            seg("b", (1, 0), cost="2.00"),
-            seg("c", (2, 0), cost="3.00"),
-        ]
-        c = Cluster(2018, "a", ("a", "b", "c"), "6.00", "10.00")
-        assert cluster_cost(c, segments) == Decimal("6.00")
-
-    def test_uses_cluster_year_not_scheduled_year(self):
-        s = Segment(
-            id="a",
-            coords=(0.0, 0.0),
-            cost_by_year={2018: Decimal("10.00"), 2019: Decimal("12.00")},
-            scheduled_year=2018,
-        )
-        c = Cluster(2019, "a", ("a",), "12.00", "20.00")
-        assert cluster_cost(c, [s]) == Decimal("12.00")
-
-    def test_unknown_member(self):
-        c = Cluster(2018, "a", ("a",), "1.00", "1.00")
-        with pytest.raises(UnknownSegmentError):
-            cluster_cost(c, [])
-
-    def test_missing_year(self):
-        s = seg("a", (0, 0), year=2018)
-        c = Cluster(2019, "a", ("a",), "1.00", "1.00")
-        with pytest.raises(MissingCostError):
-            cluster_cost(c, [s])

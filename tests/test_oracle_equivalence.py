@@ -14,10 +14,42 @@ import pytest
 from paveplan.geometry import ClusterBalls, furthest_point_from_cluster
 from paveplan.metrics import plan_from_schedule
 from paveplan.radial import landmark_based_radial_clustering, radial_neighbor_clustering
+from paveplan.model import Cluster, Segment
 from paveplan.refine import schedule_aware_plan
 
 from helpers import line_segments, random_schedule, random_segments, seg
-from oracles import oracle_furthest_point, oracle_medoid, oracle_prefix_cluster
+from oracles import (
+    oracle_cluster_cost,
+    oracle_furthest_point,
+    oracle_medoid,
+    oracle_prefix_cluster,
+)
+
+
+class TestOracleClusterCost:
+    def test_singleton(self):
+        s = seg("a", (0, 0), cost="7.50")
+        c = Cluster(2018, "a", ("a",), "7.50", "10.00")
+        assert oracle_cluster_cost(c, [s]) == Decimal("7.50")
+
+    def test_sum(self):
+        segments = [
+            seg("a", (0, 0), cost="1.00"),
+            seg("b", (1, 0), cost="2.00"),
+            seg("c", (2, 0), cost="3.00"),
+        ]
+        c = Cluster(2018, "a", ("a", "b", "c"), "6.00", "10.00")
+        assert oracle_cluster_cost(c, segments) == Decimal("6.00")
+
+    def test_uses_cluster_year_not_scheduled_year(self):
+        s = Segment(
+            id="a",
+            coords=(0.0, 0.0),
+            cost_by_year={2018: Decimal("10.00"), 2019: Decimal("12.00")},
+            scheduled_year=2018,
+        )
+        c = Cluster(2019, "a", ("a",), "12.00", "20.00")
+        assert oracle_cluster_cost(c, [s]) == Decimal("12.00")
 
 
 def test_oracle_prefix_on_line():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from paveplan.io_formats import emit_plan
 from paveplan.metrics import compute_metrics
-from paveplan.model import BudgetSchedule, Segment, ValidationFailedError, cluster_cost
+from paveplan.model import BudgetSchedule, Segment, ValidationFailedError
 from paveplan.radial import (
     STOP_CENTER_EXCEEDS_BUDGET,
     landmark_based_radial_clustering,
@@ -23,7 +23,7 @@ from paveplan.refine import (
 from paveplan.synth import synthesize_dataset
 
 from helpers import line_segments, random_segments, schedule, seg
-from oracles import oracle_prefix_cluster
+from oracles import oracle_cluster_cost, oracle_prefix_cluster
 
 
 class TestBuildToleranceBand:
@@ -227,7 +227,7 @@ class TestScheduleAwarePlan:
         year_2019 = plan.clusters[1]
         assert set(year_2019.member_ids) == {"moved", "near"}
         assert year_2019.realized_cost == Decimal("15.00")  # 12 + 3, not 10 + 3
-        assert cluster_cost(year_2019, [far, moved, near]) == year_2019.realized_cost
+        assert oracle_cluster_cost(year_2019, [far, moved, near]) == year_2019.realized_cost
 
     def test_single_year_single_segment(self):
         plan = schedule_aware_plan([seg("a", (0, 0))], schedule([1]), 0)
@@ -285,7 +285,7 @@ class TestScheduleAwarePlan:
             )
             plan = schedule_aware_plan(segments, sched, 0)
             for cluster in plan.clusters:
-                assert cluster_cost(cluster, segments) == cluster.realized_cost
+                assert oracle_cluster_cost(cluster, segments) == cluster.realized_cost
 
     @given(st.integers(min_value=0, max_value=5_000))
     @settings(max_examples=30, deadline=None)
