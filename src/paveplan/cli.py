@@ -33,11 +33,12 @@ from .io_formats import (
     load_budgets,
     load_cost_matrix,
     load_segments,
+    parse_int,
     parse_plan_document,
     plan_from_document,
     render_plan_svg,
 )
-from .metrics import PlanMetrics, baseline_plan, compare_plans, compute_metrics
+from .metrics import compare_plans, compute_metrics, plan_from_schedule
 from .model import (
     BudgetSchedule,
     MismatchedInputsError,
@@ -144,16 +145,17 @@ def _write_outputs(files: Sequence[tuple[Path, str]], stdout_text: str = "") -> 
 
 def _write_plan(
     plan: Plan,
-    metrics: PlanMetrics,
     schedule: BudgetSchedule,
-    lookup: Mapping[str, Segment],
+    segments: Sequence[Segment],
     digest: str,
     plan_out: Path | None,
     svg_out: Path | None = None,
 ) -> int:
-    """Print the plan's diagnostics, then write its document, with
-    ``metrics``, to ``plan_out`` (stdout if omitted) and its SVG map to
+    """Print the plan's diagnostics, then write its document, with its
+    metrics, to ``plan_out`` (stdout if omitted) and its SVG map to
     ``svg_out`` if given. Nothing is written until every artifact is built."""
+    lookup = segment_lookup(segments)
+    metrics = compute_metrics(plan, schedule, lookup)
     plan_text = emit_plan(plan, metrics, schedule, lookup, digest)
     files = [(plan_out, plan_text)] if plan_out else []
     if svg_out:
@@ -213,9 +215,7 @@ def _cmd_cluster(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         plan = schedule_aware_plan(
             segments, schedule, axis, strict=args.strict, skip_mode=args.skip_mode
         )
-    lookup = segment_lookup(segments)
-    metrics = compute_metrics(plan, schedule, lookup)
-    return _write_plan(plan, metrics, schedule, lookup, digest, args.out, args.svg)
+    return _write_plan(plan, schedule, segments, digest, args.out, args.svg)
 
 
 def _document_segments(path: Path, *documents: PlanDocument) -> Mapping[str, Segment]:
@@ -310,16 +310,16 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
     segments, schedule, digest = _load_dataset(args)
-    plan, metrics = baseline_plan(segments, schedule)
-    return _write_plan(plan, metrics, schedule, segment_lookup(segments), digest, args.out)
+    plan = plan_from_schedule(segments, schedule)
+    return _write_plan(plan, schedule, segments, digest, args.out)
 
 
 def _parse_years(spec: str) -> tuple[int, ...]:
     """The years ``--years`` names: ``2018:2022`` (both ends in) or ``2018,2019``."""
     try:
         if ":" not in spec:
-            return tuple(map(int, spec.split(",")))
-        start, end = map(int, spec.split(":"))
+            return tuple(map(parse_int, spec.split(",")))
+        start, end = map(parse_int, spec.split(":"))
     except ValueError:
         raise ValueError(f"--years {spec!r} is not a year list or range") from None
     if end < start:
@@ -357,6 +357,13 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+def _int_arg(value: str) -> int:
+    try:
+        return parse_int(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _money_arg(value: str) -> Decimal:
     try:
         return money(value)
@@ -391,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument(
         "--algo", choices=("random", "landmark", "schedule"), required=True
     )
-    p_cluster.add_argument("--seed", type=int, help="random algorithm only")
-    p_cluster.add_argument("--axis", type=int, help="initial-center axis (default 0)")
+    p_cluster.add_argument("--seed", type=_int_arg, help="random algorithm only")
+    p_cluster.add_argument("--axis", type=_int_arg, help="initial-center axis (default 0)")
     p_cluster.add_argument(
         "--low-tolerance", type=_money_arg, help="global inner tolerance override"
     )
@@ -434,10 +441,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_baseline.set_defaults(handler=_cmd_baseline)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
-    p_synth.add_argument("--n", type=int, required=True)
-    p_synth.add_argument("--blobs", type=int, required=True)
+    p_synth.add_argument("--n", type=_int_arg, required=True)
+    p_synth.add_argument("--blobs", type=_int_arg, required=True)
     p_synth.add_argument("--years", required=True, help="e.g. 2018:2022 or 2018,2019")
-    p_synth.add_argument("--seed", type=int, required=True)
+    p_synth.add_argument("--seed", type=_int_arg, required=True)
     p_synth.add_argument("--spread", type=float, default=2000.0)
     p_synth.add_argument("--blob-radius", type=float, default=50000.0)
     p_synth.add_argument("--budgets", help="comma list; omit for auto-sized budgets")

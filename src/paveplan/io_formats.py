@@ -28,6 +28,7 @@ from .metrics import OverallMetrics, PlanMetrics, YearMetrics
 from .model import (
     MONEY_LIMIT,
     TOTAL_LIMIT,
+    ZERO,
     BudgetEntry,
     BudgetSchedule,
     Cluster,
@@ -109,9 +110,21 @@ def _parse_float(value: str, row: int, column: str) -> float:
     return parsed
 
 
+def parse_int(text: str) -> int:
+    """``text`` as a decimal integer: ASCII digits after an optional sign,
+    with surrounding whitespace. ``int()`` alone also takes ``2_018`` and
+    non-ASCII digits such as ``٢٠١٩``; those raise ``ValueError`` here."""
+    digits = text.strip()
+    if digits[:1] in ("+", "-"):
+        digits = digits[1:]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not a decimal integer")
+    return int(text)
+
+
 def _parse_int(value: str, row: int, column: str) -> int:
     try:
-        return int(value)
+        return parse_int(value)
     except ValueError:
         raise CsvFormatError(f"malformed integer {value!r}", row=row, column=column) from None
 
@@ -610,6 +623,38 @@ def _check_clusters_match(clusters: Sequence[DocumentCluster], schedule: BudgetS
             )
 
 
+def _check_metrics_match(
+    metrics: PlanMetrics, clusters: Sequence[DocumentCluster], unassigned_count: int
+) -> None:
+    """Refuse a metrics block whose money and counts are not the clusters'
+    and the unassigned list's: one ``per_year`` entry per cluster, in order,
+    with its year, budget, realized cost and member count. The float figures
+    are left as stored; ``metrics`` recomputes them."""
+
+    def entry(x: tuple | None) -> str:
+        return f"{x[0]} at {x[1]}, cost {x[2]}, {x[3]} members" if x else "none"
+
+    entries = [(y.year, y.budget, y.realized_cost, y.member_count) for y in metrics.per_year]
+    wanted = [(c.year, c.budget, c.realized_cost, len(c.members)) for c in clusters]
+    for found, expected in zip_longest(entries, wanted):
+        if found != expected:
+            raise PavePlanError(
+                f"plan document metrics entry {entry(found)} does not match "
+                f"cluster {entry(expected)}"
+            )
+    total_budget = sum((c.budget for c in clusters), ZERO)
+    total_cost = sum((c.realized_cost for c in clusters), ZERO)
+    overall = metrics.overall
+    for key, found, expected in (
+        ("total_budget", overall.total_budget, total_budget),
+        ("total_cost", overall.total_cost, total_cost),
+        ("total_deviation", overall.total_deviation, total_cost - total_budget),
+        ("unassigned_count", metrics.unassigned_count, unassigned_count),
+    ):
+        if found != expected:
+            raise PavePlanError(f"plan document metrics field {key!r} is {found}, not {expected}")
+
+
 def parse_plan_document(text: str) -> PlanDocument:
     """The document ``text`` holds. Invalid JSON and any structural fault (a
     missing key, a value of the wrong type or out of range) raise
@@ -673,6 +718,8 @@ def _document_from_json(obj: dict) -> PlanDocument:
         ),
         unassigned_count=_int_field(metrics_obj, "unassigned_count"),
     )
+    unassigned = tuple(_parse_member(m, None) for m in _objects(obj, "unassigned"))
+    _check_metrics_match(metrics, clusters, len(unassigned))
     diagnostics = []
     for d in _objects(obj, "diagnostics"):
         segment_ids = _field(d, "segment_ids", list)
@@ -691,7 +738,7 @@ def _document_from_json(obj: dict) -> PlanDocument:
         input_digest=_field(obj, "input_digest", str),
         schedule=schedule,
         clusters=clusters,
-        unassigned=tuple(_parse_member(m, None) for m in _objects(obj, "unassigned")),
+        unassigned=unassigned,
         metrics=metrics,
         diagnostics=tuple(diagnostics),
     )

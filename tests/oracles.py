@@ -54,14 +54,15 @@ def oracle_furthest_point(candidates, clustered_coords):
     return best.id
 
 
-def oracle_medoid(members):
+def oracle_medoid(members, dist=euclid):
     """Id of the member with the least total distance to all members, each
-    total added left to right from 0.0; the smaller id wins ties."""
+    total added left to right from 0.0; the smaller id wins ties. Pass
+    ``dist=math.dist`` to rank by the very floats the engine's totals add."""
     best = None
     for seg in members:
         total = 0.0
         for other in members:
-            total += euclid(seg.coords, other.coords)
+            total += dist(seg.coords, other.coords)
         if best is None or (total, seg.id) < best:
             best = (total, seg.id)
     if best is None:

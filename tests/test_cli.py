@@ -385,6 +385,8 @@ def test_synth_refuses_non_finite_options(flags, parameter, tmp_path, capsys):
 @pytest.mark.parametrize(
     "spec, problem",
     [(spec, "is not a year list or range") for spec in ["2018:", ":2020", "2018,,2019", "x", "2018:2019:2020"]]
+    # int() takes digit separators and non-ASCII digits
+    + [(spec, "is not a year list or range") for spec in ["2_018:2019", "٢٠١٨:2019", "2018,2_019"]]
     + [("2020:2018", "is a reversed range")],
 )
 def test_synth_names_a_bad_years_spec(spec, problem, tmp_path, capsys):
@@ -395,6 +397,58 @@ def test_synth_names_a_bad_years_spec(spec, problem, tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == f"error: --years {spec!r} {problem}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_years_keep_whitespace_and_signs(tmp_path):
+    assert main(
+        ["synth", "--n", "20", "--blobs", "2", "--years", " 2018 : +2019 ", "--seed", "1",
+         "--out-segments", str(tmp_path / "s.csv"), "--out-budgets", str(tmp_path / "b.csv")]
+    ) == 0
+    years = [line.split(",")[0] for line in (tmp_path / "b.csv").read_text().splitlines()[1:]]
+    assert years == ["2018", "2019"]
+
+
+@pytest.mark.parametrize("value", ["1_0", "١٠"])
+def test_integer_options_refuse_other_digits(value, tmp_path):
+    with pytest.raises(SystemExit) as excinfo:
+        main(
+            ["synth", "--n", value, "--blobs", "2", "--years", "2018", "--seed", "1",
+             "--out-segments", str(tmp_path / "s.csv"), "--out-budgets", str(tmp_path / "b.csv")]
+        )
+    assert excinfo.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "files, where",
+    [
+        ({"segments.csv": "id,x,y,scheduled_year,cost\na,0,0,2_018,1.00\n"},
+         "row 2, column 'scheduled_year': malformed integer '2_018'"),
+        ({"budgets.csv": "year,budget\n٢٠١٨,1.00\n"},
+         "row 2, column 'year': malformed integer '٢٠١٨'"),
+        ({"matrix.csv": "id,Y2_018\na,1.00\n"},
+         "row 1, column 'Y2_018': malformed integer '2_018'"),
+    ],
+    ids=["segments-year", "budgets-year", "matrix-year"],
+)
+def test_csv_integers_refuse_other_digits(files, where, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    texts = {
+        "segments.csv": "id,x,y,scheduled_year,cost\na,0,0,2018,1.00\n",
+        "budgets.csv": "year,budget\n2018,1.00\n",
+        "matrix.csv": "id,Y2018\na,1.00\n",
+    }
+    texts.update(files)
+    for name, text in texts.items():
+        Path(name).write_text(text, encoding="utf-8")
+    args = ["--segments", "segments.csv", "--budgets", "budgets.csv"]
+    for command in (
+        ["validate", *args, "--cost-matrix", "matrix.csv"],
+        ["cluster", "--algo", "schedule", *args, "--cost-matrix", "matrix.csv", "--out", "p.json"],
+    ):
+        assert main(command) == 2
+        assert capsys.readouterr().err == f"error: {where}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(texts)
 
 
 # two points 1.8e308 apart: finite coordinates whose distance overflows
@@ -865,8 +919,11 @@ def test_compare_refuses_other_budgets(two_blob_files, tmp_path, capsys):
     segments, budgets = two_blob_files
     before = _plan_file("baseline", segments, budgets, tmp_path / "before.json")
     obj = json.loads(before.read_text(encoding="utf-8"))
-    # same input_digest; a cluster's budget is its schedule entry's
+    # same input_digest; a cluster's budget is its schedule entry's and its
+    # metrics entry's, and the totals follow
     obj["schedule"]["entries"][1]["budget"] = obj["clusters"][1]["budget"] = "4.00"
+    obj["metrics"]["per_year"][1]["budget"] = "4.00"
+    obj["metrics"]["overall"].update(total_budget="7.00", total_deviation="-1.00")
     after = tmp_path / "after.json"
     after.write_text(json.dumps(obj), encoding="utf-8")
     capsys.readouterr()
@@ -1068,6 +1125,92 @@ def test_cluster_must_match_its_schedule_entry(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["budgets.csv", "plan.json", "segments.csv"]
 
 
+def _drop_last_year_metrics(obj):
+    del obj["metrics"]["per_year"][-1]
+
+
+def _edit_year_metrics(**fields):
+    return lambda obj: obj["metrics"]["per_year"][0].update(fields)
+
+
+def _edit_overall(**fields):
+    return lambda obj: obj["metrics"]["overall"].update(fields)
+
+
+def _edit_unassigned_count(obj):
+    obj["metrics"]["unassigned_count"] = 1
+
+
+def _found_document(obj):
+    # a 2019 entry dropped, and a 2018 budget and the deviation changed; the
+    # first mismatch in document order is named
+    _drop_last_year_metrics(obj)
+    _edit_year_metrics(budget="30.00")(obj)
+    _edit_overall(total_deviation="-27.00")(obj)
+
+
+TWO_BLOB_ENTRY = "2018 at 3.00, cost 3.00, 3 members"
+
+
+@pytest.mark.parametrize("command", ["metrics", "render", "compare"])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_drop_last_year_metrics,
+         "metrics entry none does not match cluster 2019 at 3.00, cost 3.00, 3 members"),
+        (_edit_year_metrics(year=2017),
+         f"metrics entry 2017 at 3.00, cost 3.00, 3 members does not match cluster {TWO_BLOB_ENTRY}"),
+        (_edit_year_metrics(budget="30.00"),
+         f"metrics entry 2018 at 30.00, cost 3.00, 3 members does not match cluster {TWO_BLOB_ENTRY}"),
+        (_edit_year_metrics(realized_cost="2.00"),
+         f"metrics entry 2018 at 3.00, cost 2.00, 3 members does not match cluster {TWO_BLOB_ENTRY}"),
+        (_edit_year_metrics(member_count=4),
+         f"metrics entry 2018 at 3.00, cost 3.00, 4 members does not match cluster {TWO_BLOB_ENTRY}"),
+        (_edit_overall(total_budget="6.01"),
+         "metrics field 'total_budget' is 6.01, not 6.00"),
+        (_edit_overall(total_cost="5.00"),
+         "metrics field 'total_cost' is 5.00, not 6.00"),
+        (_edit_overall(total_deviation="-27.00"),
+         "metrics field 'total_deviation' is -27.00, not 0.00"),
+        (_edit_unassigned_count, "metrics field 'unassigned_count' is 1, not 0"),
+        (_found_document,
+         f"metrics entry 2018 at 30.00, cost 3.00, 3 members does not match cluster {TWO_BLOB_ENTRY}"),
+    ],
+    ids=["missing-entry", "year", "budget", "cost", "count", "total-budget", "total-cost",
+         "deviation", "unassigned-count", "found"],
+)
+def test_metrics_block_must_match_the_clusters(
+    command, edit, message, two_blob_files, tmp_path, capsys
+):
+    segments, _ = two_blob_files
+    plan = tmp_path / "plan.json"
+    plan.write_text(_golden_document(edit), encoding="utf-8")
+    args = {
+        "metrics": ["--plan", str(plan)],
+        "render": ["--plan", str(plan), "--out", str(tmp_path / "plan.svg")],
+        "compare": ["--before", str(plan), "--after", str(plan)],
+    }[command]
+    assert main([command, *args, "--segments", str(segments)]) == 2
+    assert capsys.readouterr().err == f"error: plan document {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["budgets.csv", "plan.json", "segments.csv"]
+
+
+def test_stored_float_figures_are_left_to_metrics(two_blob_files, tmp_path, capsys):
+    segments, _ = two_blob_files
+    plan = tmp_path / "plan.json"
+    plan.write_text(_golden_document(lambda obj: None), encoding="utf-8")
+    assert main(["metrics", "--plan", str(plan), "--segments", str(segments)]) == 0
+    expected = capsys.readouterr().out
+
+    def edit(obj):
+        _edit_year_metrics(utilization=0.5, mean_pairwise_distance=99.0, over_budget=True)(obj)
+        _edit_overall(weighted_mean_dispersion=-1.0)(obj)
+
+    plan.write_text(_golden_document(edit), encoding="utf-8")
+    assert main(["metrics", "--plan", str(plan), "--segments", str(segments)]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_over_budget_singleton_plan_reads_back(tmp_path, capsys):
     segments = tmp_path / "segments.csv"
     budgets = tmp_path / "budgets.csv"
@@ -1116,6 +1259,7 @@ def test_render_unknown_segment_exits_2(two_blob_files, tmp_path, capsys):
     obj["unassigned"].append(
         dict(obj["clusters"][0]["members"][0], id="zz", assigned_year=None, cost_used=None)
     )
+    obj["metrics"]["unassigned_count"] = 1
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps(obj), encoding="utf-8")
     code = main(

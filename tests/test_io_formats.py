@@ -21,6 +21,7 @@ from paveplan.io_formats import (
     load_budgets,
     load_cost_matrix,
     load_segments,
+    parse_int,
     parse_plan_document,
     PlanDocument,
     plan_from_document,
@@ -60,6 +61,17 @@ def two_blob_inputs():
     )
     budgets_csv = "year,budget,e_l,e_h\n2018,3.00,0.00,0.00\n2019,3.00,0.00,0.00\n"
     return segments_csv, budgets_csv
+
+
+@pytest.mark.parametrize("text, value", [("2018", 2018), (" +7 ", 7), ("\t-3\n", -3), ("007", 7)])
+def test_parse_int_keeps_signs_and_whitespace(text, value):
+    assert parse_int(text) == value
+
+
+@pytest.mark.parametrize("text", ["2_018", "٢٠١٩", "１２", "", " ", "+", "+-1", "1 2", "- 1", "1.0"])
+def test_parse_int_refuses_what_is_not_ascii_digits(text):
+    with pytest.raises(ValueError, match="is not a decimal integer"):
+        parse_int(text)
 
 
 class TestLoadSegments:
@@ -479,9 +491,7 @@ def _cluster_objs(draw, entry):
     budget = entry["budget"]
     members = draw(_members(year))
     realized = sum((Decimal(m["cost_used"]) for m in members), Decimal("0.00"))
-    realized_cost = f"{realized:.2f}"
-    if realized == 0:
-        realized_cost = draw(st.sampled_from([realized_cost, "-0.00"]))
+    realized_cost = _total_text(draw, realized)
     return {
         "year": year,
         "center_id": center_id,
@@ -491,10 +501,46 @@ def _cluster_objs(draw, entry):
     }
 
 
-def _with_clusters(obj):
-    """``obj`` with one cluster for each of its schedule entries, in order."""
-    clusters = st.tuples(*map(_cluster_objs, obj["schedule"]["entries"]))
-    return clusters.map(lambda c: {**obj, "clusters": list(c)})
+def _total_text(draw, total):
+    """``total`` as a document writes it; a zero may be written ``-0.00``."""
+    return draw(st.sampled_from([f"{total:.2f}", "-0.00"])) if total == 0 else f"{total:.2f}"
+
+
+@st.composite
+def _metrics_obj(draw, clusters, unassigned_count):
+    # a parsed metrics block has the clusters' money and member counts, and
+    # the unassigned count; its floats and flags may hold anything
+    per_year = [
+        {
+            "year": c["year"],
+            "budget": c["budget"],
+            "realized_cost": c["realized_cost"],
+            "utilization": draw(FLOATS),
+            "member_count": len(c["members"]),
+            "mean_member_distance_to_center": draw(FLOATS),
+            "mean_pairwise_distance": draw(FLOATS),
+            "over_budget": draw(st.booleans()),
+        }
+        for c in clusters
+    ]
+    total_budget = sum((Decimal(c["budget"]) for c in clusters), Decimal("0.00"))
+    total_cost = sum((Decimal(c["realized_cost"]) for c in clusters), Decimal("0.00"))
+    overall = {
+        "total_budget": _total_text(draw, total_budget),
+        "total_cost": _total_text(draw, total_cost),
+        "total_deviation": _total_text(draw, total_cost - total_budget),
+        "weighted_mean_dispersion": draw(FLOATS),
+    }
+    return {"per_year": per_year, "overall": overall, "unassigned_count": unassigned_count}
+
+
+@st.composite
+def _with_clusters(draw, obj):
+    """``obj`` with one cluster for each of its schedule entries, in order,
+    and the metrics block they give."""
+    clusters = [draw(_cluster_objs(entry)) for entry in obj["schedule"]["entries"]]
+    metrics = draw(_metrics_obj(clusters, len(obj["unassigned"])))
+    return {**obj, "clusters": clusters, "metrics": metrics}
 
 
 DOCUMENT_OBJS = _ordered(
@@ -503,28 +549,7 @@ DOCUMENT_OBJS = _ordered(
     schedule=_schedule_objs(),
     clusters=st.just([]),  # drawn by _with_clusters
     unassigned=_members(),
-    metrics=_ordered(
-        per_year=st.lists(
-            _ordered(
-                year=YEARS,
-                budget=MONEY,
-                realized_cost=MONEY,
-                utilization=FLOATS,
-                member_count=st.integers(0, 10**6),
-                mean_member_distance_to_center=FLOATS,
-                mean_pairwise_distance=FLOATS,
-                over_budget=st.booleans(),
-            ),
-            max_size=3,
-        ),
-        overall=_ordered(
-            total_budget=MONEY,
-            total_cost=MONEY,
-            total_deviation=MONEY,
-            weighted_mean_dispersion=FLOATS,
-        ),
-        unassigned_count=st.integers(0, 10**6),
-    ),
+    metrics=st.just({}),  # drawn by _with_clusters
     diagnostics=st.lists(
         _ordered(
             code=TEXTS,
@@ -596,7 +621,9 @@ def _plans(draw):
         )
         for c in clusters
     )
-    overall = OverallMetrics(draw(CENTS), draw(CENTS), -draw(CENTS), draw(FLOATS))
+    total_budget = sum((c.budget for c in clusters), Decimal("0.00"))
+    total_cost = sum((c.realized_cost for c in clusters), Decimal("0.00"))
+    overall = OverallMetrics(total_budget, total_cost, total_cost - total_budget, draw(FLOATS))
     metrics = PlanMetrics(per_year, overall, len(unassigned))
     return plan, metrics, schedule_obj, lookup, draw(TEXTS)
 
@@ -654,6 +681,7 @@ def test_large_document_json_is_json_dumps():
     obj["unassigned"] = [
         dict(member, id=f"u{i}", assigned_year=None, cost_used=None) for i in range(2_000)
     ]
+    obj["metrics"]["unassigned_count"] = 2_000
     text = oracle_document_json(obj)
     assert document_to_json(parse_plan_document(text)) == text
 
@@ -781,6 +809,10 @@ class TestMalformedPlanDocument:
         cluster["members"] = cluster["members"][:1]
         cluster.update(budget="0.50", realized_cost="1.00")
         obj["schedule"]["entries"][0]["budget"] = "0.50"
+        obj["metrics"]["per_year"][0].update(budget="0.50", realized_cost="1.00", member_count=1)
+        obj["metrics"]["overall"].update(
+            total_budget="3.50", total_cost="4.00", total_deviation="0.50"
+        )
         document = parse_plan_document(json.dumps(obj))
         assert document.clusters[0].realized_cost > document.clusters[0].budget
 

@@ -5,13 +5,12 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from paveplan import metrics
 from paveplan.cli import main
 from paveplan.io_formats import load_segments
 from paveplan.metrics import (
-    _distance_total,
-    _pair_sums,
     compare_plans,
     compute_metrics,
     mean_distance_to_center,
@@ -29,7 +28,7 @@ from paveplan.model import (
 from paveplan.radial import landmark_based_radial_clustering
 
 from helpers import random_segments, schedule, seg
-from oracles import oracle_cluster_cost
+from oracles import oracle_cluster_cost, oracle_medoid
 
 
 def two_point_fixture():
@@ -249,45 +248,76 @@ KERNEL_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 1.0, 9e307, -9e307]) | st.fl
 def _point_sets(draw):
     dimension = draw(st.integers(1, 3))
     point = st.tuples(*[KERNEL_FLOATS] * dimension)
-    return draw(st.lists(point, max_size=12))
+    # past 16 points the medoid search splits the members into groups
+    return draw(st.lists(point, min_size=1, max_size=70))
 
 
+RING = [
+    (1000.0 * math.cos(2 * math.pi * k / 1440), 1000.0 * math.sin(2 * math.pi * k / 1440))
+    for k in range(1440)
+]
+
+
+@settings(deadline=None)  # the oracle measures 1440² pairs of the ring
 @given(_point_sets())
-@example([])
 @example([(1.0, 2.0)])
 @example([(0.0, 0.0), (3.0, 4.0)])
-@example([(1.5, -2.0)] * 3 + [(-0.0, 5e-324), (0.0, -0.0)])
-@example([(9e307, 0.0), (-9e307, 0.0), (0.0, 1.0)])
-@example([(5e-324,), (-5e-324,), (-0.0,), (1e16,), (1.0,), (1.0,)])
-def test_pair_sums_match_the_per_point_and_pairwise_sums(coords):
-    # one distance per pair must give the same bits as the two sums it replaces
-    totals, pair_total = _pair_sums(coords)
-    assert [t.hex() for t in totals] == [_distance_total(p, coords).hex() for p in coords]
-    expected = 0.0
-    for i, a in enumerate(coords):
-        for b in coords[i + 1 :]:
-            expected += math.dist(a, b)
-    assert pair_total.hex() == expected.hex()
+@example([(1.5, -2.0)] * 30 + [(-0.0, 5e-324), (0.0, -0.0)])
+@example([(9e307, 0.0), (-9e307, 0.0), (0.0, 1.0)] * 7)
+@example([(5e-324,), (-5e-324,), (-0.0,), (1e16,), (1.0,), (1.0,)] * 5)
+@example(RING)  # every total is equal
+@example([(2.5, -1.0, 7.0)] * 200)  # every total is 0
+@example([(3.0 * k % 101, 0.5 * (3.0 * k % 101)) for k in range(150)])  # collinear
+# a tight cluster far from the origin: the group means round by more than
+# the members' spread, and the margin must stop the pruning
+@example([(1e15 + k % 13, 1e15 + k // 13) for k in range(200)])
+@example([(4e15 + k % 20, 4e15 + k // 20) for k in range(200)])
+def test_medoid_is_the_least_total_distance(coords):
+    # ids run against input order, so a tie does not go to the first member
+    segments = [seg(f"p{len(coords) - k:04d}", c) for k, c in enumerate(coords)]
+    (cluster,) = plan_from_schedule(segments, schedule([len(coords)])).clusters
+    assert cluster.center_id == oracle_medoid(segments, dist=math.dist)
 
 
-def test_baseline_measures_each_pair_once(tmp_path, monkeypatch):
+def test_baseline_measures_few_exact_totals(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(
-        ["synth", "--n", "60", "--blobs", "2", "--years", "2018:2021", "--seed", "3",
+        ["synth", "--n", "1200", "--blobs", "2", "--years", "2018:2021", "--seed", "3",
          "--out-segments", "s.csv", "--out-budgets", "b.csv"]
     ) == 0
     sizes = Counter(s.scheduled_year for s in load_segments(Path("s.csv").read_text()))
-    calls = 0
+    calls = pairwise_calls = 0
     dist = math.dist
+    pairwise = metrics.mean_pairwise_distance
+    distance_total = metrics._distance_total
+    totals_over = []  # the member coordinates of each exact total
 
     def counting_dist(a, b):
         nonlocal calls
         calls += 1
         return dist(a, b)
 
+    def counting_pairwise(cluster, lookup):
+        nonlocal pairwise_calls
+        before = calls
+        result = pairwise(cluster, lookup)
+        pairwise_calls += calls - before
+        return result
+
+    def recording_total(point, coords):
+        totals_over.append(coords)
+        return distance_total(point, coords)
+
     monkeypatch.setattr(math, "dist", counting_dist)
+    monkeypatch.setattr(metrics, "mean_pairwise_distance", counting_pairwise)
+    monkeypatch.setattr(metrics, "_distance_total", recording_total)
     assert main(["baseline", "--segments", "s.csv", "--budgets", "b.csv", "--out", "p.json"]) == 0
-    assert calls == sum(m * (m - 1) // 2 for m in sizes.values())
+    assert pairwise_calls == sum(m * (m - 1) // 2 for m in sizes.values())
+    # per year, one list for the medoid search and one for the mean to center
+    exact_totals = Counter(map(id, totals_over))
+    assert len(exact_totals) == 2 * len(sizes)
+    for coords in totals_over:
+        assert exact_totals[id(coords)] < len(coords) / 10
 
 
 class TestPlanFromSchedule:
