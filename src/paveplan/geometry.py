@@ -4,10 +4,12 @@ farthest-remaining-point search used to seed new clusters.
 Everything here is deterministic and exact. The stream (:func:`nearest_first`)
 heapifies ``(distance, id, index)`` at its first read and pops lazily, so a
 walk that stops at its cap pops only what it reads (incremental nearest
-neighbours, Hjaltason & Samet, ACM TODS 1999); ties go by ascending id. The
-farthest-point search picks the very candidate a plain scan of every
-candidate/clustered pair with ``math.dist`` picks, ties included (the
-earliest candidate in input order).
+neighbours, Hjaltason & Samet, ACM TODS 1999); ties go by ascending id. It
+measures every point, so it checks dimensions only once ``math.dist``
+refuses a pair; the farthest-point search, which skips points, checks them
+all up front (:func:`check_same_dimension`). That search picks the very
+candidate a plain scan of every candidate/clustered pair with ``math.dist``
+picks, ties included (the earliest candidate in input order).
 
 **How the search prunes.** The clustered set is held as balls
 (:class:`ClusterBalls`), one per cluster: a center ``c`` and the other
@@ -76,10 +78,15 @@ def nearest_first(segments: Sequence[Segment], anchor: Segment) -> Iterator[Segm
     def pop_nearest() -> Iterator[Segment]:
         from heapq import heapify, heappop  # imported by the commands that walk only
         dist, point, anchor_id = math.dist, anchor.coords, anchor.id
-        check_same_dimension(chain((point,), (seg.coords for seg in segments)))
-        heap = [
-            (dist(point, s.coords), s.id, i) for i, s in enumerate(segments) if s.id != anchor_id
-        ]
+        try:
+            heap = [
+                (dist(point, s.coords), s.id, i)
+                for i, s in enumerate(segments)
+                if s.id != anchor_id
+            ]
+        except ValueError:
+            check_same_dimension(chain((point,), (seg.coords for seg in segments)))
+            raise
         heapify(heap)
         while heap:
             yield segments[heappop(heap)[2]]
@@ -92,9 +99,13 @@ def order_by_distance(segments: Sequence[Segment], anchor: Segment) -> DistanceO
 
 
 def check_same_dimension(points: Iterable[Sequence[float]]) -> None:
-    """Raise unless every point has the dimension of the first, so a hot
-    loop checked once can call ``math.dist`` (a bare ``ValueError`` on a
-    mismatch) directly."""
+    """Raise :class:`DimensionMismatchError`, not ``math.dist``'s bare
+    ``ValueError``, unless every point has the first one's dimension. Code
+    that may skip points calls it up front: the farthest-point search,
+    :meth:`ClusterBalls.add` and the baseline medoid (whose axis sort would
+    fail first). Code that measures every point calls it only once
+    ``math.dist`` has refused a pair: the heap build of :func:`nearest_first`,
+    ``refine.band_order`` and the ``metrics`` means."""
     dimension = None
     for point in points:
         if dimension is None:

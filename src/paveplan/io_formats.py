@@ -18,7 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -66,7 +66,7 @@ def _rows(text: str) -> Iterator[list[str]]:
     reader = csv.reader(io.StringIO(text))
     try:
         for row in reader:
-            if any(cell.strip() for cell in row):
+            if "".join(row).strip():
                 yield row
     except csv.Error as exc:
         # e.g. a field over the csv module's size limit
@@ -100,14 +100,21 @@ def _csv_cell(text: str) -> str:
     return text
 
 
-def _parse_float(value: str, row: int, column: str) -> float:
+def _parse_coords(cells: list[str], row: int, columns: list[str]) -> tuple[float, ...]:
+    """``cells`` as finite floats, by one ``float`` and one ``isfinite`` pass;
+    only a row they refuse is read again, cell by cell, to name the bad cell."""
     try:
-        parsed = float(value)
+        coords = tuple(map(float, cells))
+        if all(map(math.isfinite, coords)):
+            return coords
     except ValueError:
-        raise CsvFormatError(f"malformed number {value!r}", row=row, column=column) from None
-    if not math.isfinite(parsed):
-        raise CsvFormatError(f"non-finite number {value!r}", row=row, column=column)
-    return parsed
+        pass
+    for value, column in zip(cells, columns):
+        try:
+            if not math.isfinite(float(value)):
+                raise CsvFormatError(f"non-finite number {value!r}", row=row, column=column)
+        except ValueError:
+            raise CsvFormatError(f"malformed number {value!r}", row=row, column=column) from None
 
 
 def parse_int(text: str) -> int:
@@ -136,14 +143,23 @@ def _parse_money(value: str, row: int, column: str) -> Decimal:
         raise CsvFormatError(str(exc), row=row, column=column) from None
 
 
+def _parse_cost(value: str, row: int, column: str) -> Decimal:
+    cost = _parse_money(value, row, column)
+    if cost <= 0:
+        raise CsvFormatError(f"cost must be positive, got {cost}", row=row, column=column)
+    return cost
+
+
 def load_segments(text: str, years: Iterable[int] | None = None) -> list[Segment]:
     """Parse the segments CSV: ``id,x,y[,z...],scheduled_year[,cost]``.
 
     Row order is preserved; it defines the input order used for
-    deterministic tie-breaking downstream. Each segment is built once, with
-    its cost column in a flat row (``costs.flat_rows``) over the plan
-    ``years``, or over its scheduled year alone without them. Given ``years``
-    but no cost column, the first segment raises ``MissingCostError``.
+    deterministic tie-breaking downstream. Each cell is checked once, naming
+    its row and column, and each segment built once from the checked values
+    (``Segment._trusted``), its cost column in a flat row (``costs.flat_rows``)
+    over the plan ``years``, or over its scheduled year alone without them.
+    Given ``years`` but no cost column, the first segment raises
+    ``MissingCostError``.
     """
     header, rows = _table(text, "segments")
     if not header or header[0] != "id":
@@ -167,6 +183,7 @@ def load_segments(text: str, years: Iterable[int] | None = None) -> list[Segment
     segments: list[Segment] = []
     first_row_of: dict[str, int] = {}
     flat_row = flat_rows(years or ())
+    build = Segment._trusted
     for line_no, row in rows:
         sid = row[0].strip()
         if not sid:
@@ -178,23 +195,13 @@ def load_segments(text: str, years: Iterable[int] | None = None) -> list[Segment
                 column="id",
             )
         first_row_of[sid] = line_no
-        coords = tuple(
-            _parse_float(row[i + 1], line_no, coord_names[i])
-            for i in range(len(coord_names))
-        )
+        coords = _parse_coords(row[1:year_index], line_no, coord_names)
         year = _parse_int(row[year_index], line_no, "scheduled_year")
         if has_cost:
-            cost = _parse_money(row[year_index + 1], line_no, "cost")
-            if cost <= 0:
-                raise CsvFormatError(
-                    f"cost must be positive, got {cost}", row=line_no, column="cost"
-                )
-            table = flat_row(year, cost)
+            table = flat_row(year, _parse_cost(row[year_index + 1], line_no, "cost"))
         else:
             table = CostRow({}, ())
-        segments.append(
-            Segment(id=sid, coords=coords, cost_by_year=table, scheduled_year=year)
-        )
+        segments.append(build(sid, coords, table, year))
     if not segments:
         raise CsvFormatError("segments CSV has no data rows")
     if years is not None and not has_cost:
@@ -265,8 +272,9 @@ def load_cost_matrix(text: str, segments: Iterable[Segment]) -> list[Segment]:
     """``segments`` priced by the cost-matrix CSV, header ``id,Y<year1>,...``.
 
     Each segment's costs are its matrix row's tuple, under one year index that
-    all rows share. Each cell is parsed and checked once, here; a segment the
-    matrix lacks raises :class:`UnknownSegmentError`.
+    all rows share. Each cell is parsed and checked once, here, and the
+    segments are rebuilt unchecked; a segment the matrix lacks raises
+    :class:`UnknownSegmentError`.
     """
     header, rows = _table(text, "cost matrix")
     if not header or header[0] != "id" or len(header) < 2:
@@ -287,21 +295,13 @@ def load_cost_matrix(text: str, segments: Iterable[Segment]) -> list[Segment]:
             raise CsvFormatError("empty id", row=line_no, column="id")
         if sid in costs_of:
             raise CsvFormatError(f"duplicate id {sid!r}", row=line_no, column="id")
-        costs = []
-        for cell, column in zip(row[1:], header[1:]):
-            cost = _parse_money(cell, line_no, column)
-            if cost <= 0:
-                raise CsvFormatError(
-                    f"cost must be positive, got {cost}", row=line_no, column=column
-                )
-            costs.append(cost)
-        costs_of[sid] = tuple(costs)
+        costs_of[sid] = tuple(map(_parse_cost, row[1:], repeat(line_no), header[1:]))
     out = []
     for seg in segments:
         if seg.id not in costs_of:
             raise UnknownSegmentError(f"segment {seg.id} is missing from the cost matrix")
         row = CostRow(index, costs_of[seg.id])
-        out.append(Segment(seg.id, seg.coords, row, seg.scheduled_year))
+        out.append(Segment._trusted(seg.id, seg.coords, row, seg.scheduled_year))
     return out
 
 

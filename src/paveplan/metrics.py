@@ -63,7 +63,7 @@ from operator import add, itemgetter, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .geometry import check_same_dimension
+from .geometry import Coords, check_same_dimension
 from .model import (
     UNASSIGNED_REMAINDER,
     ZERO,
@@ -105,15 +105,16 @@ class PlanMetrics:
     unassigned_count: int
 
 
-def _member_coords(cluster: Cluster, lookup: Mapping[str, Segment]):
-    coords = []
-    for sid in cluster.member_ids:
-        if sid not in lookup:
-            raise UnknownSegmentError(
-                f"cluster {cluster.year} references unknown segment {sid!r}"
-            )
-        coords.append(lookup[sid].coords)
-    return coords
+def _member_coords(cluster: Cluster, lookup: Mapping[str, Segment]) -> list[Coords]:
+    """The members' coordinates in member order; none below two members."""
+    if cluster.size <= 1:
+        return []
+    try:
+        return [lookup[sid].coords for sid in cluster.member_ids]
+    except KeyError as unknown:
+        raise UnknownSegmentError(
+            f"cluster {cluster.year} references unknown segment {unknown.args[0]!r}"
+        ) from None
 
 
 def _distance_total(point: Sequence[float], coords: Iterable[Sequence[float]]) -> float:
@@ -122,29 +123,34 @@ def _distance_total(point: Sequence[float], coords: Iterable[Sequence[float]]) -
     return reduce(add, map(math.dist, repeat(point), coords), 0.0)
 
 
-def mean_distance_to_center(cluster: Cluster, lookup: Mapping[str, Segment]) -> float:
-    """Mean over all members of their distance to the center (0 for the
-    center itself); 0 for empty and singleton clusters."""
+def mean_distance_to_center(cluster: Cluster, coords: Sequence[Coords]) -> float:
+    """Mean over the members' ``coords`` (in member order) of their distance
+    to the center, 0 for the center itself; 0 below two members."""
     if cluster.size <= 1:
         return 0.0
-    coords = _member_coords(cluster, lookup)  # the center is a member
-    center = lookup[cluster.center_id].coords
-    check_same_dimension(coords)
-    return _distance_total(center, coords) / len(coords)
+    center = coords[cluster.member_ids.index(cluster.center_id)]
+    try:
+        return _distance_total(center, coords) / len(coords)
+    except ValueError:
+        check_same_dimension(coords)
+        raise
 
 
-def mean_pairwise_distance(cluster: Cluster, lookup: Mapping[str, Segment]) -> float:
-    """Mean distance over unordered member pairs; 0 below two members."""
+def mean_pairwise_distance(cluster: Cluster, coords: Sequence[Coords]) -> float:
+    """Mean distance over unordered pairs of the members' ``coords`` (in
+    member order); 0 below two members."""
     if cluster.size <= 1:
         return 0.0
-    coords = _member_coords(cluster, lookup)
-    check_same_dimension(coords)
     dist = math.dist
     # one left-to-right running sum: sum() and fsum() round differently
     total = 0.0
-    for i, a in enumerate(coords):
-        for b in coords[i + 1 :]:
-            total += dist(a, b)
+    try:
+        for i, a in enumerate(coords):
+            for b in coords[i + 1 :]:
+                total += dist(a, b)
+    except ValueError:
+        check_same_dimension(coords)
+        raise
     return total / (len(coords) * (len(coords) - 1) // 2)
 
 
@@ -167,8 +173,9 @@ def compute_metrics(
     weighted = 0.0
     weight = 0
     for cluster in plan.clusters:
-        to_center = mean_distance_to_center(cluster, lookup)
-        pairwise = mean_pairwise_distance(cluster, lookup)
+        coords = _member_coords(cluster, lookup)
+        to_center = mean_distance_to_center(cluster, coords)
+        pairwise = mean_pairwise_distance(cluster, coords)
         per_year.append(
             YearMetrics(
                 year=cluster.year,

@@ -174,6 +174,20 @@ class Segment:
         object.__setattr__(self, "cost_by_year", row)
         object.__setattr__(self, "scheduled_year", int(self.scheduled_year))
 
+    @classmethod
+    def _trusted(cls, id: str, coords: tuple, costs: CostRow, year: int) -> Segment:
+        """The segment of values its caller checked as ``__post_init__`` would,
+        built without it; the loaders check each cell once, naming its row
+        and column. ``Segment(...)`` checks all it is given."""
+        seg = object.__new__(cls)
+        # attribute by attribute, as __init__ does: filling vars(seg) would
+        # give each segment a dict of its own, larger and slower to read
+        object.__setattr__(seg, "id", id)
+        object.__setattr__(seg, "coords", coords)
+        object.__setattr__(seg, "cost_by_year", costs)
+        object.__setattr__(seg, "scheduled_year", year)
+        return seg
+
     @property
     def dimension(self) -> int:
         return len(self.coords)

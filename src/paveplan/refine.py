@@ -67,12 +67,15 @@ def band_order(
     """Urgency order for band points: ascending scheduled year (overdue work
     naturally sorts first), then ascending cost, then distance to the
     center, then id."""
-    check_same_dimension(chain((center.coords,), (seg.coords for seg in band)))
     dist, point = math.dist, center.coords
-    return sorted(
-        band,
-        key=lambda seg: (seg.scheduled_year, cost(seg), dist(point, seg.coords), seg.id),
-    )
+    try:
+        return sorted(
+            band,
+            key=lambda seg: (seg.scheduled_year, cost(seg), dist(point, seg.coords), seg.id),
+        )
+    except ValueError:
+        check_same_dimension(chain((point,), (seg.coords for seg in band)))
+        raise
 
 
 def build_tolerance_band(

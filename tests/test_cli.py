@@ -649,14 +649,16 @@ def test_cluster_builds_each_segment_once(tmp_path, monkeypatch):
          "--tolerance-fraction", "0.05", "--out-segments", "s.csv", "--out-budgets", "b.csv"]
     ) == 0
     ids = [s.id for s in load_segments(Path("s.csv").read_text(encoding="utf-8"))]
-    built = []
-    post_init = Segment.__post_init__
-    monkeypatch.setattr(Segment, "__post_init__", lambda s: built.append(s.id) or post_init(s))
+    built, checked = [], []
+    trusted, post_init = Segment._trusted, Segment.__post_init__
+    monkeypatch.setattr(Segment, "_trusted", lambda *a: built.append(a[0]) or trusted(*a))
+    monkeypatch.setattr(Segment, "__post_init__", lambda s: checked.append(s.id) or post_init(s))
     assert main(
         ["cluster", "--segments", "s.csv", "--budgets", "b.csv", "--algo", "schedule",
          "--out", "plan.json"]
     ) == 0
     assert built == ids  # once per CSV row, in row order
+    assert checked == []  # the loader checked each cell; nothing checks again
     assert len(ids) == 120
 
 

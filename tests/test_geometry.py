@@ -10,10 +10,12 @@ from paveplan.geometry import (
     nearest_first,
     order_by_distance,
 )
-from paveplan.model import DimensionMismatchError
-from paveplan.refine import band_order
+from paveplan.metrics import compute_metrics, plan_from_schedule
+from paveplan.model import Cluster, DimensionMismatchError, Plan
+from paveplan.radial import landmark_based_radial_clustering, main_algorithm
+from paveplan.refine import band_order, schedule_aware_plan
 
-from helpers import random_segments, seg
+from helpers import random_segments, schedule, seg
 from oracles import oracle_furthest_point
 
 
@@ -23,6 +25,36 @@ def test_order_by_distance_and_band_order_dimension_mismatch():
         order_by_distance([anchor, flat], anchor)
     with pytest.raises(DimensionMismatchError):
         band_order([flat], anchor)
+
+
+def _one_cluster_plan(segments):
+    ids = tuple(s.id for s in segments)
+    return Plan((Cluster(2018, ids[0], ids, "5.00", "5.00"),))
+
+
+# every call below measures every point; a budget of 5.00 admits all five
+MIXED_DIMENSION_CALLS = {
+    "nearest_first": lambda segs: list(nearest_first(segs, segs[0])),
+    "order_by_distance": lambda segs: order_by_distance(segs, segs[0]),
+    "main_algorithm": lambda segs: main_algorithm(segs, schedule([5]), seed=0),
+    "landmark_based_radial_clustering": lambda segs: landmark_based_radial_clustering(
+        segs, schedule([5])
+    ),
+    "schedule_aware_plan": lambda segs: schedule_aware_plan(segs, schedule([5])),
+    "band_order": lambda segs: band_order(segs[1:], segs[0]),
+    "compute_metrics": lambda segs: compute_metrics(_one_cluster_plan(segs), schedule([5]), segs),
+    "plan_from_schedule": lambda segs: plan_from_schedule(segs, schedule([5])),
+}
+
+
+@pytest.mark.parametrize("odd", [0, 2, 4], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("call", sorted(MIXED_DIMENSION_CALLS))
+def test_mixed_dimensions_raise_dimension_mismatch(call, odd):
+    # DimensionMismatchError is no ValueError, so math.dist's own error fails this
+    segments = [seg(f"s{i}", (i, 1.0)) for i in range(5)]
+    segments[odd] = seg(f"s{odd}", (odd, 1.0, 2.0))
+    with pytest.raises(DimensionMismatchError, match="points have dimensions [23] and [23]"):
+        MIXED_DIMENSION_CALLS[call](segments)
 
 
 def test_order_by_distance_line():

@@ -33,6 +33,7 @@ from paveplan.model import (
     BudgetEntry,
     BudgetSchedule,
     Cluster,
+    CostRow,
     Diagnostic,
     DimensionMismatchError,
     MissingCostError,
@@ -226,6 +227,115 @@ def test_loaders_parse_or_raise_csv_format_error(loader, header, row, data):
         loader(text)
     except CsvFormatError:
         pass
+
+
+COORD_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from([" 1.5", "-0.0", "+2 ", "1e3", "1E-3", ".5", "5.", "-1e308"]),
+)
+YEAR_CELLS = st.builds(
+    str.format, st.sampled_from(["{}", " {} ", "+{}"]), st.integers(1900, 2100)
+)
+COST_CELLS = st.one_of(
+    st.integers(1, 10**20 - 1).map(lambda cents: str(Decimal(cents).scaleb(-2))),
+    st.integers(1, 10**17).map(str),
+    st.integers(0, 10**6).map("{}.5".format),
+)
+
+
+@st.composite
+def _segment_csvs(draw):
+    """A valid segments CSV as (header, rows of cells, plan years or None)."""
+    dimension = draw(st.integers(1, 3))
+    header = ["id", *"xyz"[:dimension], "scheduled_year", "cost"]
+    rows = [
+        [draw(st.sampled_from([f"s{i}", f" s{i} "]))]
+        + [draw(COORD_CELLS) for _ in range(dimension)]
+        + [draw(YEAR_CELLS), draw(COST_CELLS)]
+        for i in range(draw(st.integers(1, 6)))
+    ]
+    years = draw(st.none() | st.sets(st.integers(1900, 2100), max_size=4))
+    return header, rows, years
+
+
+def _csv(header, rows):
+    return "\n".join(",".join(cells) for cells in [header, *rows]) + "\n"
+
+
+def _checked_segments(rows, years):
+    """The rows as ``Segment(...)`` builds them from the raw cells, with
+    every check of its own."""
+    return [
+        Segment(
+            sid.strip(),
+            tuple(coords),
+            dict.fromkeys({int(year), *(years or ())}, cost),
+            year,
+        )
+        for sid, *coords, year, cost in rows
+    ]
+
+
+def _assert_loaded_as_checked(loaded, rows, years):
+    checked = _checked_segments(rows, years)
+    assert loaded == checked
+    for segment, expected in zip(loaded, checked):
+        assert list(map(float.hex, segment.coords)) == list(map(float.hex, expected.coords))
+        assert type(segment.scheduled_year) is int
+        assert type(segment.cost_by_year) is CostRow
+        for cost in segment.cost_by_year.values():
+            assert type(cost) is Decimal and cost.as_tuple().exponent == -2
+
+
+@given(_segment_csvs())
+def test_loaded_segments_equal_checked_segments(csv_case):
+    header, rows, years = csv_case
+    _assert_loaded_as_checked(load_segments(_csv(header, rows), years), rows, years)
+
+
+BAD_CELL_TOKENS = ("nan", "inf", "1e999", "x", "", "٣", "2_018", "1.234", "0.00", "-1.00")
+# each token's CsvFormatError message by column, as the per-cell checks word
+# it; a token missing from a column's table is accepted there
+REFUSED_TOKENS = {
+    "id": {"": "empty id"},
+    "coordinate": {
+        "nan": "non-finite number 'nan'",
+        "inf": "non-finite number 'inf'",
+        "1e999": "non-finite number '1e999'",
+        "x": "malformed number 'x'",
+        "": "malformed number ''",
+    },
+    "scheduled_year": {token: f"malformed integer {token!r}" for token in BAD_CELL_TOKENS},
+    "cost": {
+        "nan": "money must have at most 2 decimal places, got 'nan'",
+        "inf": "not a money amount: 'inf'",
+        "1e999": "not a money amount: '1e999'",
+        "x": "not a money amount: 'x'",
+        "": "not a money amount: ''",
+        "1.234": "money must have at most 2 decimal places, got '1.234'",
+        "0.00": "cost must be positive, got 0.00",
+        "-1.00": "cost must be positive, got -1.00",
+    },
+}
+
+
+@given(_segment_csvs(), st.data())
+def test_one_bad_cell_is_named_by_row_and_column(csv_case, data):
+    header, rows, years = csv_case
+    row = data.draw(st.integers(0, len(rows) - 1))
+    column = data.draw(st.integers(0, len(header) - 1))
+    token = data.draw(st.sampled_from(BAD_CELL_TOKENS))
+    rows[row][column] = token
+    name = header[column]
+    message = REFUSED_TOKENS.get(name, REFUSED_TOKENS["coordinate"]).get(token)
+    if message is None:
+        _assert_loaded_as_checked(load_segments(_csv(header, rows), years), rows, years)
+        return
+    with pytest.raises(CsvFormatError) as excinfo:
+        load_segments(_csv(header, rows), years)
+    assert (excinfo.value.row, excinfo.value.column) == (row + 2, name)
+    assert str(excinfo.value) == f"row {row + 2}, column {name!r}: {message}"
 
 
 def test_oversized_field_is_a_csv_format_error():

@@ -88,14 +88,14 @@ class TestComputeMetrics:
         for i, a in enumerate(segments):
             for b in segments[i + 1 :]:
                 total += math.dist(a.coords, b.coords)
-        lookup = {s.id: s for s in segments}
-        assert mean_pairwise_distance(cluster, lookup) == total / 300
+        coords = [s.coords for s in segments]
+        assert mean_pairwise_distance(cluster, coords) == total / 300
 
     def test_pairwise_mean_rejects_mixed_dimensions(self):
         segments = [seg("a", (0, 0)), seg("b", (1, 1)), seg("c", (1, 1, 1))]
         cluster = Cluster(2018, "a", ("a", "b", "c"), "3.00", "3.00")
         with pytest.raises(DimensionMismatchError):
-            mean_pairwise_distance(cluster, {s.id: s for s in segments})
+            mean_pairwise_distance(cluster, [s.coords for s in segments])
 
     def test_center_mean_is_one_left_to_right_sum(self):
         # the 1.0s vanish into 1e16 one at a time; a compensated sum() (as on
@@ -105,13 +105,13 @@ class TestComputeMetrics:
         cluster = Cluster(2018, "c", ids, "4.00", "4.00")
         expected = ((0.0 + 1e16) + 1.0 + 1.0) / 4
         assert expected != math.fsum([0.0, 1e16, 1.0, 1.0]) / 4
-        assert mean_distance_to_center(cluster, {s.id: s for s in segments}) == expected
+        assert mean_distance_to_center(cluster, [s.coords for s in segments]) == expected
 
     def test_center_mean_rejects_mixed_dimensions(self):
         segments = [seg("a", (0, 0)), seg("b", (1, 1)), seg("c", (1, 1, 1))]
         cluster = Cluster(2018, "a", ("a", "b", "c"), "3.00", "3.00")
         with pytest.raises(DimensionMismatchError):
-            mean_distance_to_center(cluster, {s.id: s for s in segments})
+            mean_distance_to_center(cluster, [s.coords for s in segments])
 
     def test_published_utilization(self):
         segments = [seg("a", (0, 0), cost="841152.51")]
@@ -297,10 +297,10 @@ def test_baseline_measures_few_exact_totals(tmp_path, monkeypatch):
         calls += 1
         return dist(a, b)
 
-    def counting_pairwise(cluster, lookup):
+    def counting_pairwise(cluster, coords):
         nonlocal pairwise_calls
         before = calls
-        result = pairwise(cluster, lookup)
+        result = pairwise(cluster, coords)
         pairwise_calls += calls - before
         return result
 
