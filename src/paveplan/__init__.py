@@ -11,14 +11,12 @@ from .geometry import (
 from .io_formats import (
     CsvFormatError,
     PlanDocument,
-    document_to_json,
     emit_plan,
     input_digest,
     load_budgets,
     load_cost_matrix,
     load_segments,
     parse_plan_document,
-    plan_from_document,
     render_plan_svg,
 )
 from .metrics import (

@@ -18,7 +18,6 @@ import sys
 from dataclasses import asdict, replace
 from decimal import Decimal
 from functools import partial
-from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -35,7 +34,6 @@ from .io_formats import (
     load_segments,
     parse_int,
     parse_plan_document,
-    plan_from_document,
     render_plan_svg,
 )
 from .metrics import compare_plans, compute_metrics, plan_from_schedule
@@ -223,15 +221,14 @@ def _document_segments(path: Path, *documents: PlanDocument) -> Mapping[str, Seg
     member of the documents at the coordinates the documents record."""
     lookup = segment_lookup(load_segments(_read(path)))
     for document in documents:
-        members = chain.from_iterable(c.members for c in document.clusters)
-        for member in chain(members, document.unassigned):
-            if member.id not in lookup:
-                raise UnknownSegmentError(f"plan references unknown segment {member.id!r}")
-            coords = lookup[member.id].coords
-            if coords != member.coords:
+        for sid, recorded, *_ in document.members:
+            if sid not in lookup:
+                raise UnknownSegmentError(f"plan references unknown segment {sid!r}")
+            coords = lookup[sid].coords
+            if coords != recorded:
                 raise MismatchedInputsError(
-                    f"segment {member.id!r} is at {list(coords)} in {path} "
-                    f"but at {list(member.coords)} in the plan document"
+                    f"segment {sid!r} is at {list(coords)} in {path} "
+                    f"but at {list(recorded)} in the plan document"
                 )
     return lookup
 
@@ -252,11 +249,10 @@ def _check_same_inputs(before: PlanDocument, after: PlanDocument) -> None:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     document = parse_plan_document(_read(args.plan))
-    plan = plan_from_document(document)
     # dispersion only needs coordinates; money figures come from the document
     segments = _document_segments(args.segments, document)
     schedule = document.schedule
-    metrics = compute_metrics(plan, schedule, segments)
+    metrics = compute_metrics(document.plan, schedule, segments)
     obj = asdict(metrics)
     # the document's clusters match its schedule entries, so this is the
     # realized cost minus the schedule's total budget
@@ -274,12 +270,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     before_doc = parse_plan_document(_read(args.before))
     after_doc = parse_plan_document(_read(args.after))
     _check_same_inputs(before_doc, after_doc)
-    before = plan_from_document(before_doc)
-    after = plan_from_document(after_doc)
     segments = _document_segments(args.segments, before_doc, after_doc)
     # the years and budgets agree; only tolerance overrides may differ
     schedule = after_doc.schedule
-    comparison = compare_plans(before, after, schedule, segments)
+    comparison = compare_plans(before_doc.plan, after_doc.plan, schedule, segments)
     obj = {
         "per_year": [
             {
@@ -302,9 +296,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     document = parse_plan_document(_read(args.plan))
-    plan = plan_from_document(document)
     segments = _document_segments(args.segments, document)
-    _write_outputs([(args.out, render_plan_svg(plan, segments))])
+    _write_outputs([(args.out, render_plan_svg(document.plan, segments))])
     return 0
 
 

@@ -2,10 +2,12 @@
 
 Formats are deliberately deterministic: identical inputs yield byte-identical
 documents, money is always rendered with two decimals, and floats use their
-shortest round-trip form. Parsing a document and re-emitting it reproduces
-the original bytes. A plan document is written from a fixed template, never
-built as one object; its bytes are ``json.dumps(obj, indent=2) + "\\n"`` of
-the object it describes, which tests and CI check on every supported Python.
+shortest round-trip form. A plan document is written from a fixed template,
+never built as one object; its bytes are ``json.dumps(obj, indent=2) +
+"\\n"`` of the object it describes, which tests and CI check on every
+supported Python. It is read by writing it again: only its primary fields
+are parsed, the rest is derived, and the template's bytes must equal the
+text, so only what paveplan writes reads back.
 """
 
 from __future__ import annotations
@@ -18,16 +20,15 @@ import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal
-from itertools import repeat, zip_longest
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .costs import flat_rows
-from .metrics import OverallMetrics, PlanMetrics, YearMetrics
+from .metrics import PlanMetrics, _plan_metrics, _year_metrics
 from .model import (
     MONEY_LIMIT,
-    TOTAL_LIMIT,
     ZERO,
     BudgetEntry,
     BudgetSchedule,
@@ -91,6 +92,7 @@ def _table(text: str, what: str) -> tuple[list[str], Iterator[tuple[int, list[st
 
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]').search
+_NO_COSTS = CostRow({}, ())
 
 
 def _csv_cell(text: str) -> str:
@@ -101,16 +103,22 @@ def _csv_cell(text: str) -> str:
 
 
 def _parse_coords(cells: list[str], row: int, columns: list[str]) -> tuple[float, ...]:
-    """``cells`` as finite floats, by one ``float`` and one ``isfinite`` pass;
-    only a row they refuse is read again, cell by cell, to name the bad cell."""
-    try:
-        coords = tuple(map(float, cells))
-        if all(map(math.isfinite, coords)):
-            return coords
-    except ValueError:
-        pass
+    """``cells`` as finite floats written in ASCII without underscores
+    (``float`` reads ``٣`` and ``1_0``), by one check over the row, one
+    ``float`` and one ``isfinite`` pass; only a row they refuse is read
+    again, cell by cell, to name the bad cell."""
+    joined = "".join(cells)
+    if joined.isascii() and "_" not in joined:
+        try:
+            coords = tuple(map(float, cells))
+            if all(map(math.isfinite, coords)):
+                return coords
+        except ValueError:
+            pass
     for value, column in zip(cells, columns):
         try:
+            if not value.isascii() or "_" in value:
+                raise ValueError
             if not math.isfinite(float(value)):
                 raise CsvFormatError(f"non-finite number {value!r}", row=row, column=column)
         except ValueError:
@@ -197,10 +205,9 @@ def load_segments(text: str, years: Iterable[int] | None = None) -> list[Segment
         first_row_of[sid] = line_no
         coords = _parse_coords(row[1:year_index], line_no, coord_names)
         year = _parse_int(row[year_index], line_no, "scheduled_year")
+        table = _NO_COSTS
         if has_cost:
             table = flat_row(year, _parse_cost(row[year_index + 1], line_no, "cost"))
-        else:
-            table = CostRow({}, ())
         segments.append(build(sid, coords, table, year))
     if not segments:
         raise CsvFormatError("segments CSV has no data rows")
@@ -325,39 +332,28 @@ def input_digest(*parts: str | bytes) -> str:
 
 
 @dataclass(frozen=True)
-class DocumentMember:
-    id: str
-    coords: tuple[float, ...]
-    scheduled_year: int
-    assigned_year: int | None
-    cost_used: Decimal | None
-
-
-@dataclass(frozen=True)
-class DocumentCluster:
-    year: int
-    center_id: str | None
-    budget: Decimal
-    realized_cost: Decimal
-    members: tuple[DocumentMember, ...]
-
-
-@dataclass(frozen=True)
 class PlanDocument:
-    """Self-contained, auditable plan output: every member lists both its
-    original and assigned year, so year shifts can be read off directly."""
+    """A parsed plan document: its digest, schedule, plan and metrics block,
+    and each member's primary fields as read, ``(id, coords, scheduled_year,
+    cost_used)``, in document order, ``cost_used`` None when unassigned."""
 
-    format_version: str
     input_digest: str
     schedule: BudgetSchedule
-    clusters: tuple[DocumentCluster, ...]
-    unassigned: tuple[DocumentMember, ...]
+    plan: Plan
+    members: tuple[tuple[str, tuple[float, ...], int, Decimal | None], ...]
     metrics: PlanMetrics
-    diagnostics: tuple[Diagnostic, ...]
 
-
-def _money_str(value: Decimal) -> str:
-    return f"{value:.2f}"
+    @property
+    def segments(self) -> list[Segment]:
+        """The members as segments, built on each call, an assigned one costing
+        its ``cost_used`` in its cluster's year under one index per year (from
+        ``costs.flat_rows``): ``emit_plan`` of the fields writes the document."""
+        row, build = flat_rows(()), Segment._trusted
+        year_of = {sid: c.year for c in self.plan.clusters for sid in c.member_ids}
+        return [
+            build(sid, coords, _NO_COSTS if cost is None else row(year_of[sid], cost), year)
+            for sid, coords, year, cost in self.members
+        ]
 
 
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json spells them
@@ -373,7 +369,7 @@ def _int(value: int | None) -> str:
 
 
 def _money(value: Decimal | None) -> str:
-    return "null" if value is None else f'"{_money_str(value)}"'
+    return "null" if value is None else f'"{value:.2f}"'
 
 
 def _write_array(write, pad: str, items: Iterable, write_item) -> None:
@@ -387,54 +383,59 @@ def _write_array(write, pad: str, items: Iterable, write_item) -> None:
     write("[]" if opening == "[\n" else f"\n{pad}]")
 
 
-def _write_member(write, pad: str, member: tuple) -> None:
-    """Write ``member``, a tuple ``(id, coords, scheduled_year, assigned_year,
-    cost_used)``, as an object indented by ``pad``."""
-    sid, coords, scheduled_year, assigned_year, cost_used = member
-    key, coord = f"\n{pad}  ", f",\n{pad}    "
-    coords = f"[{coord[1:]}{coord.join(map(_float, coords))}{key}]" if coords else "[]"
-    write(
-        f'{pad}{{{key}"id": {_quote(sid)},{key}"coords": {coords},'
-        f'{key}"scheduled_year": {int.__repr__(scheduled_year)},'
-        f'{key}"assigned_year": {_int(assigned_year)},'
-        f'{key}"cost_used": {_money(cost_used)}\n{pad}}}'
-    )
+def _write_members(write, pad: str, members: Iterable[tuple], year: int | None) -> None:
+    """Write the JSON array of ``members``, each ``(id, coords,
+    scheduled_year, cost_used)``, assigned to ``year``, its line indented by
+    ``pad``. Each member is one chunk, its opening comma included. A
+    segment has at least one coordinate, each finite, which ``repr`` spells
+    as json does; ``[]``, ``NaN`` or ``Infinity`` there reads as other bytes."""
+    key, coord = f"\n{pad}    ", f",\n{pad}      "
+    assigned = f',{key}"assigned_year": {_int(year)},{key}"cost_used": '
+    opening = "[\n"
+    for sid, point, scheduled, cost in members:
+        write(
+            f'{opening}{pad}  {{{key}"id": {_quote(sid)},{key}"coords": [{coord[1:]}'
+            f'{coord.join(map(repr, point))}{key}],{key}"scheduled_year": '
+            f'{int.__repr__(scheduled)}{assigned}{_money(cost)}\n{pad}  }}'
+        )
+        opening = ",\n"
+    write("[]" if opening == "[\n" else f"\n{pad}]")
 
 
-def _plan_text(digest, schedule, clusters, unassigned, metrics, diagnostics) -> str:
-    """The plan document, written from a fixed template into one buffer: byte
+def _plan_text(
+    write, digest, tolerance, entries, clusters, unassigned, metrics, diagnostics
+) -> None:
+    """Write the plan document through ``write`` from a fixed template: byte
     for byte ``json.dumps(obj, indent=2) + "\\n"`` of the object it describes.
-    ``clusters`` pairs each cluster (``year``, ``center_id``, ``budget``,
-    ``realized_cost``) with its members: ``_write_member``'s tuples, as
-    ``unassigned`` holds."""
-    out = io.StringIO()
-    write = out.write
+    ``entries`` holds ``(year, budget, low_tolerance, high_tolerance)``;
+    ``clusters`` pairs ``(year, center_id, budget, realized_cost)`` with its
+    members, and ``unassigned`` holds members, as ``_write_members`` takes them."""
     write(
         f'{{\n  "format_version": "{FORMAT_VERSION}",\n  "input_digest": {_quote(digest)},\n'
-        f'  "schedule": {{\n    "conservation_tolerance": '
-        f'{_money(schedule.conservation_tolerance)},\n    "entries": '
+        f'  "schedule": {{\n    "conservation_tolerance": {_money(tolerance)},\n'
+        '    "entries": '
     )
-    _write_array(write, "    ", schedule.entries, lambda e: write(
-        f'      {{\n        "year": {_int(e.year)},\n        "budget": {_money(e.budget)},\n'
-        f'        "low_tolerance": {_money(e.low_tolerance)},\n'
-        f'        "high_tolerance": {_money(e.high_tolerance)}\n      }}'
+    _write_array(write, "    ", entries, lambda e: write(
+        f'      {{\n        "year": {_int(e[0])},\n        "budget": {_money(e[1])},\n'
+        f'        "low_tolerance": {_money(e[2])},\n'
+        f'        "high_tolerance": {_money(e[3])}\n      }}'
     ))
 
     def write_cluster(item) -> None:
-        cluster, members = item
-        center = "null" if cluster.center_id is None else _quote(cluster.center_id)
+        (year, center_id, budget, realized_cost), members = item
+        center = "null" if center_id is None else _quote(center_id)
         write(
-            f'    {{\n      "year": {_int(cluster.year)},\n      "center_id": {center},\n'
-            f'      "budget": {_money(cluster.budget)},\n'
-            f'      "realized_cost": {_money(cluster.realized_cost)},\n      "members": '
+            f'    {{\n      "year": {_int(year)},\n      "center_id": {center},\n'
+            f'      "budget": {_money(budget)},\n'
+            f'      "realized_cost": {_money(realized_cost)},\n      "members": '
         )
-        _write_array(write, "      ", members, lambda m: _write_member(write, "        ", m))
+        _write_members(write, "      ", members, year)
         write("\n    }")
 
     write('\n  },\n  "clusters": ')
     _write_array(write, "  ", clusters, write_cluster)
     write(',\n  "unassigned": ')
-    _write_array(write, "  ", unassigned, lambda m: _write_member(write, "    ", m))
+    _write_members(write, "  ", unassigned, None)
     write(',\n  "metrics": {\n    "per_year": ')
     _write_array(write, "    ", metrics.per_year, lambda y: write(
         f'      {{\n        "year": {_int(y.year)},\n        "budget": {_money(y.budget)},\n'
@@ -465,18 +466,10 @@ def _plan_text(digest, schedule, clusters, unassigned, metrics, diagnostics) -> 
 
     _write_array(write, "  ", diagnostics, write_diagnostic)
     write("\n}\n")
-    return out.getvalue()
 
 
-def document_to_json(document: PlanDocument) -> str:
-    """Canonical rendering: fixed key order, 2-decimal money strings,
-    shortest round-trip floats. Identical documents are byte-identical."""
-    fields = attrgetter("id", "coords", "scheduled_year", "assigned_year", "cost_used")
-    clusters = ((c, map(fields, c.members)) for c in document.clusters)
-    return _plan_text(
-        document.input_digest, document.schedule, clusters, map(fields, document.unassigned),
-        document.metrics, document.diagnostics,
-    )
+_ENTRY = attrgetter("year", "budget", "low_tolerance", "high_tolerance")
+_HEAD = attrgetter("year", "center_id", "budget", "realized_cost")
 
 
 def emit_plan(
@@ -486,179 +479,123 @@ def emit_plan(
     segments: Iterable[Segment] | Mapping[str, Segment],
     digest: str = "",
 ) -> str:
-    """The plan's document, written straight from the plan and its segments."""
-    lookup = segment_lookup(segments)
+    """The plan's document, written straight from the plan and its segments:
+    fixed key order, 2-decimal money strings, shortest round-trip floats."""
+    lookup = segment_lookup(segments).__getitem__
 
-    def members(ids: Iterable[str], year: int | None = None):
-        for sid in ids:
-            seg = lookup[sid]
+    def members(ids: Iterable[str], year: int | None):
+        for seg in map(lookup, ids):
             cost = None if year is None else seg.cost_at(year)
-            yield sid, seg.coords, seg.scheduled_year, year, cost
+            yield seg.id, seg.coords, seg.scheduled_year, cost
 
-    clusters = ((c, members(c.member_ids, c.year)) for c in plan.clusters)
-    unassigned = members(plan.unassigned_ids)
-    return _plan_text(digest, schedule, clusters, unassigned, metrics, plan.diagnostics)
-
-
-_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean"}
-
-
-def _field(obj: dict, key: str, kind: type = object, optional: bool = False):
-    """``obj[key]``; it must be present and of JSON type ``kind``, or null
-    when ``optional``."""
-    if key not in obj:
-        raise PavePlanError(f"plan document is missing {key!r}")
-    value = obj[key]
-    if not (isinstance(value, kind) or (optional and value is None)):
-        raise PavePlanError(
-            f"plan document field {key!r} must be {_JSON_TYPES[kind]}"
-            + (" or null" if optional else "")
-        )
-    return value
-
-
-def _objects(obj: dict, key: str) -> list[dict]:
-    """``obj[key]``, which must be an array of objects."""
-    items = _field(obj, key, list)
-    if not all(isinstance(item, dict) for item in items):
-        raise PavePlanError(f"plan document field {key!r} must hold objects")
-    return items
-
-
-def _int_field(obj: dict, key: str, optional: bool = False) -> int | None:
-    """``obj[key]``, a JSON integer (or null when ``optional``). ``2018.0``,
-    ``true`` and ``"2018"`` are refused: none re-emits as the same bytes."""
-    value = _field(obj, key)
-    if type(value) is int or (optional and value is None):
-        return value
-    raise PavePlanError(
-        f"plan document field {key!r} must be an integer" + (" or null" if optional else "")
+    out = io.StringIO()
+    _plan_text(
+        out.write, digest, schedule.conservation_tolerance, map(_ENTRY, schedule.entries),
+        ((_HEAD(c), members(c.member_ids, c.year)) for c in plan.clusters),
+        members(plan.unassigned_ids, None), metrics, plan.diagnostics,
     )
+    return out.getvalue()
 
 
-def _float_field(obj: dict, key: str) -> float:
-    """``obj[key]``, a JSON float: ``101`` and ``true`` re-emit as other bytes."""
-    value = _field(obj, key)
-    if type(value) is not float:
-        raise PavePlanError(f"plan document field {key!r} must be a number written as a float")
-    return value
+class _Expect:
+    """A write sink that checks each chunk against ``text`` where the last
+    one ended, in place. The first difference raises :class:`PavePlanError`
+    naming its line, with what the writer writes there and what ``text``
+    holds, each at most 80 characters either way of the difference."""
+
+    def __init__(self, text: str):
+        self.text, self.pos = text, 0
+
+    def write(self, chunk: str) -> None:
+        if not self.text.startswith(chunk, self.pos):
+            found = self.text[self.pos : self.pos + len(chunk)]
+            same = next((i for i, (a, b) in enumerate(zip(chunk, found)) if a != b), len(found))
+            self.refuse(self.pos + same, chunk[same:].split("\n", 1)[0])
+        self.pos += len(chunk)
+
+    def refuse(self, at: int, rest: str | None) -> None:
+        """Refuse the text from offset ``at`` on, where the writer goes on
+        with ``rest`` to the end of its line, or ends if ``rest`` is None."""
+        text = self.text
+        start = max(text.rfind("\n", 0, at) + 1, at - 80)
+        if rest is None:
+            expected, found = "the end of the document", text[at : at + 80]
+        else:
+            end = text.find("\n", at)
+            expected = repr(text[start:at] + rest[:80])
+            found = text[start : min(len(text) if end < 0 else end, at + 80)]
+        line = text.count("\n", 0, at) + 1
+        raise PavePlanError(f"plan document line {line}: expected {expected}, found {found!r}")
 
 
-def _money_field(
-    obj: dict, key: str, optional: bool = False, limit: Decimal = MONEY_LIMIT
-) -> Decimal | None:
-    """``obj[key]``, a money string in the canonical form emission writes
-    (or null when ``optional``); sums pass ``TOTAL_LIMIT``."""
-    value = _field(obj, key, str, optional)
-    if value is None:
-        return None
+# what reading a JSON value as another type raises; ``str`` of a value
+# nested as deep as ``json.loads`` allows may recurse one call too deep
+_UNREADABLE = (LookupError, TypeError, ValueError, ArithmeticError, RecursionError)
+
+
+def _read(obj, key, kind, default):
+    """``obj[key]`` read as ``kind``, or ``default`` if it is missing or
+    ``kind`` refuses it: a value read from another JSON type, or a default,
+    is written as other text than the document holds there."""
     try:
-        amount = money(value, limit)
-    except ValueError as exc:
-        raise PavePlanError(f"plan document field {key!r}: {exc}") from None
-    if _money_str(amount) != value:
-        # "3", " 3.00" or "+3.00" would re-emit as other bytes
-        raise PavePlanError(
-            f"plan document field {key!r}: money {value!r} is not written as "
-            f"{_money_str(amount)!r}"
-        )
-    return amount
+        return kind(obj[key])
+    except _UNREADABLE:
+        return default
 
 
-def _cluster_budget(obj: dict) -> Decimal:
-    budget = _money_field(obj, "budget")
-    if budget <= 0:
-        # metrics divide by it, as the schedule's own budgets allow
-        raise PavePlanError(f"plan document cluster budget {budget} is not positive")
-    return budget
+def _part(obj, key, kind: type):
+    """``obj[key]`` itself if it is a JSON object or array, as ``kind`` says,
+    else an empty one, where the writer's template differs from the document."""
+    try:
+        value = obj[key]
+    except _UNREADABLE:
+        return kind()
+    return value if type(value) is kind else kind()
 
 
-def _parse_member(obj: dict, year: int | None) -> DocumentMember:
-    """A member of the cluster of ``year``, or an unassigned one: it must
-    have that ``assigned_year``, and a ``cost_used`` just when it has a year."""
-    coords = _field(obj, "coords", list)
-    if not all(type(c) is float for c in coords):
-        raise PavePlanError("plan document field 'coords' must hold numbers written as floats")
-    member = DocumentMember(
-        id=_field(obj, "id", str),
-        coords=tuple(coords),
-        scheduled_year=_int_field(obj, "scheduled_year"),
-        assigned_year=_int_field(obj, "assigned_year", optional=True),
-        cost_used=_money_field(obj, "cost_used", optional=True),
-    )
-    if member.assigned_year != year or (member.cost_used is None) != (year is None):
-        where = "unassigned" if year is None else f"in cluster {year}"
-        raise PavePlanError(
-            f"plan document member {member.id!r} {where} has assigned_year "
-            f"{member.assigned_year} and cost_used {member.cost_used}"
-        )
-    return member
+def _or_null(kind):
+    return lambda value: None if value is None else kind(value)
 
 
-def _parse_cluster(obj: dict) -> DocumentCluster:
-    year = _int_field(obj, "year")
-    cluster = DocumentCluster(
-        year=year,
-        center_id=_field(obj, "center_id", str, optional=True),
-        budget=_cluster_budget(obj),
-        realized_cost=_money_field(obj, "realized_cost", limit=TOTAL_LIMIT),
-        members=tuple(_parse_member(m, year) for m in _objects(obj, "members")),
-    )
-    if sum(m.cost_used for m in cluster.members) != cluster.realized_cost:
-        raise PavePlanError(
-            f"plan document cluster {year}: its members' cost_used do not sum to its realized_cost"
-        )
-    return cluster
+_ID = itemgetter(0)
+_COST = itemgetter(3)
+_MEMBER = itemgetter("id", "coords", "scheduled_year", "cost_used")
+_ENTRY_MONEY = ("budget", "low_tolerance", "high_tolerance")
 
 
-def _check_clusters_match(clusters: Sequence[DocumentCluster], schedule: BudgetSchedule) -> None:
-    """Refuse clusters that are not the schedule's entries, one for one and in
-    order, by year and budget: metrics total the clusters' budgets, and
-    conservation is judged against the schedule's."""
-    for cluster, entry in zip_longest(clusters, schedule.entries):
-        found, expected = (f"{x.year} at {x.budget}" if x else "none" for x in (cluster, entry))
-        if found != expected:
-            raise PavePlanError(
-                f"plan document cluster {found} does not match schedule entry {expected}"
-            )
-
-
-def _check_metrics_match(
-    metrics: PlanMetrics, clusters: Sequence[DocumentCluster], unassigned_count: int
-) -> None:
-    """Refuse a metrics block whose money and counts are not the clusters'
-    and the unassigned list's: one ``per_year`` entry per cluster, in order,
-    with its year, budget, realized cost and member count. The float figures
-    are left as stored; ``metrics`` recomputes them."""
-
-    def entry(x: tuple | None) -> str:
-        return f"{x[0]} at {x[1]}, cost {x[2]}, {x[3]} members" if x else "none"
-
-    entries = [(y.year, y.budget, y.realized_cost, y.member_count) for y in metrics.per_year]
-    wanted = [(c.year, c.budget, c.realized_cost, len(c.members)) for c in clusters]
-    for found, expected in zip_longest(entries, wanted):
-        if found != expected:
-            raise PavePlanError(
-                f"plan document metrics entry {entry(found)} does not match "
-                f"cluster {entry(expected)}"
-            )
-    total_budget = sum((c.budget for c in clusters), ZERO)
-    total_cost = sum((c.realized_cost for c in clusters), ZERO)
-    overall = metrics.overall
-    for key, found, expected in (
-        ("total_budget", overall.total_budget, total_budget),
-        ("total_cost", overall.total_cost, total_cost),
-        ("total_deviation", overall.total_deviation, total_cost - total_budget),
-        ("unassigned_count", metrics.unassigned_count, unassigned_count),
-    ):
-        if found != expected:
-            raise PavePlanError(f"plan document metrics field {key!r} is {found}, not {expected}")
+def _members(found: list, costed: bool) -> list[tuple]:
+    """The JSON members ``found`` as ``_write_members`` takes them,
+    ``cost_used`` None unless ``costed``: read at once, or field by field if
+    that fails or a cost is not below ``MONEY_LIMIT``, which keeps every sum
+    of them exact. ``found`` is emptied, which frees the JSON objects read
+    (2.1 MB at the parse's peak for 7,200 members)."""
+    try:
+        read = [
+            (str(sid), tuple(map(float, coords)), int(year), Decimal(cost) if costed else None)
+            for sid, coords, year, cost in map(_MEMBER, found)
+        ]
+        if costed and max(map(abs, map(_COST, read)), default=ZERO) >= MONEY_LIMIT:
+            raise ValueError("a cost past the limit")
+    except _UNREADABLE:  # comparing a NaN cost raises too
+        read = [
+            (_read(m, "id", str, ""), _read(m, "coords", lambda c: tuple(map(float, c)), ()),
+             _read(m, "scheduled_year", int, 0),
+             _read(m, "cost_used", money, ZERO) if costed else None)
+            for m in found
+        ]
+    found.clear()
+    return read
 
 
 def parse_plan_document(text: str) -> PlanDocument:
-    """The document ``text`` holds. Invalid JSON and any structural fault (a
-    missing key, a value of the wrong type or out of range) raise
-    :class:`PavePlanError`."""
+    """The document ``text`` holds, which must be the bytes paveplan writes
+    from its primary fields: the digest, the schedule, each cluster's center
+    and members (id, coordinates, scheduled year, ``cost_used``), the
+    unassigned (id, coordinates, scheduled year), the stored dispersion
+    figures and the diagnostics. The rest is derived as ``compute_metrics``
+    derives it, and the writer's bytes are compared with ``text`` as they are
+    written. Invalid JSON, another version, the first difference, and then a
+    value the model refuses raise :class:`PavePlanError`."""
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -669,98 +606,61 @@ def parse_plan_document(text: str) -> PlanDocument:
         raise PavePlanError(
             f"unsupported plan document version {obj.get('format_version')!r}"
         )
+    digest = _read(obj, "input_digest", str, "")
+    schedule = _part(obj, "schedule", dict)
+    tolerance = _read(schedule, "conservation_tolerance", money, ZERO)
+    entries = [
+        (_read(e, "year", int, 0), *(_read(e, key, money, ZERO) for key in _ENTRY_MONEY))
+        for e in _part(schedule, "entries", list)
+    ]
+    stored = _part(obj, "metrics", dict)
+    found, figures = _part(obj, "clusters", list), _part(stored, "per_year", list)
+    clusters, per_year = [], []
+    for index, (year, budget, _, _) in enumerate(entries):  # one cluster per entry
+        cluster, stored_year = _part(found, index, dict), _part(figures, index, dict)
+        members = _members(_part(cluster, "members", list), True)
+        realized = sum(map(_COST, members), ZERO)
+        center = _read(cluster, "center_id", _or_null(str), "")
+        clusters.append(((year, center, budget, realized), members))
+        per_year.append(_year_metrics(
+            year, budget, realized, len(members),
+            _read(stored_year, "mean_member_distance_to_center", float, 0.0),
+            _read(stored_year, "mean_pairwise_distance", float, 0.0),
+        ))
+    unassigned = _members(_part(obj, "unassigned", list), False)
+    dispersion = _read(_part(stored, "overall", dict), "weighted_mean_dispersion", float, 0.0)
+    metrics = _plan_metrics(per_year, dispersion, len(unassigned))
+    diagnostics = tuple(
+        Diagnostic(
+            _read(d, "code", str, ""),
+            _read(d, "message", str, ""),
+            _read(d, "year", _or_null(int), 0),
+            _read(d, "segment_ids", lambda ids: tuple(map(str, ids)), ()),
+        )
+        for d in _part(obj, "diagnostics", list)
+    )
+    sink = _Expect(text)
+    _plan_text(
+        sink.write, digest, tolerance, entries, clusters, unassigned, metrics, diagnostics
+    )
+    if sink.pos < len(text):
+        sink.refuse(sink.pos, None)
     try:
-        return _document_from_json(obj)
-    except (ValueError, ArithmeticError) as exc:
-        # a value the schedule refuses (a non-positive budget, years out of order)
+        schedule = BudgetSchedule(tuple(BudgetEntry(*e) for e in entries), tolerance)
+        plan = Plan(
+            tuple(
+                Cluster(year, center, tuple(map(_ID, members)), realized, budget)
+                for (year, center, budget, realized), members in clusters
+            ),
+            tuple(map(_ID, unassigned)),
+            diagnostics,
+        )
+    except ValueError as exc:
+        # a value the model refuses: a non-positive budget, years out of
+        # order, a center that is no member, an id listed twice
         raise PavePlanError(f"plan document has a bad value: {exc}") from None
-
-
-def _document_from_json(obj: dict) -> PlanDocument:
-    schedule_obj = _field(obj, "schedule", dict)
-    schedule = BudgetSchedule(
-        entries=tuple(
-            BudgetEntry(
-                year=_int_field(entry, "year"),
-                budget=_money_field(entry, "budget"),
-                low_tolerance=_money_field(entry, "low_tolerance"),
-                high_tolerance=_money_field(entry, "high_tolerance"),
-            )
-            for entry in _objects(schedule_obj, "entries")
-        ),
-        conservation_tolerance=_money_field(schedule_obj, "conservation_tolerance"),
-    )
-    clusters = tuple(map(_parse_cluster, _objects(obj, "clusters")))
-    _check_clusters_match(clusters, schedule)
-    metrics_obj = _field(obj, "metrics", dict)
-    overall = _field(metrics_obj, "overall", dict)
-    metrics = PlanMetrics(
-        per_year=tuple(
-            YearMetrics(
-                year=_int_field(y, "year"),
-                budget=_money_field(y, "budget"),
-                realized_cost=_money_field(y, "realized_cost", limit=TOTAL_LIMIT),
-                utilization=_float_field(y, "utilization"),
-                member_count=_int_field(y, "member_count"),
-                mean_member_distance_to_center=_float_field(
-                    y, "mean_member_distance_to_center"
-                ),
-                mean_pairwise_distance=_float_field(y, "mean_pairwise_distance"),
-                over_budget=_field(y, "over_budget", bool),
-            )
-            for y in _objects(metrics_obj, "per_year")
-        ),
-        overall=OverallMetrics(
-            total_budget=_money_field(overall, "total_budget", limit=TOTAL_LIMIT),
-            total_cost=_money_field(overall, "total_cost", limit=TOTAL_LIMIT),
-            total_deviation=_money_field(overall, "total_deviation", limit=TOTAL_LIMIT),
-            weighted_mean_dispersion=_float_field(overall, "weighted_mean_dispersion"),
-        ),
-        unassigned_count=_int_field(metrics_obj, "unassigned_count"),
-    )
-    unassigned = tuple(_parse_member(m, None) for m in _objects(obj, "unassigned"))
-    _check_metrics_match(metrics, clusters, len(unassigned))
-    diagnostics = []
-    for d in _objects(obj, "diagnostics"):
-        segment_ids = _field(d, "segment_ids", list)
-        if not all(isinstance(sid, str) for sid in segment_ids):
-            raise PavePlanError("plan document field 'segment_ids' must hold strings")
-        diagnostics.append(
-            Diagnostic(
-                code=_field(d, "code", str),
-                message=_field(d, "message", str),
-                year=_int_field(d, "year", optional=True),
-                segment_ids=tuple(segment_ids),
-            )
-        )
-    return PlanDocument(
-        format_version=obj["format_version"],
-        input_digest=_field(obj, "input_digest", str),
-        schedule=schedule,
-        clusters=clusters,
-        unassigned=unassigned,
-        metrics=metrics,
-        diagnostics=tuple(diagnostics),
-    )
-
-
-def plan_from_document(document: PlanDocument) -> Plan:
-    """Reconstruct the in-memory plan a document describes."""
-    clusters = tuple(
-        Cluster(
-            year=c.year,
-            center_id=c.center_id,
-            member_ids=tuple(m.id for m in c.members),
-            realized_cost=c.realized_cost,
-            budget=c.budget,
-        )
-        for c in document.clusters
-    )
-    return Plan(
-        clusters=clusters,
-        unassigned_ids=tuple(m.id for m in document.unassigned),
-        diagnostics=document.diagnostics,
-    )
+    assigned = (member for _, members in clusters for member in members)
+    return PlanDocument(digest, schedule, plan, (*assigned, *unassigned), metrics)
 
 
 YEAR_PALETTE = (

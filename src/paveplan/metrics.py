@@ -176,31 +176,40 @@ def compute_metrics(
         coords = _member_coords(cluster, lookup)
         to_center = mean_distance_to_center(cluster, coords)
         pairwise = mean_pairwise_distance(cluster, coords)
-        per_year.append(
-            YearMetrics(
-                year=cluster.year,
-                budget=cluster.budget,
-                realized_cost=cluster.realized_cost,
-                utilization=float(cluster.realized_cost / cluster.budget),
-                member_count=cluster.size,
-                mean_member_distance_to_center=to_center,
-                mean_pairwise_distance=pairwise,
-                over_budget=cluster.realized_cost > cluster.budget,
-            )
-        )
+        per_year.append(_year_metrics(
+            cluster.year, cluster.budget, cluster.realized_cost, cluster.size, to_center, pairwise
+        ))
         weighted += cluster.size * pairwise
         weight += cluster.size
         if not (math.isfinite(to_center) and math.isfinite(weighted)):
             raise PavePlanError(f"year {cluster.year}: member distances overflow floats")
-    total_budget = sum((c.budget for c in plan.clusters), ZERO)
-    total_cost = sum((c.realized_cost for c in plan.clusters), ZERO)
-    overall = OverallMetrics(
-        total_budget=total_budget,
-        total_cost=total_cost,
-        total_deviation=total_cost - total_budget,
-        weighted_mean_dispersion=weighted / weight if weight else 0.0,
+    return _plan_metrics(
+        per_year, weighted / weight if weight else 0.0, len(plan.unassigned_ids)
     )
-    return PlanMetrics(tuple(per_year), overall, len(plan.unassigned_ids))
+
+
+def _year_metrics(
+    year: int, budget: Decimal, realized_cost: Decimal, member_count: int, to_center: float,
+    pairwise: float,
+) -> YearMetrics:
+    """One year's figures; utilization is NaN for a budget of zero, which no
+    schedule holds."""
+    utilization = float(realized_cost / budget) if budget else math.nan
+    over_budget = realized_cost > budget
+    return YearMetrics(
+        year, budget, realized_cost, utilization, member_count, to_center, pairwise, over_budget
+    )
+
+
+def _plan_metrics(
+    per_year: Sequence[YearMetrics], dispersion: float, unassigned_count: int
+) -> PlanMetrics:
+    """The plan's figures: ``per_year``, the money totals over it, and the
+    weighted mean ``dispersion``."""
+    total_budget = sum((y.budget for y in per_year), ZERO)
+    total_cost = sum((y.realized_cost for y in per_year), ZERO)
+    overall = OverallMetrics(total_budget, total_cost, total_cost - total_budget, dispersion)
+    return PlanMetrics(tuple(per_year), overall, unassigned_count)
 
 
 def _groups(points: list[Sequence[float]], leaf: int, axis: int = 0) -> list[list]:

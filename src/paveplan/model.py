@@ -63,9 +63,10 @@ def money(value: MoneyLike, limit: Decimal = MONEY_LIMIT) -> Decimal:
     Values carrying more than two fractional digits are rejected rather than
     rounded; rounding only ever happens explicitly (see cost synthesis). So
     are amounts of 10**18 or more: every sum paveplan forms then stays exact.
-    Totals pass ``TOTAL_LIMIT``. A plain ``Decimal`` that is already a cent
-    amount is returned itself, so cost rows built from one validated cost
-    share that one object.
+    Totals pass ``TOTAL_LIMIT``. NaN, infinities, and text that is not ASCII
+    or holds an underscore (``Decimal`` reads ``٣`` and ``1_0``) are no
+    amount. A plain ``Decimal`` that is already a cent amount is returned
+    itself, so cost rows built from one validated cost share that one object.
     """
     if isinstance(value, Decimal):
         dec = value
@@ -73,10 +74,14 @@ def money(value: MoneyLike, limit: Decimal = MONEY_LIMIT) -> Decimal:
         dec = Decimal(str(value))
     else:
         try:
+            if isinstance(value, str) and not (value.isascii() and "_" not in value):
+                raise InvalidOperation
             dec = Decimal(value)
         except InvalidOperation as exc:
             raise ValueError(f"not a money amount: {value!r}") from exc
     try:
+        if not dec.is_finite():
+            raise InvalidOperation
         quantized = dec.quantize(CENT)
     except InvalidOperation as exc:
         raise ValueError(f"not a money amount: {value!r}") from exc

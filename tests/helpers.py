@@ -1,9 +1,12 @@
 """Shared builders for the test suite."""
 
+import json
+import re
 from decimal import Decimal
 
 from hypothesis import strategies as st
 
+from paveplan.io_formats import emit_plan
 from paveplan.model import BudgetEntry, BudgetSchedule, Segment
 
 
@@ -70,6 +73,12 @@ def random_schedule(rng, years, *, max_budget_cents=2_000_00, with_tolerances=Fa
     return BudgetSchedule(tuple(entries))
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
 CSV_CELLS = st.sampled_from(
     ["0", "1", "1.00", "2.50", "2018", "2019", "Y2018", "-1", "0.001", "1e400",
      "nan", "1_0", "", " ", "id", '"', '"a,b"', "a\rb"]
@@ -94,3 +103,59 @@ def csv_texts(draw, header, row):
         cells = (cells + [draw(CSV_CELLS)])[:width]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+def document_text(obj):
+    """The plan document object ``obj`` in the form paveplan writes, so a
+    test that edits a document reaches the fault it targets, not a
+    formatting difference at line 1."""
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def money_respellings(amount):
+    """``amount``, a money string, as a document may spell it and ``money()``
+    reads it, but not as paveplan writes it; for "3.00": "3", "3.0",
+    " 3.00", "3.000" and "+3.00"."""
+    return [amount[:-3], amount[:-1], " " + amount, amount + "0", "+" + amount]
+
+
+def reemit(document):
+    """The text ``emit_plan`` writes from a parsed document's fields."""
+    return emit_plan(
+        document.plan, document.metrics, document.schedule, document.segments,
+        document.input_digest,
+    )
+
+
+def _first_difference(text, reference):
+    """The 1-based number of the first line where ``text`` differs from
+    ``reference``, and both lines, each cut to 80 characters either way of
+    their first differing character, as a refusal shows them."""
+    lines, expected = text.split("\n"), reference.split("\n")
+    n = next(i for i, (a, b) in enumerate(zip(lines, expected)) if a != b)
+    column = next(
+        (i for i, (a, b) in enumerate(zip(lines[n], expected[n])) if a != b),
+        min(len(lines[n]), len(expected[n])),
+    )
+    cut = slice(max(0, column - 80), column + 80)
+    return n + 1, expected[n][cut], lines[n][cut]
+
+
+def refusal(text, reference):
+    """The message that refuses the plan document ``text`` at the first line
+    where it differs from ``reference``, the text paveplan writes for it."""
+    line, expected, found = _first_difference(text, reference)
+    return f"plan document line {line}: expected {expected!r}, found {found!r}"
+
+
+def refused_at(text, reference):
+    """A pattern for the refusal of ``text`` at the first line where it
+    differs from ``reference``, showing that line as found, up to and past
+    the difference; the expected text is whatever the writer writes there
+    from the values it read."""
+    line, expected, found = _first_difference(text, reference)
+    same = next((i for i, (a, b) in enumerate(zip(found, expected)) if a != b), len(found))
+    return (
+        re.escape(f"plan document line {line}: expected ") + ".*"
+        + re.escape(f", found {found[:same]!r}"[:-1]) + ".*'$"
+    )

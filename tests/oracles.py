@@ -7,6 +7,7 @@ were written first and the engine's expected values were frozen from them.
 """
 
 import json
+import re
 from decimal import Decimal, InvalidOperation
 
 
@@ -82,8 +83,11 @@ def oracle_cluster_cost(cluster, segments):
 
 def oracle_money(value):
     """``value`` as a cent ``Decimal``, always a fresh quantized copy; more
-    than two fractional digits, NaN, infinities and magnitudes of 10**18 or
-    more raise ``ValueError``."""
+    than two fractional digits, NaN, infinities, text other than ASCII
+    without underscores, and magnitudes of 10**18 or more raise
+    ``ValueError``."""
+    if isinstance(value, str) and re.search(r"[^\x00-\x7f]|_", value):
+        raise ValueError(f"not a money amount: {value!r}")
     if isinstance(value, Decimal):
         dec = value
     elif isinstance(value, float):
@@ -93,6 +97,8 @@ def oracle_money(value):
             dec = Decimal(value)
         except InvalidOperation as exc:
             raise ValueError(f"not a money amount: {value!r}") from exc
+    if dec.is_nan() or dec.is_infinite():
+        raise ValueError(f"not a money amount: {value!r}")
     try:
         quantized = dec.quantize(Decimal("0.01"))
     except InvalidOperation as exc:

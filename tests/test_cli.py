@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -19,15 +20,16 @@ import paveplan.cli
 import paveplan.refine
 from paveplan.cli import main
 from paveplan.io_formats import (
-    document_to_json,
     emit_budgets_csv,
     emit_segments_csv,
     load_segments,
     parse_plan_document,
 )
-from paveplan.model import BudgetEntry, BudgetSchedule, Segment, validate_dataset
+from paveplan.model import BudgetEntry, BudgetSchedule, PavePlanError, Segment, validate_dataset
 
-from helpers import csv_texts, seg
+from helpers import (
+    JSON_VALUES, csv_texts, document_text, money_respellings, reemit, refusal, refused_at, seg,
+)
 
 TWO_BLOB_SEGMENTS = (
     "id,x,y,scheduled_year,cost\n"
@@ -39,6 +41,9 @@ TWO_BLOB_SEGMENTS = (
     "b3,100,1,2019,1.00\n"
 )
 TWO_BLOB_BUDGETS = "year,budget\n2018,3.00\n2019,3.00\n"
+# the golden plan document: the landmark plan of these segments
+GOLDEN_TEXT = (Path(__file__).parent / "data" / "two_blob_plan.json").read_text(encoding="utf-8")
+REALIZED_2018 = "found '      \"realized_cost\": \"3.00\",'"
 
 
 @pytest.fixture
@@ -65,7 +70,7 @@ def test_cluster_landmark_two_blobs(two_blob_files, tmp_path):
     )
     assert code == 0
     document = parse_plan_document(out.read_text(encoding="utf-8"))
-    blobs = [{m.id[0] for m in c.members} for c in document.clusters]
+    blobs = [{sid[0] for sid in c.member_ids} for c in document.plan.clusters]
     assert blobs == [{"b"}, {"a"}]
 
 
@@ -309,12 +314,14 @@ def test_synth_growth_matrix_then_cluster(tmp_path):
             "--out", str(plan_path),
         ]
     ) == 0
-    document = parse_plan_document(plan_path.read_text(encoding="utf-8"))
+    obj = json.loads(plan_path.read_text(encoding="utf-8"))
     # moved projects must be priced at their cluster's year, so realized
-    # costs recompute exactly from the emitted member costs
-    for cluster in document.clusters:
-        total = sum((m.cost_used for m in cluster.members), Decimal("0.00"))
-        assert total == cluster.realized_cost
+    # costs recompute exactly from the emitted member costs, as the parse
+    # derives them
+    for cluster in obj["clusters"]:
+        total = sum((Decimal(m["cost_used"]) for m in cluster["members"]), Decimal("0.00"))
+        assert f"{total:.2f}" == cluster["realized_cost"]
+    parse_plan_document(plan_path.read_text(encoding="utf-8"))
 
 
 def test_matrix_rejected_for_scalar_cost_algos(two_blob_files, tmp_path):
@@ -534,26 +541,70 @@ def test_totals_past_the_money_limit_read_back(tmp_path, capsys):
     plan = _plan_file("baseline", segments, budgets, tmp_path / "plan.json")
     text = plan.read_text(encoding="utf-8")
     assert '"realized_cost": "2999999999999999999.97"' in text
-    document = parse_plan_document(text)
-    assert document_to_json(document) == text
+    assert reemit(parse_plan_document(text)) == text
     assert main(["metrics", "--plan", str(plan), "--segments", str(segments)]) == 0
     assert main(["compare", "--before", str(plan), "--after", str(plan),
                  "--segments", str(segments)]) == 0
 
 
-def test_plan_document_money_past_the_limit_exits_2(two_blob_files, tmp_path, capsys):
-    segments, budgets = two_blob_files
-    plan = _plan_file("baseline", segments, budgets, tmp_path / "plan.json")
-    text = plan.read_text(encoding="utf-8")
-    plan.write_text(
-        text.replace('"budget": "3.00"', '"budget": "1000000000000000000.00"', 1),
-        encoding="utf-8",
+HUGE = Decimal("1000000000000000000.00")
+
+
+def _edit_budget_past_the_limit(obj):
+    # a 2018 budget of 10**18, with every field derived from it
+    obj["schedule"]["entries"][0]["budget"] = obj["clusters"][0]["budget"] = f"{HUGE}"
+    obj["metrics"]["per_year"][0].update(
+        budget=f"{HUGE}", utilization=float(Decimal("3.00") / HUGE)
     )
-    capsys.readouterr()
-    assert main(["metrics", "--plan", str(plan), "--segments", str(segments)]) == 2
-    assert capsys.readouterr().err.startswith(
-        "error: plan document field 'budget': money must be below 1E+18"
+    obj["metrics"]["overall"].update(total_budget=f"{HUGE + 3}", total_deviation=f"{3 - HUGE}")
+
+
+def _edit_cost_past_the_limit(obj):
+    # a 2018 member cost of 10**18, with every field derived from it
+    realized = HUGE + 2
+    obj["clusters"][0]["members"][0]["cost_used"] = f"{HUGE}"
+    obj["clusters"][0]["realized_cost"] = f"{realized}"
+    obj["metrics"]["per_year"][0].update(
+        realized_cost=f"{realized}", utilization=float(realized / 3), over_budget=True
     )
+    obj["metrics"]["overall"].update(total_cost=f"{realized + 3}", total_deviation=f"{realized - 3}")
+
+
+def _edit_cost_past_any_float(obj):
+    # realized / budget past any Decimal would overflow, were the cost read
+    obj["schedule"]["entries"][0]["budget"] = obj["clusters"][0]["budget"] = "0.01"
+    obj["clusters"][0]["members"][0]["cost_used"] = "1e999999"
+
+
+def _edit_budget_past_any_float(obj):
+    # so would realized / budget, were this budget read
+    obj["schedule"]["entries"][0]["budget"] = obj["clusters"][0]["budget"] = "1e-1000000"
+
+
+@pytest.mark.parametrize("command", ["metrics", "render", "compare"])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # read as no amount, so as 0.00, which the document does not hold
+        (_edit_budget_past_the_limit,
+         "plan document line 9: expected '        \"budget\": \"0.00\",', "
+         "found '        \"budget\": \"1000000000000000000.00\",'"),
+        (_edit_cost_past_the_limit,
+         "plan document line 26: expected '      \"realized_cost\": \"2.00\",', "
+         "found '      \"realized_cost\": \"1000000000000000002.00\",'"),
+        (_edit_cost_past_any_float,
+         "plan document line 26: expected '      \"realized_cost\": \"2.00\",', " + REALIZED_2018),
+        (_edit_budget_past_any_float,
+         "plan document line 9: expected '        \"budget\": \"0.00\",', "
+         "found '        \"budget\": \"1e-1000000\",'"),
+    ],
+    ids=["budget", "cost", "cost-under-a-cent-budget", "budget-under-any-cent"],
+)
+def test_plan_document_money_past_the_limit_exits_2(
+    command, edit, message, two_blob_files, tmp_path, capsys
+):
+    text = _golden_document(edit)
+    _refused_by_every_reader(command, text, message, two_blob_files, tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
@@ -924,10 +975,10 @@ def test_compare_refuses_other_budgets(two_blob_files, tmp_path, capsys):
     # same input_digest; a cluster's budget is its schedule entry's and its
     # metrics entry's, and the totals follow
     obj["schedule"]["entries"][1]["budget"] = obj["clusters"][1]["budget"] = "4.00"
-    obj["metrics"]["per_year"][1]["budget"] = "4.00"
+    obj["metrics"]["per_year"][1].update(budget="4.00", utilization=0.75)
     obj["metrics"]["overall"].update(total_budget="7.00", total_deviation="-1.00")
     after = tmp_path / "after.json"
-    after.write_text(json.dumps(obj), encoding="utf-8")
+    after.write_text(document_text(obj), encoding="utf-8")
     capsys.readouterr()
     assert _compare(before, after, segments) == 2
     assert capsys.readouterr().err == (
@@ -956,8 +1007,7 @@ def test_segments_from_another_seed_exit_2(command, tmp_path, capsys):
              "--out-budgets", str(files[seed][1])]
         ) == 0
     plan = _plan_file("cluster", *files[1], tmp_path / "plan.json", "--algo", "landmark")
-    document = parse_plan_document(plan.read_text(encoding="utf-8"))
-    first = document.clusters[0].members[0]
+    first = parse_plan_document(plan.read_text(encoding="utf-8")).segments[0]
     other = files[2][0]
     other_segments = load_segments(other.read_text(encoding="utf-8"))
     assert {s.id: s.coords for s in other_segments}[first.id] != first.coords
@@ -974,19 +1024,15 @@ def test_segments_from_another_seed_exit_2(command, tmp_path, capsys):
 
 
 def _document_without_metrics():
-    obj = json.loads(
-        (Path(__file__).parent / "data" / "two_blob_plan.json").read_text(encoding="utf-8")
-    )
+    obj = json.loads(GOLDEN_TEXT)
     del obj["metrics"]
-    return json.dumps(obj)
+    return document_text(obj)
 
 
 def _document_with_budget(value):
-    obj = json.loads(
-        (Path(__file__).parent / "data" / "two_blob_plan.json").read_text(encoding="utf-8")
-    )
+    obj = json.loads(GOLDEN_TEXT)
     obj["clusters"][0]["budget"] = value
-    return json.dumps(obj)
+    return document_text(obj)
 
 
 @pytest.mark.parametrize("command", ["metrics", "render", "compare"])
@@ -1021,9 +1067,10 @@ def test_fractional_year_in_plan_document_exits_2(
     segments, budgets = two_blob_files
     before = _plan_file("baseline", segments, budgets, tmp_path / "before.json")
     after = _plan_file("cluster", segments, budgets, tmp_path / "after.json", "--algo", "schedule")
-    obj = json.loads(after.read_text(encoding="utf-8"))
+    original = after.read_text(encoding="utf-8")
+    obj = json.loads(original)
     obj["clusters"][0]["members"][0]["scheduled_year"] = 2018.7
-    after.write_text(json.dumps(obj, indent=2), encoding="utf-8")
+    after.write_text(document_text(obj), encoding="utf-8")
     args = {
         "metrics": ["--plan", str(after)],
         "render": ["--plan", str(after), "--out", str(tmp_path / "plan.svg")],
@@ -1031,18 +1078,16 @@ def test_fractional_year_in_plan_document_exits_2(
     }[command]
     capsys.readouterr()
     assert main([command, *args, "--segments", str(segments)]) == 2
-    assert capsys.readouterr().err == (
-        "error: plan document field 'scheduled_year' must be an integer\n"
-    )
+    err = capsys.readouterr().err
+    assert re.match("error: " + refused_at(document_text(obj), original), err)
+    assert err.count("\n") == 1
     assert not (tmp_path / "plan.svg").exists()
 
 
 def _golden_document(edit):
-    obj = json.loads(
-        (Path(__file__).parent / "data" / "two_blob_plan.json").read_text(encoding="utf-8")
-    )
+    obj = json.loads(GOLDEN_TEXT)
     edit(obj)
-    return json.dumps(obj, indent=2)
+    return document_text(obj)
 
 
 def _edit_member(**fields):
@@ -1053,34 +1098,43 @@ def _edit_utilization(obj):
     obj["metrics"]["per_year"][0]["utilization"] = 1
 
 
-@pytest.mark.parametrize("command", ["metrics", "render", "compare"])
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        # each would re-emit as other bytes: 101.0, 1.0
-        (_edit_member(coords=[101, 0]), "field 'coords' must hold numbers written as floats"),
-        (_edit_utilization, "field 'utilization' must be a number written as a float"),
-        # the first 2018 member, moved to another year at another cost
-        (_edit_member(assigned_year=1999, cost_used="123.45"), "member 'b2' in cluster 2018"),
-        (_edit_member(cost_used="123.45"), "cluster 2018: its members' cost_used do not sum"),
-    ],
-    ids=["int-coords", "int-utilization", "member-year", "member-cost"],
-)
-def test_inconsistent_plan_document_exits_2(
-    command, edit, message, two_blob_files, tmp_path, capsys
-):
+def _refused_by_every_reader(command, text, message, two_blob_files, tmp_path, capsys):
     segments, _ = two_blob_files
     plan = tmp_path / "plan.json"
-    plan.write_text(_golden_document(edit), encoding="utf-8")
+    plan.write_text(text, encoding="utf-8")
     args = {
         "metrics": ["--plan", str(plan)],
         "render": ["--plan", str(plan), "--out", str(tmp_path / "plan.svg")],
         "compare": ["--before", str(plan), "--after", str(plan)],
     }[command]
     assert main([command, *args, "--segments", str(segments)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: plan document") and message in err
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["budgets.csv", "plan.json", "segments.csv"]
+
+
+@pytest.mark.parametrize("command", ["metrics", "render", "compare"])
+@pytest.mark.parametrize(
+    "edit, realized",
+    [
+        # each is written back as other bytes: 101.0, 1.0
+        (_edit_member(coords=[101, 0]), None),
+        (_edit_utilization, None),
+        # the first 2018 member, moved to another year at another cost: the
+        # writer derives its cluster's realized cost, which comes first
+        (_edit_member(assigned_year=1999, cost_used="123.45"), "125.45"),
+        (_edit_member(cost_used="123.45"), "125.45"),
+    ],
+    ids=["int-coords", "int-utilization", "member-year", "member-cost"],
+)
+def test_inconsistent_plan_document_exits_2(
+    command, edit, realized, two_blob_files, tmp_path, capsys
+):
+    text = _golden_document(edit)
+    message = refusal(text, GOLDEN_TEXT) if realized is None else (
+        f"plan document line 26: expected '      \"realized_cost\": \"{realized}\",', "
+        + REALIZED_2018
+    )
+    _refused_by_every_reader(command, text, message, two_blob_files, tmp_path, capsys)
 
 
 def _edit_cluster_budget(obj):
@@ -1103,10 +1157,14 @@ def _swap_clusters(obj):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (_edit_cluster_budget, "cluster 2018 at 30.00 does not match schedule entry 2018 at 3.00"),
-        (_edit_entry_budget, "cluster 2018 at 3.00 does not match schedule entry 2018 at 9.00"),
-        (_drop_last_cluster, "cluster none does not match schedule entry 2019 at 3.00"),
-        (_swap_clusters, "cluster 2019 at 3.00 does not match schedule entry 2018 at 3.00"),
+        (_edit_cluster_budget,
+         "line 25: expected '      \"budget\": \"3.00\",', found '      \"budget\": \"30.00\",'"),
+        # the cluster's budget is derived from its entry's, and comes after it
+        (_edit_entry_budget,
+         "line 25: expected '      \"budget\": \"9.00\",', found '      \"budget\": \"3.00\",'"),
+        (_drop_last_cluster, "line 59: expected '    },', found '    }'"),
+        (_swap_clusters,
+         "line 23: expected '      \"year\": 2018,', found '      \"year\": 2019,'"),
     ],
     ids=["cluster-budget", "entry-budget", "missing-cluster", "swapped-clusters"],
 )
@@ -1114,17 +1172,10 @@ def test_cluster_must_match_its_schedule_entry(
     command, edit, message, two_blob_files, tmp_path, capsys
 ):
     # the clusters' and the schedule's budgets give one conservation figure
-    segments, _ = two_blob_files
-    plan = tmp_path / "plan.json"
-    plan.write_text(_golden_document(edit), encoding="utf-8")
-    args = {
-        "metrics": ["--plan", str(plan)],
-        "render": ["--plan", str(plan), "--out", str(tmp_path / "plan.svg")],
-        "compare": ["--before", str(plan), "--after", str(plan)],
-    }[command]
-    assert main([command, *args, "--segments", str(segments)]) == 2
-    assert capsys.readouterr().err == f"error: plan document {message}\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["budgets.csv", "plan.json", "segments.csv"]
+    _refused_by_every_reader(
+        command, _golden_document(edit), f"plan document {message}", two_blob_files,
+        tmp_path, capsys,
+    )
 
 
 def _drop_last_year_metrics(obj):
@@ -1145,56 +1196,126 @@ def _edit_unassigned_count(obj):
 
 def _found_document(obj):
     # a 2019 entry dropped, and a 2018 budget and the deviation changed; the
-    # first mismatch in document order is named
+    # first difference in document order is named
     _drop_last_year_metrics(obj)
     _edit_year_metrics(budget="30.00")(obj)
     _edit_overall(total_deviation="-27.00")(obj)
 
 
-TWO_BLOB_ENTRY = "2018 at 3.00, cost 3.00, 3 members"
-
-
 @pytest.mark.parametrize("command", ["metrics", "render", "compare"])
 @pytest.mark.parametrize(
-    "edit, message",
+    "edit",
     [
-        (_drop_last_year_metrics,
-         "metrics entry none does not match cluster 2019 at 3.00, cost 3.00, 3 members"),
-        (_edit_year_metrics(year=2017),
-         f"metrics entry 2017 at 3.00, cost 3.00, 3 members does not match cluster {TWO_BLOB_ENTRY}"),
-        (_edit_year_metrics(budget="30.00"),
-         f"metrics entry 2018 at 30.00, cost 3.00, 3 members does not match cluster {TWO_BLOB_ENTRY}"),
-        (_edit_year_metrics(realized_cost="2.00"),
-         f"metrics entry 2018 at 3.00, cost 2.00, 3 members does not match cluster {TWO_BLOB_ENTRY}"),
-        (_edit_year_metrics(member_count=4),
-         f"metrics entry 2018 at 3.00, cost 3.00, 4 members does not match cluster {TWO_BLOB_ENTRY}"),
-        (_edit_overall(total_budget="6.01"),
-         "metrics field 'total_budget' is 6.01, not 6.00"),
-        (_edit_overall(total_cost="5.00"),
-         "metrics field 'total_cost' is 5.00, not 6.00"),
-        (_edit_overall(total_deviation="-27.00"),
-         "metrics field 'total_deviation' is -27.00, not 0.00"),
-        (_edit_unassigned_count, "metrics field 'unassigned_count' is 1, not 0"),
-        (_found_document,
-         f"metrics entry 2018 at 30.00, cost 3.00, 3 members does not match cluster {TWO_BLOB_ENTRY}"),
+        _drop_last_year_metrics,
+        _edit_year_metrics(year=2017),
+        _edit_year_metrics(budget="30.00"),
+        _edit_year_metrics(realized_cost="2.00"),
+        _edit_year_metrics(member_count=4),
+        _edit_year_metrics(over_budget=True),
+        _edit_overall(total_budget="6.01"),
+        _edit_overall(total_cost="5.00"),
+        _edit_overall(total_deviation="-27.00"),
+        _edit_unassigned_count,
+        _found_document,
     ],
-    ids=["missing-entry", "year", "budget", "cost", "count", "total-budget", "total-cost",
-         "deviation", "unassigned-count", "found"],
+    ids=["missing-entry", "year", "budget", "cost", "count", "over-budget", "total-budget",
+         "total-cost", "deviation", "unassigned-count", "found"],
 )
 def test_metrics_block_must_match_the_clusters(
-    command, edit, message, two_blob_files, tmp_path, capsys
+    command, edit, two_blob_files, tmp_path, capsys
 ):
-    segments, _ = two_blob_files
-    plan = tmp_path / "plan.json"
-    plan.write_text(_golden_document(edit), encoding="utf-8")
-    args = {
-        "metrics": ["--plan", str(plan)],
-        "render": ["--plan", str(plan), "--out", str(tmp_path / "plan.svg")],
-        "compare": ["--before", str(plan), "--after", str(plan)],
-    }[command]
-    assert main([command, *args, "--segments", str(segments)]) == 2
-    assert capsys.readouterr().err == f"error: plan document {message}\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["budgets.csv", "plan.json", "segments.csv"]
+    # every field here but the dispersion figures is derived from the
+    # clusters, so the writer writes the golden line where the edit is
+    text = _golden_document(edit)
+    _refused_by_every_reader(
+        command, text, refusal(text, GOLDEN_TEXT), two_blob_files, tmp_path, capsys
+    )
+
+
+DISPERSION = ("mean_member_distance_to_center", "mean_pairwise_distance", "weighted_mean_dispersion")
+MONEY_KEYS = ("conservation_tolerance", "budget", "low_tolerance", "high_tolerance", "cost_used")
+
+
+def _leaves(node, path=()):
+    """Each ``(path, value)`` of a scalar below ``node``."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _leaves(child, path + (key,))
+    else:
+        yield path, node
+
+
+def _is_derived(path):
+    # the metrics block but its dispersion figures, each cluster's year,
+    # budget and realized cost, and each member's assigned year
+    return path[-1] not in DISPERSION and (
+        path[0] == "metrics"
+        or path[0] == "clusters" and path[-1] in ("year", "budget", "realized_cost", "assigned_year")
+    )
+
+
+def _respellings(path, value):
+    """A primary value in other JSON forms, each read as some value of its
+    field's type; a member's cost only as the same amount, since its
+    cluster's realized cost, written first, is derived from it."""
+    if path[-1] in MONEY_KEYS:
+        return [*money_respellings(value), float(value)]
+    if isinstance(value, int):
+        return [str(value), float(value), [value]]
+    return [[value], len(value)]
+
+
+# the golden document's leaves but its version (checked up front) and its
+# coordinates (primary figures that the segments CSV checks)
+EDITABLE = [
+    (path, value) for path, value in _leaves(json.loads(GOLDEN_TEXT))
+    if path != ("format_version",) and (path[-1] in DISPERSION or not isinstance(value, float))
+]
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_one_edit_is_refused_at_its_line_or_recomputed(data):
+    # any other value in a derived field, or a primary value in another JSON
+    # form, is refused naming its line, and metrics exits 2 writing nothing;
+    # a stored dispersion figure may hold anything, as metrics recomputes it
+    path, old = data.draw(st.sampled_from(EDITABLE))
+    if path[-1] in DISPERSION:
+        new = data.draw(st.floats())
+    elif _is_derived(path):
+        new = data.draw(JSON_VALUES.filter(lambda v: json.dumps(v) != json.dumps(old)))
+    else:
+        new = data.draw(st.sampled_from(_respellings(path, old)))
+    obj = json.loads(GOLDEN_TEXT)
+    parent = obj
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = new
+    text = document_text(obj)
+    with tempfile.TemporaryDirectory() as tmp:
+        segments = Path(tmp) / "segments.csv"
+        segments.write_text(TWO_BLOB_SEGMENTS, encoding="utf-8")
+        outputs = []
+        for plan_text in (GOLDEN_TEXT, text):
+            plan = Path(tmp) / "plan.json"
+            plan.write_text(plan_text, encoding="utf-8")
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["metrics", "--plan", str(plan), "--segments", str(segments)])
+            outputs.append((code, out.getvalue(), err.getvalue()))
+        assert sorted(p.name for p in Path(tmp).iterdir()) == ["plan.json", "segments.csv"]
+    if path[-1] in DISPERSION:
+        assert outputs[1] == outputs[0]
+        assert outputs[0][0] == 0
+        return
+    with pytest.raises(PavePlanError) as excinfo:
+        parse_plan_document(text)
+    message = str(excinfo.value)
+    if _is_derived(path):
+        assert message == refusal(text, GOLDEN_TEXT)
+    else:
+        assert re.match(refused_at(text, GOLDEN_TEXT), message)
+    assert outputs[1] == (2, "", f"error: {message}\n")
 
 
 def test_stored_float_figures_are_left_to_metrics(two_blob_files, tmp_path, capsys):
@@ -1205,7 +1326,7 @@ def test_stored_float_figures_are_left_to_metrics(two_blob_files, tmp_path, caps
     expected = capsys.readouterr().out
 
     def edit(obj):
-        _edit_year_metrics(utilization=0.5, mean_pairwise_distance=99.0, over_budget=True)(obj)
+        _edit_year_metrics(mean_member_distance_to_center=7.5, mean_pairwise_distance=99.0)(obj)
         _edit_overall(weighted_mean_dispersion=-1.0)(obj)
 
     plan.write_text(_golden_document(edit), encoding="utf-8")
@@ -1255,15 +1376,13 @@ def test_verbose_is_read_when_logging(two_blob_files, monkeypatch, capsys):
 
 def test_render_unknown_segment_exits_2(two_blob_files, tmp_path, capsys):
     segments, _ = two_blob_files
-    obj = json.loads(
-        (Path(__file__).parent / "data" / "two_blob_plan.json").read_text(encoding="utf-8")
-    )
+    obj = json.loads(GOLDEN_TEXT)
     obj["unassigned"].append(
         dict(obj["clusters"][0]["members"][0], id="zz", assigned_year=None, cost_used=None)
     )
     obj["metrics"]["unassigned_count"] = 1
     plan_path = tmp_path / "plan.json"
-    plan_path.write_text(json.dumps(obj), encoding="utf-8")
+    plan_path.write_text(document_text(obj), encoding="utf-8")
     code = main(
         ["render", "--plan", str(plan_path), "--segments", str(segments),
          "--out", str(tmp_path / "plan.svg")]
@@ -1306,7 +1425,7 @@ def test_cr_inside_a_quoted_id_survives_the_cli(tmp_path):
     budgets.write_text(TWO_BLOB_BUDGETS, encoding="utf-8")
     plan = _plan_file("cluster", segments, budgets, tmp_path / "plan.json", "--algo", "landmark")
     document = parse_plan_document(plan.read_text(encoding="utf-8"))
-    assert "a\rb" in {m.id for c in document.clusters for m in c.members}
+    assert "a\rb" in {sid for c in document.plan.clusters for sid in c.member_ids}
     assert main(["metrics", "--plan", str(plan), "--segments", str(segments)]) == 0
 
 
@@ -1421,10 +1540,7 @@ def test_every_artifact_reads_back_through_the_cli(dataset, algo):
         assert texts["plan.json"] == texts["svg_plan.json"]
         for text in texts.values():
             document = parse_plan_document(text)
-            assert document_to_json(document) == text
-            members = [m.id for c in document.clusters for m in c.members]
-            assert sorted(members + [m.id for m in document.unassigned]) == sorted(
-                s.id for s in segments
-            )
+            assert reemit(document) == text
+            assert sorted(document.plan.all_ids()) == sorted(s.id for s in segments)
         for name in ["plan.svg", "render.svg"]:
             ElementTree.parse(path[name])
