@@ -15,7 +15,6 @@ import json
 import os
 import stat
 import sys
-from dataclasses import asdict, replace
 from decimal import Decimal
 from functools import partial
 from pathlib import Path
@@ -38,6 +37,7 @@ from .io_formats import (
 )
 from .metrics import compare_plans, compute_metrics, plan_from_schedule
 from .model import (
+    BudgetEntry,
     BudgetSchedule,
     MismatchedInputsError,
     PavePlanError,
@@ -91,9 +91,14 @@ def _load_dataset(args: argparse.Namespace) -> tuple[list[Segment], BudgetSchedu
 def _with_tolerance_overrides(
     schedule: BudgetSchedule, low: Decimal | None, high: Decimal | None
 ) -> BudgetSchedule:
-    overrides = {"low_tolerance": low, "high_tolerance": high}
-    overrides = {name: value for name, value in overrides.items() if value is not None}
-    return replace(schedule, entries=tuple(replace(e, **overrides) for e in schedule.entries))
+    entries = tuple(
+        BudgetEntry(
+            e.year, e.budget, e.low_tolerance if low is None else low,
+            e.high_tolerance if high is None else high,
+        )
+        for e in schedule.entries
+    )
+    return BudgetSchedule(entries, schedule.conservation_tolerance)
 
 
 def _write_outputs(files: Sequence[tuple[Path, str]], stdout_text: str = "") -> None:
@@ -247,13 +252,21 @@ def _check_same_inputs(before: PlanDocument, after: PlanDocument) -> None:
         raise MismatchedInputsError("plans have different (year, budget) schedules")
 
 
+def _json_value(value: object) -> object:
+    """A value json cannot write: a money amount as a "0.00" string, a record
+    as the object of its fields."""
+    if isinstance(value, Decimal):
+        return f"{value:.2f}"
+    return dict(zip(value.__slots__, value._fields()))
+
+
 def _cmd_metrics(args: argparse.Namespace) -> int:
     document = parse_plan_document(_read(args.plan))
     # dispersion only needs coordinates; money figures come from the document
     segments = _document_segments(args.segments, document)
     schedule = document.schedule
     metrics = compute_metrics(document.plan, schedule, segments)
-    obj = asdict(metrics)
+    obj = _json_value(metrics)
     # the document's clusters match its schedule entries, so this is the
     # realized cost minus the schedule's total budget
     deviation = metrics.overall.total_deviation
@@ -261,8 +274,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         "total_deviation": f"{deviation:.2f}",
         "within_tolerance": abs(deviation) <= schedule.conservation_tolerance,
     }
-    # money amounts, the only values json cannot write, as "0.00" strings
-    print(json.dumps(obj, indent=2, default="{:.2f}".format))
+    print(json.dumps(obj, indent=2, default=_json_value))
     return 0
 
 

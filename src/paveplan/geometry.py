@@ -51,22 +51,22 @@ from __future__ import annotations
 
 import math
 from bisect import bisect
-from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
-from .model import DimensionMismatchError, Segment
+from .model import DimensionMismatchError, Record, Segment
 
 Coords = tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class DistanceOrdering:
+class DistanceOrdering(Record):
     """All segments except the anchor, nearest first; ties by ascending id."""
 
-    anchor_id: str
-    ordered_ids: tuple[str, ...]
+    __slots__ = ("anchor_id", "ordered_ids")
+
+    def __init__(self, anchor_id: str, ordered_ids: tuple[str, ...]) -> None:
+        self._set(anchor_id, ordered_ids)
 
 
 def nearest_first(segments: Sequence[Segment], anchor: Segment) -> Iterator[Segment]:

@@ -13,12 +13,10 @@ text, so only what paveplan writes reads back.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import math
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
@@ -38,6 +36,7 @@ from .model import (
     DimensionMismatchError,
     PavePlanError,
     Plan,
+    Record,
     Segment,
     UnknownSegmentError,
     money,
@@ -323,6 +322,8 @@ def emit_cost_matrix_csv(segments: Iterable[Segment], years: Sequence[int]) -> s
 
 def input_digest(*parts: str | bytes) -> str:
     """Content hash over the raw inputs; changes iff any input byte changes."""
+    import hashlib  # imported by the commands that read inputs only
+
     digest = hashlib.sha256()
     for part in parts:
         data = part.encode("utf-8") if isinstance(part, str) else part
@@ -331,17 +332,19 @@ def input_digest(*parts: str | bytes) -> str:
     return digest.hexdigest()
 
 
-@dataclass(frozen=True)
-class PlanDocument:
+class PlanDocument(Record):
     """A parsed plan document: its digest, schedule, plan and metrics block,
     and each member's primary fields as read, ``(id, coords, scheduled_year,
     cost_used)``, in document order, ``cost_used`` None when unassigned."""
 
-    input_digest: str
-    schedule: BudgetSchedule
-    plan: Plan
-    members: tuple[tuple[str, tuple[float, ...], int, Decimal | None], ...]
-    metrics: PlanMetrics
+    __slots__ = ("input_digest", "schedule", "plan", "members", "metrics")
+
+    def __init__(
+        self, input_digest: str, schedule: BudgetSchedule, plan: Plan,
+        members: tuple[tuple[str, tuple[float, ...], int, Decimal | None], ...],
+        metrics: PlanMetrics,
+    ) -> None:
+        self._set(input_digest, schedule, plan, members, metrics)
 
     @property
     def segments(self) -> list[Segment]:

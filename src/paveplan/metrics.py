@@ -55,7 +55,6 @@ nothing is pruned; if the best total is ``inf``, nothing is above it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal
 from functools import reduce
 from itertools import repeat
@@ -72,37 +71,47 @@ from .model import (
     Diagnostic,
     PavePlanError,
     Plan,
+    Record,
     Segment,
     UnknownSegmentError,
     segment_lookup,
 )
 
 
-@dataclass(frozen=True)
-class YearMetrics:
-    year: int
-    budget: Decimal
-    realized_cost: Decimal
-    utilization: float
-    member_count: int
-    mean_member_distance_to_center: float
-    mean_pairwise_distance: float
-    over_budget: bool
+class YearMetrics(Record):
+    __slots__ = (
+        "year", "budget", "realized_cost", "utilization", "member_count",
+        "mean_member_distance_to_center", "mean_pairwise_distance", "over_budget",
+    )
+
+    def __init__(
+        self, year: int, budget: Decimal, realized_cost: Decimal, utilization: float,
+        member_count: int, mean_member_distance_to_center: float,
+        mean_pairwise_distance: float, over_budget: bool,
+    ) -> None:
+        self._set(
+            year, budget, realized_cost, utilization, member_count,
+            mean_member_distance_to_center, mean_pairwise_distance, over_budget,
+        )
 
 
-@dataclass(frozen=True)
-class OverallMetrics:
-    total_budget: Decimal
-    total_cost: Decimal
-    total_deviation: Decimal
-    weighted_mean_dispersion: float
+class OverallMetrics(Record):
+    __slots__ = ("total_budget", "total_cost", "total_deviation", "weighted_mean_dispersion")
+
+    def __init__(
+        self, total_budget: Decimal, total_cost: Decimal, total_deviation: Decimal,
+        weighted_mean_dispersion: float,
+    ) -> None:
+        self._set(total_budget, total_cost, total_deviation, weighted_mean_dispersion)
 
 
-@dataclass(frozen=True)
-class PlanMetrics:
-    per_year: tuple[YearMetrics, ...]
-    overall: OverallMetrics
-    unassigned_count: int
+class PlanMetrics(Record):
+    __slots__ = ("per_year", "overall", "unassigned_count")
+
+    def __init__(
+        self, per_year: tuple[YearMetrics, ...], overall: OverallMetrics, unassigned_count: int
+    ) -> None:
+        self._set(per_year, overall, unassigned_count)
 
 
 def _member_coords(cluster: Cluster, lookup: Mapping[str, Segment]) -> list[Coords]:
@@ -279,21 +288,25 @@ def plan_from_schedule(segments: Iterable[Segment], schedule: BudgetSchedule) ->
     return Plan(tuple(clusters), unassigned, diagnostics)
 
 
-@dataclass(frozen=True)
-class YearDispersionDelta:
-    year: int
-    center_delta: float
-    pairwise_delta: float
+class YearDispersionDelta(Record):
+    __slots__ = ("year", "center_delta", "pairwise_delta")
+
+    def __init__(self, year: int, center_delta: float, pairwise_delta: float) -> None:
+        self._set(year, center_delta, pairwise_delta)
 
 
-@dataclass(frozen=True)
-class PlanComparison:
+class PlanComparison(Record):
     """Negative dispersion deltas mean the after plan is tighter."""
 
-    per_year: tuple[YearDispersionDelta, ...]
-    overall_dispersion_delta: float
-    segments_moved: int
-    year_shift_histogram: Mapping[int, int]
+    __slots__ = (
+        "per_year", "overall_dispersion_delta", "segments_moved", "year_shift_histogram"
+    )
+
+    def __init__(
+        self, per_year: tuple[YearDispersionDelta, ...], overall_dispersion_delta: float,
+        segments_moved: int, year_shift_histogram: Mapping[int, int],
+    ) -> None:
+        self._set(per_year, overall_dispersion_delta, segments_moved, year_shift_histogram)
 
 
 def compare_plans(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from operator import is_not
 from typing import Iterable, Union
@@ -125,6 +124,43 @@ class CostRow(Mapping):
         return f"CostRow({dict(self)!r})"
 
 
+class Record:
+    """Base of the frozen value records: the fields are the ``__slots__``, in
+    constructor order, set once by ``__init__``. A record equals a record of its
+    type with equal fields, hashes as their tuple, refuses assignment and
+    deletion, and is copied and pickled through its constructor."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
+
+
 def _row_of(table: Mapping[int, MoneyLike]) -> CostRow:
     """A row of its own holding ``table``'s costs, years made ``int``; an
     object filling many years is held once."""
@@ -139,8 +175,7 @@ def _row_of(table: Mapping[int, MoneyLike]) -> CostRow:
     return CostRow(index, tuple(costs))
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(Record):
     """One schedulable maintenance project.
 
     ``cost_by_year`` maps fiscal years to the money the project costs if
@@ -150,20 +185,20 @@ class Segment:
     table they were built from, and are not hashable.
     """
 
-    id: str
-    coords: tuple[float, ...]
-    cost_by_year: Mapping[int, Decimal]
-    scheduled_year: int
+    __slots__ = ("id", "coords", "cost_by_year", "scheduled_year")
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __init__(
+        self, id: str, coords: tuple[float, ...], cost_by_year: Mapping[int, Decimal],
+        scheduled_year: int,
+    ) -> None:
+        if not id:
             raise ValueError("segment id must be a non-empty string")
-        coords = tuple(map(float, self.coords))
+        coords = tuple(map(float, coords))
         if not coords:
-            raise ValueError(f"segment {self.id}: needs at least one coordinate")
+            raise ValueError(f"segment {id}: needs at least one coordinate")
         if not all(map(math.isfinite, coords)):
-            raise ValueError(f"segment {self.id}: coordinates must be finite, got {coords}")
-        row = self.cost_by_year
+            raise ValueError(f"segment {id}: coordinates must be finite, got {coords}")
+        row = cost_by_year
         if type(row) is not CostRow:
             row = _row_of(row)
         costs = []
@@ -171,22 +206,24 @@ class Segment:
             cost = money(raw)
             if cost <= 0:
                 year = next(y for y, at in row._index.items() if at == position)
-                raise ValueError(f"segment {self.id}: cost for {year} must be positive")
+                raise ValueError(f"segment {id}: cost for {year} must be positive")
             costs.append(cost)
         if any(map(is_not, costs, row._costs)):
             row = CostRow(row._index, tuple(costs))
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "cost_by_year", row)
-        object.__setattr__(self, "scheduled_year", int(self.scheduled_year))
+        scheduled_year = int(scheduled_year)
+        # field by field, not through _set's loop: synthesize_dataset builds thousands
+        set_field = object.__setattr__
+        set_field(self, "id", id)
+        set_field(self, "coords", coords)
+        set_field(self, "cost_by_year", row)
+        set_field(self, "scheduled_year", scheduled_year)
 
     @classmethod
     def _trusted(cls, id: str, coords: tuple, costs: CostRow, year: int) -> Segment:
-        """The segment of values its caller checked as ``__post_init__`` would,
+        """The segment of values its caller checked as ``__init__`` would,
         built without it; the loaders check each cell once, naming its row
         and column. ``Segment(...)`` checks all it is given."""
         seg = object.__new__(cls)
-        # attribute by attribute, as __init__ does: filling vars(seg) would
-        # give each segment a dict of its own, larger and slower to read
         object.__setattr__(seg, "id", id)
         object.__setattr__(seg, "coords", coords)
         object.__setattr__(seg, "cost_by_year", costs)
@@ -211,48 +248,42 @@ class Segment:
         return self.cost_at(self.scheduled_year)
 
 
-@dataclass(frozen=True)
-class BudgetEntry:
+class BudgetEntry(Record):
     """One fiscal year's cap plus the shrink/grow tolerances around it."""
 
-    year: int
-    budget: Decimal
-    low_tolerance: Decimal = ZERO
-    high_tolerance: Decimal = ZERO
+    __slots__ = ("year", "budget", "low_tolerance", "high_tolerance")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "year", int(self.year))
-        object.__setattr__(self, "budget", money(self.budget))
-        object.__setattr__(self, "low_tolerance", money(self.low_tolerance))
-        object.__setattr__(self, "high_tolerance", money(self.high_tolerance))
-        if self.budget <= 0:
-            raise ValueError(f"budget for {self.year} must be positive")
-        if self.low_tolerance < 0 or self.high_tolerance < 0:
-            raise ValueError(f"tolerances for {self.year} must be non-negative")
-        if self.low_tolerance >= self.budget:
-            raise ValueError(
-                f"low tolerance for {self.year} must be smaller than the budget"
-            )
+    def __init__(
+        self, year: int, budget: Decimal, low_tolerance: Decimal = ZERO,
+        high_tolerance: Decimal = ZERO,
+    ) -> None:
+        year, budget = int(year), money(budget)
+        low_tolerance, high_tolerance = money(low_tolerance), money(high_tolerance)
+        if budget <= 0:
+            raise ValueError(f"budget for {year} must be positive")
+        if low_tolerance < 0 or high_tolerance < 0:
+            raise ValueError(f"tolerances for {year} must be non-negative")
+        if low_tolerance >= budget:
+            raise ValueError(f"low tolerance for {year} must be smaller than the budget")
+        self._set(year, budget, low_tolerance, high_tolerance)
 
 
-@dataclass(frozen=True)
-class BudgetSchedule:
+class BudgetSchedule(Record):
     """Ordered fiscal years with their budgets; one cluster per entry."""
 
-    entries: tuple[BudgetEntry, ...]
-    conservation_tolerance: Decimal = ZERO
+    __slots__ = ("entries", "conservation_tolerance")
 
-    def __post_init__(self) -> None:
-        entries = tuple(self.entries)
+    def __init__(
+        self, entries: tuple[BudgetEntry, ...], conservation_tolerance: Decimal = ZERO
+    ) -> None:
+        entries = tuple(entries)
         years = [e.year for e in entries]
         if not all(a < b for a, b in zip(years, years[1:])):
             raise ValueError(f"schedule years must be strictly increasing, got {years}")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(
-            self, "conservation_tolerance", money(self.conservation_tolerance)
-        )
-        if self.conservation_tolerance < 0:
+        conservation_tolerance = money(conservation_tolerance)
+        if conservation_tolerance < 0:
             raise ValueError("conservation tolerance must be non-negative")
+        self._set(entries, conservation_tolerance)
 
     @property
     def years(self) -> tuple[int, ...]:
@@ -262,8 +293,7 @@ class BudgetSchedule:
         return sum((e.budget for e in self.entries), ZERO)
 
 
-@dataclass(frozen=True)
-class Cluster:
+class Cluster(Record):
     """One fiscal year's project group.
 
     ``member_ids`` is kept in admission order. ``realized_cost`` is the sum
@@ -271,28 +301,21 @@ class Cluster:
     clusters (schedule outlasting the data) carry ``center_id=None``.
     """
 
-    year: int
-    center_id: str | None
-    member_ids: tuple[str, ...]
-    realized_cost: Decimal
-    budget: Decimal
+    __slots__ = ("year", "center_id", "member_ids", "realized_cost", "budget")
 
-    def __post_init__(self) -> None:
-        members = tuple(self.member_ids)
+    def __init__(
+        self, year: int, center_id: str | None, member_ids: tuple[str, ...],
+        realized_cost: Decimal, budget: Decimal,
+    ) -> None:
+        members = tuple(member_ids)
         if len(set(members)) != len(members):
-            raise ValueError(f"cluster {self.year}: duplicate member ids")
+            raise ValueError(f"cluster {year}: duplicate member ids")
         if members:
-            if self.center_id not in members:
-                raise ValueError(
-                    f"cluster {self.year}: center {self.center_id!r} is not a member"
-                )
-        elif self.center_id is not None:
-            raise ValueError(f"cluster {self.year}: empty cluster cannot have a center")
-        object.__setattr__(self, "member_ids", members)
-        object.__setattr__(
-            self, "realized_cost", money(self.realized_cost, TOTAL_LIMIT)
-        )
-        object.__setattr__(self, "budget", money(self.budget))
+            if center_id not in members:
+                raise ValueError(f"cluster {year}: center {center_id!r} is not a member")
+        elif center_id is not None:
+            raise ValueError(f"cluster {year}: empty cluster cannot have a center")
+        self._set(year, center_id, members, money(realized_cost, TOTAL_LIMIT), money(budget))
 
     @property
     def size(self) -> int:
@@ -302,17 +325,15 @@ class Cluster:
         return not self.member_ids
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     """Structured warning attached to a plan, or found by validation."""
 
-    code: str
-    message: str
-    year: int | None = None
-    segment_ids: tuple[str, ...] = ()
+    __slots__ = ("code", "message", "year", "segment_ids")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "segment_ids", tuple(self.segment_ids))
+    def __init__(
+        self, code: str, message: str, year: int | None = None, segment_ids: tuple[str, ...] = ()
+    ) -> None:
+        self._set(code, message, year, tuple(segment_ids))
 
 
 OVER_BUDGET_SINGLETON = "over_budget_singleton"
@@ -321,17 +342,17 @@ CONSERVATION_MISMATCH = "conservation_mismatch"
 EMPTY_CLUSTER = "empty_cluster"
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(Record):
     """Full output: one cluster per schedule entry plus whatever did not fit."""
 
-    clusters: tuple[Cluster, ...]
-    unassigned_ids: tuple[str, ...] = ()
-    diagnostics: tuple[Diagnostic, ...] = ()
+    __slots__ = ("clusters", "unassigned_ids", "diagnostics")
 
-    def __post_init__(self) -> None:
-        clusters = tuple(self.clusters)
-        unassigned = tuple(self.unassigned_ids)
+    def __init__(
+        self, clusters: tuple[Cluster, ...], unassigned_ids: tuple[str, ...] = (),
+        diagnostics: tuple[Diagnostic, ...] = (),
+    ) -> None:
+        clusters = tuple(clusters)
+        unassigned = tuple(unassigned_ids)
         seen: set[str] = set()
         for cluster in clusters:
             for sid in cluster.member_ids:
@@ -342,9 +363,7 @@ class Plan:
             if sid in seen:
                 raise ValueError(f"segment {sid} is both assigned and unassigned")
             seen.add(sid)
-        object.__setattr__(self, "clusters", clusters)
-        object.__setattr__(self, "unassigned_ids", unassigned)
-        object.__setattr__(self, "diagnostics", tuple(self.diagnostics))
+        self._set(clusters, unassigned, tuple(diagnostics))
 
     def assigned_years(self) -> dict[str, int]:
         """Map of segment id to the fiscal year its cluster carries."""

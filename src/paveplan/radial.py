@@ -12,7 +12,6 @@ stops at the first point that would overflow the cap, with no skipping.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from decimal import Decimal
 from typing import Callable, Iterable, Sequence
 
@@ -32,6 +31,7 @@ from .model import (
     Cluster,
     Diagnostic,
     Plan,
+    Record,
     Segment,
     money,
 )
@@ -57,13 +57,15 @@ def cost_fn_for_year(year: int) -> CostFn:
     return cost
 
 
-@dataclass(frozen=True)
-class ClusterBuildTrace:
+class ClusterBuildTrace(Record):
     """Audit trail of one cluster build: admissions with running totals."""
 
-    center_id: str
-    admitted: tuple[tuple[Segment, Decimal], ...]
-    stop_reason: str
+    __slots__ = ("center_id", "admitted", "stop_reason")
+
+    def __init__(
+        self, center_id: str, admitted: tuple[tuple[Segment, Decimal], ...], stop_reason: str
+    ) -> None:
+        self._set(center_id, admitted, stop_reason)
 
 
 def _admit(

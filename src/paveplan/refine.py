@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from decimal import Decimal
 from itertools import chain
 from typing import Sequence
@@ -23,6 +22,7 @@ from .model import (
     BudgetSchedule,
     Cluster,
     Plan,
+    Record,
     Segment,
     ValidationFailedError,
     money,
@@ -46,15 +46,16 @@ from .radial import (
 )
 
 
-@dataclass(frozen=True)
-class ToleranceBand:
+class ToleranceBand(Record):
     """The three nested clusters, the inner one's segments and the band's in refill order."""
 
-    low_cluster: Cluster
-    mid_cluster: Cluster
-    high_cluster: Cluster
-    inner: tuple[Segment, ...]
-    band: tuple[Segment, ...]
+    __slots__ = ("low_cluster", "mid_cluster", "high_cluster", "inner", "band")
+
+    def __init__(
+        self, low_cluster: Cluster, mid_cluster: Cluster, high_cluster: Cluster,
+        inner: tuple[Segment, ...], band: tuple[Segment, ...],
+    ) -> None:
+        self._set(low_cluster, mid_cluster, high_cluster, inner, band)
 
     @property
     def band_ids(self) -> tuple[str, ...]:

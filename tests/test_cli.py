@@ -7,7 +7,6 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from decimal import Decimal
 from itertools import chain
 from pathlib import Path
@@ -701,9 +700,12 @@ def test_cluster_builds_each_segment_once(tmp_path, monkeypatch):
     ) == 0
     ids = [s.id for s in load_segments(Path("s.csv").read_text(encoding="utf-8"))]
     built, checked = [], []
-    trusted, post_init = Segment._trusted, Segment.__post_init__
+    trusted, init = Segment._trusted, Segment.__init__
     monkeypatch.setattr(Segment, "_trusted", lambda *a: built.append(a[0]) or trusted(*a))
-    monkeypatch.setattr(Segment, "__post_init__", lambda s: checked.append(s.id) or post_init(s))
+    # __init__ runs every check a Segment(...) call makes
+    monkeypatch.setattr(
+        Segment, "__init__", lambda s, *a, **k: checked.append((a, k)) or init(s, *a, **k)
+    )
     assert main(
         ["cluster", "--segments", "s.csv", "--budgets", "b.csv", "--algo", "schedule",
          "--out", "plan.json"]
@@ -1418,7 +1420,7 @@ def test_cr_inside_a_quoted_id_survives_the_cli(tmp_path):
     segments = tmp_path / "segments.csv"
     budgets = tmp_path / "budgets.csv"
     renamed = [
-        replace(s, id="a\rb") if s.id == "a1" else s
+        Segment("a\rb", s.coords, s.cost_by_year, s.scheduled_year) if s.id == "a1" else s
         for s in load_segments(TWO_BLOB_SEGMENTS)
     ]
     segments.write_text(emit_segments_csv(renamed), encoding="utf-8")
@@ -1468,7 +1470,9 @@ def test_cli_loads_only_the_standard_library(tmp_path):
     assert "paveplan.cli" in loaded
     top_level = {name.split(".")[0] for name in loaded}
     assert top_level - set(sys.stdlib_module_names) == {"paveplan"}
-    assert not loaded & {"xml.sax", "urllib.request", "http.client", "email", "ssl"}
+    assert not loaded & {
+        "xml.sax", "urllib.request", "http.client", "email", "ssl", "dataclasses", "hashlib"
+    }
 
 
 # ids that need CSV quoting, SVG escaping or more than one UTF-8 byte, or

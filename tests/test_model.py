@@ -1,10 +1,25 @@
+import copy
+import inspect
 import math
+import pickle
 import re
 from decimal import Decimal
 
 import pytest
 from hypothesis import given, strategies as st
 
+from paveplan.geometry import DistanceOrdering, order_by_distance
+from paveplan.io_formats import PlanDocument, emit_plan, input_digest, parse_plan_document
+from paveplan.metrics import (
+    OverallMetrics,
+    PlanComparison,
+    PlanMetrics,
+    YearDispersionDelta,
+    YearMetrics,
+    compare_plans,
+    compute_metrics,
+    plan_from_schedule,
+)
 from paveplan.model import (
     ZERO,
     MONEY_LIMIT,
@@ -13,12 +28,15 @@ from paveplan.model import (
     BudgetSchedule,
     Cluster,
     CostRow,
+    Diagnostic,
     MissingCostError,
     Plan,
     Segment,
     money,
     validate_dataset,
 )
+from paveplan.radial import ClusterBuildTrace, radial_neighbor_clustering
+from paveplan.refine import ToleranceBand, build_tolerance_band, schedule_aware_plan
 
 from helpers import line_segments, schedule, seg
 from oracles import oracle_cost_table, oracle_money
@@ -352,3 +370,101 @@ class TestValidateDataset:
         segments = line_segments(range(3))
         sched = schedule([2])
         assert validate_dataset(segments, sched) == validate_dataset(segments, sched)
+
+
+def _records(shift):
+    """One record of each type, built by the code that builds it; ``shift``
+    moves a point and a budget, so records of two shifts differ."""
+    segments = [seg("a", (shift, 0)), seg("b", (1, 0)), seg("c", (3, 0), cost="2.00")]
+    sched = schedule([f"{2 + shift}.00"], low="0.50", high="1.00")
+    entry = sched.entries[0]
+    plan = schedule_aware_plan(segments, sched)
+    metrics = compute_metrics(plan, sched, segments)
+    text = emit_plan(plan, metrics, sched, segments, input_digest(str(shift)))
+    comparison = compare_plans(plan_from_schedule(segments, sched), plan, sched, segments)
+    _, trace = radial_neighbor_clustering(segments, segments[0], entry.budget)
+    records = [
+        segments[0], entry, sched, plan.clusters[0], Diagnostic("code", "message", 2018 + shift),
+        plan, metrics.per_year[0], metrics.overall, metrics, comparison.per_year[0], comparison,
+        parse_plan_document(text), order_by_distance(segments, segments[shift]), trace,
+        build_tolerance_band(segments, segments[0], entry.budget, "0.50", "1.00"),
+    ]
+    return {type(record): record for record in records}
+
+
+# hash(record) hashes its fields' tuple, so a record holding a segment (whose
+# cost row is a mapping) or a mappingproxy has none
+UNHASHABLE = {Segment, ClusterBuildTrace, ToleranceBand, PlanComparison}
+UNPICKLABLE = {PlanComparison}  # its year_shift_histogram is a mappingproxy
+
+
+def required(*names):
+    return [(name, inspect.Parameter.empty) for name in names]
+
+
+# each record's constructor: its fields in order, with their defaults
+RECORDS = {
+    Segment: required("id", "coords", "cost_by_year", "scheduled_year"),
+    BudgetEntry: required("year", "budget") + [("low_tolerance", ZERO), ("high_tolerance", ZERO)],
+    BudgetSchedule: required("entries") + [("conservation_tolerance", ZERO)],
+    Cluster: required("year", "center_id", "member_ids", "realized_cost", "budget"),
+    Diagnostic: required("code", "message") + [("year", None), ("segment_ids", ())],
+    Plan: required("clusters") + [("unassigned_ids", ()), ("diagnostics", ())],
+    YearMetrics: required(
+        "year", "budget", "realized_cost", "utilization", "member_count",
+        "mean_member_distance_to_center", "mean_pairwise_distance", "over_budget",
+    ),
+    OverallMetrics: required(
+        "total_budget", "total_cost", "total_deviation", "weighted_mean_dispersion"
+    ),
+    PlanMetrics: required("per_year", "overall", "unassigned_count"),
+    YearDispersionDelta: required("year", "center_delta", "pairwise_delta"),
+    PlanComparison: required(
+        "per_year", "overall_dispersion_delta", "segments_moved", "year_shift_histogram"
+    ),
+    PlanDocument: required("input_digest", "schedule", "plan", "members", "metrics"),
+    DistanceOrdering: required("anchor_id", "ordered_ids"),
+    ClusterBuildTrace: required("center_id", "admitted", "stop_reason"),
+    ToleranceBand: required("low_cluster", "mid_cluster", "high_cluster", "inner", "band"),
+}
+
+
+@pytest.mark.parametrize("kind", RECORDS, ids=lambda kind: kind.__name__)
+def test_records_are_frozen_values(kind):
+    params = inspect.signature(kind).parameters.values()
+    assert [(p.name, p.default) for p in params] == RECORDS[kind]
+    names = [name for name, _ in RECORDS[kind]]
+    record, other = _records(0)[kind], _records(1)[kind]
+    values = [getattr(record, name) for name in names]
+    rebuilt = kind(*values)
+    assert record == rebuilt and not record != rebuilt and record is not rebuilt
+    assert record != other and not record == other
+    # equal only to a record of the same type
+    assert record != tuple(values)
+    assert all(record != r for r in _records(0).values() if type(r) is not kind)
+    assert repr(record) == f"{kind.__qualname__}(" + ", ".join(
+        f"{name}={value!r}" for name, value in zip(names, values)
+    ) + ")"
+    for name in [*names, "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert [getattr(record, name) for name in names] == values
+    if kind in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(rebuilt) == hash(tuple(values))
+    copies = [copy.copy(record)]
+    if kind in UNPICKLABLE:
+        with pytest.raises(TypeError):
+            copy.deepcopy(record)
+        with pytest.raises(TypeError):
+            pickle.dumps(record)
+    else:
+        copies.append(copy.deepcopy(record))
+        copies += [pickle.loads(pickle.dumps(record, protocol)) for protocol in range(2, 6)]
+    for twin in copies:
+        assert type(twin) is kind and twin == record
+        assert [getattr(twin, name) for name in names] == values
