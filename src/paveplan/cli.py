@@ -194,10 +194,6 @@ def _cmd_cluster(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         args.low_tolerance is not None or args.high_tolerance is not None
     ):
         parser.error("--low-tolerance/--high-tolerance only apply to --algo schedule")
-    if args.algo != "schedule" and args.cost_matrix is not None:
-        # the ablation engines price projects at their own scheduled year, so
-        # a year-dependent matrix would desync their accounting
-        parser.error("--cost-matrix only applies to --algo schedule")
     segments, schedule, digest = _load_dataset(args)
     if args.strict and args.algo != "schedule":
         # the schedule pipeline validates, and raises in strict mode, itself
@@ -253,10 +249,12 @@ def _check_same_inputs(before: PlanDocument, after: PlanDocument) -> None:
 
 
 def _json_value(value: object) -> object:
-    """A value json cannot write: a money amount as a "0.00" string, a record
-    as the object of its fields."""
+    """A value json cannot write: a money amount as a "0.00" string, a
+    read-only mapping as a dict, a record as the object of its fields."""
     if isinstance(value, Decimal):
         return f"{value:.2f}"
+    if isinstance(value, Mapping):
+        return dict(value)
     return dict(zip(value.__slots__, value._fields()))
 
 
@@ -286,23 +284,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     # the years and budgets agree; only tolerance overrides may differ
     schedule = after_doc.schedule
     comparison = compare_plans(before_doc.plan, after_doc.plan, schedule, segments)
-    obj = {
-        "per_year": [
-            {
-                "year": delta.year,
-                "center_delta": delta.center_delta,
-                "pairwise_delta": delta.pairwise_delta,
-            }
-            for delta in comparison.per_year
-        ],
-        "overall_dispersion_delta": comparison.overall_dispersion_delta,
-        "segments_moved": comparison.segments_moved,
-        "year_shift_histogram": {
-            str(shift): count
-            for shift, count in comparison.year_shift_histogram.items()
-        },
-    }
-    print(json.dumps(obj, indent=2))
+    print(json.dumps(comparison, indent=2, default=_json_value))
     return 0
 
 

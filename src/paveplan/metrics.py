@@ -296,7 +296,8 @@ class YearDispersionDelta(Record):
 
 
 class PlanComparison(Record):
-    """Negative dispersion deltas mean the after plan is tighter."""
+    """Negative dispersion deltas mean the after plan is tighter. The
+    histogram is held as a read-only copy of the mapping given."""
 
     __slots__ = (
         "per_year", "overall_dispersion_delta", "segments_moved", "year_shift_histogram"
@@ -306,7 +307,13 @@ class PlanComparison(Record):
         self, per_year: tuple[YearDispersionDelta, ...], overall_dispersion_delta: float,
         segments_moved: int, year_shift_histogram: Mapping[int, int],
     ) -> None:
-        self._set(per_year, overall_dispersion_delta, segments_moved, year_shift_histogram)
+        histogram = MappingProxyType(dict(year_shift_histogram))
+        self._set(per_year, overall_dispersion_delta, segments_moved, histogram)
+
+    def __reduce__(self) -> tuple:
+        # a mapping proxy neither pickles nor deep-copies; its dict does
+        *fields, histogram = self._fields()
+        return type(self), (*fields, dict(histogram))
 
 
 def compare_plans(
@@ -352,5 +359,5 @@ def compare_plans(
         overall_dispersion_delta=metrics_after.overall.weighted_mean_dispersion
         - metrics_before.overall.weighted_mean_dispersion,
         segments_moved=moved,
-        year_shift_histogram=MappingProxyType(dict(sorted(histogram.items()))),
+        year_shift_histogram=dict(sorted(histogram.items())),
     )

@@ -1,7 +1,7 @@
 """Greedy radial cluster growth under a budget cap, plus the two whole-plan
 drivers that differ only in how each year's center is picked: seeded random
 choice, or the farthest remaining point from everything already assigned
-(the landmark rule).
+(the landmark rule). Every cluster prices each member at the cluster's year.
 
 Admission follows prefix semantics: pool points are popped nearest-first from
 the heap of ``geometry.nearest_first`` as the walk reads them, and the walk
@@ -17,7 +17,6 @@ from typing import Callable, Iterable, Sequence
 
 from .geometry import (
     ClusterBalls,
-    Coords,
     furthest_point_from_cluster,
     nearest_first,
 )
@@ -36,25 +35,9 @@ from .model import (
     money,
 )
 
-CostFn = Callable[[Segment], Decimal]
-
 STOP_BUDGET_REACHED = "budget_reached"
 STOP_DATA_EXHAUSTED = "data_exhausted"
 STOP_CENTER_EXCEEDS_BUDGET = "center_exceeds_budget"
-
-
-def scheduled_year_cost(segment: Segment) -> Decimal:
-    """Default cost function: what the project costs in its own planned year."""
-    return segment.base_cost()
-
-
-def cost_fn_for_year(year: int) -> CostFn:
-    """Cost function pricing every project at one fixed fiscal year."""
-
-    def cost(segment: Segment) -> Decimal:
-        return segment.cost_at(year)
-
-    return cost
 
 
 class ClusterBuildTrace(Record):
@@ -72,22 +55,23 @@ def _admit(
     center: Segment,
     candidates: Iterable[Segment],
     cap: Decimal,
-    cost: CostFn,
+    year: int,
     skip_mode: bool = False,
 ) -> tuple[list[tuple[Segment, Decimal]], str]:
-    """The center, then each candidate in turn while the running total stays
-    within ``cap``: the admitted ``(segment, running total)`` pairs and the
-    stop reason. A center at or over the cap is admitted alone, without
-    reading ``candidates``, so the overrun is reported, never silent."""
+    """The center, then each candidate in turn while the running total of
+    their costs in ``year`` stays within ``cap``: the admitted ``(segment,
+    running total)`` pairs and the stop reason. A center at or over the cap
+    is admitted alone, without reading ``candidates``, so the overrun is
+    reported, never silent."""
     if cap <= 0:
         raise ValueError("cluster budget must be positive")
-    total = cost(center)
+    total = center.cost_at(year)
     admitted = [(center, total)]
     if total >= cap:
         return admitted, STOP_CENTER_EXCEEDS_BUDGET
     stop_reason = STOP_DATA_EXHAUSTED
     for seg in candidates:
-        candidate_cost = cost(seg)
+        candidate_cost = seg.cost_at(year)
         if total + candidate_cost <= cap:
             total += candidate_cost
             admitted.append((seg, total))
@@ -102,24 +86,24 @@ def _walk(
     pool: Sequence[Segment],
     center: Segment,
     cap: Decimal,
-    cost: CostFn,
+    year: int,
     skip_mode: bool = False,
 ) -> tuple[list[tuple[Segment, Decimal]], str]:
     """:func:`_admit` over the rest of the pool, nearest to ``center`` first."""
     # the stream looks for the center at once: a flagged center must be in the pool too
-    return _admit(center, nearest_first(pool, center), cap, cost, skip_mode)
+    return _admit(center, nearest_first(pool, center), cap, year, skip_mode)
 
 
 def _cluster(
-    year: int | None,
+    year: int,
     center: Segment,
     admitted: Sequence[tuple[Segment, Decimal]],
     cap: Decimal,
 ) -> Cluster:
     """The cluster of the ``admitted`` (segment, running total) pairs around
-    ``center`` under ``cap``, in ``year`` or else the center's own year."""
+    ``center`` under ``cap`` in ``year``."""
     return Cluster(
-        year=center.scheduled_year if year is None else year,
+        year=year,
         center_id=center.id,
         member_ids=tuple(seg.id for seg, _ in admitted),
         realized_cost=admitted[-1][1],
@@ -133,7 +117,6 @@ def radial_neighbor_clustering(
     budget,
     *,
     year: int | None = None,
-    cost: CostFn = scheduled_year_cost,
     skip_mode: bool = False,
 ) -> tuple[Cluster, ClusterBuildTrace]:
     """Grow one cluster outward from ``center`` until the budget stops it.
@@ -141,10 +124,12 @@ def radial_neighbor_clustering(
     The center is always a member; a center at or over the budget comes
     back as a flagged singleton. Otherwise the remaining pool is streamed
     nearest-first and each point is admitted while the running total stays
-    within the cap.
+    within the cap. Every cost is taken in ``year``, or else in the
+    center's scheduled year, which is the cluster's year.
     """
     cap = money(budget)
-    admitted, stop_reason = _walk(list(pool), center, cap, cost, skip_mode)
+    year = center.scheduled_year if year is None else year
+    admitted, stop_reason = _walk(list(pool), center, cap, year, skip_mode)
     cluster = _cluster(year, center, admitted, cap)
     return cluster, ClusterBuildTrace(center.id, tuple(admitted), stop_reason)
 
@@ -172,42 +157,38 @@ def select_initial_center(segments: Sequence[Segment], axis: int = 0) -> Segment
     return best
 
 
-CenterPicker = Callable[[list[Segment], list[list[Coords]]], Segment]
 ClusterBuilder = Callable[
     [list[Segment], Segment, BudgetEntry], tuple[Cluster, ClusterBuildTrace]
 ]
 
 
-def _empty_cluster(entry: BudgetEntry) -> Cluster:
-    return Cluster(
-        year=entry.year,
-        center_id=None,
-        member_ids=(),
-        realized_cost=ZERO,
-        budget=entry.budget,
-    )
-
-
 def _drain_pool(
     schedule: BudgetSchedule,
     segments: Sequence[Segment],
-    next_center: CenterPicker,
     build_cluster: ClusterBuilder,
+    *,
+    rng: random.Random | None = None,
+    axis: int = 0,
     initial_diagnostics: Iterable[Diagnostic] = (),
 ) -> Plan:
     """One cluster per schedule entry, each subtracted from the pool.
 
-    Shared by the random and landmark drivers so diagnostics and leftover
-    handling are identical across pipelines.
+    With ``rng``, each center is one ``randrange`` draw from the remaining
+    pool. Without it, centers follow the landmark rule: first the point
+    with the largest coordinate on ``axis``, then the remaining point
+    farthest from everything already clustered. Each placed cluster joins
+    that search as one ball around its center when the next center is
+    picked, and the search carries what it learnt about each candidate from
+    year to year, so a year mostly measures distances to the newest cluster.
     """
     remaining = list(segments)
-    # each placed cluster's coordinates, its center first
-    placed: list[list[Coords]] = []
+    clustered = ClusterBalls()
+    trace = None  # the last placed cluster's, until it joins ``clustered``
     clusters: list[Cluster] = []
     diagnostics = list(initial_diagnostics)
     for entry in schedule.entries:
         if not remaining:
-            clusters.append(_empty_cluster(entry))
+            clusters.append(Cluster(entry.year, None, (), ZERO, entry.budget))
             diagnostics.append(
                 Diagnostic(
                     EMPTY_CLUSTER,
@@ -216,7 +197,13 @@ def _drain_pool(
                 )
             )
             continue
-        center = next_center(remaining, placed)
+        if rng is not None:
+            center = remaining[rng.randrange(len(remaining))]
+        elif trace is None:
+            center = select_initial_center(remaining, axis)
+        else:
+            clustered.add([seg.coords for seg, _ in trace.admitted])
+            center = furthest_point_from_cluster(remaining, clustered)
         cluster, trace = build_cluster(remaining, center, entry)
         if trace.stop_reason == STOP_CENTER_EXCEEDS_BUDGET:
             diagnostics.append(
@@ -230,7 +217,6 @@ def _drain_pool(
             )
         member_set = set(cluster.member_ids)
         remaining = [seg for seg in remaining if seg.id not in member_set]
-        placed.append([seg.coords for seg, _ in trace.admitted])
         clusters.append(cluster)
     if remaining:
         diagnostics.append(
@@ -272,36 +258,9 @@ def main_algorithm(
     reproduce the same plan.
     """
     segments = _check_segments(segments)
-    rng = random.Random(seed)
-
-    def next_center(remaining, placed):
-        return remaining[rng.randrange(len(remaining))]
-
-    return _drain_pool(schedule, segments, next_center, _radial_builder(skip_mode))
-
-
-def landmark_next_center(axis: int) -> CenterPicker:
-    """First center: max coordinate on ``axis``; afterwards: the remaining
-    point farthest from everything already clustered.
-
-    Each placed cluster joins the search as one ball around its center (the
-    first of its coordinates), and the search carries what it learnt about
-    each candidate from year to year, so a year mostly measures distances
-    to the newest cluster. That relies on ``placed`` only growing by
-    appending within one driver run; a run starts afresh at its first
-    year."""
-    clustered = ClusterBalls()
-
-    def next_center(remaining, placed):
-        nonlocal clustered
-        if not placed:
-            clustered = ClusterBalls()
-            return select_initial_center(remaining, axis)
-        for group in placed[len(clustered.balls) :]:
-            clustered.add(group)
-        return furthest_point_from_cluster(remaining, clustered)
-
-    return next_center
+    return _drain_pool(
+        schedule, segments, _radial_builder(skip_mode), rng=random.Random(seed)
+    )
 
 
 def landmark_based_radial_clustering(
@@ -313,6 +272,4 @@ def landmark_based_radial_clustering(
 ) -> Plan:
     """Deterministic whole-plan driver using landmark centers."""
     segments = _check_segments(segments, axis)
-    return _drain_pool(
-        schedule, segments, landmark_next_center(axis), _radial_builder(skip_mode)
-    )
+    return _drain_pool(schedule, segments, _radial_builder(skip_mode), axis=axis)

@@ -5,8 +5,8 @@ walk by the per-year tolerances: inner (cap - low), nominal (cap), and
 outer (cap + high). Points inside the inner cluster enter the final cluster
 purely by distance; the band between inner and outer is then refilled by
 urgency (earlier or overdue scheduled year first, then lower cost) while
-the nominal cap holds. The flagship pipeline combines this with landmark
-centers and prices every admission at the cluster's own fiscal year.
+the nominal cap holds. Every cost is taken in the cluster's year, as in
+``radial``. The flagship pipeline combines this with landmark centers.
 """
 
 from __future__ import annotations
@@ -33,16 +33,12 @@ from .radial import (
     STOP_CENTER_EXCEEDS_BUDGET,
     STOP_DATA_EXHAUSTED,
     ClusterBuildTrace,
-    CostFn,
     _admit,
     _check_segments,
     _cluster,
     _drain_pool,
     _walk,
-    cost_fn_for_year,
-    landmark_next_center,
     radial_neighbor_clustering,  # noqa: F401  perfbench tests read this binding
-    scheduled_year_cost,
 )
 
 
@@ -63,16 +59,19 @@ class ToleranceBand(Record):
 
 
 def band_order(
-    band: Sequence[Segment], center: Segment, *, cost: CostFn = scheduled_year_cost
+    band: Sequence[Segment], center: Segment, *, year: int | None = None
 ) -> list[Segment]:
     """Urgency order for band points: ascending scheduled year (overdue work
-    naturally sorts first), then ascending cost, then distance to the
-    center, then id."""
+    naturally sorts first), then ascending cost in ``year`` (or else the
+    center's scheduled year), then distance to the center, then id."""
     dist, point = math.dist, center.coords
+    year = center.scheduled_year if year is None else year
     try:
         return sorted(
             band,
-            key=lambda seg: (seg.scheduled_year, cost(seg), dist(point, seg.coords), seg.id),
+            key=lambda seg: (
+                seg.scheduled_year, seg.cost_at(year), dist(point, seg.coords), seg.id
+            ),
         )
     except ValueError:
         check_same_dimension(chain((point,), (seg.coords for seg in band)))
@@ -87,9 +86,9 @@ def build_tolerance_band(
     high_tolerance,
     *,
     year: int | None = None,
-    cost: CostFn = scheduled_year_cost,
 ) -> ToleranceBand:
-    """Cut the inner/nominal/outer clusters from one walk around ``center``.
+    """Cut the inner/nominal/outer clusters from one walk around ``center``,
+    pricing at ``year`` or else the center's scheduled year.
 
     The walk runs once, to the outer cap. Prefix admission makes each
     smaller cap a cut of the same walk: the admissions whose running total
@@ -103,7 +102,8 @@ def build_tolerance_band(
         raise ValueError("tolerances must be non-negative")
     if cap - low <= 0:
         raise ValueError("low tolerance must leave a positive inner budget")
-    admitted, _ = _walk(list(pool), center, cap + high, cost)
+    year = center.scheduled_year if year is None else year
+    admitted, _ = _walk(list(pool), center, cap + high, year)
     totals = [total for _, total in admitted]
 
     def cut(limit: Decimal) -> Cluster:
@@ -112,7 +112,7 @@ def build_tolerance_band(
 
     low_cluster = cut(cap - low)
     walked = tuple(seg for seg, _ in admitted)
-    band = tuple(band_order(walked[low_cluster.size :], center, cost=cost))
+    band = tuple(band_order(walked[low_cluster.size :], center, year=year))
     return ToleranceBand(low_cluster, cut(cap), cut(cap + high), walked[: low_cluster.size], band)
 
 
@@ -124,11 +124,11 @@ def schedule_aware_cluster(
     high_tolerance,
     *,
     year: int | None = None,
-    cost: CostFn = scheduled_year_cost,
     skip_mode: bool = False,
 ) -> tuple[Cluster, ClusterBuildTrace]:
     """Final cluster: all of the inner cluster, then band points in urgency
-    order while the nominal cap holds.
+    order while the nominal cap holds, priced at ``year`` or else the
+    center's scheduled year.
 
     Without ``skip_mode``, both tolerances at zero reduce exactly to
     :func:`radial_neighbor_clustering` (same members, same trace). With it
@@ -136,12 +136,11 @@ def schedule_aware_cluster(
     """
     cap = money(budget)
     pool = list(pool)
-    band = build_tolerance_band(
-        pool, center, cap, low_tolerance, high_tolerance, year=year, cost=cost
-    )
+    year = center.scheduled_year if year is None else year
+    band = build_tolerance_band(pool, center, cap, low_tolerance, high_tolerance, year=year)
     # the inner cluster fits under cap - low, so all of it is admitted again
     candidates = band.inner[1:] + band.band
-    admitted, stop_reason = _admit(center, candidates, cap, cost, skip_mode)
+    admitted, stop_reason = _admit(center, candidates, cap, year, skip_mode)
     if stop_reason != STOP_CENTER_EXCEEDS_BUDGET:
         # the outer walk may have stopped short of the pool
         stop_reason = (
@@ -159,8 +158,7 @@ def schedule_aware_plan(
     strict: bool = False,
     skip_mode: bool = False,
 ) -> Plan:
-    """Flagship pipeline: landmark centers, tolerance-band clusters, and
-    every admission priced at the cluster's own fiscal year.
+    """Flagship pipeline: landmark centers and tolerance-band clusters.
 
     Dataset validation runs first; in strict mode any issue aborts,
     otherwise its diagnostics lead the plan's.
@@ -178,10 +176,7 @@ def schedule_aware_plan(
             entry.low_tolerance,
             entry.high_tolerance,
             year=entry.year,
-            cost=cost_fn_for_year(entry.year),
             skip_mode=skip_mode,
         )
 
-    return _drain_pool(
-        schedule, segments, landmark_next_center(axis), build, initial_diagnostics=issues
-    )
+    return _drain_pool(schedule, segments, build, axis=axis, initial_diagnostics=issues)

@@ -323,21 +323,22 @@ def test_synth_growth_matrix_then_cluster(tmp_path):
     parse_plan_document(plan_path.read_text(encoding="utf-8"))
 
 
-def test_matrix_rejected_for_scalar_cost_algos(two_blob_files, tmp_path):
-    segments, budgets = two_blob_files
-    matrix = tmp_path / "matrix.csv"
-    matrix.write_text("id,Y2018,Y2019\na1,1.00,1.00\n", encoding="utf-8")
-    with pytest.raises(SystemExit) as excinfo:
-        main(
-            [
-                "cluster",
-                "--segments", str(segments),
-                "--budgets", str(budgets),
-                "--cost-matrix", str(matrix),
-                "--algo", "landmark",
-            ]
-        )
-    assert excinfo.value.code == 2
+@pytest.mark.parametrize("algo", [["landmark"], ["random", "--seed", "3"]], ids=["landmark", "random"])
+def test_matrix_plans_of_scalar_cost_algos_read_back(algo, tmp_path, monkeypatch):
+    # every engine prices a project at its cluster's year, as the document does
+    monkeypatch.chdir(tmp_path)
+    assert main(
+        ["synth", "--n", "60", "--blobs", "3", "--years", "2018:2020", "--seed", "5",
+         "--growth-rate", "0.05", "--out-segments", "s.csv", "--out-budgets", "b.csv",
+         "--out-matrix", "m.csv"]
+    ) == 0
+    assert main(
+        ["cluster", "--segments", "s.csv", "--budgets", "b.csv", "--cost-matrix", "m.csv",
+         "--algo", *algo, "--out", "plan.json"]
+    ) == 0
+    obj = json.loads(Path("plan.json").read_text(encoding="utf-8"))
+    assert any(m["scheduled_year"] != c["year"] for c in obj["clusters"] for m in c["members"])
+    assert main(["metrics", "--plan", "plan.json", "--segments", "s.csv"]) == 0
 
 
 def test_growth_rate_requires_matrix_output(tmp_path, capsys):
@@ -909,6 +910,59 @@ def test_compare_command(two_blob_files, tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["overall_dispersion_delta"] < 0  # grouped plan is tighter
+
+
+SHIFTED_SEGMENTS = (
+    "id,x,y,scheduled_year,cost\n"
+    "a1,0,0,2018,1.00\n"
+    "a2,1,0.5,2020,1.00\n"
+    "b1,50,0,2019,1.00\n"
+    "b2,51,0,2018,1.00\n"
+    "c1,100,0,2020,1.00\n"
+    "c2,101,0.25,2019,1.00\n"
+)
+SHIFTED_COMPARISON = """\
+{
+  "per_year": [
+    {
+      "year": 2018,
+      "center_delta": -24.984611796797793,
+      "pairwise_delta": -49.969223593595586
+    },
+    {
+      "year": 2019,
+      "center_delta": -24.94128937633362,
+      "pairwise_delta": -49.88257875266724
+    },
+    {
+      "year": 2020,
+      "center_delta": -49.00063130910554,
+      "pairwise_delta": -98.00126261821109
+    }
+  ],
+  "overall_dispersion_delta": -65.95102165482464,
+  "segments_moved": 6,
+  "year_shift_histogram": {
+    "-2": 1,
+    "-1": 2,
+    "1": 2,
+    "2": 1
+  }
+}
+"""
+
+
+def test_compare_prints_every_field(tmp_path, capsys):
+    # each pair of neighbours is scheduled apart; grouping them shifts
+    # projects by -2, -1, 1 and 2 years
+    segments, budgets = tmp_path / "s.csv", tmp_path / "b.csv"
+    segments.write_text(SHIFTED_SEGMENTS, encoding="utf-8")
+    budgets.write_text("year,budget\n2018,2.00\n2019,2.00\n2020,2.00\n", encoding="utf-8")
+    before = _plan_file("baseline", segments, budgets, tmp_path / "before.json")
+    after = _plan_file("cluster", segments, budgets, tmp_path / "after.json", "--algo", "schedule")
+    capsys.readouterr()
+    assert _compare(before, after, segments) == 0
+    assert capsys.readouterr().out == SHIFTED_COMPARISON
 
 
 def test_render_command(two_blob_files, tmp_path):

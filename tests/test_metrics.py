@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from collections import Counter
 from decimal import Decimal
@@ -11,6 +13,8 @@ from paveplan import metrics
 from paveplan.cli import main
 from paveplan.io_formats import load_segments
 from paveplan.metrics import (
+    PlanComparison,
+    YearDispersionDelta,
     compare_plans,
     compute_metrics,
     mean_distance_to_center,
@@ -396,6 +400,16 @@ class TestComparePlans:
         comparison = compare_plans(before, after, sched, segments)
         assert comparison.segments_moved == 1
         assert dict(comparison.year_shift_histogram) == {-1: 1}
+
+    def test_comparison_pickles_and_deep_copies(self):
+        histogram = {-1: 1, 2: 1}
+        comparison = PlanComparison((YearDispersionDelta(2018, -1.5, -3.0),), -1.5, 2, histogram)
+        histogram[3] = 1  # the comparison holds a copy
+        for twin in (copy.deepcopy(comparison), pickle.loads(pickle.dumps(comparison))):
+            assert twin == comparison
+            assert dict(twin.year_shift_histogram) == {-1: 1, 2: 1}
+            with pytest.raises(TypeError):
+                twin.year_shift_histogram[3] = 1
 
     def test_universe_mismatch_rejected(self):
         segments, sched, plan = two_point_fixture()

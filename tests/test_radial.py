@@ -4,17 +4,21 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paveplan.io_formats import emit_plan, input_digest, parse_plan_document
+from paveplan.metrics import compute_metrics
+from paveplan.model import ZERO, segment_lookup
 from paveplan.radial import (
     STOP_BUDGET_REACHED,
     STOP_CENTER_EXCEEDS_BUDGET,
     STOP_DATA_EXHAUSTED,
     _walk,
     landmark_based_radial_clustering,
-    landmark_next_center,
     main_algorithm,
     radial_neighbor_clustering,
     select_initial_center,
 )
+from paveplan.refine import schedule_aware_plan
+from paveplan.synth import synthesize_dataset
 
 from helpers import line_segments, random_segments, random_schedule, schedule, seg
 from oracles import oracle_prefix_cluster
@@ -58,11 +62,11 @@ class TestRadialNeighborClustering:
         pool = line_segments([0, 1])
         center = seg("z", (9, 9), cost="5.00")
         with pytest.raises(ValueError, match="'z' is not in the segment list"):
-            _walk(pool, center, Decimal(cap), lambda s: s.base_cost())
+            _walk(pool, center, Decimal(cap), 2018)
 
     def test_walk_admits_the_pool_segments_nearest_first(self):
         pool = line_segments([3, 0, 2, 1])
-        admitted, stop = _walk(pool, pool[1], Decimal("3.00"), lambda s: s.base_cost())
+        admitted, stop = _walk(pool, pool[1], Decimal("3.00"), 2018)
         assert [s.id for s, _ in admitted] == ["s0", "s1", "s2"]
         assert all(any(s is p for p in pool) for s, _ in admitted)
         assert stop == STOP_BUDGET_REACHED
@@ -142,7 +146,7 @@ class TestMainAlgorithm:
         assert plan.unassigned_ids == ()
 
     def test_four_points_two_even_budgets(self):
-        segments = line_segments([0, 1, 2, 3])
+        segments = line_segments([0, 1, 2, 3], years=[2018, 2019])
         for trial_seed in range(12):
             plan = main_algorithm(segments, schedule([2, 2]), seed=trial_seed)
             assert [c.size for c in plan.clusters] == [2, 2]
@@ -161,7 +165,7 @@ class TestMainAlgorithm:
 
     def test_same_seed_same_plan(self):
         rng = random.Random(11)
-        segments = random_segments(rng, 40)
+        segments = random_segments(rng, 40, years=(2018, 2019, 2020))
         sched = random_schedule(rng, (2018, 2019, 2020))
         assert main_algorithm(segments, sched, seed=5) == main_algorithm(
             segments, sched, seed=5
@@ -170,8 +174,11 @@ class TestMainAlgorithm:
 
 class TestLandmarkClustering:
     def test_two_blobs_split_cleanly(self):
-        blob_a = [seg("a1", (0, 0)), seg("a2", (1, 0)), seg("a3", (0, 1))]
-        blob_b = [seg("b1", (100, 0)), seg("b2", (101, 0)), seg("b3", (100, 1))]
+        years = [2018, 2019]
+        blob_a = [seg("a1", (0, 0), years=years), seg("a2", (1, 0), years=years),
+                  seg("a3", (0, 1), years=years)]
+        blob_b = [seg("b1", (100, 0), years=years), seg("b2", (101, 0), years=years),
+                  seg("b3", (100, 1), years=years)]
         plan = landmark_based_radial_clustering(blob_a + blob_b, schedule([3, 3]), 0)
         assert set(plan.clusters[0].member_ids) == {"b1", "b2", "b3"}
         assert set(plan.clusters[1].member_ids) == {"a1", "a2", "a3"}
@@ -188,23 +195,15 @@ class TestLandmarkClustering:
         assert "empty_cluster" in [d.code for d in plan.diagnostics]
 
     def test_over_budget_center_is_diagnosed(self):
-        segments = [seg("a", (0, 0), cost="9.00"), seg("b", (1, 0), cost="1.00")]
+        years = [2018, 2019]
+        segments = [seg("a", (0, 0), cost="9.00", years=years), seg("b", (1, 0), years=years)]
         plan = landmark_based_radial_clustering(segments, schedule([2, 2]), 0)
         flagged = [d for d in plan.diagnostics if d.code == "over_budget_singleton"]
         assert flagged and flagged[0].segment_ids == ("a",)
 
-    def test_center_picker_starts_afresh_each_run(self):
-        # a run's carried bounds refer to that run's assigned coordinates
-        p, q = seg("p", (0, 0)), seg("q", (10, 0))
-        next_center = landmark_next_center(0)
-        next_center([p, q], [])
-        assert next_center([p, q], [[(0.0, 0.0)]]) is q
-        next_center([p, q], [])
-        assert next_center([p, q], [[(10.0, 0.0)]]) is p
-
     def test_deterministic(self):
         rng = random.Random(23)
-        segments = random_segments(rng, 60)
+        segments = random_segments(rng, 60, years=(2018, 2019, 2020))
         sched = random_schedule(rng, (2018, 2019, 2020))
         first = landmark_based_radial_clustering(segments, sched, 0)
         second = landmark_based_radial_clustering(segments, sched, 0)
@@ -226,7 +225,7 @@ class TestLandmarkClustering:
     @settings(max_examples=40)
     def test_budget_feasibility_or_flag(self, trial_seed):
         rng = random.Random(trial_seed)
-        segments = random_segments(rng, rng.randint(1, 50))
+        segments = random_segments(rng, rng.randint(1, 50), years=(2018, 2019, 2020))
         sched = random_schedule(rng, (2018, 2019, 2020))
         plan = landmark_based_radial_clustering(segments, sched, 0)
         flagged_years = {
@@ -234,3 +233,27 @@ class TestLandmarkClustering:
         }
         for cluster in plan.clusters:
             assert cluster.realized_cost <= cluster.budget or cluster.year in flagged_years
+
+
+ENGINES = {
+    "random": lambda segments, sched: main_algorithm(segments, sched, seed=3),
+    "landmark": lambda segments, sched: landmark_based_radial_clustering(segments, sched, 0),
+    "schedule": lambda segments, sched: schedule_aware_plan(segments, sched, 0),
+}
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_every_engine_prices_members_at_the_cluster_year(engine):
+    # costs grow 5% a year, so a project moved off its scheduled year costs
+    # more or less there; the plan document records that year's price
+    segments, sched = synthesize_dataset(60, 3, (2018, 2019, 2020), 5, growth_rate=0.05)
+    plan = ENGINES[engine](segments, sched)
+    lookup = segment_lookup(segments)
+    moved = 0
+    for cluster in plan.clusters:
+        members = [lookup[sid] for sid in cluster.member_ids]
+        assert cluster.realized_cost == sum((s.cost_at(cluster.year) for s in members), ZERO)
+        moved += sum(s.scheduled_year != cluster.year for s in members)
+    assert moved
+    text = emit_plan(plan, compute_metrics(plan, sched, lookup), sched, lookup, input_digest(engine))
+    assert parse_plan_document(text).plan == plan

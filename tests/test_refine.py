@@ -85,10 +85,11 @@ class TestBuildToleranceBand:
 class TestBandOrder:
     def test_sorts_by_year(self):
         center = seg("c", (0, 0))
+        # priced in the center's year, 2018
         band = [
-            seg("a", (1, 0), year=2020),
+            seg("a", (1, 0), year=2020, years=[2018]),
             seg("b", (2, 0), year=2018),
-            seg("d", (3, 0), year=2019),
+            seg("d", (3, 0), year=2019, years=[2018]),
         ]
         assert [s.id for s in band_order(band, center)] == ["b", "d", "a"]
 
