@@ -44,18 +44,18 @@ from .model import (
     validate_dataset,
 )
 from .radial import (
-    ClusterBuildTrace,
     landmark_based_radial_clustering,
     main_algorithm,
-    radial_neighbor_clustering,
+    schedule_aware_plan,
     select_initial_center,
 )
 from .refine import (
+    ClusterBuildTrace,
     ToleranceBand,
     band_order,
     build_tolerance_band,
+    radial_neighbor_clustering,
     schedule_aware_cluster,
-    schedule_aware_plan,
 )
 from .synth import synthesize_dataset
 

@@ -49,8 +49,7 @@ from .model import (
     segment_lookup,
     validate_dataset,
 )
-from .radial import landmark_based_radial_clustering, main_algorithm
-from .refine import schedule_aware_plan
+from .radial import landmark_based_radial_clustering, main_algorithm, schedule_aware_plan
 from .synth import synthesize_dataset
 
 
@@ -319,6 +318,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     budgets = (
         [money(part) for part in args.budgets.split(",")] if args.budgets else None
     )
+    if args.growth_rate and not args.out_matrix:
+        raise PavePlanError(
+            "--growth-rate produces year-dependent costs; also pass --out-matrix"
+        )
     segments, schedule = synthesize_dataset(
         args.n,
         args.blobs,
@@ -336,10 +339,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     ]
     if args.out_matrix:
         files.append((args.out_matrix, emit_cost_matrix_csv(segments, years)))
-    elif args.growth_rate:
-        raise PavePlanError(
-            "--growth-rate produces year-dependent costs; also pass --out-matrix"
-        )
     _write_outputs(files)
     return 0
 

@@ -1,137 +1,38 @@
-"""Greedy radial cluster growth under a budget cap, plus the two whole-plan
-drivers that differ only in how each year's center is picked: seeded random
-choice, or the farthest remaining point from everything already assigned
-(the landmark rule). Every cluster prices each member at the cluster's year.
+"""The three plan drivers: one cluster per schedule entry, each taken out of
+the pool before the next center is picked. They differ only in how each
+year's center is picked and how its cluster grows (see ``refine``):
 
-Admission follows prefix semantics: pool points are popped nearest-first from
-the heap of ``geometry.nearest_first`` as the walk reads them, and the walk
-stops at the first point that would overflow the cap, with no skipping.
-``skip_mode`` (off by default) keeps scanning for smaller projects further out.
+- ``main_algorithm``: a seeded random choice, plain radial clusters;
+- ``landmark_based_radial_clustering``: the farthest remaining point from
+  everything already assigned (the landmark rule), plain radial clusters;
+- ``schedule_aware_plan``: landmark centers and tolerance-band clusters,
+  after dataset validation.
 """
 
 from __future__ import annotations
 
 import random
-from decimal import Decimal
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .geometry import (
-    ClusterBalls,
-    furthest_point_from_cluster,
-    nearest_first,
-)
+from .geometry import ClusterBalls, furthest_point_from_cluster
 from .model import (
     EMPTY_CLUSTER,
     OVER_BUDGET_SINGLETON,
     UNASSIGNED_REMAINDER,
     ZERO,
-    BudgetEntry,
     BudgetSchedule,
     Cluster,
     Diagnostic,
     Plan,
-    Record,
     Segment,
-    money,
+    ValidationFailedError,
+    validate_dataset,
 )
-
-STOP_BUDGET_REACHED = "budget_reached"
-STOP_DATA_EXHAUSTED = "data_exhausted"
-STOP_CENTER_EXCEEDS_BUDGET = "center_exceeds_budget"
-
-
-class ClusterBuildTrace(Record):
-    """Audit trail of one cluster build: admissions with running totals."""
-
-    __slots__ = ("center_id", "admitted", "stop_reason")
-
-    def __init__(
-        self, center_id: str, admitted: tuple[tuple[Segment, Decimal], ...], stop_reason: str
-    ) -> None:
-        self._set(center_id, admitted, stop_reason)
-
-
-def _admit(
-    center: Segment,
-    candidates: Iterable[Segment],
-    cap: Decimal,
-    year: int,
-    skip_mode: bool = False,
-) -> tuple[list[tuple[Segment, Decimal]], str]:
-    """The center, then each candidate in turn while the running total of
-    their costs in ``year`` stays within ``cap``: the admitted ``(segment,
-    running total)`` pairs and the stop reason. A center at or over the cap
-    is admitted alone, without reading ``candidates``, so the overrun is
-    reported, never silent."""
-    if cap <= 0:
-        raise ValueError("cluster budget must be positive")
-    total = center.cost_at(year)
-    admitted = [(center, total)]
-    if total >= cap:
-        return admitted, STOP_CENTER_EXCEEDS_BUDGET
-    stop_reason = STOP_DATA_EXHAUSTED
-    for seg in candidates:
-        candidate_cost = seg.cost_at(year)
-        if total + candidate_cost <= cap:
-            total += candidate_cost
-            admitted.append((seg, total))
-        else:
-            stop_reason = STOP_BUDGET_REACHED
-            if not skip_mode:
-                break
-    return admitted, stop_reason
-
-
-def _walk(
-    pool: Sequence[Segment],
-    center: Segment,
-    cap: Decimal,
-    year: int,
-    skip_mode: bool = False,
-) -> tuple[list[tuple[Segment, Decimal]], str]:
-    """:func:`_admit` over the rest of the pool, nearest to ``center`` first."""
-    # the stream looks for the center at once: a flagged center must be in the pool too
-    return _admit(center, nearest_first(pool, center), cap, year, skip_mode)
-
-
-def _cluster(
-    year: int,
-    center: Segment,
-    admitted: Sequence[tuple[Segment, Decimal]],
-    cap: Decimal,
-) -> Cluster:
-    """The cluster of the ``admitted`` (segment, running total) pairs around
-    ``center`` under ``cap`` in ``year``."""
-    return Cluster(
-        year=year,
-        center_id=center.id,
-        member_ids=tuple(seg.id for seg, _ in admitted),
-        realized_cost=admitted[-1][1],
-        budget=cap,
-    )
-
-
-def radial_neighbor_clustering(
-    pool: Sequence[Segment],
-    center: Segment,
-    budget,
-    *,
-    year: int | None = None,
-    skip_mode: bool = False,
-) -> tuple[Cluster, ClusterBuildTrace]:
-    """Grow one cluster outward from ``center`` until the budget stops it.
-
-    The center is always a member; a center at or over the budget comes
-    back as a flagged singleton. Otherwise the remaining pool is streamed
-    nearest-first and each point is admitted while the running total stays
-    within the cap. Every cost is taken in ``year``, or else in the
-    center's scheduled year, which is the cluster's year.
-    """
-    cap = money(budget)
-    year = center.scheduled_year if year is None else year
-    admitted, stop_reason = _walk(list(pool), center, cap, year, skip_mode)
-    cluster = _cluster(year, center, admitted, cap)
-    return cluster, ClusterBuildTrace(center.id, tuple(admitted), stop_reason)
+from .refine import (
+    STOP_CENTER_EXCEEDS_BUDGET,
+    radial_neighbor_clustering,
+    schedule_aware_cluster,
+)
 
 
 def _check_segments(segments: Iterable[Segment], axis: int = 0) -> list[Segment]:
@@ -157,21 +58,19 @@ def select_initial_center(segments: Sequence[Segment], axis: int = 0) -> Segment
     return best
 
 
-ClusterBuilder = Callable[
-    [list[Segment], Segment, BudgetEntry], tuple[Cluster, ClusterBuildTrace]
-]
-
-
 def _drain_pool(
     schedule: BudgetSchedule,
     segments: Sequence[Segment],
-    build_cluster: ClusterBuilder,
     *,
+    banded: bool = False,
+    skip_mode: bool = False,
     rng: random.Random | None = None,
     axis: int = 0,
     initial_diagnostics: Iterable[Diagnostic] = (),
 ) -> Plan:
-    """One cluster per schedule entry, each subtracted from the pool.
+    """One cluster per schedule entry, each subtracted from the pool: a
+    tolerance-band cluster at the entry's tolerances when ``banded``, else a
+    plain radial walk, each at the entry's budget and year.
 
     With ``rng``, each center is one ``randrange`` draw from the remaining
     pool. Without it, centers follow the landmark rule: first the point
@@ -204,7 +103,15 @@ def _drain_pool(
         else:
             clustered.add([seg.coords for seg, _ in trace.admitted])
             center = furthest_point_from_cluster(remaining, clustered)
-        cluster, trace = build_cluster(remaining, center, entry)
+        if banded:
+            cluster, trace = schedule_aware_cluster(
+                remaining, center, entry.budget, entry.low_tolerance,
+                entry.high_tolerance, year=entry.year, skip_mode=skip_mode,
+            )
+        else:
+            cluster, trace = radial_neighbor_clustering(
+                remaining, center, entry.budget, year=entry.year, skip_mode=skip_mode
+            )
         if trace.stop_reason == STOP_CENTER_EXCEEDS_BUDGET:
             diagnostics.append(
                 Diagnostic(
@@ -233,17 +140,6 @@ def _drain_pool(
     )
 
 
-def _radial_builder(skip_mode: bool) -> ClusterBuilder:
-    """One plain radial walk per schedule entry, at the entry's budget."""
-
-    def build(remaining, center, entry):
-        return radial_neighbor_clustering(
-            remaining, center, entry.budget, year=entry.year, skip_mode=skip_mode
-        )
-
-    return build
-
-
 def main_algorithm(
     segments: Sequence[Segment],
     schedule: BudgetSchedule,
@@ -258,9 +154,7 @@ def main_algorithm(
     reproduce the same plan.
     """
     segments = _check_segments(segments)
-    return _drain_pool(
-        schedule, segments, _radial_builder(skip_mode), rng=random.Random(seed)
-    )
+    return _drain_pool(schedule, segments, skip_mode=skip_mode, rng=random.Random(seed))
 
 
 def landmark_based_radial_clustering(
@@ -272,4 +166,27 @@ def landmark_based_radial_clustering(
 ) -> Plan:
     """Deterministic whole-plan driver using landmark centers."""
     segments = _check_segments(segments, axis)
-    return _drain_pool(schedule, segments, _radial_builder(skip_mode), axis=axis)
+    return _drain_pool(schedule, segments, skip_mode=skip_mode, axis=axis)
+
+
+def schedule_aware_plan(
+    segments: Sequence[Segment],
+    schedule: BudgetSchedule,
+    axis: int = 0,
+    *,
+    strict: bool = False,
+    skip_mode: bool = False,
+) -> Plan:
+    """Flagship pipeline: landmark centers and tolerance-band clusters.
+
+    Dataset validation runs first; in strict mode any issue aborts,
+    otherwise its diagnostics lead the plan's.
+    """
+    segments = _check_segments(segments, axis)
+    issues = validate_dataset(segments, schedule)
+    if strict and issues:
+        raise ValidationFailedError(issues)
+    return _drain_pool(
+        schedule, segments, banded=True, skip_mode=skip_mode, axis=axis,
+        initial_diagnostics=issues,
+    )

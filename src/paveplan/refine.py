@@ -1,12 +1,16 @@
-"""Tolerance-band cluster construction.
+"""One cluster around a given center, grown under a budget cap.
 
-Around one center, three nested clusters are cut from one nearest-first
-walk by the per-year tolerances: inner (cap - low), nominal (cap), and
-outer (cap + high). Points inside the inner cluster enter the final cluster
-purely by distance; the band between inner and outer is then refilled by
-urgency (earlier or overdue scheduled year first, then lower cost) while
-the nominal cap holds. Every cost is taken in the cluster's year, as in
-``radial``. The flagship pipeline combines this with landmark centers.
+Admission follows prefix semantics: pool points are popped nearest-first from
+the heap of ``geometry.nearest_first`` as the walk reads them, and the walk
+stops at the first point that would overflow the cap, with no skipping.
+``skip_mode`` (off by default) keeps scanning for smaller projects further out.
+
+The tolerance band refines that walk: three nested clusters are cut from one
+nearest-first walk by the per-year tolerances, inner (cap - low), nominal
+(cap), and outer (cap + high). Points inside the inner cluster enter the
+final cluster purely by distance; the band between inner and outer is then
+refilled by urgency (earlier or overdue scheduled year first, then lower
+cost) while the nominal cap holds. Every cost is taken in the cluster's year.
 """
 
 from __future__ import annotations
@@ -15,31 +19,108 @@ import math
 from bisect import bisect_right
 from decimal import Decimal
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .geometry import check_same_dimension
-from .model import (
-    BudgetSchedule,
-    Cluster,
-    Plan,
-    Record,
-    Segment,
-    ValidationFailedError,
-    money,
-    validate_dataset,
-)
-from .radial import (
-    STOP_BUDGET_REACHED,
-    STOP_CENTER_EXCEEDS_BUDGET,
-    STOP_DATA_EXHAUSTED,
-    ClusterBuildTrace,
-    _admit,
-    _check_segments,
-    _cluster,
-    _drain_pool,
-    _walk,
-    radial_neighbor_clustering,  # noqa: F401  perfbench tests read this binding
-)
+from .geometry import check_same_dimension, nearest_first
+from .model import Cluster, Record, Segment, money
+
+STOP_BUDGET_REACHED = "budget_reached"
+STOP_DATA_EXHAUSTED = "data_exhausted"
+STOP_CENTER_EXCEEDS_BUDGET = "center_exceeds_budget"
+
+
+class ClusterBuildTrace(Record):
+    """Audit trail of one cluster build: admissions with running totals."""
+
+    __slots__ = ("center_id", "admitted", "stop_reason")
+
+    def __init__(
+        self, center_id: str, admitted: tuple[tuple[Segment, Decimal], ...], stop_reason: str
+    ) -> None:
+        self._set(center_id, admitted, stop_reason)
+
+
+def _admit(
+    center: Segment,
+    candidates: Iterable[Segment],
+    cap: Decimal,
+    year: int,
+    skip_mode: bool = False,
+) -> tuple[list[tuple[Segment, Decimal]], str]:
+    """The center, then each candidate in turn while the running total of
+    their costs in ``year`` stays within ``cap``: the admitted ``(segment,
+    running total)`` pairs and the stop reason. A center at or over the cap
+    is admitted alone, without reading ``candidates``, so the overrun is
+    reported, never silent."""
+    if cap <= 0:
+        raise ValueError("cluster budget must be positive")
+    total = center.cost_at(year)
+    admitted = [(center, total)]
+    if total >= cap:
+        return admitted, STOP_CENTER_EXCEEDS_BUDGET
+    stop_reason = STOP_DATA_EXHAUSTED
+    for seg in candidates:
+        candidate_cost = seg.cost_at(year)
+        if total + candidate_cost <= cap:
+            total += candidate_cost
+            admitted.append((seg, total))
+        else:
+            stop_reason = STOP_BUDGET_REACHED
+            if not skip_mode:
+                break
+    return admitted, stop_reason
+
+
+def _walk(
+    pool: Sequence[Segment],
+    center: Segment,
+    cap: Decimal,
+    year: int,
+    skip_mode: bool = False,
+) -> tuple[list[tuple[Segment, Decimal]], str]:
+    """:func:`_admit` over the rest of the pool, nearest to ``center`` first."""
+    # the stream looks for the center at once: a flagged center must be in the pool too
+    return _admit(center, nearest_first(pool, center), cap, year, skip_mode)
+
+
+def _cluster(
+    year: int,
+    center: Segment,
+    admitted: Sequence[tuple[Segment, Decimal]],
+    cap: Decimal,
+) -> Cluster:
+    """The cluster of the ``admitted`` (segment, running total) pairs around
+    ``center`` under ``cap`` in ``year``."""
+    return Cluster(
+        year=year,
+        center_id=center.id,
+        member_ids=tuple(seg.id for seg, _ in admitted),
+        realized_cost=admitted[-1][1],
+        budget=cap,
+    )
+
+
+def radial_neighbor_clustering(
+    pool: Sequence[Segment],
+    center: Segment,
+    budget,
+    *,
+    year: int | None = None,
+    skip_mode: bool = False,
+) -> tuple[Cluster, ClusterBuildTrace]:
+    """Grow one cluster outward from ``center`` until the budget stops it.
+
+    The center is always a member; a center at or over the budget comes
+    back as a flagged singleton. Otherwise the remaining pool is streamed
+    nearest-first and each point is admitted while the running total stays
+    within the cap. Every cost is taken in ``year``, or else in the
+    center's scheduled year, which is the cluster's year.
+    """
+    cap = money(budget)
+    year = center.scheduled_year if year is None else year
+    admitted, stop_reason = _walk(list(pool), center, cap, year, skip_mode)
+    cluster = _cluster(year, center, admitted, cap)
+    return cluster, ClusterBuildTrace(center.id, tuple(admitted), stop_reason)
 
 
 class ToleranceBand(Record):
@@ -148,35 +229,3 @@ def schedule_aware_cluster(
         )
     cluster = _cluster(year, center, admitted, cap)
     return cluster, ClusterBuildTrace(center.id, tuple(admitted), stop_reason)
-
-
-def schedule_aware_plan(
-    segments: Sequence[Segment],
-    schedule: BudgetSchedule,
-    axis: int = 0,
-    *,
-    strict: bool = False,
-    skip_mode: bool = False,
-) -> Plan:
-    """Flagship pipeline: landmark centers and tolerance-band clusters.
-
-    Dataset validation runs first; in strict mode any issue aborts,
-    otherwise its diagnostics lead the plan's.
-    """
-    segments = _check_segments(segments, axis)
-    issues = validate_dataset(segments, schedule)
-    if strict and issues:
-        raise ValidationFailedError(issues)
-
-    def build(remaining, center, entry):
-        return schedule_aware_cluster(
-            remaining,
-            center,
-            entry.budget,
-            entry.low_tolerance,
-            entry.high_tolerance,
-            year=entry.year,
-            skip_mode=skip_mode,
-        )
-
-    return _drain_pool(schedule, segments, build, axis=axis, initial_diagnostics=issues)

@@ -21,13 +21,13 @@ from paveplan.model import (
     Plan,
     validate_dataset,
 )
-from paveplan.radial import (
+from paveplan.radial import landmark_based_radial_clustering, main_algorithm, schedule_aware_plan
+from paveplan.refine import (
     STOP_CENTER_EXCEEDS_BUDGET,
-    landmark_based_radial_clustering,
-    main_algorithm,
+    build_tolerance_band,
     radial_neighbor_clustering,
+    schedule_aware_cluster,
 )
-from paveplan.refine import build_tolerance_band, schedule_aware_cluster, schedule_aware_plan
 from paveplan.synth import synthesize_dataset
 
 from helpers import random_segments, random_schedule, schedule, seg

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import paveplan.cli
-import paveplan.refine
+import paveplan.radial
 from paveplan.cli import main
 from paveplan.io_formats import (
     emit_budgets_csv,
@@ -144,7 +144,7 @@ def test_strict_validates_once(algo, two_blob_files, tmp_path, monkeypatch):
         return validate_dataset(segments, schedule)
 
     monkeypatch.setattr(paveplan.cli, "validate_dataset", counting)
-    monkeypatch.setattr(paveplan.refine, "validate_dataset", counting)
+    monkeypatch.setattr(paveplan.radial, "validate_dataset", counting)
     segments, budgets = two_blob_files
     code = main(
         [
@@ -341,7 +341,13 @@ def test_matrix_plans_of_scalar_cost_algos_read_back(algo, tmp_path, monkeypatch
     assert main(["metrics", "--plan", "plan.json", "--segments", "s.csv"]) == 0
 
 
-def test_growth_rate_requires_matrix_output(tmp_path, capsys):
+def test_growth_rate_requires_matrix_output(tmp_path, monkeypatch, capsys):
+    # refused before any dataset is built
+    calls = []
+    synthesize = paveplan.cli.synthesize_dataset
+    monkeypatch.setattr(
+        paveplan.cli, "synthesize_dataset", lambda *a, **k: calls.append(a) or synthesize(*a, **k)
+    )
     code = main(
         [
             "synth",
@@ -356,6 +362,8 @@ def test_growth_rate_requires_matrix_output(tmp_path, capsys):
     )
     assert code == 2
     assert "--out-matrix" in capsys.readouterr().err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -668,22 +676,25 @@ def test_baseline_plan_bytes(case, sha256, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "algo, sha256",
+    "algo, synth_seed, sha256",
     [
-        (["landmark"], "eae2b82e0ac9f458d337f3f9afb9b1a5b0274ddfb8296a2f49e60dcdcd9f8e98"),
-        (["random", "--seed", "3", "--skip-mode"],
+        (["landmark"], "5", "eae2b82e0ac9f458d337f3f9afb9b1a5b0274ddfb8296a2f49e60dcdcd9f8e98"),
+        (["random", "--seed", "3", "--skip-mode"], "5",
          "36f8f132606bb3f2bc3069ba4e9cc0f0f43bdbfd75395eb3f797c9d445ede02b"),
-        (["schedule", "--skip-mode"],
+        (["schedule", "--skip-mode"], "5",
          "49b785a8195d10b31f2bbe28a7437cb269f2ac8e274e8e9d1029c225cacfc2f1"),
+        # at synth seed 5 skip mode admits nothing more under landmark centers
+        (["landmark", "--skip-mode"], "6",
+         "8045c728c094e55b8c1ea3c956c6d0df21488bf536989ab9d1b4749dc71ad786"),
     ],
-    ids=["landmark", "random-skip", "schedule-skip"],
+    ids=["landmark", "random-skip", "schedule-skip", "landmark-skip"],
 )
-def test_walk_plan_bytes(algo, sha256, tmp_path, monkeypatch):
+def test_walk_plan_bytes(algo, synth_seed, sha256, tmp_path, monkeypatch):
     # walk paths no benchmark workload runs: the landmark engine, and
     # skip mode, which reads the nearest-first stream past the first miss
     monkeypatch.chdir(tmp_path)
     assert main(
-        ["synth", "--n", "300", "--blobs", "3", "--years", "2018:2022", "--seed", "5",
+        ["synth", "--n", "300", "--blobs", "3", "--years", "2018:2022", "--seed", synth_seed,
          "--tolerance-fraction", "0.05", "--out-segments", "s.csv", "--out-budgets", "b.csv"]
     ) == 0
     assert main(

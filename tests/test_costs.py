@@ -4,7 +4,7 @@ import pytest
 
 from paveplan.costs import compounded_costs, flat_cost_table
 from paveplan.io_formats import emit_cost_matrix_csv, load_cost_matrix, load_segments
-from paveplan.refine import schedule_aware_plan
+from paveplan.radial import schedule_aware_plan
 
 from helpers import schedule, seg
 

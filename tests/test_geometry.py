@@ -12,8 +12,8 @@ from paveplan.geometry import (
 )
 from paveplan.metrics import compute_metrics, plan_from_schedule
 from paveplan.model import Cluster, DimensionMismatchError, Plan
-from paveplan.radial import landmark_based_radial_clustering, main_algorithm
-from paveplan.refine import band_order, schedule_aware_plan
+from paveplan.radial import landmark_based_radial_clustering, main_algorithm, schedule_aware_plan
+from paveplan.refine import band_order
 
 from helpers import random_segments, schedule, seg
 from oracles import oracle_furthest_point

@@ -35,8 +35,13 @@ from paveplan.model import (
     money,
     validate_dataset,
 )
-from paveplan.radial import ClusterBuildTrace, radial_neighbor_clustering
-from paveplan.refine import ToleranceBand, build_tolerance_band, schedule_aware_plan
+from paveplan.radial import schedule_aware_plan
+from paveplan.refine import (
+    ClusterBuildTrace,
+    ToleranceBand,
+    build_tolerance_band,
+    radial_neighbor_clustering,
+)
 
 from helpers import line_segments, schedule, seg
 from oracles import oracle_cost_table, oracle_money

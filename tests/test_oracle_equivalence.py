@@ -13,9 +13,9 @@ import pytest
 
 from paveplan.geometry import ClusterBalls, furthest_point_from_cluster
 from paveplan.metrics import plan_from_schedule
-from paveplan.radial import landmark_based_radial_clustering, radial_neighbor_clustering
+from paveplan.radial import landmark_based_radial_clustering, schedule_aware_plan
 from paveplan.model import Cluster, Segment
-from paveplan.refine import schedule_aware_plan
+from paveplan.refine import radial_neighbor_clustering
 
 from helpers import line_segments, random_schedule, random_segments, seg
 from oracles import (

@@ -8,16 +8,18 @@ from paveplan.io_formats import emit_plan, input_digest, parse_plan_document
 from paveplan.metrics import compute_metrics
 from paveplan.model import ZERO, segment_lookup
 from paveplan.radial import (
+    landmark_based_radial_clustering,
+    main_algorithm,
+    schedule_aware_plan,
+    select_initial_center,
+)
+from paveplan.refine import (
     STOP_BUDGET_REACHED,
     STOP_CENTER_EXCEEDS_BUDGET,
     STOP_DATA_EXHAUSTED,
     _walk,
-    landmark_based_radial_clustering,
-    main_algorithm,
     radial_neighbor_clustering,
-    select_initial_center,
 )
-from paveplan.refine import schedule_aware_plan
 from paveplan.synth import synthesize_dataset
 
 from helpers import line_segments, random_segments, random_schedule, schedule, seg

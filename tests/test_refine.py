@@ -1,23 +1,23 @@
+import ast
 import hashlib
 import random
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import paveplan.refine
 from paveplan.io_formats import emit_plan
 from paveplan.metrics import compute_metrics
 from paveplan.model import BudgetSchedule, Segment, ValidationFailedError
-from paveplan.radial import (
-    STOP_CENTER_EXCEEDS_BUDGET,
-    landmark_based_radial_clustering,
-    radial_neighbor_clustering,
-)
+from paveplan.radial import landmark_based_radial_clustering, schedule_aware_plan
 from paveplan.refine import (
+    STOP_CENTER_EXCEEDS_BUDGET,
     band_order,
     build_tolerance_band,
+    radial_neighbor_clustering,
     schedule_aware_cluster,
-    schedule_aware_plan,
 )
 
 from paveplan.synth import synthesize_dataset
@@ -311,3 +311,18 @@ def test_plan_bytes_at_14400_segments():
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "02f04a3468c8ed33302b194f4fafb6ee4cb857535340d3ed19deca4be7149509"
     )
+
+
+def test_engine_modules_meet_at_one_seam():
+    # refine builds one cluster around a given center and radial drives the
+    # plans over it: imports between the two run one way, by public names only
+    imported = []  # (importing module, source module, name)
+    for path in sorted(Path(paveplan.refine.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                source = node.module.removeprefix("paveplan.")
+                if source in ("radial", "refine"):
+                    imported += [(path.stem, source, alias.name) for alias in node.names]
+    assert [entry for entry in imported if entry[0] == "refine" and entry[1] == "radial"] == []
+    assert [entry for entry in imported if entry[2].startswith("_")] == []
+    assert ("radial", "refine", "radial_neighbor_clustering") in imported
