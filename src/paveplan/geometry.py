@@ -2,14 +2,22 @@
 farthest-remaining-point search used to seed new clusters.
 
 Everything here is deterministic and exact. The stream (:func:`nearest_first`)
-heapifies ``(distance, id, index)`` at its first read and pops lazily, so a
-walk that stops at its cap pops only what it reads (incremental nearest
-neighbours, Hjaltason & Samet, ACM TODS 1999); ties go by ascending id. It
-measures every point, so it checks dimensions only once ``math.dist``
-refuses a pair; the farthest-point search, which skips points, checks them
-all up front (:func:`check_same_dimension`). That search picks the very
-candidate a plain scan of every candidate/clustered pair with ``math.dist``
-picks, ties included (the earliest candidate in input order).
+yields a pool in ``(math.dist, id)`` order but measures only the slab it
+reaches: a :class:`Pool` is sorted on the first coordinate, whose gap ``|dx|``
+bounds a distance (Friedman, Baskett & Shustek, 1975), and the nearer side's
+next point is measured until the heap top lies below the next ``|dx|``. Both
+searches skip points, so check dimensions first (:func:`check_same_dimension`);
+the farthest-point search picks what a plain scan of every candidate/clustered
+pair picks, ties included (the earliest candidate in input order).
+
+**The slab margin.** The heap top ``h`` pops only when ``h < g * (1 - 1e-9) -
+1e-9``, for ``g`` the computed ``|dx|`` of the nearest unmeasured point. Each
+unmeasured point's ``math.dist`` is at least ``g * (1 - 5u)``: ``g`` rounds an
+exact gap once, and ``math.dist`` is within ``4u`` (see below) of a true
+distance no smaller than that gap. So ``h`` is strictly nearer, and ``<=``
+pops the same. A subnormal ``g`` pops nothing; an overflowing ``g`` is
+``inf``, as is that point's ``math.dist``. From 3.10 CPython's ``math.dist``
+is faithfully rounded, never below ``g``, so no input there needs the margin.
 
 **How the search prunes.** The clustered set is held as balls
 (:class:`ClusterBalls`), one per cluster: a center ``c`` and the other
@@ -50,9 +58,8 @@ anything else), but a distance between finite points can still overflow to
 from __future__ import annotations
 
 import math
-from bisect import bisect
-from itertools import chain
-from operator import attrgetter
+from bisect import bisect, bisect_left
+from itertools import chain, compress
 from typing import Iterable, Iterator, Sequence
 
 from .model import DimensionMismatchError, Record, Segment
@@ -69,27 +76,62 @@ class DistanceOrdering(Record):
         self._set(anchor_id, ordered_ids)
 
 
-def nearest_first(segments: Sequence[Segment], anchor: Segment) -> Iterator[Segment]:
-    """Every segment but the anchor (by id), nearest to it first. The anchor
-    is looked for at once; nothing is measured before the first read."""
-    if anchor.id not in map(attrgetter("id"), segments):
+class Pool:
+    """Segments not yet placed, sorted once on the first coordinate. ``len()``
+    and iteration (in input order) see the live ones; :meth:`remove` drops ids.
+    Pools only shrink, so the first walk that reads checks every dimension."""
+
+    def __init__(self, segments: Iterable[Segment]) -> None:
+        self.segments = segments = list(segments)
+        self.order = sorted(range(len(segments)), key=lambda i: segments[i].coords[0])
+        self.xs = [segments[i].coords[0] for i in self.order]
+        self.live = bytearray(b"\1") * len(segments)
+        # id -> its last input position; position -> an earlier one with that id
+        self.first, self.same = {}, {}
+        for i, seg in enumerate(segments):
+            if seg.id in self.first:
+                self.same[i] = self.first[seg.id]
+            self.first[seg.id] = i
+        self.checked: tuple[Coords, ...] = ()  # a point of the checked dimension
+
+    def __len__(self) -> int:
+        return self.live.count(1)
+
+    def __iter__(self) -> Iterator[Segment]:
+        return compress(self.segments, self.live)
+
+    def remove(self, ids: Iterable[str]) -> None:
+        for seg_id in ids:
+            i = self.first.pop(seg_id, None)
+            while i is not None:
+                self.live[i] = 0
+                i = self.same.get(i)
+
+
+def nearest_first(segments: Sequence[Segment] | Pool, anchor: Segment) -> Iterator[Segment]:
+    """The live segments but the anchor's id, nearest first, from a :class:`Pool` or a
+    wrapped sequence. A missing anchor raises at once; nothing is measured till read."""
+    pool = segments if isinstance(segments, Pool) else Pool(segments)
+    if anchor.id not in pool.first:
         raise ValueError(f"anchor {anchor.id!r} is not in the segment list")
 
     def pop_nearest() -> Iterator[Segment]:
-        from heapq import heapify, heappop  # imported by the commands that walk only
-        dist, point, anchor_id = math.dist, anchor.coords, anchor.id
-        try:
-            heap = [
-                (dist(point, s.coords), s.id, i)
-                for i, s in enumerate(segments)
-                if s.id != anchor_id
-            ]
-        except ValueError:
-            check_same_dimension(chain((point,), (seg.coords for seg in segments)))
-            raise
-        heapify(heap)
+        from heapq import heappop, heappush, merge  # imported by the commands that walk only
+        point, anchor_id = anchor.coords, anchor.id
+        check_same_dimension(chain((point,), pool.checked or (s.coords for s in pool)))
+        pool.checked = (point,)
+        dist, x, xs, order, live = math.dist, point[0], pool.xs, pool.order, pool.live
+        segs, hi, heap = pool.segments, bisect_left(xs, x), []
+        left = ((x - xs[k], order[k]) for k in range(hi - 1, -1, -1) if live[order[k]])
+        right = ((xs[k] - x, order[k]) for k in range(hi, len(xs)) if live[order[k]])
+        for gap, i in merge(left, right):
+            bound = gap * (1 - 1e-9) - 1e-9  # see the module notes
+            while heap and heap[0][0] < bound:
+                yield segs[heappop(heap)[2]]
+            if segs[i].id != anchor_id:
+                heappush(heap, (dist(point, segs[i].coords), segs[i].id, i))
         while heap:
-            yield segments[heappop(heap)[2]]
+            yield segs[heappop(heap)[2]]
 
     return pop_nearest()
 
@@ -101,11 +143,10 @@ def order_by_distance(segments: Sequence[Segment], anchor: Segment) -> DistanceO
 def check_same_dimension(points: Iterable[Sequence[float]]) -> None:
     """Raise :class:`DimensionMismatchError`, not ``math.dist``'s bare
     ``ValueError``, unless every point has the first one's dimension. Code
-    that may skip points calls it up front: the farthest-point search,
-    :meth:`ClusterBalls.add` and the baseline medoid (whose axis sort would
-    fail first). Code that measures every point calls it only once
-    ``math.dist`` has refused a pair: the heap build of :func:`nearest_first`,
-    ``refine.band_order`` and the ``metrics`` means."""
+    that skips points calls it up front (:func:`nearest_first`, the farthest-
+    point search, :meth:`ClusterBalls.add`, the baseline medoid); code that
+    measures every point, once ``math.dist`` refuses a pair
+    (``refine.band_order``, the ``metrics`` means)."""
     dimension = None
     for point in points:
         if dimension is None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Sequence
 
-from .geometry import ClusterBalls, furthest_point_from_cluster
+from .geometry import ClusterBalls, Pool, furthest_point_from_cluster
 from .model import (
     EMPTY_CLUSTER,
     OVER_BUDGET_SINGLETON,
@@ -80,13 +80,13 @@ def _drain_pool(
     picked, and the search carries what it learnt about each candidate from
     year to year, so a year mostly measures distances to the newest cluster.
     """
-    remaining = list(segments)
+    pool = Pool(segments)
     clustered = ClusterBalls()
     trace = None  # the last placed cluster's, until it joins ``clustered``
     clusters: list[Cluster] = []
     diagnostics = list(initial_diagnostics)
     for entry in schedule.entries:
-        if not remaining:
+        if not pool:
             clusters.append(Cluster(entry.year, None, (), ZERO, entry.budget))
             diagnostics.append(
                 Diagnostic(
@@ -97,20 +97,20 @@ def _drain_pool(
             )
             continue
         if rng is not None:
-            center = remaining[rng.randrange(len(remaining))]
+            center = list(pool)[rng.randrange(len(pool))]
         elif trace is None:
-            center = select_initial_center(remaining, axis)
+            center = select_initial_center(pool, axis)
         else:
             clustered.add([seg.coords for seg, _ in trace.admitted])
-            center = furthest_point_from_cluster(remaining, clustered)
+            center = furthest_point_from_cluster(pool, clustered)
         if banded:
             cluster, trace = schedule_aware_cluster(
-                remaining, center, entry.budget, entry.low_tolerance,
+                pool, center, entry.budget, entry.low_tolerance,
                 entry.high_tolerance, year=entry.year, skip_mode=skip_mode,
             )
         else:
             cluster, trace = radial_neighbor_clustering(
-                remaining, center, entry.budget, year=entry.year, skip_mode=skip_mode
+                pool, center, entry.budget, year=entry.year, skip_mode=skip_mode
             )
         if trace.stop_reason == STOP_CENTER_EXCEEDS_BUDGET:
             diagnostics.append(
@@ -122,20 +122,19 @@ def _drain_pool(
                     segment_ids=(center.id,),
                 )
             )
-        member_set = set(cluster.member_ids)
-        remaining = [seg for seg in remaining if seg.id not in member_set]
+        pool.remove(cluster.member_ids)
         clusters.append(cluster)
-    if remaining:
+    if pool:
         diagnostics.append(
             Diagnostic(
                 UNASSIGNED_REMAINDER,
-                f"{len(remaining)} project(s) did not fit in any year",
-                segment_ids=tuple(seg.id for seg in remaining),
+                f"{len(pool)} project(s) did not fit in any year",
+                segment_ids=tuple(seg.id for seg in pool),
             )
         )
     return Plan(
         clusters=tuple(clusters),
-        unassigned_ids=tuple(seg.id for seg in remaining),
+        unassigned_ids=tuple(seg.id for seg in pool),
         diagnostics=tuple(diagnostics),
     )
 

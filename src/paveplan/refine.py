@@ -1,9 +1,9 @@
 """One cluster around a given center, grown under a budget cap.
 
-Admission follows prefix semantics: pool points are popped nearest-first from
-the heap of ``geometry.nearest_first`` as the walk reads them, and the walk
-stops at the first point that would overflow the cap, with no skipping.
-``skip_mode`` (off by default) keeps scanning for smaller projects further out.
+Admission follows prefix semantics: pool points come nearest-first from
+``geometry.nearest_first``, measured only as far as the walk reads, and the
+walk stops at the first point that would overflow the cap. ``skip_mode`` (off
+by default) scans on for smaller projects, so it measures the whole pool.
 
 The tolerance band refines that walk: three nested clusters are cut from one
 nearest-first walk by the per-year tolerances, inner (cap - low), nominal
@@ -21,7 +21,7 @@ from decimal import Decimal
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .geometry import check_same_dimension, nearest_first
+from .geometry import Pool, check_same_dimension, nearest_first
 from .model import Cluster, Record, Segment, money
 
 STOP_BUDGET_REACHED = "budget_reached"
@@ -72,7 +72,7 @@ def _admit(
 
 
 def _walk(
-    pool: Sequence[Segment],
+    pool: Sequence[Segment] | Pool,
     center: Segment,
     cap: Decimal,
     year: int,
@@ -101,7 +101,7 @@ def _cluster(
 
 
 def radial_neighbor_clustering(
-    pool: Sequence[Segment],
+    pool: Sequence[Segment] | Pool,
     center: Segment,
     budget,
     *,
@@ -118,7 +118,7 @@ def radial_neighbor_clustering(
     """
     cap = money(budget)
     year = center.scheduled_year if year is None else year
-    admitted, stop_reason = _walk(list(pool), center, cap, year, skip_mode)
+    admitted, stop_reason = _walk(pool, center, cap, year, skip_mode)
     cluster = _cluster(year, center, admitted, cap)
     return cluster, ClusterBuildTrace(center.id, tuple(admitted), stop_reason)
 
@@ -160,7 +160,7 @@ def band_order(
 
 
 def build_tolerance_band(
-    pool: Sequence[Segment],
+    pool: Sequence[Segment] | Pool,
     center: Segment,
     budget,
     low_tolerance,
@@ -184,7 +184,7 @@ def build_tolerance_band(
     if cap - low <= 0:
         raise ValueError("low tolerance must leave a positive inner budget")
     year = center.scheduled_year if year is None else year
-    admitted, _ = _walk(list(pool), center, cap + high, year)
+    admitted, _ = _walk(pool, center, cap + high, year)
     totals = [total for _, total in admitted]
 
     def cut(limit: Decimal) -> Cluster:
@@ -198,7 +198,7 @@ def build_tolerance_band(
 
 
 def schedule_aware_cluster(
-    pool: Sequence[Segment],
+    pool: Sequence[Segment] | Pool,
     center: Segment,
     budget,
     low_tolerance,
@@ -216,7 +216,7 @@ def schedule_aware_cluster(
     they need not: skipping applies only to the band, which is then empty.
     """
     cap = money(budget)
-    pool = list(pool)
+    pool = pool if isinstance(pool, Pool) else Pool(pool)
     year = center.scheduled_year if year is None else year
     band = build_tolerance_band(pool, center, cap, low_tolerance, high_tolerance, year=year)
     # the inner cluster fits under cap - low, so all of it is admitted again

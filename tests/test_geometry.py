@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from paveplan.geometry import (
     ClusterBalls,
+    Pool,
     furthest_point_from_cluster,
     nearest_first,
     order_by_distance,
@@ -13,9 +14,9 @@ from paveplan.geometry import (
 from paveplan.metrics import compute_metrics, plan_from_schedule
 from paveplan.model import Cluster, DimensionMismatchError, Plan
 from paveplan.radial import landmark_based_radial_clustering, main_algorithm, schedule_aware_plan
-from paveplan.refine import band_order
+from paveplan.refine import band_order, radial_neighbor_clustering
 
-from helpers import random_segments, schedule, seg
+from helpers import line_segments, random_segments, schedule, seg
 from oracles import oracle_furthest_point
 
 
@@ -108,17 +109,95 @@ def test_nearest_first_is_the_sorted_order(pool):
     )
 
 
-def test_nearest_first_measures_each_point_once_and_only_when_read(monkeypatch):
-    measured = []
+@pytest.fixture
+def measured(monkeypatch):
+    """The second point of every ``math.dist`` call, in call order."""
+    points = []
     dist = math.dist
-    monkeypatch.setattr(math, "dist", lambda a, b: measured.append(b) or dist(a, b))
+    monkeypatch.setattr(math, "dist", lambda a, b: points.append(b) or dist(a, b))
+    return points
+
+
+def test_nearest_first_measures_each_point_once_and_only_when_read(measured):
     segments = [seg(f"s{x}", (x, 0)) for x in range(6)]
     stream = nearest_first(segments, segments[2])
     assert measured == []
     assert next(stream).id == "s1"
-    assert len(measured) == 5
+    assert len(measured) == len(set(measured))
     assert [s.id for s in stream] == ["s3", "s0", "s4", "s5"]
-    assert len(measured) == 5
+    assert sorted(measured) == sorted(s.coords for s in segments if s is not segments[2])
+
+
+def test_a_walk_measures_about_what_it_reads(measured):
+    # only the slab the walk reaches is measured: the 10 members' and the
+    # first misfit's ring, plus at most one point measured ahead
+    pool = line_segments(range(1000))
+    cluster, _ = radial_neighbor_clustering(pool, pool[500], "10.00")
+    assert cluster.size == 10
+    assert len(measured) <= 10 + 1
+
+
+def test_a_tie_at_the_slab_edge_goes_to_the_smaller_id():
+    # b is measured first (|dx| = 3) at distance 5; a, unmeasured then, lies
+    # at |dx| = 5 = its distance (dy = 0) and has the smaller id, so it must
+    # come first: a pop test of h <= |dx| without a margin would yield b
+    anchor = seg("o", (0, 0))
+    pool = [anchor, seg("b", (-3, 4)), seg("a", (5, 0)), seg("c", (9, 0))]
+    assert [s.id for s in nearest_first(pool, anchor)] == ["a", "b", "c"]
+
+
+@st.composite
+def _drains(draw):
+    """A pool, walks with removals between them, and a row permutation."""
+    dimension = draw(st.integers(1, 3))
+    points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dimension), min_size=1, max_size=25))
+    points += draw(st.lists(st.sampled_from(points), max_size=5))  # repeated points
+    shape = draw(st.sampled_from(["grid", "column", "far"]))
+    if shape == "column":  # one first coordinate: the slab prunes nothing
+        points = [(7, *p[1:]) for p in points]
+    elif shape == "far":  # unit steps on large offsets
+        offset = draw(st.sampled_from([1e15, -3e15, 2.0**53, 1e17]))
+        points = [tuple(offset + c for c in p) for p in points]
+    n = len(points)
+    if draw(st.booleans()):
+        ids = draw(st.lists(st.sampled_from("abcd"), min_size=n, max_size=n))
+    else:
+        ids = draw(st.permutations([f"s{i:02d}" for i in range(n)]))
+    segments = [seg(sid, p) for sid, p in zip(ids, points)]
+    walk = st.tuples(st.integers(0, 99), st.integers(0, 6))  # (anchor pick, ids taken)
+    walks = draw(st.lists(walk, min_size=1, max_size=4))
+    return segments, walks, draw(st.permutations(range(n)))
+
+
+def _drain(segments, walks):
+    """The ids each walk streams; after each walk its anchor's id and the
+    first ``taken`` streamed ids leave the pool."""
+    pool, streamed = Pool(segments), []
+    for pick, taken in walks:
+        live = list(pool)
+        assert len(pool) == len(live)
+        if not live:
+            break
+        anchor = sorted(live, key=lambda s: (s.id, s.coords))[pick % len(live)]
+        stream = list(nearest_first(pool, anchor))
+        alive = {id(s) for s in live}
+        expected = sorted(
+            (math.dist(anchor.coords, s.coords), s.id, k)
+            for k, s in enumerate(segments)
+            if id(s) in alive and s.id != anchor.id
+        )
+        assert len(stream) == len(expected)
+        assert all(s is segments[k] for s, (_, _, k) in zip(stream, expected))
+        streamed.append([s.id for s in stream])
+        pool.remove([anchor.id, *streamed[-1][:taken]])
+    return streamed
+
+
+@given(_drains())
+def test_nearest_first_is_the_sorted_order_through_a_drain(drain):
+    segments, walks, order = drain
+    streamed = _drain(segments, walks)
+    assert _drain([segments[k] for k in order], walks) == streamed
 
 
 def test_nearest_first_checks_the_anchor_before_any_read():

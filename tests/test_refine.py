@@ -313,6 +313,21 @@ def test_plan_bytes_at_14400_segments():
     )
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        radial_neighbor_clustering,
+        lambda pool, center, cap: schedule_aware_cluster(pool, center, cap, "0.00", "0.00"),
+    ],
+    ids=["radial", "schedule"],
+)
+def test_builders_take_any_iterable_pool(build):
+    # a plain iterable is read once, into the pool every walk streams from
+    pool = line_segments([3, 0, 2, 1])
+    cluster, _ = build(iter(pool), pool[1], "3.00")
+    assert cluster.member_ids == ("s0", "s1", "s2")
+
+
 def test_engine_modules_meet_at_one_seam():
     # refine builds one cluster around a given center and radial drives the
     # plans over it: imports between the two run one way, by public names only
