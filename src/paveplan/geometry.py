@@ -83,8 +83,9 @@ class Pool:
 
     def __init__(self, segments: Iterable[Segment]) -> None:
         self.segments = segments = list(segments)
-        self.order = sorted(range(len(segments)), key=lambda i: segments[i].coords[0])
-        self.xs = [segments[i].coords[0] for i in self.order]
+        xs = [seg.coords[0] for seg in segments]
+        self.order = sorted(range(len(xs)), key=xs.__getitem__)
+        self.xs = list(map(xs.__getitem__, self.order))
         self.live = bytearray(b"\1") * len(segments)
         # id -> its last input position; position -> an earlier one with that id
         self.first, self.same = {}, {}

@@ -160,9 +160,9 @@ def _parse_cost(value: str, row: int, column: str) -> Decimal:
 def load_segments(text: str, years: Iterable[int] | None = None) -> list[Segment]:
     """Parse the segments CSV: ``id,x,y[,z...],scheduled_year[,cost]``.
 
-    Row order is preserved; it defines the input order used for
-    deterministic tie-breaking downstream. Each cell is checked once, naming
-    its row and column, and each segment built once from the checked values
+    Row order is preserved; README "File formats" lists the four things it
+    decides downstream. Each cell is checked once, naming its row and
+    column, and each segment built once from the checked values
     (``Segment._trusted``), its cost column in a flat row (``costs.flat_rows``)
     over the plan ``years``, or over its scheduled year alone without them.
     Given ``years`` but no cost column, the first segment raises
@@ -345,18 +345,6 @@ class PlanDocument(Record):
         metrics: PlanMetrics,
     ) -> None:
         self._set(input_digest, schedule, plan, members, metrics)
-
-    @property
-    def segments(self) -> list[Segment]:
-        """The members as segments, built on each call, an assigned one costing
-        its ``cost_used`` in its cluster's year under one index per year (from
-        ``costs.flat_rows``): ``emit_plan`` of the fields writes the document."""
-        row, build = flat_rows(()), Segment._trusted
-        year_of = {sid: c.year for c in self.plan.clusters for sid in c.member_ids}
-        return [
-            build(sid, coords, _NO_COSTS if cost is None else row(year_of[sid], cost), year)
-            for sid, coords, year, cost in self.members
-        ]
 
 
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json spells them

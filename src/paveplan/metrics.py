@@ -27,10 +27,12 @@ first whose ``LB`` less the margin below is strictly above the best total:
 every later candidate has at least that ``LB``, so its total is above the
 best, and the strict test still measures one whose total may equal the
 best with a smaller id. A ``LB`` that is not finite bounds nothing and
-counts as 0. On the benchmark's years (1,440 members over 11 blobs) about
-one candidate in a thousand gets a total. When every total is equal, as on
-a ring or on identical points, every candidate gets one: ``m**2``
-distances, against the ``m(m-1)/2`` of the pairwise mean.
+counts as 0: on members at 0, 0 and the largest float every ``LB``
+overflows, yet two totals are equal and finite. On the benchmark's years
+(1,440 members over 11 blobs) about one candidate in a thousand gets a
+total. When every total is equal, as on a ring or on identical points,
+every candidate gets one: ``m**2`` distances, against the ``m(m-1)/2`` of
+the pairwise mean.
 
 **The float margin.** With ``u = 2**-53``, ``math.dist`` rounds each
 coordinate difference once and is within about one ulp after that, so a
@@ -49,7 +51,11 @@ and ``tiny = 8(m + 1)(d + 1) * 2**-1074`` for ``d`` dimensions, which
 covers the subnormal range, where relative bounds fail and each rounding to
 a subnormal errs by at most ``2**-1075``. A larger margin only prunes less;
 it never changes a pick. If ``S1`` overflows, the margin is ``inf`` and
-nothing is pruned; if the best total is ``inf``, nothing is above it.
+nothing is pruned; if the best total is ``inf``, nothing is above it. The
+margin also keeps each computed total strictly above its candidate's
+lowered ``LB``, so a stop test reading ``>=`` would pick the same: a lowered
+``LB`` equal to the best total puts that candidate, and every later one,
+above the best.
 """
 
 from __future__ import annotations

@@ -6,7 +6,6 @@ from decimal import Decimal
 
 from hypothesis import strategies as st
 
-from paveplan.io_formats import emit_plan
 from paveplan.model import BudgetEntry, BudgetSchedule, Segment
 
 
@@ -117,14 +116,6 @@ def money_respellings(amount):
     reads it, but not as paveplan writes it; for "3.00": "3", "3.0",
     " 3.00", "3.000" and "+3.00"."""
     return [amount[:-3], amount[:-1], " " + amount, amount + "0", "+" + amount]
-
-
-def reemit(document):
-    """The text ``emit_plan`` writes from a parsed document's fields."""
-    return emit_plan(
-        document.plan, document.metrics, document.schedule, document.segments,
-        document.input_digest,
-    )
 
 
 def _first_difference(text, reference):

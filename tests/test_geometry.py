@@ -349,6 +349,19 @@ def test_overflowing_distances_are_measured_not_pruned(member, p):
     assert winner is plain is q
 
 
+def test_subnormal_distances_keep_the_absolute_margin():
+    # in units of the least subnormal every distance rounds to a whole unit:
+    # the ball's radius sqrt(13) reads 4 and c0's distance to its center
+    # sqrt(5) reads 2, so without the absolute margin the member (1, 3)
+    # seems at least 2 from c0; it is sqrt(2) away, which reads 1
+    unit = 2.0**-1074
+    c0, c1 = seg("c0", (2 * unit, 2 * unit)), seg("c1", (3 * unit, 2 * unit))
+    clustered = [(3 * unit, 0.0), (unit, 3 * unit)]
+    winner = furthest_point_from_cluster([c0, c1], ClusterBalls([clustered]))
+    plain = max([c0, c1], key=lambda s: min(math.dist(s.coords, c) for c in clustered))
+    assert winner is plain is c1
+
+
 def test_furthest_point_empty_inputs():
     with pytest.raises(ValueError):
         furthest_point_from_cluster([], ClusterBalls([[(0.0, 0.0)]]))

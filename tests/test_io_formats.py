@@ -44,7 +44,7 @@ from paveplan.model import (
 from paveplan.radial import landmark_based_radial_clustering
 
 from helpers import (
-    JSON_VALUES, csv_texts, document_text, money_respellings, reemit, refusal, refused_at, seg,
+    JSON_VALUES, csv_texts, document_text, money_respellings, refusal, refused_at, seg,
 )
 from oracles import oracle_document_json, oracle_plan_obj
 
@@ -470,38 +470,31 @@ def _example_plan():
 
 
 class TestPlanDocument:
-    def test_round_trip_is_byte_identical(self):
-        plan, metrics, schedule_obj, segments, digest = _example_plan()
-        text = emit_plan(plan, metrics, schedule_obj, segments, digest)
-        document = parse_plan_document(text)
-        assert reemit(document) == text
-
     def test_document_equality_after_parse(self):
+        # the parse itself writes the document again from these fields and
+        # compares the bytes, so the round trip is byte-identical once it reads
         plan, metrics, schedule_obj, segments, digest = _example_plan()
         document = parse_plan_document(emit_plan(plan, metrics, schedule_obj, segments, digest))
-        assert parse_plan_document(reemit(document)) == document
         assert document.input_digest == digest
         assert document.schedule == schedule_obj
         assert document.metrics == metrics
         assert document.plan == plan
 
-    def test_segments_are_priced_at_their_cluster_year(self):
-        # under one year index per cluster; the unassigned carry no cost
+    def test_members_are_priced_at_their_cluster_year(self):
+        # each cluster's members in document order, then the unassigned (none
+        # here) at no cost
         plan, metrics, schedule_obj, segments, digest = _example_plan()
         document = parse_plan_document(emit_plan(plan, metrics, schedule_obj, segments, digest))
         lookup = {seg.id: seg for seg in segments}
-        assert [seg.id for seg in document.segments] == [
-            sid for cluster in plan.clusters for sid in cluster.member_ids
+        year_of = {sid: cluster.year for cluster in plan.clusters for sid in cluster.member_ids}
+        assert [sid for sid, *_ in document.members] == [
+            *(sid for cluster in plan.clusters for sid in cluster.member_ids), *plan.unassigned_ids
         ]
-        by_id = {seg.id: seg for seg in document.segments}
-        for cluster in plan.clusters:
-            rows = [by_id[sid].cost_by_year for sid in cluster.member_ids]
-            assert {id(row._index) for row in rows} == {id(rows[0]._index)}
-            assert dict(rows[0]._index) == {cluster.year: 0}
-            for sid in cluster.member_ids:
-                assert by_id[sid].coords == lookup[sid].coords
-                assert by_id[sid].scheduled_year == lookup[sid].scheduled_year
-                assert by_id[sid].cost_at(cluster.year) == lookup[sid].cost_at(cluster.year)
+        for sid, coords, scheduled_year, cost_used in document.members:
+            assert coords == lookup[sid].coords
+            assert scheduled_year == lookup[sid].scheduled_year
+            expected = lookup[sid].cost_at(year_of[sid]) if sid in year_of else None
+            assert cost_used == expected
 
     def test_empty_plan_document(self):
         plan = Plan(())
@@ -512,7 +505,7 @@ class TestPlanDocument:
         text = emit_plan(plan, metrics, schedule_obj, [], "d1gest")
         document = parse_plan_document(text)
         assert document.plan.clusters == ()
-        assert document.segments == []
+        assert document.members == ()
         assert document.input_digest == "d1gest"
 
     def test_golden_two_blob_document(self):
@@ -686,7 +679,7 @@ DOCUMENT_OBJS = _document_objs()
 def test_document_json_is_json_dumps(obj):
     # NaN and infinities reach the document through json.loads, as from a file
     text = oracle_document_json(obj)
-    assert reemit(parse_plan_document(text)) == text
+    parse_plan_document(text)
 
 
 WRITE_IDS = st.text(min_size=1, max_size=6) | st.sampled_from(AWKWARD_TEXTS)
@@ -787,7 +780,7 @@ def test_emit_plan_is_json_dumps(case):
     plan, metrics, schedule_obj, lookup, digest = case
     text = emit_plan(plan, metrics, schedule_obj, lookup, digest)
     assert text == oracle_document_json(oracle_plan_obj(*case))
-    assert reemit(parse_plan_document(text)) == text
+    parse_plan_document(text)
 
 
 def test_large_document_json_is_json_dumps():
@@ -799,7 +792,7 @@ def test_large_document_json_is_json_dumps():
     ]
     obj["metrics"]["unassigned_count"] = 2_000
     text = oracle_document_json(obj)
-    assert reemit(parse_plan_document(text)) == text
+    parse_plan_document(text)
 
 
 def _golden_with(path, value):
@@ -963,7 +956,7 @@ class TestMalformedPlanDocument:
     @pytest.mark.parametrize("path", sorted(DATA_DIR.glob("*.json")), ids=lambda p: p.name)
     def test_plan_fixtures_parse(self, path):
         text = path.read_text(encoding="utf-8")
-        assert reemit(parse_plan_document(text)) == text
+        parse_plan_document(text)
 
     @pytest.mark.parametrize(
         "text", ["[]", "null", "7", '"plan"', '{"format_version": "1"}', "[" * 100_000]

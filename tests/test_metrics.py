@@ -276,6 +276,9 @@ RING = [
 # the members' spread, and the margin must stop the pruning
 @example([(1e15 + k % 13, 1e15 + k // 13) for k in range(200)])
 @example([(4e15 + k % 20, 4e15 + k // 20) for k in range(200)])
+# 3 * (max / 3) overflows, so every bound is inf and bounds nothing: read as
+# 0, the tied totals are all measured; read as inf, the search stops at one
+@example([(0.0,), (0.0,), (1.7976931348623157e308,)])
 def test_medoid_is_the_least_total_distance(coords):
     # ids run against input order, so a tie does not go to the first member
     segments = [seg(f"p{len(coords) - k:04d}", c) for k, c in enumerate(coords)]

@@ -3,19 +3,23 @@
 The large randomized equivalence harnesses (1000+ seeded trials) live in
 test_acceptance.py; this module pins down the oracle semantics themselves,
 and replays the landmark drivers' year-by-year center choices and the
-baseline plan's medoids against them.
+baseline plan's medoids against them. It also checks a property that no
+oracle states: scaling every coordinate by a power of two changes no plan.
 """
 
+import math
 import random
 from decimal import Decimal
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from paveplan.geometry import ClusterBalls, furthest_point_from_cluster
-from paveplan.metrics import plan_from_schedule
-from paveplan.radial import landmark_based_radial_clustering, schedule_aware_plan
+from paveplan.metrics import compute_metrics, plan_from_schedule
+from paveplan.radial import landmark_based_radial_clustering, main_algorithm, schedule_aware_plan
 from paveplan.model import Cluster, Segment
 from paveplan.refine import radial_neighbor_clustering
+from paveplan.synth import synthesize_dataset
 
 from helpers import line_segments, random_schedule, random_segments, seg
 from oracles import (
@@ -141,3 +145,50 @@ def test_baseline_medoids_match_oracle(trial):
         assert cluster.member_ids == tuple(s.id for s in members)
         expected = oracle_medoid(members) if members else None
         assert cluster.center_id == expected
+
+
+def _synth_dataset(rng):
+    years = range(2018, 2018 + rng.randint(1, 4))
+    n = rng.randint(len(years), 60)
+    return synthesize_dataset(
+        n, rng.randint(1, min(n, 3)), years, rng.randrange(1000), tolerance_fraction=0.05
+    )
+
+
+PLANNERS = {
+    "random": lambda segments, sched: main_algorithm(segments, sched, 3),
+    "landmark": lambda segments, sched: landmark_based_radial_clustering(segments, sched, 0),
+    "schedule": lambda segments, sched: schedule_aware_plan(segments, sched, 0),
+    "baseline": plan_from_schedule,
+}
+
+
+def _dispersions(metrics):
+    figures = [metrics.overall.weighted_mean_dispersion]
+    for year in metrics.per_year:
+        figures += [year.mean_member_distance_to_center, year.mean_pairwise_distance]
+    return figures
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([_synth_dataset, _grid_dataset]),
+    st.integers(0, 2**32 - 1),
+    st.integers(-900, 900),
+)
+@example(_synth_dataset, 0, 900)
+@example(_grid_dataset, 0, -900)
+def test_plans_are_exact_under_power_of_two_scaling(dataset, seed, k):
+    # math.dist and left-to-right sums commute exactly with scaling by 2**k
+    # away from overflow and subnormals, and the margins only prune less
+    # (their absolute terms weigh most when k is small), so no pick may move
+    segments, sched = dataset(random.Random(seed))
+    scaled = [
+        Segment(s.id, tuple(math.ldexp(c, k) for c in s.coords), s.cost_by_year, s.scheduled_year)
+        for s in segments
+    ]
+    for name, planner in PLANNERS.items():
+        plan = planner(segments, sched)
+        assert planner(scaled, sched) == plan, name
+        expected = [math.ldexp(d, k) for d in _dispersions(compute_metrics(plan, sched, segments))]
+        assert _dispersions(compute_metrics(plan, sched, scaled)) == expected, name
