@@ -29,6 +29,7 @@ from .io_formats import (
     emit_segments_csv,
     input_digest,
     load_budgets,
+    load_coordinates,
     load_cost_matrix,
     load_segments,
     parse_int,
@@ -46,7 +47,6 @@ from .model import (
     UnknownSegmentError,
     ValidationFailedError,
     money,
-    segment_lookup,
     validate_dataset,
 )
 from .radial import landmark_based_radial_clustering, main_algorithm, schedule_aware_plan
@@ -156,12 +156,11 @@ def _write_plan(
     """Print the plan's diagnostics, then write its document, with its
     metrics, to ``plan_out`` (stdout if omitted) and its SVG map to
     ``svg_out`` if given. Nothing is written until every artifact is built."""
-    lookup = segment_lookup(segments)
-    metrics = compute_metrics(plan, schedule, lookup)
-    plan_text = emit_plan(plan, metrics, schedule, lookup, digest)
+    metrics = compute_metrics(plan, schedule, segments)
+    plan_text = emit_plan(plan, metrics, schedule, segments, digest)
     files = [(plan_out, plan_text)] if plan_out else []
     if svg_out:
-        files.append((svg_out, render_plan_svg(plan, lookup)))
+        files.append((svg_out, render_plan_svg(plan, segments)))
     for diag in plan.diagnostics:
         where = f" [{diag.year}]" if diag.year is not None else ""
         print(f"{diag.code}{where}: {diag.message}", file=sys.stderr)
@@ -216,15 +215,15 @@ def _cmd_cluster(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     return _write_plan(plan, schedule, segments, digest, args.out, args.svg)
 
 
-def _document_segments(path: Path, *documents: PlanDocument) -> Mapping[str, Segment]:
-    """The segments CSV at ``path`` by id, refused unless it holds every
-    member of the documents at the coordinates the documents record."""
-    lookup = segment_lookup(load_segments(_read(path)))
+def _document_coordinates(path: Path, *documents: PlanDocument) -> dict[str, tuple]:
+    """The segments CSV at ``path`` as id -> coordinates, refused unless it
+    holds every member of the documents at the coordinates they record."""
+    lookup = load_coordinates(_read(path))
     for document in documents:
         for sid, recorded, *_ in document.members:
-            if sid not in lookup:
+            coords = lookup.get(sid)
+            if coords is None:
                 raise UnknownSegmentError(f"plan references unknown segment {sid!r}")
-            coords = lookup[sid].coords
             if coords != recorded:
                 raise MismatchedInputsError(
                     f"segment {sid!r} is at {list(coords)} in {path} "
@@ -260,9 +259,9 @@ def _json_value(value: object) -> object:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     document = parse_plan_document(_read(args.plan))
     # dispersion only needs coordinates; money figures come from the document
-    segments = _document_segments(args.segments, document)
+    coordinates = _document_coordinates(args.segments, document)
     schedule = document.schedule
-    metrics = compute_metrics(document.plan, schedule, segments)
+    metrics = compute_metrics(document.plan, schedule, coordinates)
     obj = _json_value(metrics)
     # the document's clusters match its schedule entries, so this is the
     # realized cost minus the schedule's total budget
@@ -279,18 +278,18 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     before_doc = parse_plan_document(_read(args.before))
     after_doc = parse_plan_document(_read(args.after))
     _check_same_inputs(before_doc, after_doc)
-    segments = _document_segments(args.segments, before_doc, after_doc)
+    coordinates = _document_coordinates(args.segments, before_doc, after_doc)
     # the years and budgets agree; only tolerance overrides may differ
     schedule = after_doc.schedule
-    comparison = compare_plans(before_doc.plan, after_doc.plan, schedule, segments)
+    comparison = compare_plans(before_doc.plan, after_doc.plan, schedule, coordinates)
     print(json.dumps(comparison, indent=2, default=_json_value))
     return 0
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
     document = parse_plan_document(_read(args.plan))
-    segments = _document_segments(args.segments, document)
-    _write_outputs([(args.out, render_plan_svg(document.plan, segments))])
+    coordinates = _document_coordinates(args.segments, document)
+    _write_outputs([(args.out, render_plan_svg(document.plan, coordinates))])
     return 0
 
 

@@ -39,6 +39,7 @@ from .model import (
     Record,
     Segment,
     UnknownSegmentError,
+    coordinate_lookup,
     money,
     segment_lookup,
 )
@@ -157,17 +158,10 @@ def _parse_cost(value: str, row: int, column: str) -> Decimal:
     return cost
 
 
-def load_segments(text: str, years: Iterable[int] | None = None) -> list[Segment]:
-    """Parse the segments CSV: ``id,x,y[,z...],scheduled_year[,cost]``.
-
-    Row order is preserved; README "File formats" lists the four things it
-    decides downstream. Each cell is checked once, naming its row and
-    column, and each segment built once from the checked values
-    (``Segment._trusted``), its cost column in a flat row (``costs.flat_rows``)
-    over the plan ``years``, or over its scheduled year alone without them.
-    Given ``years`` but no cost column, the first segment raises
-    ``MissingCostError``.
-    """
+def _segment_rows(text: str) -> Iterator[tuple]:
+    """The segments CSV ``id,x,y[,z...],scheduled_year[,cost]``, row by row,
+    as ``(id, coords, scheduled_year, cost or None)``; each cell is checked
+    once, as it is read, naming its row and column."""
     header, rows = _table(text, "segments")
     if not header or header[0] != "id":
         raise CsvFormatError("first column must be 'id'", row=1)
@@ -186,11 +180,7 @@ def load_segments(text: str, years: Iterable[int] | None = None) -> list[Segment
             f"unexpected columns after 'scheduled_year': {trailing}", row=1
         )
     has_cost = trailing == ["cost"]
-
-    segments: list[Segment] = []
     first_row_of: dict[str, int] = {}
-    flat_row = flat_rows(years or ())
-    build = Segment._trusted
     for line_no, row in rows:
         sid = row[0].strip()
         if not sid:
@@ -204,15 +194,31 @@ def load_segments(text: str, years: Iterable[int] | None = None) -> list[Segment
         first_row_of[sid] = line_no
         coords = _parse_coords(row[1:year_index], line_no, coord_names)
         year = _parse_int(row[year_index], line_no, "scheduled_year")
-        table = _NO_COSTS
-        if has_cost:
-            table = flat_row(year, _parse_cost(row[year_index + 1], line_no, "cost"))
-        segments.append(build(sid, coords, table, year))
-    if not segments:
+        cost = _parse_cost(row[year_index + 1], line_no, "cost") if has_cost else None
+        yield sid, coords, year, cost
+    if not first_row_of:
         raise CsvFormatError("segments CSV has no data rows")
-    if years is not None and not has_cost:
-        segments[0].base_cost()  # raises MissingCostError, once the rows parse
+
+
+def load_segments(text: str, years: Iterable[int] | None = None) -> list[Segment]:
+    """The segments CSV's rows as segments, in row order (README "File
+    formats"), each built once (``Segment._trusted``) with its cost in a
+    flat row over the plan ``years``, or its own year without them. Given
+    ``years`` but no cost column, raises ``MissingCostError``."""
+    flat_row = flat_rows(years or ())
+    build = Segment._trusted
+    segments = [
+        build(sid, coords, _NO_COSTS if cost is None else flat_row(year, cost), year)
+        for sid, coords, year, cost in _segment_rows(text)
+    ]
+    if years is not None:
+        segments[0].base_cost()  # without a cost column, raises MissingCostError
     return segments
+
+
+def load_coordinates(text: str) -> dict[str, tuple]:
+    """The segments CSV as id -> coordinates, checked as by ``load_segments``."""
+    return {sid: coords for sid, coords, _, _ in _segment_rows(text)}
 
 
 def _coord_names(dimension: int) -> list[str]:
@@ -682,20 +688,18 @@ def _xml_text(text: str) -> str:
     return text if text.isprintable() else _NOT_XML_CHAR.sub("\ufffd", text)
 
 
-def render_plan_svg(
-    plan: Plan, segments: Iterable[Segment] | Mapping[str, Segment]
-) -> str:
+def render_plan_svg(plan: Plan, segments: Iterable[Segment] | Mapping) -> str:
     """Schematic 800 x 600 map: one marker per segment colored by assigned
     year, ringed cluster centers, and a year legend. Planar data only."""
-    lookup = segment_lookup(segments)
+    lookup = coordinate_lookup(segments)
 
     def planar(sid: str) -> tuple[float, float]:
         if sid not in lookup:
             raise UnknownSegmentError(f"plan references unknown segment {sid!r}")
-        seg = lookup[sid]
-        if seg.dimension != 2:
+        coords = lookup[sid]
+        if len(coords) != 2:
             raise DimensionMismatchError("SVG rendering needs 2-dimensional data")
-        return seg.coords[0], seg.coords[1]
+        return coords[0], coords[1]
 
     plotted: list[tuple[str, tuple[float, float], str, bool]] = []
     legend: list[tuple[str, str]] = []

@@ -389,6 +389,14 @@ def segment_lookup(
     return {seg.id: seg for seg in segments}
 
 
+def coordinate_lookup(segments: Iterable[Segment] | Mapping) -> Mapping[str, tuple]:
+    """Normalize an iterable of segments (or an id -> coordinates mapping) to
+    id -> coordinates."""
+    if isinstance(segments, Mapping):
+        return segments
+    return {seg.id: seg.coords for seg in segments}
+
+
 def validate_dataset(
     segments: Iterable[Segment], schedule: BudgetSchedule
 ) -> tuple[Diagnostic, ...]:

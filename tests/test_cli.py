@@ -24,7 +24,9 @@ from paveplan.io_formats import (
     load_segments,
     parse_plan_document,
 )
-from paveplan.model import BudgetEntry, BudgetSchedule, PavePlanError, Segment, validate_dataset
+from paveplan.model import (
+    BudgetEntry, BudgetSchedule, CostRow, PavePlanError, Segment, validate_dataset,
+)
 
 from helpers import (
     JSON_VALUES, csv_texts, document_text, money_respellings, refusal, refused_at, seg,
@@ -753,6 +755,73 @@ def test_both_files_malformed_names_the_segments_row(command, tmp_path, monkeypa
     assert main(args) == 2
     assert "row 2, column 'budget'" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["budgets.csv", "segments.csv"]
+
+
+GOOD_SEGMENT_ROWS = "id,x,y,scheduled_year,cost\na,0,0,2018,1.00\n"
+# a row appended to GOOD_SEGMENT_ROWS, and the one line every reader of the
+# segments CSV prints for it
+SEGMENT_ROW_REFUSALS = {
+    "empty-id": (" ,1,1,2018,1.00", "row 3, column 'id': empty id"),
+    "duplicate-id": ("a,1,1,2018,1.00", "row 3, column 'id': duplicate id 'a' (first seen on row 2)"),
+    "malformed-coordinate": ("b,north,0,2018,1.00", "row 3, column 'x': malformed number 'north'"),
+    "non-finite-coordinate": ("b,0,inf,2018,1.00", "row 3, column 'y': non-finite number 'inf'"),
+    "non-ascii-year": ("b,0,0,\u0662\u0660\u0661\u0669,1.00",
+                       "row 3, column 'scheduled_year': malformed integer '\u0662\u0660\u0661\u0669'"),
+    "sub-cent-cost": ("b,0,0,2018,1.234",
+                      "row 3, column 'cost': money must have at most 2 decimal places, got '1.234'"),
+    "zero-cost": ("b,0,0,2018,0.00", "row 3, column 'cost': cost must be positive, got 0.00"),
+    "negative-cost": ("b,0,0,2018,-1.00", "row 3, column 'cost': cost must be positive, got -1.00"),
+    "short-row": ("b,0,0,2018", "row 3: expected 5 fields, got 4"),
+    # row 3's last cell is named before row 4's first
+    "two-faulty-rows": ("b,0,0,2018,0.00\n,0,0,2018,1.00",
+                        "row 3, column 'cost': cost must be positive, got 0.00"),
+}
+READ_SIDE_ARGS = {
+    "metrics": ["metrics", "--plan", "plan.json"],
+    "compare": ["compare", "--before", "plan.json", "--after", "plan.json"],
+    "render": ["render", "--plan", "plan.json", "--out", "plan.svg"],
+}
+
+
+@pytest.fixture
+def good_plan(tmp_path, monkeypatch):
+    """A plan document built from GOOD_SEGMENT_ROWS, in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    Path("good.csv").write_text(GOOD_SEGMENT_ROWS, encoding="utf-8")
+    Path("budgets.csv").write_text("year,budget\n2018,1.00\n", encoding="utf-8")
+    assert main(
+        ["cluster", "--segments", "good.csv", "--budgets", "budgets.csv", "--algo", "schedule",
+         "--out", "plan.json"]
+    ) == 0
+
+
+@pytest.mark.parametrize("command", ["cluster", *READ_SIDE_ARGS])
+@pytest.mark.parametrize("row, message", SEGMENT_ROW_REFUSALS.values(), ids=SEGMENT_ROW_REFUSALS)
+def test_every_reader_refuses_a_bad_segment_row_alike(
+    command, row, message, good_plan, tmp_path, capsys
+):
+    Path("bad.csv").write_text(f"{GOOD_SEGMENT_ROWS}{row}\n", encoding="utf-8")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    args = READ_SIDE_ARGS.get(command) or [
+        "cluster", "--budgets", "budgets.csv", "--algo", "schedule", "--out", "out.json",
+        "--svg", "out.svg",
+    ]
+    capsys.readouterr()
+    assert main([*args, "--segments", "bad.csv"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", READ_SIDE_ARGS)
+def test_read_side_builds_no_segment(command, good_plan, monkeypatch, capsys):
+    # the read side keeps ids and coordinates; it checks every cost cell
+    # without pricing a row
+    built = []
+    trusted, cost_row = Segment._trusted, CostRow.__init__
+    monkeypatch.setattr(Segment, "_trusted", lambda *a: built.append(a) or trusted(*a))
+    monkeypatch.setattr(CostRow, "__init__", lambda *a: built.append(a) or cost_row(*a))
+    assert main([*READ_SIDE_ARGS[command], "--segments", "good.csv"]) == 0
+    assert built == []
 
 
 def test_failed_svg_write_leaves_no_plan(two_blob_files, tmp_path, capsys):

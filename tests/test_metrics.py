@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from paveplan import metrics
 from paveplan.cli import main
-from paveplan.io_formats import load_segments
+from paveplan.io_formats import load_budgets, load_segments
 from paveplan.metrics import (
     PlanComparison,
     YearDispersionDelta,
@@ -252,8 +252,20 @@ KERNEL_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 1.0, 9e307, -9e307]) | st.fl
 def _point_sets(draw):
     dimension = draw(st.integers(1, 3))
     point = st.tuples(*[KERNEL_FLOATS] * dimension)
-    # past 16 points the medoid search splits the members into groups
-    return draw(st.lists(point, min_size=1, max_size=70))
+    # past 16 points the medoid search splits the members into groups of at
+    # most max(16, 3 * isqrt(m)); 150 points make up to 8 of them
+    return draw(st.lists(point, min_size=1, max_size=150))
+
+
+@st.composite
+def _symmetric_point_sets(draw):
+    """Points symmetric under x -> -x and y -> -y, in any order: a point's
+    true total equals each mirror image's, while the float totals, added in
+    member order, may differ by a rounding or not at all."""
+    coordinate = st.integers(0, 40).map(float) | st.floats(0.0, 1e9)
+    corners = draw(st.lists(st.tuples(coordinate, coordinate), min_size=5, max_size=40))
+    points = [(sx * x, sy * y) for x, y in corners for sx in (1.0, -1.0) for sy in (1.0, -1.0)]
+    return draw(st.permutations(points))
 
 
 RING = [
@@ -286,12 +298,46 @@ def test_medoid_is_the_least_total_distance(coords):
     assert cluster.center_id == oracle_medoid(segments, dist=math.dist)
 
 
-def test_baseline_measures_few_exact_totals(tmp_path, monkeypatch):
+@settings(deadline=None)
+@given(_symmetric_point_sets())
+@example([(sx * 3.0, sy * 4.0) for sx in (1.0, -1.0) for sy in (1.0, -1.0)] * 5)
+def test_medoid_breaks_mirror_ties_as_the_oracle(coords):
+    # 20 to 160 points: always past the leaf size, so the grouped bound runs
+    segments = [seg(f"p{len(coords) - k:04d}", c) for k, c in enumerate(coords)]
+    (cluster,) = plan_from_schedule(segments, schedule([len(coords)])).clusters
+    assert cluster.center_id == oracle_medoid(segments, dist=math.dist)
+
+
+def _synth_1200_by_4(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(
         ["synth", "--n", "1200", "--blobs", "2", "--years", "2018:2021", "--seed", "3",
          "--out-segments", "s.csv", "--out-budgets", "b.csv"]
     ) == 0
+
+
+def test_medoid_search_measures_few_distances(tmp_path, monkeypatch):
+    _synth_1200_by_4(tmp_path, monkeypatch)
+    segments = load_segments(Path("s.csv").read_text())
+    sched = load_budgets(Path("b.csv").read_text())
+    calls = 0
+    dist = math.dist
+
+    def counting_dist(a, b):
+        nonlocal calls
+        calls += 1
+        return dist(a, b)
+
+    monkeypatch.setattr(math, "dist", counting_dist)
+    plan_from_schedule(segments, sched)
+    # with groups of at most max(16, isqrt(300)) = 17 members, 32 per year,
+    # the search measured 41,400 distances here: 4 * 300 * 32 to groups and
+    # 10 exact totals of 300; groups of at most 51 measure 15,600
+    assert calls < 0.4 * 41_400
+
+
+def test_baseline_measures_few_exact_totals(tmp_path, monkeypatch):
+    _synth_1200_by_4(tmp_path, monkeypatch)
     sizes = Counter(s.scheduled_year for s in load_segments(Path("s.csv").read_text()))
     calls = pairwise_calls = 0
     dist = math.dist

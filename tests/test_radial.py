@@ -257,5 +257,5 @@ def test_every_engine_prices_members_at_the_cluster_year(engine):
         assert cluster.realized_cost == sum((s.cost_at(cluster.year) for s in members), ZERO)
         moved += sum(s.scheduled_year != cluster.year for s in members)
     assert moved
-    text = emit_plan(plan, compute_metrics(plan, sched, lookup), sched, lookup, input_digest(engine))
+    text = emit_plan(plan, compute_metrics(plan, sched, segments), sched, lookup, input_digest(engine))
     assert parse_plan_document(text).plan == plan
