@@ -76,7 +76,7 @@ def _load_dataset(args: argparse.Namespace) -> tuple[list[Segment], BudgetSchedu
     try:
         schedule = load_budgets(budgets_text, conservation_tolerance=args.conservation_tolerance)
     except CsvFormatError:
-        load_segments(segments_text)
+        load_coordinates(segments_text)
         raise
     if args.cost_matrix:
         segments = load_cost_matrix(matrix_text, load_segments(segments_text))

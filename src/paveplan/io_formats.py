@@ -158,6 +158,19 @@ def _parse_cost(value: str, row: int, column: str) -> Decimal:
     return cost
 
 
+def _new_id(cell: str, row: int, first_row_of: dict[str, int]) -> str:
+    """The id in ``cell``, recorded in ``first_row_of``: never empty, never seen before."""
+    sid = cell.strip()
+    if not sid:
+        raise CsvFormatError("empty id", row=row, column="id")
+    if sid in first_row_of:
+        raise CsvFormatError(
+            f"duplicate id {sid!r} (first seen on row {first_row_of[sid]})", row=row, column="id"
+        )
+    first_row_of[sid] = row
+    return sid
+
+
 def _segment_rows(text: str) -> Iterator[tuple]:
     """The segments CSV ``id,x,y[,z...],scheduled_year[,cost]``, row by row,
     as ``(id, coords, scheduled_year, cost or None)``; each cell is checked
@@ -182,16 +195,7 @@ def _segment_rows(text: str) -> Iterator[tuple]:
     has_cost = trailing == ["cost"]
     first_row_of: dict[str, int] = {}
     for line_no, row in rows:
-        sid = row[0].strip()
-        if not sid:
-            raise CsvFormatError("empty id", row=line_no, column="id")
-        if sid in first_row_of:
-            raise CsvFormatError(
-                f"duplicate id {sid!r} (first seen on row {first_row_of[sid]})",
-                row=line_no,
-                column="id",
-            )
-        first_row_of[sid] = line_no
+        sid = _new_id(row[0], line_no, first_row_of)
         coords = _parse_coords(row[1:year_index], line_no, coord_names)
         year = _parse_int(row[year_index], line_no, "scheduled_year")
         cost = _parse_cost(row[year_index + 1], line_no, "cost") if has_cost else None
@@ -301,12 +305,9 @@ def load_cost_matrix(text: str, segments: Iterable[Segment]) -> list[Segment]:
         index[year] = position
     index = dict(sorted(index.items()))
     costs_of: dict[str, tuple[Decimal, ...]] = {}
+    first_row_of: dict[str, int] = {}
     for line_no, row in rows:
-        sid = row[0].strip()
-        if not sid:
-            raise CsvFormatError("empty id", row=line_no, column="id")
-        if sid in costs_of:
-            raise CsvFormatError(f"duplicate id {sid!r}", row=line_no, column="id")
+        sid = _new_id(row[0], line_no, first_row_of)
         costs_of[sid] = tuple(map(_parse_cost, row[1:], repeat(line_no), header[1:]))
     out = []
     for seg in segments:

@@ -22,7 +22,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .geometry import Pool, check_same_dimension, nearest_first
-from .model import Cluster, Record, Segment, money
+from .model import MONEY_LIMIT, Cluster, Record, Segment, money
 
 STOP_BUDGET_REACHED = "budget_reached"
 STOP_DATA_EXHAUSTED = "data_exhausted"
@@ -71,18 +71,6 @@ def _admit(
     return admitted, stop_reason
 
 
-def _walk(
-    pool: Sequence[Segment] | Pool,
-    center: Segment,
-    cap: Decimal,
-    year: int,
-    skip_mode: bool = False,
-) -> tuple[list[tuple[Segment, Decimal]], str]:
-    """:func:`_admit` over the rest of the pool, nearest to ``center`` first."""
-    # the stream looks for the center at once: a flagged center must be in the pool too
-    return _admit(center, nearest_first(pool, center), cap, year, skip_mode)
-
-
 def _cluster(
     year: int,
     center: Segment,
@@ -118,7 +106,8 @@ def radial_neighbor_clustering(
     """
     cap = money(budget)
     year = center.scheduled_year if year is None else year
-    admitted, stop_reason = _walk(pool, center, cap, year, skip_mode)
+    # the stream looks for the center at once: a flagged center must be in the pool too
+    admitted, stop_reason = _admit(center, nearest_first(pool, center), cap, year, skip_mode)
     cluster = _cluster(year, center, admitted, cap)
     return cluster, ClusterBuildTrace(center.id, tuple(admitted), stop_reason)
 
@@ -171,10 +160,11 @@ def build_tolerance_band(
     """Cut the inner/nominal/outer clusters from one walk around ``center``,
     pricing at ``year`` or else the center's scheduled year.
 
-    The walk runs once, to the outer cap. Prefix admission makes each
-    smaller cap a cut of the same walk: the admissions whose running total
-    stays within it, and at least the center, which is how a center at or
-    over a cap becomes that cap's flagged singleton.
+    The walk is :func:`radial_neighbor_clustering` to the outer cap, and its
+    cluster is the outer one. Prefix admission makes each smaller cap a cut
+    of the same walk: the admissions whose running total stays within it,
+    and at least the center, which is how a center at or over a cap becomes
+    that cap's flagged singleton.
     """
     cap = money(budget)
     low = money(low_tolerance)
@@ -184,17 +174,19 @@ def build_tolerance_band(
     if cap - low <= 0:
         raise ValueError("low tolerance must leave a positive inner budget")
     year = center.scheduled_year if year is None else year
-    admitted, _ = _walk(pool, center, cap + high, year)
-    totals = [total for _, total in admitted]
+    if cap + high >= MONEY_LIMIT:
+        raise ValueError(f"year {year}: budget + e_h {cap + high} is not below {MONEY_LIMIT:.0E}")
+    high_cluster, trace = radial_neighbor_clustering(pool, center, cap + high, year=year)
+    totals = [total for _, total in trace.admitted]
 
     def cut(limit: Decimal) -> Cluster:
         size = max(1, bisect_right(totals, limit))
-        return _cluster(year, center, admitted[:size], limit)
+        return _cluster(year, center, trace.admitted[:size], limit)
 
     low_cluster = cut(cap - low)
-    walked = tuple(seg for seg, _ in admitted)
+    walked = tuple(seg for seg, _ in trace.admitted)
     band = tuple(band_order(walked[low_cluster.size :], center, year=year))
-    return ToleranceBand(low_cluster, cut(cap), cut(cap + high), walked[: low_cluster.size], band)
+    return ToleranceBand(low_cluster, cut(cap), high_cluster, walked[: low_cluster.size], band)
 
 
 def schedule_aware_cluster(

@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 import json
+import math
 import re
 from decimal import Decimal
 
@@ -71,6 +72,36 @@ def random_schedule(rng, years, *, max_budget_cents=2_000_00, with_tolerances=Fa
         )
     return BudgetSchedule(tuple(entries))
 
+
+@st.composite
+def far_unit_points(draw):
+    """2 to 60 points 1e15 to 1e17 from the origin on every axis, a whole
+    number of units apart: past 2**53 a unit rounds, and near-equal
+    distances share most of their digits."""
+    dimension = draw(st.integers(1, 3))
+    offset = draw(st.integers(10**15, 10**17)) * draw(st.sampled_from((1, -1)))
+    coordinate = st.integers(0, 6).map(lambda k: float(offset + k))
+    return draw(st.lists(st.tuples(*[coordinate] * dimension), min_size=2, max_size=60))
+
+
+@st.composite
+def ulp_apart_points(draw):
+    """The origin and 1 to 59 points on the axes at ``d`` or one ulp past
+    ``d`` from it: pairs of distances that differ by one ulp, or tie."""
+    dimension = draw(st.integers(1, 3))
+    d = draw(st.floats(5e-324, 1e300))
+    radii = (d, math.nextafter(d, math.inf))
+    points = [(0.0,) * dimension]
+    for _ in range(draw(st.integers(1, 59))):
+        point = [0.0] * dimension
+        point[draw(st.integers(0, dimension - 1))] = draw(st.sampled_from(radii)) * draw(
+            st.sampled_from((1.0, -1.0))
+        )
+        points.append(tuple(point))
+    return draw(st.permutations(points))
+
+
+NEAR_TIE_POINTS = far_unit_points() | ulp_apart_points()
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),

@@ -40,14 +40,15 @@ def oracle_prefix_cluster(pool, center, cap, cost=None):
     return chosen
 
 
-def oracle_furthest_point(candidates, clustered_coords):
+def oracle_furthest_point(candidates, clustered_coords, dist=euclid):
     """Id of the candidate maximizing the min distance to the clustered set;
-    the earliest candidate wins ties (replacement only on strict improvement)."""
+    the earliest candidate wins ties (replacement only on strict improvement).
+    Pass ``dist=math.dist`` to rank by the very floats the engine compares."""
     clustered_coords = list(clustered_coords)
     best = None
     best_d = None
     for seg in candidates:
-        d = min(euclid(seg.coords, c) for c in clustered_coords)
+        d = min(dist(seg.coords, c) for c in clustered_coords)
         if best is None or d > best_d:
             best, best_d = seg, d
     if best is None:

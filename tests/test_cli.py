@@ -425,6 +425,22 @@ def test_synth_years_keep_whitespace_and_signs(tmp_path):
     assert years == ["2018", "2019"]
 
 
+def test_synth_auto_budgets_need_one_project_per_year(tmp_path, capsys):
+    # with one project per year, every auto-sized budget is at least the
+    # least synthetic cost, 5,000.00; with fewer, synth refuses
+    args = ["synth", "--blobs", "1", "--years", "2018:2020", "--seed", "1",
+            "--out-segments", str(tmp_path / "s.csv"), "--out-budgets", str(tmp_path / "b.csv")]
+    assert main([*args, "--n", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: auto-sized budgets need at least one project per year\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+    assert main([*args, "--n", "3"]) == 0
+    rows = (tmp_path / "b.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == 3
+    assert all(Decimal(row.split(",")[1]) >= Decimal("5000.00") for row in rows)
+
+
 @pytest.mark.parametrize("value", ["1_0", "١٠"])
 def test_integer_options_refuse_other_digits(value, tmp_path):
     with pytest.raises(SystemExit) as excinfo:
@@ -466,6 +482,52 @@ def test_csv_integers_refuse_other_digits(files, where, tmp_path, monkeypatch, c
         assert main(command) == 2
         assert capsys.readouterr().err == f"error: {where}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(texts)
+
+
+def test_duplicate_matrix_id_names_its_first_row(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    texts = {
+        "segments.csv": "id,x,y,scheduled_year,cost\na,0,0,2018,1.00\n",
+        "budgets.csv": "year,budget\n2018,1.00\n",
+        "matrix.csv": "id,Y2018\na,1.00\nb,1.00\na,2.00\n",
+    }
+    for name, text in texts.items():
+        Path(name).write_text(text, encoding="utf-8")
+    code = main(
+        ["cluster", "--algo", "schedule", "--segments", "segments.csv", "--budgets",
+         "budgets.csv", "--cost-matrix", "matrix.csv", "--out", "plan.json"]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: row 4, column 'id': duplicate id 'a' (first seen on row 2)\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(texts)
+
+
+@pytest.mark.parametrize(
+    "budgets, flags, outer",
+    [("year,budget,e_l,e_h\n2018,900000000000000000.00,0.00,900000000000000000.00\n", [],
+      "1800000000000000000.00"),
+     ("year,budget\n2018,900000000000000000.00\n", ["--high-tolerance", "100000000000000000.00"],
+      "1000000000000000000.00")],
+    ids=["budgets-csv", "high-tolerance-option"],
+)
+def test_outer_cap_past_the_money_limit_names_the_year(budgets, flags, outer, tmp_path,
+                                                       monkeypatch, capsys):
+    # the landmark engine plans these inputs; the band's outer cap,
+    # budget + e_h, is refused before any walk, naming its year
+    monkeypatch.chdir(tmp_path)
+    Path("segments.csv").write_text(
+        "id,x,y,scheduled_year,cost\na,0,0,2018,1.00\nb,1,0,2018,1.00\n", encoding="utf-8"
+    )
+    Path("budgets.csv").write_text(budgets, encoding="utf-8")
+    args = ["--segments", "segments.csv", "--budgets", "budgets.csv"]
+    assert main(["cluster", "--algo", "schedule", *args, *flags, "--out", "plan.json"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: year 2018: budget + e_h {outer} is not below 1E+18\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["budgets.csv", "segments.csv"]
+    assert main(["cluster", "--algo", "landmark", *args, "--out", "plan.json"]) == 0
 
 
 # two points 1.8e308 apart: finite coordinates whose distance overflows

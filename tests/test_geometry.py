@@ -16,7 +16,7 @@ from paveplan.model import Cluster, DimensionMismatchError, Plan
 from paveplan.radial import landmark_based_radial_clustering, main_algorithm, schedule_aware_plan
 from paveplan.refine import band_order, radial_neighbor_clustering
 
-from helpers import line_segments, random_segments, schedule, seg
+from helpers import NEAR_TIE_POINTS, line_segments, random_segments, schedule, seg
 from oracles import oracle_furthest_point
 
 
@@ -116,6 +116,18 @@ def measured(monkeypatch):
     dist = math.dist
     monkeypatch.setattr(math, "dist", lambda a, b: points.append(b) or dist(a, b))
     return points
+
+
+@given(NEAR_TIE_POINTS, st.data())
+def test_nearest_first_orders_near_ties_as_the_sorted_pool(points, data):
+    # ids run against input order, so a tie does not go to the first point
+    segments = [seg(f"p{len(points) - k:02d}", c) for k, c in enumerate(points)]
+    anchor = data.draw(st.sampled_from(segments))
+    expected = sorted(
+        (s for s in segments if s is not anchor),
+        key=lambda s: (math.dist(anchor.coords, s.coords), s.id),
+    )
+    assert [s.id for s in nearest_first(segments, anchor)] == [s.id for s in expected]
 
 
 def test_nearest_first_measures_each_point_once_and_only_when_read(measured):
@@ -399,3 +411,21 @@ def test_furthest_point_maximality(trial_seed):
     for other in segments:
         assert best_d >= min_linkage(other.coords)
     assert best.id == oracle_furthest_point(segments, clustered)
+
+
+@given(NEAR_TIE_POINTS, st.data())
+def test_furthest_point_picks_near_ties_as_the_oracle(points, data):
+    # the first points join year by year as clusters, the rest are candidates
+    cut = data.draw(st.integers(1, len(points) - 1))
+    ends = sorted(data.draw(st.sets(st.integers(1, cut), max_size=5)) | {cut})
+    groups = [points[start:end] for start, end in zip([0, *ends], ends)]
+    candidates = [seg(f"c{len(points) - k:02d}", p) for k, p in enumerate(points[cut:])]
+    balls, clustered = ClusterBalls(), []
+    for group in groups:
+        balls.add(group)
+        clustered.extend(group)
+        if not candidates:
+            break
+        best = furthest_point_from_cluster(candidates, balls)
+        assert best.id == oracle_furthest_point(candidates, clustered, dist=math.dist)
+        candidates.remove(best)

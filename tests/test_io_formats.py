@@ -433,6 +433,13 @@ class TestCostMatrixCsv:
         with pytest.raises(CsvFormatError, match="row 1, column 'Y02018': duplicate year 2018"):
             load_cost_matrix("id,Y2018,Y2019,Y02018\na,1.00,1.00,1.00\n", [])
 
+    def test_duplicate_id_names_its_first_row(self):
+        with pytest.raises(CsvFormatError) as excinfo:
+            load_cost_matrix("id,Y2018\na,1.00\nb,1.00\na,2.00\n", [])
+        assert str(excinfo.value) == (
+            "row 4, column 'id': duplicate id 'a' (first seen on row 2)"
+        )
+
     def test_wrong_row_width(self):
         with pytest.raises(CsvFormatError, match="row 3: expected 3 fields, got 2"):
             load_cost_matrix("id,Y2018,Y2019\na,1.00,1.00\nb,1.00\n", [])

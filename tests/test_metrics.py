@@ -31,7 +31,7 @@ from paveplan.model import (
 )
 from paveplan.radial import landmark_based_radial_clustering
 
-from helpers import random_segments, schedule, seg
+from helpers import NEAR_TIE_POINTS, random_segments, schedule, seg
 from oracles import oracle_cluster_cost, oracle_medoid
 
 
@@ -303,6 +303,14 @@ def test_medoid_is_the_least_total_distance(coords):
 @example([(sx * 3.0, sy * 4.0) for sx in (1.0, -1.0) for sy in (1.0, -1.0)] * 5)
 def test_medoid_breaks_mirror_ties_as_the_oracle(coords):
     # 20 to 160 points: always past the leaf size, so the grouped bound runs
+    segments = [seg(f"p{len(coords) - k:04d}", c) for k, c in enumerate(coords)]
+    (cluster,) = plan_from_schedule(segments, schedule([len(coords)])).clusters
+    assert cluster.center_id == oracle_medoid(segments, dist=math.dist)
+
+
+@settings(deadline=None)
+@given(NEAR_TIE_POINTS)
+def test_medoid_picks_near_ties_as_the_oracle(coords):
     segments = [seg(f"p{len(coords) - k:04d}", c) for k, c in enumerate(coords)]
     (cluster,) = plan_from_schedule(segments, schedule([len(coords)])).clusters
     assert cluster.center_id == oracle_medoid(segments, dist=math.dist)

@@ -17,7 +17,6 @@ from paveplan.refine import (
     STOP_BUDGET_REACHED,
     STOP_CENTER_EXCEEDS_BUDGET,
     STOP_DATA_EXHAUSTED,
-    _walk,
     radial_neighbor_clustering,
 )
 from paveplan.synth import synthesize_dataset
@@ -64,14 +63,14 @@ class TestRadialNeighborClustering:
         pool = line_segments([0, 1])
         center = seg("z", (9, 9), cost="5.00")
         with pytest.raises(ValueError, match="'z' is not in the segment list"):
-            _walk(pool, center, Decimal(cap), 2018)
+            radial_neighbor_clustering(pool, center, Decimal(cap), year=2018)
 
     def test_walk_admits_the_pool_segments_nearest_first(self):
         pool = line_segments([3, 0, 2, 1])
-        admitted, stop = _walk(pool, pool[1], Decimal("3.00"), 2018)
-        assert [s.id for s, _ in admitted] == ["s0", "s1", "s2"]
-        assert all(any(s is p for p in pool) for s, _ in admitted)
-        assert stop == STOP_BUDGET_REACHED
+        _, trace = radial_neighbor_clustering(pool, pool[1], Decimal("3.00"), year=2018)
+        assert [s.id for s, _ in trace.admitted] == ["s0", "s1", "s2"]
+        assert all(any(s is p for p in pool) for s, _ in trace.admitted)
+        assert trace.stop_reason == STOP_BUDGET_REACHED
 
     def test_nonpositive_budget(self):
         pool = line_segments([0])

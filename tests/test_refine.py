@@ -177,6 +177,35 @@ class TestScheduleAwareCluster:
         )
         assert packed.member_ids == ("c", "f", "small-late")
 
+    @pytest.mark.parametrize("center_cost", ["1.00", "6.00"])
+    def test_one_radial_walk_builds_the_band(self, center_cost, monkeypatch):
+        # the walk to cap + e_h is the outer cluster, flagged center or not
+        walks, bands = [], []
+
+        def spy(inner, calls):
+            def wrapper(*args, **kwargs):
+                result = inner(*args, **kwargs)
+                calls.append(result)
+                return result
+            return wrapper
+
+        monkeypatch.setattr(
+            paveplan.refine, "radial_neighbor_clustering",
+            spy(radial_neighbor_clustering, walks),
+        )
+        monkeypatch.setattr(paveplan.refine, "build_tolerance_band", spy(build_tolerance_band, bands))
+        pool = line_segments(range(6))
+        pool[0] = seg("s0", (0, 0), cost=center_cost)
+        schedule_aware_cluster(pool, pool[0], "5.00", "1.00", "1.00")
+        assert len(walks) == len(bands) == 1
+        assert bands[0].high_cluster == walks[0][0]
+        assert walks[0][0].budget == Decimal("6.00")
+
+    def test_outer_cap_past_the_money_limit_names_the_year(self):
+        pool = line_segments(range(3))
+        with pytest.raises(ValueError, match=r"^year 2021: budget \+ e_h 1000000000000000000.00 "):
+            schedule_aware_cluster(pool, pool[0], "999999999999999999.00", "0.00", "1.00", year=2021)
+
     @given(st.integers(min_value=0, max_value=5_000))
     @settings(max_examples=60)
     def test_sandwich_and_cap(self, trial_seed):
