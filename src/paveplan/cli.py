@@ -314,23 +314,13 @@ def _parse_years(spec: str) -> tuple[int, ...]:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     years = _parse_years(args.years)
-    budgets = (
-        [money(part) for part in args.budgets.split(",")] if args.budgets else None
-    )
     if args.growth_rate and not args.out_matrix:
         raise PavePlanError(
             "--growth-rate produces year-dependent costs; also pass --out-matrix"
         )
     segments, schedule = synthesize_dataset(
-        args.n,
-        args.blobs,
-        years,
-        args.seed,
-        spread=args.spread,
-        blob_radius=args.blob_radius,
-        budgets=budgets,
-        growth_rate=args.growth_rate,
-        tolerance_fraction=args.tolerance_fraction,
+        args.n, args.blobs, years, args.seed,
+        growth_rate=args.growth_rate, tolerance_fraction=args.tolerance_fraction,
     )
     files = [
         (args.out_segments, emit_segments_csv(segments)),
@@ -430,9 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--blobs", type=_int_arg, required=True)
     p_synth.add_argument("--years", required=True, help="e.g. 2018:2022 or 2018,2019")
     p_synth.add_argument("--seed", type=_int_arg, required=True)
-    p_synth.add_argument("--spread", type=float, default=2000.0)
-    p_synth.add_argument("--blob-radius", type=float, default=50000.0)
-    p_synth.add_argument("--budgets", help="comma list; omit for auto-sized budgets")
     p_synth.add_argument("--tolerance-fraction", type=float, default=0.0)
     p_synth.add_argument("--growth-rate", type=float, default=0.0)
     p_synth.add_argument("--out-segments", type=Path, required=True)

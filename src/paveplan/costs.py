@@ -1,56 +1,22 @@
-"""Year-dependent project costs.
+"""Flat cost rows: a segment's one cost in every plan year.
 
 A segment's prices live in its ``CostRow``; lookups are exact, never
 interpolated. A cost matrix is no type of its own: it is segments whose rows
 share one year index (``io_formats.load_cost_matrix`` reads one,
 ``io_formats.emit_cost_matrix_csv`` writes one). Without a matrix, a
 segment costs its scheduled-year cost in every plan year, in a row from
-:func:`flat_rows`, which ``io_formats.load_segments`` builds as it parses
-(:func:`flat_cost_table` reprices built segments). :func:`compounded_costs`
-stands in for per-year planning-software runs: a base cost compounds by a
-growth rate per calendar year away from the project's own scheduled year.
+:func:`flat_rows`, which ``io_formats.load_segments`` and
+``synth.synthesize_dataset`` build as they go (:func:`flat_cost_table`
+reprices built segments). ``synth.compounded_costs`` makes year-dependent
+costs.
 """
 
 from __future__ import annotations
 
-from decimal import Decimal, Overflow, ROUND_HALF_UP
+from decimal import Decimal
 from typing import Callable, Iterable, Sequence
 
-from .model import CENT, MONEY_LIMIT, CostRow, Segment
-
-
-def compounded_costs(
-    segment_id: str,
-    base: Decimal,
-    scheduled_year: int,
-    years: Sequence[int],
-    growth_rate: float,
-) -> tuple[Decimal, ...]:
-    """One segment's costs in ``years``, in that order: ``base`` compounded
-    by ``growth_rate`` per calendar year away from ``scheduled_year``, gaps in
-    ``years`` included (earlier years discount it), each rounded half-up to cents."""
-    if growth_rate <= -1:
-        raise ValueError("growth rate must be greater than -1")
-    factor = Decimal(1) + Decimal(str(growth_rate))
-    row = []
-    for year in years:
-        try:
-            value = base * factor ** (year - scheduled_year)
-        except Overflow:  # years too far apart for any Decimal
-            value = Decimal("Infinity")
-        if value >= MONEY_LIMIT:
-            raise ValueError(
-                f"segment {segment_id}: synthesized cost for year {year} "
-                f"is {value:.3E}, not below {MONEY_LIMIT:.0E}"
-            )
-        value = value.quantize(CENT, rounding=ROUND_HALF_UP)
-        if value <= 0:
-            raise ValueError(
-                f"segment {segment_id}: synthesized cost for year {year} "
-                f"rounds to {value}, which is not positive"
-            )
-        row.append(value)
-    return tuple(row)
+from .model import CostRow, Segment
 
 
 def flat_rows(years: Iterable[int]) -> Callable[[int, Decimal], CostRow]:

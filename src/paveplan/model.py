@@ -404,7 +404,8 @@ def validate_dataset(
 
     One diagnostic (code, message, year if any) per violation: duplicate
     ids, inconsistent coordinate dimensionality, cost tables missing a
-    schedule year, projects scheduled outside the plan horizon, and the
+    schedule year, projects scheduled outside the plan horizon, a year whose
+    outer cap (budget + e_h) is not below ``MONEY_LIMIT``, and the
     global conservation check (total scheduled cost vs total budget, within
     the schedule's tolerance). An empty tuple means the dataset is admissible.
     """
@@ -455,6 +456,17 @@ def validate_dataset(
                     f"segment {seg.id} is scheduled for {seg.scheduled_year}, "
                     f"which is not a plan year",
                     year=seg.scheduled_year,
+                )
+            )
+
+    for entry in schedule.entries:
+        outer = entry.budget + entry.high_tolerance
+        if outer >= MONEY_LIMIT:
+            issues.append(
+                Diagnostic(
+                    "outer_cap_too_large",
+                    f"year {entry.year}: budget + e_h {outer} is not below {MONEY_LIMIT:.0E}",
+                    year=entry.year,
                 )
             )
 

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -13,7 +14,7 @@ from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import paveplan.cli
 import paveplan.radial
@@ -27,6 +28,7 @@ from paveplan.io_formats import (
 from paveplan.model import (
     BudgetEntry, BudgetSchedule, CostRow, PavePlanError, Segment, validate_dataset,
 )
+from paveplan.synth import synthesize_dataset
 
 from helpers import (
     JSON_VALUES, csv_texts, document_text, money_respellings, refusal, refused_at, seg,
@@ -441,6 +443,60 @@ def test_synth_auto_budgets_need_one_project_per_year(tmp_path, capsys):
     assert all(Decimal(row.split(",")[1]) >= Decimal("5000.00") for row in rows)
 
 
+def _synth_budgets(*tolerances):
+    # the budgets of synth --n 5 --blobs 1 --years 2018:2020 --seed 1
+    budgets = {2018: "22411.87", 2019: "16936.63", 2020: "11832.44"}
+    rows = (f"{y},{b},{t},{t}\n" for (y, b), t in zip(budgets.items(), tolerances))
+    return "year,budget,e_l,e_h\n" + "".join(rows)
+
+
+@pytest.mark.parametrize(
+    "fraction, budgets",
+    [
+        ("0.05", _synth_budgets("1120.59", "846.83", "591.62")),
+        ("0.999999", _synth_budgets("22411.84", "16936.61", "11832.42")),
+        # from a fraction of 1 on, each tolerance is the budget less 0.01; a
+        # product of 1e300 and a budget does not fit the decimal context
+        *[(f, _synth_budgets("22411.86", "16936.62", "11832.43")) for f in ("1", "2", "1e300")],
+        *[(f, _synth_budgets("0.00", "0.00", "0.00")) for f in ("0", "-0.0")],
+    ],
+    ids=["0.05", "0.999999", "1", "2", "1e300", "0", "-0.0"],
+)
+def test_synth_tolerance_fraction_bytes(fraction, budgets, tmp_path):
+    assert main(
+        ["synth", "--n", "5", "--blobs", "1", "--years", "2018:2020", "--seed", "1",
+         f"--tolerance-fraction={fraction}", "--out-segments", str(tmp_path / "s.csv"),
+         "--out-budgets", str(tmp_path / "b.csv")]
+    ) == 0
+    assert (tmp_path / "b.csv").read_text(encoding="utf-8") == budgets
+
+
+SYNTH_FLOATS = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e300, 1e308,
+     -1e308, 1.0, -1.0]
+) | st.floats()
+
+
+@settings(max_examples=150, deadline=None)
+@given(tolerance=st.none() | SYNTH_FLOATS, growth=st.none() | SYNTH_FLOATS, matrix=st.booleans())
+@example(tolerance=1e300, growth=None, matrix=False)
+def test_synth_float_options_exit_0_or_2(tolerance, growth, matrix):
+    # given as --opt=value: argparse reads a lone -1.7e+173 as a flag
+    options = {"--tolerance-fraction": tolerance, "--growth-rate": growth}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        args = ["synth", "--n", "5", "--blobs", "1", "--years", "2018:2020", "--seed", "1",
+                *(f"{name}={value!r}" for name, value in options.items() if value is not None),
+                "--out-segments", str(out / "s.csv"), "--out-budgets", str(out / "b.csv")]
+        if matrix:
+            args += ["--out-matrix", str(out / "m.csv")]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(args)
+        assert code in (0, 2)
+        outputs = ["b.csv", "m.csv", "s.csv"] if matrix else ["b.csv", "s.csv"]
+        assert sorted(p.name for p in out.iterdir()) == ([] if code else outputs)
+
+
 @pytest.mark.parametrize("value", ["1_0", "١٠"])
 def test_integer_options_refuse_other_digits(value, tmp_path):
     with pytest.raises(SystemExit) as excinfo:
@@ -504,6 +560,10 @@ def test_duplicate_matrix_id_names_its_first_row(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(texts)
 
 
+OUTER_CAP_SEGMENTS = "id,x,y,scheduled_year,cost\na,0,0,2018,1.00\nb,1,0,2018,1.00\n"
+OUTER_CAP_BUDGETS = "year,budget,e_l,e_h\n2018,2.00,0.00,999999999999999999.00\n"
+
+
 @pytest.mark.parametrize(
     "budgets, flags, outer",
     [("year,budget,e_l,e_h\n2018,900000000000000000.00,0.00,900000000000000000.00\n", [],
@@ -517,9 +577,7 @@ def test_outer_cap_past_the_money_limit_names_the_year(budgets, flags, outer, tm
     # the landmark engine plans these inputs; the band's outer cap,
     # budget + e_h, is refused before any walk, naming its year
     monkeypatch.chdir(tmp_path)
-    Path("segments.csv").write_text(
-        "id,x,y,scheduled_year,cost\na,0,0,2018,1.00\nb,1,0,2018,1.00\n", encoding="utf-8"
-    )
+    Path("segments.csv").write_text(OUTER_CAP_SEGMENTS, encoding="utf-8")
     Path("budgets.csv").write_text(budgets, encoding="utf-8")
     args = ["--segments", "segments.csv", "--budgets", "budgets.csv"]
     assert main(["cluster", "--algo", "schedule", *args, *flags, "--out", "plan.json"]) == 2
@@ -528,6 +586,26 @@ def test_outer_cap_past_the_money_limit_names_the_year(budgets, flags, outer, tm
     )
     assert sorted(p.name for p in tmp_path.iterdir()) == ["budgets.csv", "segments.csv"]
     assert main(["cluster", "--algo", "landmark", *args, "--out", "plan.json"]) == 0
+
+
+def test_validate_and_strict_refuse_an_outer_cap_past_the_money_limit(
+    tmp_path, monkeypatch, capsys
+):
+    # what the schedule engine cannot plan is not admissible
+    monkeypatch.chdir(tmp_path)
+    Path("segments.csv").write_text(OUTER_CAP_SEGMENTS, encoding="utf-8")
+    Path("budgets.csv").write_text(OUTER_CAP_BUDGETS, encoding="utf-8")
+    args = ["--segments", "segments.csv", "--budgets", "budgets.csv"]
+    finding = (
+        "outer_cap_too_large: year 2018: budget + e_h 1000000000000000001.00 "
+        "is not below 1E+18\n"
+    )
+    assert main(["validate", *args]) == 1
+    assert capsys.readouterr().out == finding
+    for algo in ALGOS:
+        assert main(["cluster", *algo, "--strict", *args, "--out", "plan.json"]) == 1
+        assert capsys.readouterr().err == finding
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["budgets.csv", "segments.csv"]
 
 
 # two points 1.8e308 apart: finite coordinates whose distance overflows
@@ -1704,6 +1782,52 @@ def datasets(draw):
             )
         )
     return segments, BudgetSchedule(tuple(entries))
+
+
+# budget-row cells: near the cent and money limits, or any amount
+BUDGET_CELLS = st.sampled_from(
+    ["0.00", "0.01", "1.00", "5000.00", "500000000000000000.00", "999999999999999999.00",
+     "1000000000000000000.00", "-1.00", "1.001", "x"]
+) | st.integers(0, 10**19).map(lambda cents: f"{cents // 100}.{cents % 100:02d}")
+
+
+@st.composite
+def mutated_synth_datasets(draw):
+    """A small synth dataset's CSVs, with cells of its budget rows replaced."""
+    years = range(2018, 2018 + draw(st.integers(1, 3)))
+    n = draw(st.integers(len(years), 8))
+    segments, schedule = synthesize_dataset(
+        n, draw(st.integers(1, min(n, 2))), years, draw(st.integers(0, 9)),
+        tolerance_fraction=draw(st.sampled_from([0.0, 0.05, 1.0])),
+    )
+    rows = ["year,budget,e_l,e_h"]
+    for entry in schedule.entries:
+        amounts = (entry.budget, entry.low_tolerance, entry.high_tolerance)
+        cells = [f"{amount:.2f}" for amount in amounts]
+        for column in draw(st.sets(st.integers(0, 2))):
+            cells[column] = draw(BUDGET_CELLS)
+        rows.append(",".join([str(entry.year), *cells]))
+    tolerance = draw(st.sampled_from(["0.00", "999999999999999999.00"]))
+    return emit_segments_csv(segments), "\n".join(rows) + "\n", tolerance
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_synth_datasets())
+@example((OUTER_CAP_SEGMENTS, OUTER_CAP_BUDGETS, "0.00"))
+def test_validate_admits_only_what_every_engine_plans(dataset):
+    segments_text, budgets_text, tolerance = dataset
+    with tempfile.TemporaryDirectory() as tmp:
+        segments, budgets = Path(tmp) / "segments.csv", Path(tmp) / "budgets.csv"
+        segments.write_text(segments_text, encoding="utf-8")
+        budgets.write_text(budgets_text, encoding="utf-8")
+        args = ["--segments", str(segments), "--budgets", str(budgets),
+                "--conservation-tolerance", tolerance]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            if main(["validate", *args]) != 0:
+                return
+            for algo in ALGOS:
+                plan = str(Path(tmp) / "plan.json")
+                assert main(["cluster", *algo, *args, "--out", plan]) == 0, algo
 
 
 @settings(max_examples=25, deadline=None)

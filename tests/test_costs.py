@@ -2,9 +2,10 @@ from decimal import Decimal
 
 import pytest
 
-from paveplan.costs import compounded_costs, flat_cost_table
+from paveplan.costs import flat_cost_table
 from paveplan.io_formats import emit_cost_matrix_csv, load_cost_matrix, load_segments
 from paveplan.radial import schedule_aware_plan
+from paveplan.synth import compounded_costs
 
 from helpers import schedule, seg
 
