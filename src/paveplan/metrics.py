@@ -7,9 +7,12 @@ member count. Budget use is a plain utilization fraction, flagged (not
 clamped) when an over-budget singleton pushes it past 1.
 
 Every float sum behind a figure or a medoid total is added left to right
-from ``0.0``, so they are the same bits on every supported Python: ``sum()``
-compensates its float total on Python >= 3.12 and ``math.fsum`` rounds once
-at the end.
+from ``0.0`` by ``_distance_total``, so they are the same bits on every
+supported Python. It is chosen once at import: on CPython before 3.12,
+``sum()`` adds floats in that order in C, so it is ``sum(map(math.dist,
+...), start)``; from 3.12 ``sum()`` compensates its float total
+(gh-100425), so there and on other implementations it is a plain loop.
+``math.fsum`` rounds once at the end, so it is never used.
 
 **The baseline medoid.** ``plan_from_schedule`` centers each year on its
 medoid: the member whose ``_distance_total`` over all ``m`` members
@@ -61,10 +64,10 @@ above the best.
 from __future__ import annotations
 
 import math
+import sys
 from decimal import Decimal
-from functools import reduce
 from itertools import repeat
-from operator import add, itemgetter, mul
+from operator import itemgetter, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -132,10 +135,24 @@ def _member_coords(cluster: Cluster, lookup: Mapping[str, Coords]) -> list[Coord
         ) from None
 
 
-def _distance_total(point: Sequence[float], coords: Iterable[Sequence[float]]) -> float:
-    """Sum of the distances from ``point`` to each of ``coords``, added left
-    to right from 0.0 in one C-level loop; dimensions are the caller's check."""
-    return reduce(add, map(math.dist, repeat(point), coords), 0.0)
+if sys.implementation.name == "cpython" and sys.version_info < (3, 12):
+
+    def _distance_total(
+        point: Sequence[float], coords: Iterable[Sequence[float]], start: float = 0.0
+    ) -> float:
+        """Sum of the distances from ``point`` to each of ``coords``, added
+        left to right from ``start``; dimensions are the caller's check."""
+        return sum(map(math.dist, repeat(point), coords), start)
+
+else:
+
+    def _distance_total(
+        point: Sequence[float], coords: Iterable[Sequence[float]], start: float = 0.0
+    ) -> float:
+        dist = math.dist
+        for b in coords:
+            start += dist(point, b)
+        return start
 
 
 def mean_distance_to_center(cluster: Cluster, coords: Sequence[Coords]) -> float:
@@ -156,13 +173,10 @@ def mean_pairwise_distance(cluster: Cluster, coords: Sequence[Coords]) -> float:
     member order); 0 below two members."""
     if cluster.size <= 1:
         return 0.0
-    dist = math.dist
-    # one left-to-right running sum: sum() and fsum() round differently
     total = 0.0
     try:
         for i, a in enumerate(coords):
-            for b in coords[i + 1 :]:
-                total += dist(a, b)
+            total = _distance_total(a, coords[i + 1 :], total)
     except ValueError:
         check_same_dimension(coords)
         raise

@@ -405,9 +405,19 @@ def validate_dataset(
     One diagnostic (code, message, year if any) per violation: duplicate
     ids, inconsistent coordinate dimensionality, cost tables missing a
     schedule year, projects scheduled outside the plan horizon, a year whose
-    outer cap (budget + e_h) is not below ``MONEY_LIMIT``, and the
-    global conservation check (total scheduled cost vs total budget, within
-    the schedule's tolerance). An empty tuple means the dataset is admissible.
+    outer cap (budget + e_h) is not below ``MONEY_LIMIT``, distances whose
+    sums may overflow floats, and the global conservation check (total
+    scheduled cost vs total budget, within the schedule's tolerance). An
+    empty tuple means the dataset is admissible.
+
+    The overflow check bounds every float sum ``compute_metrics`` forms. No
+    two of the ``n`` segments are farther apart than ``D``, the distance
+    between the coordinate-wise lower and upper corners. A year's pairwise
+    total adds at most ``n(n - 1)/2`` such distances, its center total at
+    most ``n``, and the weighted dispersion sums member counts (``n`` in
+    all) times means of at most ``D``. Each computed sum is within a
+    relative ``(n**2 + 3)u`` of the true one (``u = 2**-53``), so each is at
+    most about ``n**2/2 * D``: when ``D * n * n`` is finite, none overflows.
     """
     segments = list(segments)
     if not segments:
@@ -423,12 +433,23 @@ def validate_dataset(
         seen.add(seg.id)
 
     dimension = segments[0].dimension
-    for seg in segments[1:]:
-        if seg.dimension != dimension:
+    mixed = [seg for seg in segments if seg.dimension != dimension]
+    for seg in mixed:
+        issues.append(
+            Diagnostic(
+                "dimension_mismatch",
+                f"segment {seg.id} has {seg.dimension} coordinates, expected {dimension}",
+            )
+        )
+    if not mixed:
+        axes = list(zip(*(seg.coords for seg in segments)))
+        span = math.dist(tuple(map(min, axes)), tuple(map(max, axes)))
+        n = len(segments)
+        if not math.isfinite(span * n * n):
             issues.append(
                 Diagnostic(
-                    "dimension_mismatch",
-                    f"segment {seg.id} has {seg.dimension} coordinates, expected {dimension}",
+                    "distance_overflow",
+                    f"{n} segments span {span!r}: their distance sums may overflow floats",
                 )
             )
 

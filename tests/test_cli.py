@@ -640,6 +640,21 @@ def test_overflowing_dispersion_exits_2_and_writes_nothing(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["budgets.csv", "segments.csv"]
 
 
+def test_validate_and_strict_refuse_overflowing_distances(tmp_path, monkeypatch, capsys):
+    # what compute_metrics cannot sum is not admissible
+    monkeypatch.chdir(tmp_path)
+    Path("segments.csv").write_text(OVERFLOW_SEGMENTS, encoding="utf-8")
+    Path("budgets.csv").write_text(OVERFLOW_BUDGETS, encoding="utf-8")
+    args = ["--segments", "segments.csv", "--budgets", "budgets.csv"]
+    finding = "distance_overflow: 3 segments span inf: their distance sums may overflow floats\n"
+    assert main(["validate", *args]) == 1
+    assert capsys.readouterr().out == finding
+    for algo in ALGOS:
+        assert main(["cluster", *algo, "--strict", *args, "--out", "plan.json"]) == 1
+        assert capsys.readouterr().err == finding
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["budgets.csv", "segments.csv"]
+
+
 HUGE = "99999999999999999999999999.99"
 
 
@@ -1814,6 +1829,7 @@ def mutated_synth_datasets(draw):
 @settings(max_examples=60, deadline=None)
 @given(mutated_synth_datasets())
 @example((OUTER_CAP_SEGMENTS, OUTER_CAP_BUDGETS, "0.00"))
+@example((OVERFLOW_SEGMENTS, OVERFLOW_BUDGETS, "0.00"))
 def test_validate_admits_only_what_every_engine_plans(dataset):
     segments_text, budgets_text, tolerance = dataset
     with tempfile.TemporaryDirectory() as tmp:

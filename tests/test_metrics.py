@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+import sys
 from collections import Counter
 from decimal import Decimal
 from pathlib import Path
@@ -110,6 +111,18 @@ class TestComputeMetrics:
         expected = ((0.0 + 1e16) + 1.0 + 1.0) / 4
         assert expected != math.fsum([0.0, 1e16, 1.0, 1.0]) / 4
         assert mean_distance_to_center(cluster, [s.coords for s in segments]) == expected
+
+    def test_pairwise_mean_loses_what_a_compensated_sum_keeps(self):
+        # the first row adds 1e16, then twenty 1.0s that vanish one at a time,
+        # then 1e16 per later member; a compensated sum() keeps the 1.0s
+        coords = [(0.0, 0.0), (1e16, 0.0)] + [(0.0, 1.0)] * 20
+        distances = [1e16] + [1.0] * 20 + [1e16] * 20 + [0.0] * 190
+        cluster = Cluster(2018, "p0", tuple(f"p{k}" for k in range(22)), "22.00", "22.00")
+        expected = 0.0
+        for d in distances:
+            expected += d
+        assert expected == 21e16 != math.fsum(distances)
+        assert mean_pairwise_distance(cluster, coords) == expected / 231
 
     def test_center_mean_rejects_mixed_dimensions(self):
         segments = [seg("a", (0, 0)), seg("b", (1, 1)), seg("c", (1, 1, 1))]
@@ -316,6 +329,38 @@ def test_medoid_picks_near_ties_as_the_oracle(coords):
     assert cluster.center_id == oracle_medoid(segments, dist=math.dist)
 
 
+# whole multiples of the least subnormal: every distance rounds to a whole unit
+SUBNORMAL_SPREADS = st.lists(
+    st.tuples(*[st.integers(-2**20, 2**20).map(lambda k: k * 5e-324)] * 2), min_size=1, max_size=60
+)
+
+
+# _point_sets holds points 1.8e308 apart, whose distance overflows to inf
+@given(
+    NEAR_TIE_POINTS | SUBNORMAL_SPREADS | _point_sets(),
+    st.sampled_from([1e16, -1e16, 0.5, 5e-324, -1.7976931348623157e308])
+    | st.floats(allow_nan=False, allow_infinity=False).filter(bool),
+)
+@example([(0.0,), (1.0,)] * 20, 1e16)  # each 1.0 vanishes into the start
+def test_distance_total_adds_left_to_right(coords, start):
+    expected = start
+    for b in coords:
+        expected += math.dist(coords[0], b)
+    assert metrics._distance_total(coords[0], coords, start).hex() == expected.hex()
+
+
+def test_distance_total_uses_sum_only_where_it_adds_in_order(monkeypatch):
+    # CPython's sum() adds floats left to right in C before 3.12 and
+    # compensates from 3.12 (gh-100425); no other order is documented
+    summed = []
+    monkeypatch.setattr(
+        metrics, "sum", lambda *args: summed.append(args) or sum(*args), raising=False
+    )
+    assert metrics._distance_total((0.0,), [(1.0,), (3.0,)], 0.5) == 4.5
+    in_order = sys.implementation.name == "cpython" and sys.version_info < (3, 12)
+    assert bool(summed) == in_order
+
+
 def _synth_1200_by_4(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(
@@ -365,9 +410,10 @@ def test_baseline_measures_few_exact_totals(tmp_path, monkeypatch):
         pairwise_calls += calls - before
         return result
 
-    def recording_total(point, coords):
-        totals_over.append(coords)
-        return distance_total(point, coords)
+    def recording_total(point, coords, *start):
+        if not start:  # a pairwise row carries its running total as start
+            totals_over.append(coords)
+        return distance_total(point, coords, *start)
 
     monkeypatch.setattr(math, "dist", counting_dist)
     monkeypatch.setattr(metrics, "mean_pairwise_distance", counting_pairwise)

@@ -367,6 +367,22 @@ class TestValidateDataset:
         issues = validate_dataset(segments, schedule([2]))
         assert "dimension_mismatch" in [i.code for i in issues]
 
+    @pytest.mark.parametrize(
+        "coords, codes",
+        [
+            # D * n * n: 4e307 * 2 * 2 is finite, 4e307 * 3 * 3 is not
+            ([(0.0, 0.0), (4e307, 0.0)], []),
+            ([(0.0, 0.0), (4e307, 0.0), (0.0, 0.0)], ["distance_overflow"]),
+            ([(9e307, 0.0), (-9e307, 0.0)], ["distance_overflow"]),  # D is inf
+            # no corners across dimensions: only the mismatch is reported
+            ([(9e307,), (-9e307, 0.0)], ["dimension_mismatch"]),
+        ],
+    )
+    def test_distance_overflow_flagged(self, coords, codes):
+        segments = [seg(f"s{k}", c) for k, c in enumerate(coords)]
+        issues = validate_dataset(segments, schedule([len(coords)]))
+        assert [i.code for i in issues] == codes
+
     def test_empty_dataset(self):
         issues = validate_dataset([], schedule([1]))
         assert [i.code for i in issues] == ["empty_dataset"]
