@@ -107,8 +107,15 @@ def _write_outputs(files: Sequence[tuple[Path, str]], stdout_text: str = "") -> 
     sibling is renamed over its path only once all are written. So if a write
     fails, the siblings go, no new file appears and every existing file keeps
     its bytes. Any other path (``/dev/stdout``, a symlink, a pipe) is written
-    in place after the renames.
+    in place after the renames. Two paths that resolve to one file (a
+    symlink alias too) are refused before anything is written.
     """
+    named: dict[str, Path] = {}
+    for path, _ in files:
+        real = os.path.realpath(path)
+        if real in named:
+            raise PavePlanError(f"outputs {named[real]} and {path} name the same file")
+        named[real] = path
     staged: list[tuple[Path, Path]] = []
     in_place: list[tuple[Path, str]] = []
     try:
@@ -332,18 +339,16 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _int_arg(value: str) -> int:
-    try:
-        return parse_int(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _option(convert):
+    """An argparse type: ``convert``, its ``ValueError`` the option's error."""
 
+    def option(value: str):
+        try:
+            return convert(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-def _money_arg(value: str) -> Decimal:
-    try:
-        return money(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return option
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,6 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cluster maintenance projects into per-fiscal-year spatial groups under budget caps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    int_arg, money_arg = _option(parse_int), _option(money)
 
     def add_dataset_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--segments", type=Path, required=True, help="segments CSV")
@@ -359,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cost-matrix", type=Path, help="per-year cost matrix CSV")
         p.add_argument(
             "--conservation-tolerance",
-            type=_money_arg,
+            type=money_arg,
             default=Decimal("0.00"),
             help="allowed gap between total cost and total budget (default 0.00)",
         )
@@ -373,13 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument(
         "--algo", choices=("random", "landmark", "schedule"), required=True
     )
-    p_cluster.add_argument("--seed", type=_int_arg, help="random algorithm only")
-    p_cluster.add_argument("--axis", type=_int_arg, help="initial-center axis (default 0)")
+    p_cluster.add_argument("--seed", type=int_arg, help="random algorithm only")
+    p_cluster.add_argument("--axis", type=int_arg, help="initial-center axis (default 0)")
     p_cluster.add_argument(
-        "--low-tolerance", type=_money_arg, help="global inner tolerance override"
+        "--low-tolerance", type=money_arg, help="global inner tolerance override"
     )
     p_cluster.add_argument(
-        "--high-tolerance", type=_money_arg, help="global outer tolerance override"
+        "--high-tolerance", type=money_arg, help="global outer tolerance override"
     )
     p_cluster.add_argument("--strict", action="store_true", help="abort on validation issues")
     p_cluster.add_argument(
@@ -416,10 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_baseline.set_defaults(handler=_cmd_baseline)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
-    p_synth.add_argument("--n", type=_int_arg, required=True)
-    p_synth.add_argument("--blobs", type=_int_arg, required=True)
+    p_synth.add_argument("--n", type=int_arg, required=True)
+    p_synth.add_argument("--blobs", type=int_arg, required=True)
     p_synth.add_argument("--years", required=True, help="e.g. 2018:2022 or 2018,2019")
-    p_synth.add_argument("--seed", type=_int_arg, required=True)
+    p_synth.add_argument("--seed", type=int_arg, required=True)
     p_synth.add_argument("--tolerance-fraction", type=float, default=0.0)
     p_synth.add_argument("--growth-rate", type=float, default=0.0)
     p_synth.add_argument("--out-segments", type=Path, required=True)

@@ -41,7 +41,6 @@ from .model import (
     UnknownSegmentError,
     coordinate_lookup,
     money,
-    segment_lookup,
 )
 
 FORMAT_VERSION = "1"
@@ -474,17 +473,21 @@ def emit_plan(
     plan: Plan,
     metrics: PlanMetrics,
     schedule: BudgetSchedule,
-    segments: Iterable[Segment] | Mapping[str, Segment],
+    segments: Iterable[Segment],
     digest: str = "",
 ) -> str:
     """The plan's document, written straight from the plan and its segments:
-    fixed key order, 2-decimal money strings, shortest round-trip floats."""
-    lookup = segment_lookup(segments).__getitem__
+    fixed key order, 2-decimal money strings, shortest round-trip floats. A
+    member none of ``segments`` carries raises :class:`UnknownSegmentError`."""
+    by_id = {seg.id: seg for seg in segments}
 
     def members(ids: Iterable[str], year: int | None):
-        for seg in map(lookup, ids):
+        for sid in ids:
+            seg = by_id.get(sid)
+            if seg is None:
+                raise UnknownSegmentError(f"plan references unknown segment {sid!r}")
             cost = None if year is None else seg.cost_at(year)
-            yield seg.id, seg.coords, seg.scheduled_year, cost
+            yield sid, seg.coords, seg.scheduled_year, cost
 
     out = io.StringIO()
     _plan_text(

@@ -62,23 +62,20 @@ def money(value: MoneyLike, limit: Decimal = MONEY_LIMIT) -> Decimal:
     Values carrying more than two fractional digits are rejected rather than
     rounded; rounding only ever happens explicitly (see cost synthesis). So
     are amounts of 10**18 or more: every sum paveplan forms then stays exact.
-    Totals pass ``TOTAL_LIMIT``. NaN, infinities, and text that is not ASCII
-    or holds an underscore (``Decimal`` reads ``٣`` and ``1_0``) are no
-    amount. A plain ``Decimal`` that is already a cent amount is returned
-    itself, so cost rows built from one validated cost share that one object.
+    Totals pass ``TOTAL_LIMIT``. Unreadable text, text that is not ASCII or
+    holds an underscore (``Decimal`` reads ``٣`` and ``1_0``), NaN,
+    infinities and values too long to quantize are all "not a money amount".
+    A plain ``Decimal`` that is already a cent amount is returned itself.
     """
-    if isinstance(value, Decimal):
-        dec = value
-    elif isinstance(value, float):
-        dec = Decimal(str(value))
-    else:
-        try:
-            if isinstance(value, str) and not (value.isascii() and "_" not in value):
-                raise InvalidOperation
-            dec = Decimal(value)
-        except InvalidOperation as exc:
-            raise ValueError(f"not a money amount: {value!r}") from exc
     try:
+        if isinstance(value, Decimal):
+            dec = value
+        elif isinstance(value, float):
+            dec = Decimal(str(value))
+        elif isinstance(value, str) and not (value.isascii() and "_" not in value):
+            raise InvalidOperation
+        else:
+            dec = Decimal(value)
         if not dec.is_finite():
             raise InvalidOperation
         quantized = dec.quantize(CENT)
@@ -162,17 +159,10 @@ class Record:
 
 
 def _row_of(table: Mapping[int, MoneyLike]) -> CostRow:
-    """A row of its own holding ``table``'s costs, years made ``int``; an
-    object filling many years is held once."""
-    index: dict[int, int] = {}
-    costs: list = []
-    position_of: dict[int, int] = {}  # id(cost) -> position
-    for year, cost in sorted({int(y): c for y, c in table.items()}.items()):
-        if id(cost) not in position_of:
-            position_of[id(cost)] = len(costs)
-            costs.append(cost)
-        index[year] = position_of[id(cost)]
-    return CostRow(index, tuple(costs))
+    """A row of its own holding ``table``'s costs, one position per year in
+    ascending order, years made ``int``."""
+    pairs = sorted({int(year): cost for year, cost in table.items()}.items())
+    return CostRow({year: at for at, (year, _) in enumerate(pairs)}, tuple(c for _, c in pairs))
 
 
 class Segment(Record):
@@ -181,8 +171,8 @@ class Segment(Record):
     ``cost_by_year`` maps fiscal years to the money the project costs if
     executed in that year; ``scheduled_year`` is the year the upstream plan
     put it in. It is always a :class:`CostRow`: one given is kept as it is,
-    any other mapping is converted. Segments compare by value, whatever
-    table they were built from, and are not hashable.
+    any other mapping is copied into a row of its own. Segments compare by
+    value, whatever table they were built from, and are not hashable.
     """
 
     __slots__ = ("id", "coords", "cost_by_year", "scheduled_year")
@@ -198,9 +188,7 @@ class Segment(Record):
             raise ValueError(f"segment {id}: needs at least one coordinate")
         if not all(map(math.isfinite, coords)):
             raise ValueError(f"segment {id}: coordinates must be finite, got {coords}")
-        row = cost_by_year
-        if type(row) is not CostRow:
-            row = _row_of(row)
+        row = cost_by_year if type(cost_by_year) is CostRow else _row_of(cost_by_year)
         costs = []
         for position, raw in enumerate(row._costs):
             cost = money(raw)
@@ -378,15 +366,6 @@ class Plan(Record):
         for cluster in self.clusters:
             ids.update(cluster.member_ids)
         return frozenset(ids)
-
-
-def segment_lookup(
-    segments: Iterable[Segment] | Mapping[str, Segment],
-) -> Mapping[str, Segment]:
-    """Normalize an iterable of segments (or an existing mapping) to id -> segment."""
-    if isinstance(segments, Mapping):
-        return segments
-    return {seg.id: seg for seg in segments}
 
 
 def coordinate_lookup(segments: Iterable[Segment] | Mapping) -> Mapping[str, tuple]:

@@ -47,6 +47,16 @@ def _check_segments(segments: Iterable[Segment], axis: int = 0) -> list[Segment]
     return segments
 
 
+def _plan_pool(segments: Iterable[Segment], axis: int) -> Pool:
+    """The checked ``segments`` as a plan's pool, refused if an id repeats:
+    a plan keys its members by id."""
+    pool = Pool(_check_segments(segments, axis))
+    if pool.same:
+        twin = pool.segments[min(pool.same)]
+        raise ValueError(f"segment id {twin.id!r} appears more than once")
+    return pool
+
+
 def select_initial_center(segments: Sequence[Segment], axis: int = 0) -> Segment:
     """The segment with the largest coordinate on ``axis``; ties by ascending id."""
     segments = _check_segments(segments, axis)
@@ -60,7 +70,7 @@ def select_initial_center(segments: Sequence[Segment], axis: int = 0) -> Segment
 
 def _drain_pool(
     schedule: BudgetSchedule,
-    segments: Sequence[Segment],
+    pool: Pool,
     *,
     banded: bool = False,
     skip_mode: bool = False,
@@ -80,7 +90,6 @@ def _drain_pool(
     picked, and the search carries what it learnt about each candidate from
     year to year, so a year mostly measures distances to the newest cluster.
     """
-    pool = Pool(segments)
     clustered = ClusterBalls()
     trace = None  # the last placed cluster's, until it joins ``clustered``
     clusters: list[Cluster] = []
@@ -152,8 +161,8 @@ def main_algorithm(
     one ``randrange`` per cluster, so the same seed and input order always
     reproduce the same plan.
     """
-    segments = _check_segments(segments)
-    return _drain_pool(schedule, segments, skip_mode=skip_mode, rng=random.Random(seed))
+    pool = _plan_pool(segments, 0)
+    return _drain_pool(schedule, pool, skip_mode=skip_mode, rng=random.Random(seed))
 
 
 def landmark_based_radial_clustering(
@@ -164,8 +173,7 @@ def landmark_based_radial_clustering(
     skip_mode: bool = False,
 ) -> Plan:
     """Deterministic whole-plan driver using landmark centers."""
-    segments = _check_segments(segments, axis)
-    return _drain_pool(schedule, segments, skip_mode=skip_mode, axis=axis)
+    return _drain_pool(schedule, _plan_pool(segments, axis), skip_mode=skip_mode, axis=axis)
 
 
 def schedule_aware_plan(
@@ -181,11 +189,11 @@ def schedule_aware_plan(
     Dataset validation runs first; in strict mode any issue aborts,
     otherwise its diagnostics lead the plan's.
     """
-    segments = _check_segments(segments, axis)
-    issues = validate_dataset(segments, schedule)
+    pool = _plan_pool(segments, axis)
+    issues = validate_dataset(pool.segments, schedule)
     if strict and issues:
         raise ValidationFailedError(issues)
     return _drain_pool(
-        schedule, segments, banded=True, skip_mode=skip_mode, axis=axis,
+        schedule, pool, banded=True, skip_mode=skip_mode, axis=axis,
         initial_diagnostics=issues,
     )

@@ -22,7 +22,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .geometry import Pool, check_same_dimension, nearest_first
-from .model import MONEY_LIMIT, Cluster, Record, Segment, money
+from .model import MONEY_LIMIT, BudgetEntry, Cluster, Record, Segment, money
 
 STOP_BUDGET_REACHED = "budget_reached"
 STOP_DATA_EXHAUSTED = "data_exhausted"
@@ -164,16 +164,13 @@ def build_tolerance_band(
     cluster is the outer one. Prefix admission makes each smaller cap a cut
     of the same walk: the admissions whose running total stays within it,
     and at least the center, which is how a center at or over a cap becomes
-    that cap's flagged singleton.
+    that cap's flagged singleton. The caps must make a :class:`BudgetEntry`
+    for the year, refused with its messages, and the outer one stay below
+    ``MONEY_LIMIT``.
     """
-    cap = money(budget)
-    low = money(low_tolerance)
-    high = money(high_tolerance)
-    if low < 0 or high < 0:
-        raise ValueError("tolerances must be non-negative")
-    if cap - low <= 0:
-        raise ValueError("low tolerance must leave a positive inner budget")
     year = center.scheduled_year if year is None else year
+    entry = BudgetEntry(year, budget, low_tolerance, high_tolerance)
+    cap, low, high = entry.budget, entry.low_tolerance, entry.high_tolerance
     if cap + high >= MONEY_LIMIT:
         raise ValueError(f"year {year}: budget + e_h {cap + high} is not below {MONEY_LIMIT:.0E}")
     high_cluster, trace = radial_neighbor_clustering(pool, center, cap + high, year=year)

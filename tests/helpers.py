@@ -103,6 +103,26 @@ def ulp_apart_points(draw):
 
 NEAR_TIE_POINTS = far_unit_points() | ulp_apart_points()
 
+# duplicates, signed zeros, the least subnormal, and points 1.8e308 apart,
+# whose distance overflows to inf
+KERNEL_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 1.0, 9e307, -9e307]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def kernel_point_sets(draw, max_size):
+    """1 to ``max_size`` points of one dimension, 1 to 3, over ``KERNEL_FLOATS``."""
+    dimension = draw(st.integers(1, 3))
+    point = st.tuples(*[KERNEL_FLOATS] * dimension)
+    return draw(st.lists(point, min_size=1, max_size=max_size))
+
+
+# whole multiples of the least subnormal: every distance rounds to a whole unit
+SUBNORMAL_SPREADS = st.lists(
+    st.tuples(*[st.integers(-2**20, 2**20).map(lambda k: k * 5e-324)] * 2), min_size=1, max_size=60
+)
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),

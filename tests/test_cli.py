@@ -21,6 +21,7 @@ import paveplan.radial
 from paveplan.cli import main
 from paveplan.io_formats import (
     emit_budgets_csv,
+    emit_cost_matrix_csv,
     emit_segments_csv,
     load_segments,
     parse_plan_document,
@@ -1011,6 +1012,40 @@ def test_failed_matrix_write_leaves_no_synth_output(tmp_path, monkeypatch, capsy
     assert Path("b.csv").read_text(encoding="utf-8") == "old"
 
 
+SAME_FILE_OUTPUTS = {
+    "cluster": (["cluster", "--algo", "schedule", "--segments", "segments.csv",
+                 "--budgets", "budgets.csv"], "--out", "--svg"),
+    "synth": (["synth", "--n", "20", "--blobs", "2", "--years", "2018:2019", "--seed", "1",
+               "--growth-rate", "0.05", "--out-matrix", "m.csv"], "--out-segments",
+              "--out-budgets"),
+}
+
+
+@pytest.mark.parametrize("alias", [False, True], ids=["plain", "symlink"])
+@pytest.mark.parametrize("command", SAME_FILE_OUTPUTS)
+def test_two_outputs_naming_one_file_are_refused(
+    command, alias, two_blob_files, tmp_path, monkeypatch, capsys
+):
+    # one would overwrite the other; refused before anything is written
+    monkeypatch.chdir(tmp_path)
+    args, first, second = SAME_FILE_OUTPUTS[command]
+    other = "d.out"
+    if alias:
+        Path("d.out").write_text("old", encoding="utf-8")
+        os.symlink("d.out", "alias.out")
+        other = "alias.out"
+
+    def listing():
+        return {p.name: (p.is_symlink(), p.read_bytes()) for p in tmp_path.iterdir()}
+
+    before = listing()
+    assert main([*args, first, "d.out", second, other]) == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: outputs d.out and {other} name the same file\n"
+    )
+    assert listing() == before
+
+
 @pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="needs /dev/stdout")
 def test_plan_to_dev_stdout_is_written_in_place(two_blob_files, capfd):
     segments, budgets = two_blob_files
@@ -1841,9 +1876,15 @@ def test_validate_admits_only_what_every_engine_plans(dataset):
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             if main(["validate", *args]) != 0:
                 return
-            for algo in ALGOS:
-                plan = str(Path(tmp) / "plan.json")
+            plans = [str(Path(tmp) / f"plan{k}.json") for k in range(len(ALGOS))]
+            for algo, plan in zip(ALGOS, plans):
                 assert main(["cluster", *algo, *args, "--out", plan]) == 0, algo
+            # each plan written reads back through every read-side command
+            svg, read = str(Path(tmp) / "plan.svg"), ["--segments", str(segments)]
+            for plan in plans:
+                assert main(["metrics", "--plan", plan, *read]) == 0, plan
+                assert main(["render", "--plan", plan, *read, "--out", svg]) == 0, plan
+                assert main(["compare", "--before", plans[0], "--after", plan, *read]) == 0, plan
 
 
 @settings(max_examples=25, deadline=None)
@@ -1883,3 +1924,103 @@ def test_every_artifact_reads_back_through_the_cli(dataset, algo):
             assert sorted(document.plan.all_ids()) == sorted(s.id for s in segments)
         for name in ["plan.svg", "render.svg"]:
             ElementTree.parse(path[name])
+
+
+# cells README "File formats" refuses by name: malformed, non-ASCII or
+# underscored numbers, money past two decimals or the limit, non-positive
+# costs, non-finite coordinates, unknown or repeated ids and years
+FUZZ_CELLS = st.sampled_from([
+    "", " ", "x", "nan", "inf", "-inf", "1e400", "9e307", "-9e307", "٣", "1_0", "2_018",
+    "1.001", "0.00", "-1.00", "1000000000000000000.00", "2017", "2018", "2018.0", "Y2018",
+    "Y2_018", "Y٢٠١٨", "id", "s0", "s1", '"a,b"', '"', "a\rb",
+])
+# what a plan document may hold in place of one of its tokens
+FUZZ_TOKENS = st.sampled_from([
+    '""', '"x"', '"s0"', '"0.00"', '"-1.00"', '"1000000000000000000.00"', '"2018"', "0", "-0",
+    "1", "2018", "1.0", "1.5", "1e400", "-1e400", "NaN", "Infinity", "null", "true", "[]",
+    "{}", "", ",", ":", "[", "}",
+])
+_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[-+0-9.eE]+|true|false|null|[][{},:]')
+
+
+def _mutated_csv(draw, text):
+    """``text``, which holds no quoted cell, after one to three edits: a cell
+    replaced, a row repeated or dropped, or a cell added to a row."""
+    rows = [line.split(",") for line in text.splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        r = draw(st.integers(0, len(rows) - 1))
+        edit = draw(st.sampled_from(["cell"] * 4 + ["repeat", "drop", "widen"]))
+        if edit == "cell":
+            rows[r][draw(st.integers(0, len(rows[r]) - 1))] = draw(FUZZ_CELLS)
+        elif edit == "repeat":
+            rows.insert(r, list(rows[r]))
+        elif edit == "drop" and len(rows) > 1:
+            del rows[r]
+        elif edit == "widen":
+            rows[r].append(draw(FUZZ_CELLS))
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+def _edited_document(draw, text):
+    """``text`` with one or two of its JSON tokens replaced by another token
+    of the document or a drawn one."""
+    for _ in range(draw(st.integers(1, 2))):
+        tokens = list(_TOKEN.finditer(text))
+        token = draw(st.sampled_from(tokens))
+        new = draw(FUZZ_TOKENS | st.sampled_from(tokens).map(lambda t: t.group()))
+        text = text[: token.start()] + new + text[token.end() :]
+    return text
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_every_command_survives_mutated_inputs(data):
+    draw = data.draw
+    years = range(2018, 2018 + draw(st.integers(1, 2)))
+    segments, schedule_obj = synthesize_dataset(
+        draw(st.integers(len(years), 6)), 1, years, draw(st.integers(0, 9)), growth_rate=0.05
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = {name: str(Path(tmp) / name) for name in
+                ["s.csv", "b.csv", "m.csv", "plan.json", "ref.json", "out.json", "out.svg"]}
+        texts = {
+            "s.csv": emit_segments_csv(segments),
+            "b.csv": emit_budgets_csv(schedule_obj),
+            "m.csv": emit_cost_matrix_csv(segments, years),
+        }
+        for name, text in texts.items():
+            Path(path[name]).write_text(text, encoding="utf-8")
+        dataset = ["--segments", path["s.csv"], "--budgets", path["b.csv"]]
+        if draw(st.booleans()):
+            dataset += ["--cost-matrix", path["m.csv"]]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            for name in ["plan.json", "ref.json"]:
+                assert main(["cluster", "--algo", "landmark", *dataset, "--out", path[name]]) == 0
+            target = draw(st.sampled_from(["s.csv", "m.csv", "plan.json"]))
+            text = Path(path[target]).read_text(encoding="utf-8")
+            edit = _edited_document if target == "plan.json" else _mutated_csv
+            Path(path[target]).write_text(edit(draw, text), encoding="utf-8")
+            documents = draw(st.permutations([path["plan.json"], path["ref.json"]]))
+            command = draw(st.sampled_from([
+                ["validate", *dataset],
+                *(["cluster", *algo, *dataset, "--out", path["out.json"],
+                   "--svg", path["out.svg"]] for algo in ALGOS),
+                ["baseline", *dataset, "--out", path["out.json"]],
+                ["metrics", "--plan", path["plan.json"], "--segments", path["s.csv"]],
+                ["render", "--plan", path["plan.json"], "--segments", path["s.csv"],
+                 "--out", path["out.svg"]],
+                ["compare", "--before", documents[0], "--after", documents[1],
+                 "--segments", path["s.csv"]],
+                ["synth", "--n", draw(st.sampled_from(["3", "3", "0", "1_0"])), "--blobs", "1",
+                 "--years", draw(st.sampled_from(["2018:2019", "2018", "2019:2018", "x"])),
+                 "--seed", "1", "--out-segments", path["out.json"],
+                 "--out-budgets", path[draw(st.sampled_from(["out.json", "out.svg"]))]],
+            ]))
+            before = {p.name: p.read_bytes() for p in Path(tmp).iterdir()}
+            try:
+                code = main(command)
+            except SystemExit as exc:  # argparse refusing an option
+                code = exc.code
+        assert code in (0, 1, 2), command
+        if code:
+            assert {p.name: p.read_bytes() for p in Path(tmp).iterdir()} == before, command

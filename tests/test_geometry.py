@@ -1,8 +1,9 @@
 import math
 import random
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from paveplan.geometry import (
     ClusterBalls,
@@ -16,7 +17,15 @@ from paveplan.model import Cluster, DimensionMismatchError, Plan
 from paveplan.radial import landmark_based_radial_clustering, main_algorithm, schedule_aware_plan
 from paveplan.refine import band_order, radial_neighbor_clustering
 
-from helpers import NEAR_TIE_POINTS, line_segments, random_segments, schedule, seg
+from helpers import (
+    NEAR_TIE_POINTS,
+    SUBNORMAL_SPREADS,
+    kernel_point_sets,
+    line_segments,
+    random_segments,
+    schedule,
+    seg,
+)
 from oracles import oracle_furthest_point
 
 
@@ -118,8 +127,36 @@ def measured(monkeypatch):
     return points
 
 
-@given(NEAR_TIE_POINTS, st.data())
-def test_nearest_first_orders_near_ties_as_the_sorted_pool(points, data):
+# points at the float limit, whose gaps and distances overflow to inf
+LIMIT_POINTS = st.lists(
+    st.tuples(*[st.sampled_from([0.0, 9e307, -9e307, 1e308, -1e308, 1.7976931348623157e308,
+                                 -1.7976931348623157e308])] * 2),
+    min_size=2, max_size=20,
+)
+# subnormal spreads, and points whose distances overflow
+EXTREME_POINTS = (SUBNORMAL_SPREADS | kernel_point_sets(max_size=40) | LIMIT_POINTS).filter(
+    lambda points: len(points) > 1
+)
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info < (3, 10),
+    reason="math.dist is faithfully rounded from CPython 3.10",
+)
+@given(EXTREME_POINTS)
+@example([(1.7976931348623157e308, 0.0), (-1.7976931348623157e308, 1.0)])
+@example([(5e-324, 1e-323), (0.0, 0.0), (-5e-324, 5e-324)])
+@example([(1e16, 1.0, 0.0), (0.0, 0.0, 1e-300)])
+def test_a_distance_is_never_below_its_first_coordinate_gap(points):
+    # the slab margin's argument (geometry module notes): no unmeasured point
+    # is nearer than the computed gap, so the walk pops the same points with
+    # the margin as without it
+    for p in points:
+        for q in points:
+            assert math.dist(p, q) >= abs(p[0] - q[0]), (p, q)
+
+
+def _streams_as_the_sorted_pool(points, data):
     # ids run against input order, so a tie does not go to the first point
     segments = [seg(f"p{len(points) - k:02d}", c) for k, c in enumerate(points)]
     anchor = data.draw(st.sampled_from(segments))
@@ -128,6 +165,16 @@ def test_nearest_first_orders_near_ties_as_the_sorted_pool(points, data):
         key=lambda s: (math.dist(anchor.coords, s.coords), s.id),
     )
     assert [s.id for s in nearest_first(segments, anchor)] == [s.id for s in expected]
+
+
+@given(NEAR_TIE_POINTS, st.data())
+def test_nearest_first_orders_near_ties_as_the_sorted_pool(points, data):
+    _streams_as_the_sorted_pool(points, data)
+
+
+@given(EXTREME_POINTS, st.data())
+def test_nearest_first_orders_extreme_spreads_as_the_sorted_pool(points, data):
+    _streams_as_the_sorted_pool(points, data)
 
 
 def test_nearest_first_measures_each_point_once_and_only_when_read(measured):
@@ -415,6 +462,15 @@ def test_furthest_point_maximality(trial_seed):
 
 @given(NEAR_TIE_POINTS, st.data())
 def test_furthest_point_picks_near_ties_as_the_oracle(points, data):
+    _picks_as_the_oracle(points, data)
+
+
+@given(EXTREME_POINTS, st.data())
+def test_furthest_point_picks_on_extreme_spreads_as_the_oracle(points, data):
+    _picks_as_the_oracle(points, data)
+
+
+def _picks_as_the_oracle(points, data):
     # the first points join year by year as clusters, the rest are candidates
     cut = data.draw(st.integers(1, len(points) - 1))
     ends = sorted(data.draw(st.sets(st.integers(1, cut), max_size=5)) | {cut})

@@ -523,6 +523,15 @@ class TestPlanDocument:
         golden = (DATA_DIR / "two_blob_plan.json").read_text(encoding="utf-8")
         assert text == golden
 
+    def test_unknown_member_is_named(self):
+        plan, metrics, schedule_obj, segments, digest = _example_plan()
+        missing = plan.clusters[-1].member_ids[-1]
+        others = [seg for seg in segments if seg.id != missing]
+        with pytest.raises(
+            UnknownSegmentError, match=f"^plan references unknown segment {missing!r}$"
+        ):
+            emit_plan(plan, metrics, schedule_obj, others, digest)
+
     def test_members_carry_both_years(self):
         plan, metrics, schedule_obj, segments, digest = _example_plan()
         obj = json.loads(emit_plan(plan, metrics, schedule_obj, segments, digest))
@@ -785,7 +794,7 @@ def test_emit_plan_is_json_dumps(case):
     # the write side never builds a PlanDocument, so the parse-side property
     # above cannot see it; this one builds the object independently
     plan, metrics, schedule_obj, lookup, digest = case
-    text = emit_plan(plan, metrics, schedule_obj, lookup, digest)
+    text = emit_plan(plan, metrics, schedule_obj, lookup.values(), digest)
     assert text == oracle_document_json(oracle_plan_obj(*case))
     parse_plan_document(text)
 

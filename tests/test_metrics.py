@@ -32,7 +32,9 @@ from paveplan.model import (
 )
 from paveplan.radial import landmark_based_radial_clustering
 
-from helpers import NEAR_TIE_POINTS, random_segments, schedule, seg
+from helpers import (
+    NEAR_TIE_POINTS, SUBNORMAL_SPREADS, kernel_point_sets, random_segments, schedule, seg,
+)
 from oracles import oracle_cluster_cost, oracle_medoid
 
 
@@ -255,21 +257,6 @@ class TestConservation:
             compute_metrics(plan, sched, [seg("a", (0, 0), cost="5.00", year=2020)])
 
 
-# duplicates, signed zeros, the least subnormal, and points 1.8e308 apart,
-# whose distance overflows to inf
-KERNEL_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 1.0, 9e307, -9e307]) | st.floats(
-    allow_nan=False, allow_infinity=False
-)
-
-@st.composite
-def _point_sets(draw):
-    dimension = draw(st.integers(1, 3))
-    point = st.tuples(*[KERNEL_FLOATS] * dimension)
-    # past 16 points the medoid search splits the members into groups of at
-    # most max(16, 3 * isqrt(m)); 150 points make up to 8 of them
-    return draw(st.lists(point, min_size=1, max_size=150))
-
-
 @st.composite
 def _symmetric_point_sets(draw):
     """Points symmetric under x -> -x and y -> -y, in any order: a point's
@@ -288,7 +275,9 @@ RING = [
 
 
 @settings(deadline=None)  # the oracle measures 1440² pairs of the ring
-@given(_point_sets())
+# past 16 points the medoid search splits the members into groups of at
+# most max(16, 3 * isqrt(m)); 150 points make up to 8 of them
+@given(kernel_point_sets(max_size=150))
 @example([(1.0, 2.0)])
 @example([(0.0, 0.0), (3.0, 4.0)])
 @example([(1.5, -2.0)] * 30 + [(-0.0, 5e-324), (0.0, -0.0)])
@@ -329,15 +318,9 @@ def test_medoid_picks_near_ties_as_the_oracle(coords):
     assert cluster.center_id == oracle_medoid(segments, dist=math.dist)
 
 
-# whole multiples of the least subnormal: every distance rounds to a whole unit
-SUBNORMAL_SPREADS = st.lists(
-    st.tuples(*[st.integers(-2**20, 2**20).map(lambda k: k * 5e-324)] * 2), min_size=1, max_size=60
-)
-
-
-# _point_sets holds points 1.8e308 apart, whose distance overflows to inf
+# kernel_point_sets holds points 1.8e308 apart, whose distance overflows to inf
 @given(
-    NEAR_TIE_POINTS | SUBNORMAL_SPREADS | _point_sets(),
+    NEAR_TIE_POINTS | SUBNORMAL_SPREADS | kernel_point_sets(max_size=150),
     st.sampled_from([1e16, -1e16, 0.5, 5e-324, -1.7976931348623157e308])
     | st.floats(allow_nan=False, allow_infinity=False).filter(bool),
 )

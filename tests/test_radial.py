@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from paveplan.io_formats import emit_plan, input_digest, parse_plan_document
 from paveplan.metrics import compute_metrics
-from paveplan.model import ZERO, segment_lookup
+from paveplan.model import ZERO
 from paveplan.radial import (
     landmark_based_radial_clustering,
     main_algorithm,
@@ -244,17 +244,25 @@ ENGINES = {
 
 
 @pytest.mark.parametrize("engine", ENGINES)
+def test_every_engine_refuses_a_repeated_id(engine):
+    # a plan keys its members by id: planned, the twin would vanish
+    segments = [seg("a", (0, 0)), seg("a", (10, 0)), seg("b", (1, 0))]
+    with pytest.raises(ValueError, match="^segment id 'a' appears more than once$"):
+        ENGINES[engine](segments, schedule([3]))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
 def test_every_engine_prices_members_at_the_cluster_year(engine):
     # costs grow 5% a year, so a project moved off its scheduled year costs
     # more or less there; the plan document records that year's price
     segments, sched = synthesize_dataset(60, 3, (2018, 2019, 2020), 5, growth_rate=0.05)
     plan = ENGINES[engine](segments, sched)
-    lookup = segment_lookup(segments)
+    lookup = {s.id: s for s in segments}
     moved = 0
     for cluster in plan.clusters:
         members = [lookup[sid] for sid in cluster.member_ids]
         assert cluster.realized_cost == sum((s.cost_at(cluster.year) for s in members), ZERO)
         moved += sum(s.scheduled_year != cluster.year for s in members)
     assert moved
-    text = emit_plan(plan, compute_metrics(plan, sched, segments), sched, lookup, input_digest(engine))
+    text = emit_plan(plan, compute_metrics(plan, sched, segments), sched, segments, input_digest(engine))
     assert parse_plan_document(text).plan == plan

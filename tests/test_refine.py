@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import random
+import re
 from decimal import Decimal
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import paveplan.refine
 from paveplan.io_formats import emit_plan
 from paveplan.metrics import compute_metrics
-from paveplan.model import BudgetSchedule, Segment, ValidationFailedError
+from paveplan.model import BudgetEntry, BudgetSchedule, Segment, ValidationFailedError
 from paveplan.radial import landmark_based_radial_clustering, schedule_aware_plan
 from paveplan.refine import (
     STOP_CENTER_EXCEEDS_BUDGET,
@@ -52,6 +53,26 @@ class TestBuildToleranceBand:
         pool = line_segments(range(3))
         with pytest.raises(ValueError):
             build_tolerance_band(pool, pool[0], "1.00", "1.00", "0.00")
+
+    @pytest.mark.parametrize(
+        "caps",
+        [
+            ("0.00", "0.00", "0.00"),
+            ("-3.00", "0.00", "0.00"),
+            ("3.00", "-0.01", "0.00"),
+            ("3.00", "0.00", "-1.00"),
+            ("3.00", "3.00", "0.00"),
+            ("3.00", "4.00", "1.00"),
+            ("3.001", "0.00", "0.00"),
+            ("3.00", "x", "0.00"),
+        ],
+    )
+    def test_caps_are_refused_as_a_budget_entry_refuses_them(self, caps):
+        pool = line_segments(range(3))
+        with pytest.raises(ValueError) as refused:
+            BudgetEntry(2018, *caps)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+            build_tolerance_band(pool, pool[0], *caps)
 
     @given(st.integers(min_value=0, max_value=5_000))
     @settings(max_examples=60)
@@ -289,21 +310,19 @@ class TestScheduleAwarePlan:
         # three-dimensional b and the plan is built despite the mismatch
         segments = [
             seg("a", (5, 0), cost="5.00"),
-            seg("a", (4, 0)),
-            seg("b", (1, 0, 0)),
+            seg("b", (1, 0, 0), cost="2.00"),
         ]
         plan = schedule_aware_plan(segments, schedule([2]), 0)
         validation = [
-            (d.code, d.message, d.year, d.segment_ids) for d in plan.diagnostics[:3]
+            (d.code, d.message, d.year, d.segment_ids) for d in plan.diagnostics[:2]
         ]
         assert validation == [
-            ("duplicate_id", "segment id 'a' appears more than once", None, ()),
             ("dimension_mismatch", "segment b has 3 coordinates, expected 2", None, ()),
             ("conservation_mismatch",
              "total scheduled cost 7.00 deviates from total budget 2.00 by 5.00",
              None, ()),
         ]
-        assert [d.code for d in plan.diagnostics[3:]] == [
+        assert [d.code for d in plan.diagnostics[2:]] == [
             "over_budget_singleton", "unassigned_remainder"
         ]
 
