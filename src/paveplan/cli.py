@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 validation failure (strict mode or a failed
 ``validate``), 2 usage / I/O / parse errors and artifacts that did not come
 from the same inputs. Diagnostics always go to standard error; artifacts
 are only written after the whole pipeline has run, so failures leave no
-partial output files.
+partial output files. Two outputs naming one file are refused before any
+input is read.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from decimal import Decimal
 from functools import partial
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .io_formats import (
     CsvFormatError,
@@ -100,6 +101,16 @@ def _with_tolerance_overrides(
     return BudgetSchedule(entries, schedule.conservation_tolerance)
 
 
+def _refuse_shared_outputs(paths: Iterable[Path]) -> None:
+    """Refuse two ``paths`` that resolve to one file, a symlink alias too."""
+    named: dict[str, Path] = {}
+    for path in paths:
+        real = os.path.realpath(path)
+        if real in named:
+            raise PavePlanError(f"outputs {named[real]} and {path} name the same file")
+        named[real] = path
+
+
 def _write_outputs(files: Sequence[tuple[Path, str]], stdout_text: str = "") -> None:
     """Write each ``(path, text)``, then ``stdout_text`` to standard output.
 
@@ -110,12 +121,7 @@ def _write_outputs(files: Sequence[tuple[Path, str]], stdout_text: str = "") -> 
     in place after the renames. Two paths that resolve to one file (a
     symlink alias too) are refused before anything is written.
     """
-    named: dict[str, Path] = {}
-    for path, _ in files:
-        real = os.path.realpath(path)
-        if real in named:
-            raise PavePlanError(f"outputs {named[real]} and {path} name the same file")
-        named[real] = path
+    _refuse_shared_outputs(path for path, _ in files)
     staged: list[tuple[Path, Path]] = []
     in_place: list[tuple[Path, str]] = []
     try:
@@ -395,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cluster.add_argument("--out", type=Path, help="plan JSON path (stdout if omitted)")
     p_cluster.add_argument("--svg", type=Path, help="also render a schematic SVG map")
-    p_cluster.set_defaults(handler=partial(_cmd_cluster, parser=parser))
+    p_cluster.set_defaults(handler=partial(_cmd_cluster, parser=parser), outputs=("out", "svg"))
 
     p_metrics = sub.add_parser("metrics", help="recompute metrics for a plan document")
     p_metrics.add_argument("--plan", type=Path, required=True)
@@ -412,14 +418,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--plan", type=Path, required=True)
     p_render.add_argument("--segments", type=Path, required=True)
     p_render.add_argument("--out", type=Path, required=True)
-    p_render.set_defaults(handler=_cmd_render)
+    p_render.set_defaults(handler=_cmd_render, outputs=("out",))
 
     p_baseline = sub.add_parser(
         "baseline", help="emit the plan implied by the input schedule (for compare)"
     )
     add_dataset_args(p_baseline)
     p_baseline.add_argument("--out", type=Path, help="plan JSON path (stdout if omitted)")
-    p_baseline.set_defaults(handler=_cmd_baseline)
+    p_baseline.set_defaults(handler=_cmd_baseline, outputs=("out",))
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
     p_synth.add_argument("--n", type=int_arg, required=True)
@@ -431,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--out-segments", type=Path, required=True)
     p_synth.add_argument("--out-budgets", type=Path, required=True)
     p_synth.add_argument("--out-matrix", type=Path)
-    p_synth.set_defaults(handler=_cmd_synth)
+    p_synth.set_defaults(handler=_cmd_synth, outputs=("out_segments", "out_budgets", "out_matrix"))
 
     return parser
 
@@ -440,6 +446,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # from the argument paths alone: a refused run reads and prints nothing else
+        outputs = map(vars(args).get, getattr(args, "outputs", ()))
+        _refuse_shared_outputs(filter(None, outputs))
         return args.handler(args)
     except ValidationFailedError as exc:
         for issue in exc.issues:

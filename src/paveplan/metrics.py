@@ -84,6 +84,7 @@ from .model import (
     Segment,
     UnknownSegmentError,
     coordinate_lookup,
+    first_repeat,
 )
 
 
@@ -285,8 +286,12 @@ def plan_from_schedule(segments: Iterable[Segment], schedule: BudgetSchedule) ->
     with the least total distance to all members; the smaller id on a tie).
 
     Useful as the before side of a comparison against any re-clustering.
+    Refuses segments whose ids repeat, as the plan drivers do.
     """
     segments = list(segments)
+    twin = first_repeat(seg.id for seg in segments)
+    if twin is not None:
+        raise ValueError(f"segment id {twin!r} appears more than once")
     plan_years = set(schedule.years)
     clusters = []
     for entry in schedule.entries:

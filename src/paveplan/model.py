@@ -199,7 +199,7 @@ class Segment(Record):
         if any(map(is_not, costs, row._costs)):
             row = CostRow(row._index, tuple(costs))
         scheduled_year = int(scheduled_year)
-        # field by field, not through _set's loop: synthesize_dataset builds thousands
+        # field by field, not through _set's loop: flat_cost_table builds thousands
         set_field = object.__setattr__
         set_field(self, "id", id)
         set_field(self, "coords", coords)
@@ -210,12 +210,14 @@ class Segment(Record):
     def _trusted(cls, id: str, coords: tuple, costs: CostRow, year: int) -> Segment:
         """The segment of values its caller checked as ``__init__`` would,
         built without it; the loaders check each cell once, naming its row
-        and column. ``Segment(...)`` checks all it is given."""
+        and column, and ``synthesize_dataset`` makes only valid values.
+        ``Segment(...)`` checks all it is given."""
         seg = object.__new__(cls)
-        object.__setattr__(seg, "id", id)
-        object.__setattr__(seg, "coords", coords)
-        object.__setattr__(seg, "cost_by_year", costs)
-        object.__setattr__(seg, "scheduled_year", year)
+        set_field = object.__setattr__
+        set_field(seg, "id", id)
+        set_field(seg, "coords", coords)
+        set_field(seg, "cost_by_year", costs)
+        set_field(seg, "scheduled_year", year)
         return seg
 
     @property
@@ -297,7 +299,7 @@ class Cluster(Record):
     ) -> None:
         members = tuple(member_ids)
         if len(set(members)) != len(members):
-            raise ValueError(f"cluster {year}: duplicate member ids")
+            raise ValueError(f"cluster {year}: duplicate member id {first_repeat(members)!r}")
         if members:
             if center_id not in members:
                 raise ValueError(f"cluster {year}: center {center_id!r} is not a member")
@@ -366,6 +368,16 @@ class Plan(Record):
         for cluster in self.clusters:
             ids.update(cluster.member_ids)
         return frozenset(ids)
+
+
+def first_repeat(ids: Iterable[str]) -> str | None:
+    """The first of ``ids`` met a second time, or None if none repeats."""
+    seen: set[str] = set()
+    for sid in ids:
+        if sid in seen:
+            return sid
+        seen.add(sid)
+    return None
 
 
 def coordinate_lookup(segments: Iterable[Segment] | Mapping) -> Mapping[str, tuple]:

@@ -1046,6 +1046,30 @@ def test_two_outputs_naming_one_file_are_refused(
     assert listing() == before
 
 
+@pytest.mark.parametrize("command", SAME_FILE_OUTPUTS)
+def test_two_outputs_naming_one_file_are_refused_before_any_work(
+    command, tmp_path, monkeypatch, capsys
+):
+    # the schedule plan of this dataset reports a finding on stderr; a
+    # refused run reports only the refusal, and reads, plans and synthesizes nothing
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--n", "20", "--blobs", "2", "--years", "2018:2019", "--seed", "1",
+                 "--out-segments", "segments.csv", "--out-budgets", "budgets.csv"]) == 0
+    args, first, second = SAME_FILE_OUTPUTS[command]
+    assert main([*args, first, "p.out", second, "q.out"]) == 0
+    if command == "cluster":
+        assert "unassigned_remainder" in capsys.readouterr().err
+
+    def never(*args, **kwargs):
+        raise AssertionError("called")
+
+    for name in ("_load_dataset", "schedule_aware_plan", "synthesize_dataset"):
+        monkeypatch.setattr(paveplan.cli, name, never)
+    capsys.readouterr()
+    assert main([*args, first, "d.out", second, "d.out"]) == 2
+    assert capsys.readouterr().err == "error: outputs d.out and d.out name the same file\n"
+
+
 @pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="needs /dev/stdout")
 def test_plan_to_dev_stdout_is_written_in_place(two_blob_files, capfd):
     segments, budgets = two_blob_files

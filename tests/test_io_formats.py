@@ -421,6 +421,23 @@ class TestCostMatrixCsv:
         assert load_cost_matrix(text, segments) == segments
         assert emit_cost_matrix_csv(load_cost_matrix(text, segments), years) == text
 
+    def test_emit_writes_each_cost_as_cost_at_reads_it(self):
+        # rows under three indexes, years asked in another order than held
+        years = (2020, 2018, 2019)
+        segments = [
+            Segment("c", (2.0, 0.0), {2017: "1.00", 2018: "1.10", 2019: "1.20", 2020: "1.30"}, 2017),
+            seg("a", (0, 0), cost="10.00", year=2018, years=years),
+            Segment("b", (1.0, 0.0), {2018: "4.50", 2019: "4.60", 2020: "4.70"}, 2019),
+        ]
+        assert emit_cost_matrix_csv(segments, years) == (
+            "id,Y2020,Y2018,Y2019\na,10.00,10.00,10.00\nb,4.70,4.50,4.60\nc,1.30,1.10,1.20\n"
+        )
+
+    def test_emit_names_a_missing_year(self):
+        segments = [seg("a", (0, 0), years=(2018, 2019)), seg("b", (1, 0))]
+        with pytest.raises(MissingCostError, match="^segment b has no cost for year 2019$"):
+            emit_cost_matrix_csv(segments, (2018, 2019))
+
     def test_unknown_segment_rejected(self):
         with pytest.raises(UnknownSegmentError, match="segment c is missing"):
             load_cost_matrix(MATRIX, [seg("a", (0, 0)), seg("c", (1, 0))])
@@ -997,7 +1014,7 @@ class TestMalformedPlanDocument:
             (lambda obj: obj["clusters"][0].update(center_id="zz"),
              "cluster 2018: center 'zz' is not a member"),
             (lambda obj: obj["clusters"][1]["members"][1].update(id="a1"),
-             "cluster 2019: duplicate member ids"),
+             "cluster 2019: duplicate member id 'a1'"),
             (lambda obj: obj["clusters"][1]["members"][1].update(id="b1"),
              "segment b1 appears in more than one cluster"),
         ],

@@ -352,6 +352,20 @@ def _synth_1200_by_4(tmp_path, monkeypatch):
     ) == 0
 
 
+def test_baseline_names_a_repeated_id():
+    # the twins share a year, so one cluster would hold the id twice
+    segments = [seg("a", (0, 0)), seg("a", (10, 0)), seg("b", (1, 0))]
+    with pytest.raises(ValueError, match="^segment id 'a' appears more than once$"):
+        plan_from_schedule(segments, schedule([3]))
+
+
+def test_baseline_refuses_a_repeated_id_in_another_year():
+    # a in 2018 and 2019 would be planned in both clusters
+    segments = [seg("a", (0, 0), year=2018), seg("a", (10, 0), year=2019)]
+    with pytest.raises(ValueError, match="^segment id 'a' appears more than once$"):
+        plan_from_schedule(segments, schedule([1, 1]))
+
+
 def test_medoid_search_measures_few_distances(tmp_path, monkeypatch):
     _synth_1200_by_4(tmp_path, monkeypatch)
     segments = load_segments(Path("s.csv").read_text())

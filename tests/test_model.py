@@ -272,6 +272,11 @@ class TestCluster:
         with pytest.raises(ValueError):
             Cluster(2018, "a", ("a", "a"), "2.00", "2.00")
 
+    def test_the_first_repeated_member_is_named(self):
+        # b repeats before a does, so b is named
+        with pytest.raises(ValueError, match="^cluster 2018: duplicate member id 'b'$"):
+            Cluster(2018, "a", ("a", "b", "c", "b", "a"), "5.00", "5.00")
+
     def test_empty_cluster_has_no_center(self):
         c = Cluster(2018, None, (), "0.00", "2.00")
         assert c.is_empty()
