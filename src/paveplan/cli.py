@@ -119,7 +119,8 @@ def _write_outputs(files: Sequence[tuple[Path, str]], stdout_text: str = "") -> 
     fails, the siblings go, no new file appears and every existing file keeps
     its bytes. Any other path (``/dev/stdout``, a symlink, a pipe) is written
     in place after the renames. Two paths that resolve to one file (a
-    symlink alias too) are refused before anything is written.
+    symlink alias too) are refused before anything is written; ``main`` has
+    already refused them for the commands, so here it guards other callers.
     """
     _refuse_shared_outputs(path for path, _ in files)
     staged: list[tuple[Path, Path]] = []
@@ -418,14 +419,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--plan", type=Path, required=True)
     p_render.add_argument("--segments", type=Path, required=True)
     p_render.add_argument("--out", type=Path, required=True)
-    p_render.set_defaults(handler=_cmd_render, outputs=("out",))
+    p_render.set_defaults(handler=_cmd_render)
 
     p_baseline = sub.add_parser(
         "baseline", help="emit the plan implied by the input schedule (for compare)"
     )
     add_dataset_args(p_baseline)
     p_baseline.add_argument("--out", type=Path, help="plan JSON path (stdout if omitted)")
-    p_baseline.set_defaults(handler=_cmd_baseline, outputs=("out",))
+    p_baseline.set_defaults(handler=_cmd_baseline)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
     p_synth.add_argument("--n", type=int_arg, required=True)

@@ -323,18 +323,10 @@ def load_cost_matrix(text: str, segments: Iterable[Segment]) -> list[Segment]:
 def emit_cost_matrix_csv(segments: Iterable[Segment], years: Sequence[int]) -> str:
     """The cost-matrix CSV of ``segments`` over ``years``, rows in id order."""
     lines = ["id," + ",".join(f"Y{year}" for year in years)]
-    positions_in: dict[int, list[int]] = {}  # id of a shared year index -> years' positions
     for seg in sorted(segments, key=attrgetter("id")):
-        row = seg.cost_by_year
-        positions = positions_in.get(id(row._index))
-        if positions is None:
-            for year in years:
-                seg.cost_at(year)  # a year the row lacks raises MissingCostError
-            positions = positions_in[id(row._index)] = [row._index[year] for year in years]
-        costs = map(row._costs.__getitem__, positions)
-        lines.append(f"{_csv_cell(seg.id)},{','.join(map(format, costs, repeat('.2f')))}")
-    lines.append("")
-    return "\n".join(lines)
+        values = ",".join(f"{seg.cost_at(year):.2f}" for year in years)
+        lines.append(f"{_csv_cell(seg.id)},{values}")
+    return "\n".join(lines) + "\n"
 
 
 def input_digest(*parts: str | bytes) -> str:

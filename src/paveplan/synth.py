@@ -14,14 +14,13 @@ from __future__ import annotations
 import math
 import random
 from decimal import Decimal, Overflow, ROUND_DOWN, ROUND_HALF_UP
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .costs import flat_rows
 from .model import CENT, MONEY_LIMIT, ZERO, BudgetEntry, BudgetSchedule, CostRow, Segment
 
 SPREAD = 2000.0  # each blob's standard deviation, in map units
 BLOB_RADIUS = 50000.0  # the radius of the circle the blob centers sit on
-INFINITY = Decimal("Infinity")
 
 
 def compounded_costs(
@@ -34,54 +33,28 @@ def compounded_costs(
     """One segment's costs in ``years``, in that order: ``base`` compounded
     by ``growth_rate`` per calendar year away from ``scheduled_year``, gaps in
     ``years`` included (earlier years discount it), each rounded half-up to cents."""
-    return _compounding(years, growth_rate)(segment_id, base, scheduled_year)
-
-
-def _compounding(
-    years: Sequence[int], growth_rate: float
-) -> Callable[[str, Decimal, int], tuple[Decimal, ...]]:
-    """``costs(segment_id, base, scheduled_year)``, as :func:`compounded_costs`
-    gives them, with the factor raised to each year offset once, when a
-    scheduled year is first met, not once per cost."""
     if growth_rate <= -1:
         raise ValueError("growth rate must be greater than -1")
     factor = Decimal(1) + Decimal(str(growth_rate))
-
-    def power(offset: int) -> Decimal:
+    row = []
+    for year in years:
         try:
-            return factor**offset
+            value = base * factor ** (year - scheduled_year)
         except Overflow:  # years too far apart for any Decimal
-            return INFINITY
-
-    powers_from: dict[int, tuple[Decimal, ...]] = {}  # scheduled year -> powers in years order
-
-    def costs(segment_id: str, base: Decimal, scheduled_year: int) -> tuple[Decimal, ...]:
-        powers = powers_from.get(scheduled_year)
-        if powers is None:
-            powers = powers_from[scheduled_year] = tuple(
-                power(year - scheduled_year) for year in years
+            value = Decimal("Infinity")
+        if value >= MONEY_LIMIT:
+            raise ValueError(
+                f"segment {segment_id}: synthesized cost for year {year} "
+                f"is {value:.3E}, not below {MONEY_LIMIT:.0E}"
             )
-        row = []
-        for year, factor_power in zip(years, powers):
-            try:
-                value = base * factor_power
-            except Overflow:
-                value = INFINITY
-            if value >= MONEY_LIMIT:
-                raise ValueError(
-                    f"segment {segment_id}: synthesized cost for year {year} "
-                    f"is {value:.3E}, not below {MONEY_LIMIT:.0E}"
-                )
-            value = value.quantize(CENT, rounding=ROUND_HALF_UP)
-            if value <= 0:
-                raise ValueError(
-                    f"segment {segment_id}: synthesized cost for year {year} "
-                    f"rounds to {value}, which is not positive"
-                )
-            row.append(value)
-        return tuple(row)
-
-    return costs
+        value = value.quantize(CENT, rounding=ROUND_HALF_UP)
+        if value <= 0:
+            raise ValueError(
+                f"segment {segment_id}: synthesized cost for year {year} "
+                f"rounds to {value}, which is not positive"
+            )
+        row.append(value)
+    return tuple(row)
 
 
 def _blob_centers(blobs: int) -> list[tuple[float, float]]:
@@ -137,11 +110,11 @@ def synthesize_dataset(
 
     # with a growth rate, every row's costs in ``years`` order, one per year
     index = dict(sorted(zip(years, range(len(years)))))
-    compound = _compounding(years, growth_rate) if growth_rate else None
     flat_row = flat_rows(years)
     # each value below is made here and valid by construction (finite
-    # coordinates, exact cent costs checked by ``compound`` or in 5,000.00 to
-    # 15,000.00), so each segment is built once, unchecked, as the loaders do
+    # coordinates, exact cent costs in 5,000.00 to 15,000.00 or checked by
+    # ``compounded_costs``), so each segment is built once, unchecked, as the
+    # loaders do
     build = Segment._trusted
     gauss, randint = rng.gauss, rng.randint
     sums = dict.fromkeys(years, ZERO)
@@ -153,8 +126,8 @@ def synthesize_dataset(
         base = Decimal(randint(500_000, 1_500_000)) * CENT  # exactly 5,000.00-15,000.00
         sid = f"s{i:05d}"
         year = year_cycle[i]
-        if compound:
-            row = CostRow(index, compound(sid, base, year))
+        if growth_rate:
+            row = CostRow(index, compounded_costs(sid, base, year, years, growth_rate))
         else:
             row = flat_row(year, base)
         segments.append(build(sid, (x, y), row, year))
