@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -199,6 +200,37 @@ def test_parse_error_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("case", ["exit-0", "exit-2", "usage", "usage-in-handler"])
+def test_main_leaves_the_cyclic_collector_as_it_found_it(
+    case, enabled, two_blob_files, tmp_path, capsys
+):
+    # a command runs with the collector off; each way out restores the caller's setting
+    segments, budgets = two_blob_files
+    if case == "exit-2":  # a CsvFormatError
+        segments.write_text("id,x,y,scheduled_year,cost\na,zero,0,2018,1.00\n", encoding="utf-8")
+    dataset = ["--segments", str(segments), "--budgets", str(budgets)]
+    argv = {
+        "exit-0": ["cluster", *dataset, "--algo", "schedule", "--out", str(tmp_path / "p.json")],
+        "exit-2": ["cluster", *dataset, "--algo", "schedule", "--out", str(tmp_path / "p.json")],
+        "usage": ["cluster", *dataset, "--algo", "nowhere"],
+        "usage-in-handler": ["cluster", *dataset, "--algo", "random"],
+    }[case]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if case.startswith("usage"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            code = excinfo.value.code
+        else:
+            code = main(argv)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert code == {"exit-0": 0}.get(case, 2)
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import operator
@@ -1163,3 +1164,39 @@ class TestRenderSvg:
         svg = render_plan_svg(plan, segments)
         assert "#bbbbbb" in svg
         assert "unassigned" in svg
+
+    def test_map_bytes(self):
+        # 11 years, so the palette wraps, one of them empty; centers that are
+        # not their cluster's first member; unassigned members; ids that need
+        # escaping or hold a character XML forbids; negative and -0.0
+        # coordinates. The same bytes on every supported Python.
+        segments, clusters = [], []
+        for index, year in enumerate(range(2018, 2029)):
+            if year == 2021:
+                clusters.append(Cluster(year, None, (), "0.00", "1.00"))
+                continue
+            ids = [f"{year}-{k}" for k in range(3)]
+            if year == 2018:
+                ids += ["a&b", "<c>"]
+            for k, sid in enumerate(ids):
+                segments.append(seg(sid, ((k - 1) * 3.5 * (index - 5), k - index * 1.25)))
+            clusters.append(Cluster(year, ids[index % len(ids)], tuple(ids), "3.00", "3.00"))
+        unassigned = ('d"e', "f\x0bg", "u>")
+        segments += [seg(sid, (-0.0, -2.5 * k)) for k, sid in enumerate(unassigned)]
+        svg = render_plan_svg(Plan(tuple(clusters), unassigned), segments)
+        assert ElementTree.fromstring(svg) is not None
+        assert "f\ufffdg" in svg and svg.count('fill="none"') == 10
+        assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == (
+            "87dfd0562c5f37900f44651aa7a0d271371e551b246c2adc198695fdcd8ba781"
+        )
+
+    @pytest.mark.parametrize(
+        "order, error",
+        [(("flat", "nowhere"), DimensionMismatchError), (("nowhere", "flat"), UnknownSegmentError)],
+    )
+    def test_first_refused_id_names_the_error(self, order, error):
+        # "flat" has three coordinates, "nowhere" is in no segment
+        segments = [seg("a", (0, 0)), seg("flat", (0, 0, 0))]
+        plan = Plan((Cluster(2018, "a", ("a", order[0]), "2.00", "2.00"),), (order[1],))
+        with pytest.raises(error):
+            render_plan_svg(plan, segments)
