@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import json
 import os
 import stat
@@ -446,6 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()  # a command makes no reference cycles, so a collection finds none
     try:
         # from the argument paths alone: a refused run reads and prints nothing else
         outputs = map(vars(args).get, getattr(args, "outputs", ()))
@@ -458,6 +461,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CsvFormatError, PavePlanError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -231,7 +231,8 @@ def _coord_names(dimension: int) -> list[str]:
 
 
 def emit_segments_csv(segments: Sequence[Segment]) -> str:
-    """Segments back to CSV with the scheduled-year cost column."""
+    """Segments back to CSV with the scheduled-year cost column. Every cost
+    a segment holds is a cent amount, whose ``str`` has two decimals."""
     if not segments:
         raise ValueError("nothing to emit")
     dimension = segments[0].dimension
@@ -241,7 +242,7 @@ def emit_segments_csv(segments: Sequence[Segment]) -> str:
     lines = ["id," + ",".join(_coord_names(dimension)) + ",scheduled_year,cost"]
     for sid, seg in zip(ids, segments):
         lines.append(
-            f"{sid},{','.join(map(repr, seg.coords))},{seg.scheduled_year},{seg.base_cost():.2f}"
+            f"{sid},{','.join(map(repr, seg.coords))},{seg.scheduled_year},{seg.base_cost()}"
         )
     lines.append("")
     return "\n".join(lines)
@@ -321,10 +322,11 @@ def load_cost_matrix(text: str, segments: Iterable[Segment]) -> list[Segment]:
 
 
 def emit_cost_matrix_csv(segments: Iterable[Segment], years: Sequence[int]) -> str:
-    """The cost-matrix CSV of ``segments`` over ``years``, rows in id order."""
+    """The cost-matrix CSV of ``segments`` over ``years``, rows in id order,
+    each cost a cent amount written by ``str``."""
     lines = ["id," + ",".join(f"Y{year}" for year in years)]
     for seg in sorted(segments, key=attrgetter("id")):
-        values = ",".join(f"{seg.cost_at(year):.2f}" for year in years)
+        values = ",".join(map(str, map(seg.cost_at, years)))
         lines.append(f"{_csv_cell(seg.id)},{values}")
     return "\n".join(lines) + "\n"
 
@@ -390,13 +392,14 @@ def _write_members(write, pad: str, members: Iterable[tuple], year: int | None) 
     segment has at least one coordinate, each finite, which ``repr`` spells
     as json does; ``[]``, ``NaN`` or ``Infinity`` there reads as other bytes."""
     key, coord = f"\n{pad}    ", f",\n{pad}      "
+    head, at = f'{pad}  {{{key}"id": ', f',{key}"coords": [{coord[1:]}'
+    scheduled_at, end = f'{key}],{key}"scheduled_year": ', f"\n{pad}  }}"
     assigned = f',{key}"assigned_year": {_int(year)},{key}"cost_used": '
     opening = "[\n"
     for sid, point, scheduled, cost in members:
         write(
-            f'{opening}{pad}  {{{key}"id": {_quote(sid)},{key}"coords": [{coord[1:]}'
-            f'{coord.join(map(repr, point))}{key}],{key}"scheduled_year": '
-            f'{int.__repr__(scheduled)}{assigned}{_money(cost)}\n{pad}  }}'
+            f"{opening}{head}{_quote(sid)}{at}{coord.join(map(repr, point))}"
+            f"{scheduled_at}{int.__repr__(scheduled)}{assigned}{_money(cost)}{end}"
         )
         opening = ",\n"
     write("[]" if opening == "[\n" else f"\n{pad}]")
@@ -699,30 +702,26 @@ def render_plan_svg(plan: Plan, segments: Iterable[Segment] | Mapping) -> str:
     """Schematic 800 x 600 map: one marker per segment colored by assigned
     year, ringed cluster centers, and a year legend. Planar data only."""
     lookup = coordinate_lookup(segments)
-
-    def planar(sid: str) -> tuple[float, float]:
-        if sid not in lookup:
-            raise UnknownSegmentError(f"plan references unknown segment {sid!r}")
-        coords = lookup[sid]
-        if len(coords) != 2:
-            raise DimensionMismatchError("SVG rendering needs 2-dimensional data")
-        return coords[0], coords[1]
-
-    plotted: list[tuple[str, tuple[float, float], str, bool]] = []
+    groups: list[tuple[str, tuple[str, ...], str | None]] = []  # color, members, center
     legend: list[tuple[str, str]] = []
     for index, cluster in enumerate(plan.clusters):
         color = YEAR_PALETTE[index % len(YEAR_PALETTE)]
+        groups.append((color, cluster.member_ids, cluster.center_id))
         legend.append((str(cluster.year), color))
-        for sid in cluster.member_ids:
-            plotted.append((sid, planar(sid), color, sid == cluster.center_id))
-    for sid in plan.unassigned_ids:
-        plotted.append((sid, planar(sid), UNASSIGNED_COLOR, False))
+    groups.append((UNASSIGNED_COLOR, plan.unassigned_ids, None))
     if plan.unassigned_ids:
         legend.append(("unassigned", UNASSIGNED_COLOR))
+    ids = [sid for _, members, _ in groups for sid in members]
+    points = list(map(lookup.get, ids, repeat(())))
+    if {*map(len, points)} - {2}:  # the first id refused names the error
+        for sid in ids:
+            if sid not in lookup:
+                raise UnknownSegmentError(f"plan references unknown segment {sid!r}")
+            if len(lookup[sid]) != 2:
+                raise DimensionMismatchError("SVG rendering needs 2-dimensional data")
 
     width, height, margin = 800, 600, 50.0
-    xs = [p[1][0] for p in plotted] or [0.0]
-    ys = [p[1][1] for p in plotted] or [0.0]
+    xs, ys = zip(*points) if points else ((0.0,), (0.0,))
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
     span_x = max_x - min_x
@@ -733,27 +732,30 @@ def render_plan_svg(plan: Plan, segments: Iterable[Segment] | Mapping) -> str:
     if not all(map(math.isfinite, (span_x, span_y, scale))):
         raise PavePlanError(f"an extent of {span_x!r} by {span_y!r} cannot be plotted")
 
-    def to_svg(point: tuple[float, float]) -> tuple[float, float]:
-        x = margin + (point[0] - min_x) * scale
-        y = height - margin - (point[1] - min_y) * scale  # flip: north up
-        return x, y
-
+    top = height - margin  # y flips: north up
+    text = "".join(ids)  # one check over every id, not one per marker
+    titles = ids if _xml_text(text) == text else list(map(_xml_text, ids))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
     ]
-    for sid, point, color, is_center in plotted:
-        x, y = to_svg(point)
-        parts.append(
-            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="{color}">'
-            f"<title>{_xml_text(sid)}</title></circle>"
-        )
-        if is_center:
-            parts.append(
-                f'<circle cx="{x:.2f}" cy="{y:.2f}" r="8" fill="none" '
-                f'stroke="{color}" stroke-width="2"/>'
-            )
+    start = 0
+    for color, members, center in groups:
+        end = start + len(members)
+        marker = f'<circle cx="%.2f" cy="%.2f" r="4" fill="{color}"><title>%s</title></circle>'
+        markers = [
+            marker % (margin + (x - min_x) * scale, top - (y - min_y) * scale, title)
+            for (x, y), title in zip(points[start:end], titles[start:end])
+        ]
+        if center is not None:  # its ring follows its marker
+            at = members.index(center)
+            x, y = points[start + at]
+            ring = '<circle cx="%.2f" cy="%.2f" r="8" fill="none" stroke="%s" stroke-width="2"/>'
+            place = (margin + (x - min_x) * scale, top - (y - min_y) * scale, color)
+            markers.insert(at + 1, ring % place)
+        parts += markers
+        start = end
     for row, (label, color) in enumerate(legend):
         y = 20 + row * 18
         parts.append(f'<rect x="10" y="{y - 10}" width="12" height="12" fill="{color}"/>')

@@ -205,10 +205,14 @@ def test_parse_error_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 @pytest.mark.parametrize("case", ["exit-0", "exit-2", "usage", "usage-in-handler"])
 def test_main_leaves_the_cyclic_collector_as_it_found_it(
-    case, enabled, two_blob_files, tmp_path, capsys
+    case, enabled, two_blob_files, tmp_path, capsys, monkeypatch
 ):
     # a command runs with the collector off; each way out restores the caller's setting
     segments, budgets = two_blob_files
+    load, collecting = paveplan.cli._load_dataset, []
+    monkeypatch.setattr(
+        paveplan.cli, "_load_dataset", lambda args: collecting.append(gc.isenabled()) or load(args)
+    )
     if case == "exit-2":  # a CsvFormatError
         segments.write_text("id,x,y,scheduled_year,cost\na,zero,0,2018,1.00\n", encoding="utf-8")
     dataset = ["--segments", str(segments), "--budgets", str(budgets)]
@@ -231,6 +235,7 @@ def test_main_leaves_the_cyclic_collector_as_it_found_it(
     finally:
         (gc.enable if was else gc.disable)()
     assert code == {"exit-0": 0}.get(case, 2)
+    assert collecting == ([False] if case.startswith("exit") else [])
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

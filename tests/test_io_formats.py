@@ -169,6 +169,17 @@ class TestSegmentsRoundTrip:
         assert emit_segments_csv(twice) == emitted
 
 
+def test_csv_writers_spell_each_cost_with_two_decimals():
+    # a segment holds each cost as a cent amount, however it was given
+    segments = [
+        Segment(sid, (0.0, 0.0), {2018: cost}, 2018)
+        for sid, cost in [("a", Decimal("5")), ("b", "5.5"), ("c", Decimal("1E+1"))]
+    ]
+    rows = emit_segments_csv(segments).splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["5.00", "5.50", "10.00"]
+    assert emit_cost_matrix_csv(segments, [2018]) == "id,Y2018\na,5.00\nb,5.50\nc,10.00\n"
+
+
 # ids as load_segments returns them: stripped and non-empty; csv.reader
 # before Python 3.11 refuses NUL anywhere in its input
 SEGMENT_IDS = st.text(st.characters(blacklist_characters="\x00"), min_size=1, max_size=8)
