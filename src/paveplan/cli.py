@@ -445,11 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     collecting = gc.isenabled()
     gc.disable()  # a command makes no reference cycles, so a collection finds none
     try:
+        args = build_parser().parse_args(argv)  # argparse's exits restore it too
         # from the argument paths alone: a refused run reads and prints nothing else
         outputs = map(vars(args).get, getattr(args, "outputs", ()))
         _refuse_shared_outputs(filter(None, outputs))

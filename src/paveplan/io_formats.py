@@ -7,7 +7,9 @@ never built as one object; its bytes are ``json.dumps(obj, indent=2) +
 "\\n"`` of the object it describes, which tests and CI check on every
 supported Python. It is read by writing it again: only its primary fields
 are parsed, the rest is derived, and the template's bytes must equal the
-text, so only what paveplan writes reads back.
+text, so only what paveplan writes reads back. A segments CSV is checked
+a column at a time; one that fails is read again row by row, which names
+its first bad cell with the same message.
 """
 
 from __future__ import annotations
@@ -18,14 +20,15 @@ import json
 import math
 import re
 from decimal import Decimal
-from itertools import repeat
+from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
-from operator import attrgetter, itemgetter
+from operator import add, attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .costs import flat_rows
 from .metrics import PlanMetrics, _plan_metrics, _year_metrics
 from .model import (
+    CENT,
     MONEY_LIMIT,
     ZERO,
     BudgetEntry,
@@ -61,9 +64,17 @@ class CsvFormatError(PavePlanError):
         self.column = column
 
 
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text``, each with its ``"\\n"``, as ``io.StringIO(text)``
+    yields them, without its copy of the text at four bytes a character."""
+    lines = text.split("\n")
+    last = lines.pop()
+    return chain(map(add, lines, repeat("\n")), [last] if last else ())
+
+
 def _rows(text: str) -> Iterator[list[str]]:
     """The non-blank rows of ``text``, each parsed only when it is read."""
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(_lines(text))
     try:
         for row in reader:
             if "".join(row).strip():
@@ -170,18 +181,14 @@ def _new_id(cell: str, row: int, first_row_of: dict[str, int]) -> str:
     return sid
 
 
-def _segment_rows(text: str) -> Iterator[tuple]:
-    """The segments CSV ``id,x,y[,z...],scheduled_year[,cost]``, row by row,
-    as ``(id, coords, scheduled_year, cost or None)``; each cell is checked
-    once, as it is read, naming its row and column."""
-    header, rows = _table(text, "segments")
+def _segment_header(header: list[str]) -> tuple[int, bool]:
+    """The stripped header's ``scheduled_year`` index, and whether ``cost`` follows."""
     if not header or header[0] != "id":
         raise CsvFormatError("first column must be 'id'", row=1)
     if "scheduled_year" not in header:
         raise CsvFormatError("missing required column 'scheduled_year'", row=1)
     year_index = header.index("scheduled_year")
-    coord_names = header[1:year_index]
-    if not coord_names:
+    if year_index == 1:
         raise CsvFormatError(
             "need at least one coordinate column between 'id' and 'scheduled_year'",
             row=1,
@@ -191,7 +198,16 @@ def _segment_rows(text: str) -> Iterator[tuple]:
         raise CsvFormatError(
             f"unexpected columns after 'scheduled_year': {trailing}", row=1
         )
-    has_cost = trailing == ["cost"]
+    return year_index, bool(trailing)
+
+
+def _segment_rows(text: str) -> Iterator[tuple]:
+    """The segments CSV ``id,x,y[,z...],scheduled_year[,cost]``, row by row,
+    as ``(id, coords, scheduled_year, cost or None)``; each cell is checked
+    once, as it is read, naming its row and column."""
+    header, rows = _table(text, "segments")
+    year_index, has_cost = _segment_header(header)
+    coord_names = header[1:year_index]
     first_row_of: dict[str, int] = {}
     for line_no, row in rows:
         sid = _new_id(row[0], line_no, first_row_of)
@@ -203,17 +219,72 @@ def _segment_rows(text: str) -> Iterator[tuple]:
         raise CsvFormatError("segments CSV has no data rows")
 
 
+# rows checked at a time: each block's cells reuse the memory the last
+# block's freed (a 14,400-row file's cells all at once left ~5 MB behind)
+_BLOCK_ROWS = 1024
+
+
+def _ascii_column(cells: Sequence[str], kind: type) -> list:
+    """``kind`` of each of ``cells``, which must be ASCII without ``_``
+    (``float``, ``int`` and ``Decimal`` also read ``٣`` and ``1_0``)."""
+    joined = "".join(cells)
+    if not joined.isascii() or "_" in joined:
+        raise ValueError("not ASCII")
+    return list(map(kind, cells))
+
+
+def _segment_columns(text: str, priced: bool = True) -> tuple:
+    """The segments CSV as ``(ids, points, years, costs or None)``, each
+    column checked and converted by C-level maps, which take only what the
+    row reader ``_segment_rows`` takes, as the same values; unless
+    ``priced``, years and costs are checked but not kept. A file that fails
+    any check is read again by the row reader, which names the first bad cell."""
+    try:
+        rows = csv.reader(_lines(text))
+        header, ids, years, costs = None, [], [], []
+        while block := list(islice(rows, _BLOCK_ROWS)):
+            block = list(compress(block, map(str.strip, map("".join, block))))
+            if header is None and block:
+                header = list(map(str.strip, block.pop(0)))
+                year_index, has_cost = _segment_header(header)
+                coords = [[] for _ in range(1, year_index)]
+            if not block:
+                continue
+            if {*map(len, block)} != {len(header)}:
+                raise ValueError("rows of another width")
+            columns = list(zip(*block))
+            ids += map(str.strip, columns[0])
+            for values, cells in zip(coords, columns[1:year_index]):
+                values += _ascii_column(cells, float)
+            block_years = _ascii_column(columns[year_index], int)
+            if has_cost:
+                read = _ascii_column(list(map(str.strip, columns[-1])), Decimal)
+                quantized = list(map(Decimal.quantize, read, repeat(CENT)))  # exponent -2
+                if quantized != read or not ZERO < min(read) <= max(read) < MONEY_LIMIT:
+                    raise ValueError("a cost money() refuses or not positive")
+            if priced:
+                years += block_years
+                costs += quantized if has_cost else ()
+        if (
+            not ids or not all(ids) or len(set(ids)) < len(ids)
+            or not all(all(map(math.isfinite, values)) for values in coords)
+        ):
+            raise ValueError("an id or coordinate the row reader refuses")
+        return ids, list(zip(*coords)), years, costs if has_cost else None
+    except (csv.Error, CsvFormatError, ValueError, ArithmeticError):  # decimal's too
+        pass
+    ids, points, years, costs = zip(*_segment_rows(text))
+    return ids, points, years, None if costs[0] is None else costs
+
+
 def load_segments(text: str, years: Iterable[int] | None = None) -> list[Segment]:
     """The segments CSV's rows as segments, in row order (README "File
     formats"), each built once (``Segment._trusted``) with its cost in a
     flat row over the plan ``years``, or its own year without them. Given
     ``years`` but no cost column, raises ``MissingCostError``."""
-    flat_row = flat_rows(years or ())
-    build = Segment._trusted
-    segments = [
-        build(sid, coords, _NO_COSTS if cost is None else flat_row(year, cost), year)
-        for sid, coords, year, cost in _segment_rows(text)
-    ]
+    ids, points, scheduled, costs = _segment_columns(text)
+    rows = repeat(_NO_COSTS) if costs is None else map(flat_rows(years or ()), scheduled, costs)
+    segments = list(map(Segment._trusted, ids, points, rows, scheduled))
     if years is not None:
         segments[0].base_cost()  # without a cost column, raises MissingCostError
     return segments
@@ -221,7 +292,7 @@ def load_segments(text: str, years: Iterable[int] | None = None) -> list[Segment
 
 def load_coordinates(text: str) -> dict[str, tuple]:
     """The segments CSV as id -> coordinates, checked as by ``load_segments``."""
-    return {sid: coords for sid, coords, _, _ in _segment_rows(text)}
+    return dict(zip(*_segment_columns(text, priced=False)[:2]))
 
 
 def _coord_names(dimension: int) -> list[str]:

@@ -2,12 +2,18 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from paveplan.model import BudgetEntry, BudgetSchedule, Segment
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def seg(sid, coords, cost="1.00", year=2018, years=None):
@@ -200,4 +206,23 @@ def refused_at(text, reference):
     return (
         re.escape(f"plan document line {line}: expected ") + ".*"
         + re.escape(f", found {found[:same]!r}"[:-1]) + ".*'$"
+    )
+
+
+def run_paveplan(args, *, cwd, env=None):
+    """Run ``paveplan *args`` in a subprocess, in ``cwd``, with the
+    environment ``env`` adds to this one; output is text. The command is
+    the console script that ``PAVEPLAN_CONSOLE_SCRIPT`` names, when set (CI
+    sets it after ``pip install .``), or else ``python -m paveplan.cli`` on
+    this interpreter with this checkout's ``src`` first on the path."""
+    script = os.environ.get("PAVEPLAN_CONSOLE_SCRIPT")
+    environ = {**os.environ, **(env or {})}
+    if script:
+        command = [script]
+    else:
+        command = [sys.executable, "-m", "paveplan.cli"]
+        environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [*command, *map(str, args)], cwd=cwd, env=environ, capture_output=True,
+        text=True, encoding="utf-8", errors="replace",
     )

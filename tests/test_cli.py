@@ -203,7 +203,7 @@ def test_parse_error_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-@pytest.mark.parametrize("case", ["exit-0", "exit-2", "usage", "usage-in-handler"])
+@pytest.mark.parametrize("case", ["exit-0", "exit-2", "usage", "usage-in-handler", "help"])
 def test_main_leaves_the_cyclic_collector_as_it_found_it(
     case, enabled, two_blob_files, tmp_path, capsys, monkeypatch
 ):
@@ -213,6 +213,10 @@ def test_main_leaves_the_cyclic_collector_as_it_found_it(
     monkeypatch.setattr(
         paveplan.cli, "_load_dataset", lambda args: collecting.append(gc.isenabled()) or load(args)
     )
+    parse, parsing = paveplan.cli.build_parser, []
+    monkeypatch.setattr(
+        paveplan.cli, "build_parser", lambda: parsing.append(gc.isenabled()) or parse()
+    )
     if case == "exit-2":  # a CsvFormatError
         segments.write_text("id,x,y,scheduled_year,cost\na,zero,0,2018,1.00\n", encoding="utf-8")
     dataset = ["--segments", str(segments), "--budgets", str(budgets)]
@@ -221,21 +225,23 @@ def test_main_leaves_the_cyclic_collector_as_it_found_it(
         "exit-2": ["cluster", *dataset, "--algo", "schedule", "--out", str(tmp_path / "p.json")],
         "usage": ["cluster", *dataset, "--algo", "nowhere"],
         "usage-in-handler": ["cluster", *dataset, "--algo", "random"],
+        "help": ["cluster", "--help"],
     }[case]
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
-        if case.startswith("usage"):
+        if case.startswith("exit"):
+            code = main(argv)
+        else:
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
             code = excinfo.value.code
-        else:
-            code = main(argv)
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
-    assert code == {"exit-0": 0}.get(case, 2)
+    assert code == {"exit-0": 0, "help": 0}.get(case, 2)
     assert collecting == ([False] if case.startswith("exit") else [])
+    assert parsing == [False]  # argparse's objects are built with the collector off
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import operator
@@ -20,6 +21,7 @@ from paveplan.io_formats import (
     emit_segments_csv,
     input_digest,
     load_budgets,
+    load_coordinates,
     load_cost_matrix,
     load_segments,
     parse_int,
@@ -43,6 +45,7 @@ from paveplan.model import (
     UnknownSegmentError,
 )
 from paveplan.radial import landmark_based_radial_clustering
+from paveplan.synth import synthesize_dataset
 
 from helpers import (
     JSON_VALUES, csv_texts, document_text, money_respellings, refusal, refused_at, seg,
@@ -358,6 +361,170 @@ def test_one_bad_cell_is_named_by_row_and_column(csv_case, data):
 def test_oversized_field_is_a_csv_format_error():
     with pytest.raises(CsvFormatError, match="row 2"):
         load_segments("id,x,scheduled_year\n" + "a" * 200_000 + ",0,2018\n")
+
+
+LINE_PIECES = st.sampled_from(["\n", "\r", "\r\n", "\x0b", "\x1c", "\u2028", "a", ",", '"'])
+
+
+@given(st.lists(LINE_PIECES).map("".join) | st.text())
+def test_csv_lines_are_the_lines_string_io_yields(text):
+    # csv.reader keeps a quoted field's line break only if its line carries it
+    assert list(paveplan.io_formats._lines(text)) == list(io.StringIO(text))
+
+
+class _CountingRowReader:
+    """Counts the calls of ``io_formats._segment_rows``, the row reader that
+    reads a file only when the column checks refuse it."""
+
+    def __enter__(self):
+        self.calls, self.reader = 0, paveplan.io_formats._segment_rows
+
+        def counted(text):
+            self.calls += 1
+            return self.reader(text)
+
+        paveplan.io_formats._segment_rows = counted
+        return self
+
+    def __exit__(self, *exc_info):
+        paveplan.io_formats._segment_rows = self.reader
+
+
+def _assert_loaded_as_the_rows(text, years=None):
+    """``load_segments`` and ``load_coordinates`` return what the row reader
+    returns for ``text``, value for value, or raise its error, word for word,
+    whether the column checks read it in blocks of 1, 2 or the usual number
+    of rows; returns how many times the loaders ran the row reader."""
+    try:
+        expected = list(paveplan.io_formats._segment_rows(text))
+    except CsvFormatError as exc:
+        expected = exc
+    usual, counts = paveplan.io_formats._BLOCK_ROWS, set()
+    try:
+        for block_rows in (1, 2, usual):
+            paveplan.io_formats._BLOCK_ROWS = block_rows
+            counts.add(_load_as(text, years, expected))
+    finally:
+        paveplan.io_formats._BLOCK_ROWS = usual
+    (calls,) = counts
+    return calls
+
+
+def _hexed(sid, coords, *rest):
+    return (sid, list(map(float.hex, coords)), *rest)
+
+
+def _load_as(text, years, expected):
+    with _CountingRowReader() as reader:
+        for load in (partial(load_segments, years=years), load_coordinates):
+            if isinstance(expected, CsvFormatError):
+                with pytest.raises(CsvFormatError) as excinfo:
+                    load(text)
+                found = excinfo.value
+                assert (str(found), found.row, found.column) == (
+                    str(expected), expected.row, expected.column
+                )
+            elif load is load_coordinates:
+                loaded = [_hexed(*item) for item in load(text).items()]
+                assert loaded == [_hexed(*row[:2]) for row in expected]
+            else:
+                has_cost = expected[0][3] is not None
+                segments = load(text)
+                costs = [s.base_cost() if has_cost else None for s in segments]
+                loaded = [_hexed(s.id, s.coords, s.scheduled_year, cost)
+                          for s, cost in zip(segments, costs)]
+                assert loaded == [_hexed(*row) for row in expected]
+                assert all(type(s.scheduled_year) is int for s in segments)
+                assert all(type(c) is Decimal and c.as_tuple().exponent == -2 for c in costs if has_cost)
+    return reader.calls
+
+
+@st.composite
+def _canonical_segment_csvs(draw):
+    """A segments CSV as paveplan writes it, from ``synthesize_dataset``."""
+    start = draw(st.integers(1990, 2030))
+    years = range(start, start + draw(st.integers(1, 4)))
+    blobs = draw(st.integers(1, 4))
+    n = draw(st.integers(max(blobs, len(years)), 40))
+    segments, _ = synthesize_dataset(n, blobs, years, draw(st.integers(0, 10**6)))
+    return emit_segments_csv(segments), draw(st.none() | st.just(years))
+
+
+@given(_canonical_segment_csvs())
+def test_canonical_files_are_read_a_column_at_a_time(csv_case):
+    text, years = csv_case
+    assert _assert_loaded_as_the_rows(text, years) == 0
+
+
+@given(_segment_csvs(), st.data())
+def test_column_reader_returns_what_the_row_reader_returns(csv_case, data):
+    # padded, signed, integer and one-decimal cells are read a column at a
+    # time; a bad cell sends both loaders to the row reader, which names it
+    header, rows, years = csv_case
+    refused = None
+    if data.draw(st.booleans()):
+        row = data.draw(st.integers(0, len(rows) - 1))
+        column = data.draw(st.integers(0, len(header) - 1))
+        token = data.draw(st.sampled_from(BAD_CELL_TOKENS))
+        rows[row][column] = token
+        refused = REFUSED_TOKENS.get(header[column], REFUSED_TOKENS["coordinate"]).get(token)
+    calls = _assert_loaded_as_the_rows(_csv(header, rows), years)
+    assert calls == (0 if refused is None else 2)
+
+
+SEGMENTS_HEADER = "id,x,y,scheduled_year,cost"
+
+
+@pytest.mark.parametrize(
+    "text, calls",
+    [
+        (f"\n \n{SEGMENTS_HEADER}\na,0,0,2018,1.00\n\n\nb,1,0,2019,2\n\n", 0),
+        (f"{SEGMENTS_HEADER}\r\na,0,0,2018,1.00\r\nb,1,0,2019,2.5\r\n", 0),
+        (f"{SEGMENTS_HEADER}\na,0,0,2018,1.00\n,,,,\n , ,\nb,1,0,2019,2.50\n", 0),
+        (f'{SEGMENTS_HEADER}\na,0,0,"2018\n",1.00\n', 0),
+        (f'{SEGMENTS_HEADER}\na,0,0,"20\n18",1.00\n', 2),
+        (f'{SEGMENTS_HEADER}\na,0,0,2018,"1.00\n"\n', 0),
+        (f'{SEGMENTS_HEADER}\na,0,0,2018,"1.\n00"\n', 2),
+        (f"{SEGMENTS_HEADER}\na,0,0,2018,\xa01.00\xa0\n", 0),
+        (f"{SEGMENTS_HEADER}\na,0,0,\xa02018,1.00\n", 2),  # int() reads it, not as ASCII
+        (f"{SEGMENTS_HEADER}\na,0,0,2018,1.00\nb,x,0,2018,1.00\na,1,0,2018,1.00\n", 2),
+        (f"{SEGMENTS_HEADER}\na,0,0,2018,1.00\na,x,0,2018,1.00\nb,1,0,2018,1.00\n", 2),
+        (f"{SEGMENTS_HEADER}\na,0,0,2018,1.00\nb,1,0,2018\n", 2),
+        (f"{SEGMENTS_HEADER}\n", 2),
+        ("id,x,y,scheduled_year\na,0,0,2018\n", 0),
+        ("id,x,scheduled_year,cost\n\n", 2),
+        ("", 2),
+    ],
+    ids=[
+        "blank-lines", "crlf", "only-commas", "quoted-year-newline", "year-split-by-newline",
+        "quoted-cost-newline", "cost-split-by-newline", "nbsp-cost", "nbsp-year",
+        "bad-cell-before-duplicate", "duplicate-before-bad-cell", "short-row", "header-only",
+        "no-cost-column", "no-data-rows", "empty",
+    ],
+)
+def test_column_reader_cases(text, calls):
+    # a file the column checks refuse is read again by both loaders
+    assert _assert_loaded_as_the_rows(text) == calls
+
+
+def test_a_valid_export_never_runs_the_row_reader(monkeypatch):
+    def refuse(text):
+        raise AssertionError("the column checks refused a valid file")
+
+    monkeypatch.setattr(paveplan.io_formats, "_segment_rows", refuse)
+    text = (
+        "\r\n id , x , y , scheduled_year , cost \r\n"
+        " a , 1.5 , -2 , 2018 , 12 \r\n"
+        "b,1e3,+0.25,+2019,7.5\r\n"
+        "\t c\t,0,0, 2020 ,0.01\r\n"
+        "\r\n"
+    )
+    a, b, c = load_segments(text, (2018, 2019, 2020))
+    assert [s.id for s in (a, b, c)] == ["a", "b", "c"]
+    assert [s.coords for s in (a, b, c)] == [(1.5, -2.0), (1000.0, 0.25), (0.0, 0.0)]
+    assert [s.scheduled_year for s in (a, b, c)] == [2018, 2019, 2020]
+    assert [str(s.base_cost()) for s in (a, b, c)] == ["12.00", "7.50", "0.01"]
+    assert load_coordinates(text) == {"a": (1.5, -2.0), "b": (1000.0, 0.25), "c": (0.0, 0.0)}
 
 
 def test_segment_ids_are_quoted_when_csv_needs_it():
