@@ -12,7 +12,13 @@ supported Python. It is chosen once at import: on CPython before 3.12,
 ``sum()`` adds floats in that order in C, so it is ``sum(map(math.dist,
 ...), start)``; from 3.12 ``sum()`` compensates its float total
 (gh-100425), so there and on other implementations it is a plain loop.
-``math.fsum`` rounds once at the end, so it is never used.
+``math.fsum`` rounds once at the end, so it is never used. Before those sums
+each year's coordinates are copied once, in member order, as new floats
+(``x * 1.0`` is ``x``, ``-0.0`` too) in new tuples: the loaders made the
+floats in file order, so without the copy each row of the O(m²) sum reads
+scattered memory. The values, so the bits, are the same. Coordinates that
+are not all floats (``Decimal``, ints, a float subclass, or points of no
+dimension, in a mapping a caller passes) are measured as given.
 
 **The baseline medoid.** ``plan_from_schedule`` centers each year on its
 medoid: the member whose ``_distance_total`` over all ``m`` members
@@ -66,7 +72,7 @@ from __future__ import annotations
 import math
 import sys
 from decimal import Decimal
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -125,35 +131,48 @@ class PlanMetrics(Record):
 
 
 def _member_coords(cluster: Cluster, lookup: Mapping[str, Coords]) -> list[Coords]:
-    """The members' coordinates in member order; none below two members."""
+    """The members' coordinates in member order, copied as the module
+    docstring says; none below two members."""
     if cluster.size <= 1:
         return []
     try:
-        return list(map(lookup.__getitem__, cluster.member_ids))
+        coords = list(map(lookup.__getitem__, cluster.member_ids))
     except KeyError as unknown:
         raise UnknownSegmentError(
             f"cluster {cluster.year} references unknown segment {unknown.args[0]!r}"
         ) from None
+    try:
+        if set(map(type, chain.from_iterable(coords))) != {float}:
+            return coords
+    except TypeError:  # a point that is no sequence: math.dist names it
+        return coords
+    check_same_dimension(coords)
+    copies = map(mul, chain.from_iterable(coords), repeat(1.0))
+    return list(zip(*repeat(copies, len(coords[0]))))
+
+
+def _sum_total(
+    point: Sequence[float], coords: Iterable[Sequence[float]], start: float = 0.0
+) -> float:
+    """Sum of the distances from ``point`` to each of ``coords``, added from
+    ``start`` by ``sum()`` in C; dimensions are the caller's check."""
+    return sum(map(math.dist, repeat(point), coords), start)
+
+
+def _loop_total(
+    point: Sequence[float], coords: Iterable[Sequence[float]], start: float = 0.0
+) -> float:
+    """The same sum, added left to right from ``start`` by a plain loop."""
+    dist = math.dist
+    for b in coords:
+        start += dist(point, b)
+    return start
 
 
 if sys.implementation.name == "cpython" and sys.version_info < (3, 12):
-
-    def _distance_total(
-        point: Sequence[float], coords: Iterable[Sequence[float]], start: float = 0.0
-    ) -> float:
-        """Sum of the distances from ``point`` to each of ``coords``, added
-        left to right from ``start``; dimensions are the caller's check."""
-        return sum(map(math.dist, repeat(point), coords), start)
-
+    _distance_total = _sum_total
 else:
-
-    def _distance_total(
-        point: Sequence[float], coords: Iterable[Sequence[float]], start: float = 0.0
-    ) -> float:
-        dist = math.dist
-        for b in coords:
-            start += dist(point, b)
-        return start
+    _distance_total = _loop_total
 
 
 def mean_distance_to_center(cluster: Cluster, coords: Sequence[Coords]) -> float:

@@ -11,7 +11,9 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
+from paveplan.metrics import compute_metrics
 from paveplan.model import BudgetEntry, BudgetSchedule, Segment
+from paveplan.synth import synthesize_dataset
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -128,6 +130,78 @@ def kernel_point_sets(draw, max_size):
 SUBNORMAL_SPREADS = st.lists(
     st.tuples(*[st.integers(-2**20, 2**20).map(lambda k: k * 5e-324)] * 2), min_size=1, max_size=60
 )
+
+
+@st.composite
+def small_datasets(draw):
+    """A small dataset and its schedule: a ``synthesize_dataset`` draw
+    (flat or compounded costs, with or without tolerances), or points on a
+    grid at two costs, whose distances and costs tie so often that ties by
+    id shape the plan."""
+    years = tuple(range(2018, 2018 + draw(st.integers(1, 4))))
+    if draw(st.booleans()):
+        blobs = draw(st.integers(1, 3))
+        return synthesize_dataset(
+            draw(st.integers(max(blobs, len(years)), 40)), blobs, years,
+            draw(st.integers(0, 2**16)), growth_rate=draw(st.sampled_from([0.0, 0.05])),
+            tolerance_fraction=draw(st.sampled_from([0.0, 0.05, 0.5])),
+        )
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    segments = [
+        seg(f"g{i}-{j}", (i, j), cost=draw(st.sampled_from(["1.00", "2.50"])),
+            year=years[(i + j) % len(years)], years=years)
+        for i in range(width) for j in range(height)
+    ]
+    entries = []
+    for year in years:
+        cents = draw(st.integers(100, 250 * len(segments)))
+        low, high = draw(st.integers(0, cents - 1)), draw(st.integers(0, cents))
+        money = [Decimal(k) / 100 for k in (cents, low, high)]
+        entries.append(BudgetEntry(year, *money))
+    return segments, BudgetSchedule(tuple(entries))
+
+
+def scaled(segments, schedule, factor):
+    """``segments`` and ``schedule`` with every cost, budget and tolerance
+    multiplied by ``factor``, exactly, as ``Decimal`` multiplies cents."""
+    segments = [
+        Segment(
+            s.id, s.coords, {y: c * factor for y, c in s.cost_by_year.items()}, s.scheduled_year
+        )
+        for s in segments
+    ]
+    entries = tuple(
+        BudgetEntry(e.year, e.budget * factor, e.low_tolerance * factor, e.high_tolerance * factor)
+        for e in schedule.entries
+    )
+    return segments, BudgetSchedule(entries, schedule.conservation_tolerance * factor)
+
+
+def renamed(segments, names):
+    """``segments`` with each id replaced by ``names[id]``."""
+    return [Segment(names[s.id], s.coords, s.cost_by_year, s.scheduled_year) for s in segments]
+
+
+def plan_outline(plan, rename=lambda sid: sid):
+    """What ``plan`` decides, every id passed through ``rename``: each
+    cluster's year, center and members in order, the unassigned ids, and
+    each diagnostic's code, year and ids. Money and messages are left out."""
+    ids = lambda sids: tuple(map(rename, sids))
+    return (
+        [(c.year, c.center_id and rename(c.center_id), ids(c.member_ids)) for c in plan.clusters],
+        ids(plan.unassigned_ids),
+        [(d.code, d.year, ids(d.segment_ids)) for d in plan.diagnostics],
+    )
+
+
+def distance_figures(plan, schedule, segments):
+    """Each year's two dispersion figures and the weighted mean, in ``float.hex``."""
+    figures = compute_metrics(plan, schedule, segments)
+    return [
+        (y.mean_member_distance_to_center.hex(), y.mean_pairwise_distance.hex())
+        for y in figures.per_year
+    ], figures.overall.weighted_mean_dispersion.hex()
+
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),

@@ -332,6 +332,27 @@ def test_distance_total_adds_left_to_right(coords, start):
     assert metrics._distance_total(coords[0], coords, start).hex() == expected.hex()
 
 
+# CPython's sum() adds floats left to right in C before 3.12 (gh-100425)
+SUM_IN_ORDER = sys.implementation.name == "cpython" and sys.version_info < (3, 12)
+
+
+def test_each_kernel_gives_the_pairwise_bits(monkeypatch):
+    # mixed magnitudes, so that any other order of the additions shows;
+    # the C sum is forced only where it adds in order
+    rng = random.Random(11)
+    coords = [
+        (rng.choice([1e-3, 1.0, 1e16]) * rng.uniform(-1, 1), rng.uniform(-1, 1))
+        for _ in range(60)
+    ]
+    cluster = Cluster(2018, "p0", tuple(f"p{k}" for k in range(60)), "60.00", "60.00")
+    expected = _oracle_figures(coords, 0)[1]
+    kernels = [metrics._loop_total] + [metrics._sum_total] * SUM_IN_ORDER
+    assert metrics._distance_total is kernels[-1]
+    for kernel in kernels:
+        monkeypatch.setattr(metrics, "_distance_total", kernel)
+        assert mean_pairwise_distance(cluster, coords).hex() == expected.hex(), kernel
+
+
 def test_distance_total_uses_sum_only_where_it_adds_in_order(monkeypatch):
     # CPython's sum() adds floats left to right in C before 3.12 and
     # compensates from 3.12 (gh-100425); no other order is documented
@@ -422,6 +443,118 @@ def test_baseline_measures_few_exact_totals(tmp_path, monkeypatch):
     assert len(exact_totals) == 2 * len(sizes)
     for coords in totals_over:
         assert exact_totals[id(coords)] < len(coords) / 10
+
+
+def _oracle_figures(coords, center):
+    """The mean distance to ``coords[center]`` and the mean pairwise
+    distance of two or more points, each distance ``math.dist`` of the given
+    values, added left to right from 0.0 by a plain double loop."""
+    to_center = 0.0
+    for b in coords:
+        to_center += math.dist(coords[center], b)
+    pairwise = 0.0
+    for i, a in enumerate(coords):
+        for b in coords[i + 1 :]:
+            pairwise += math.dist(a, b)
+    m = len(coords)
+    return to_center / m, pairwise / (m * (m - 1) // 2)
+
+
+class Coordinate(float):
+    """A float subclass, as a caller's own point type may hold."""
+
+
+def _check_figures(coords, center):
+    """The year's figures that ``compute_metrics`` and ``compare_plans`` find
+    for ``coords``, looked up by ids whose order runs against member order,
+    against ``_oracle_figures``; returns the member coordinates that
+    ``compute_metrics`` measures."""
+    ids = tuple(f"p{len(coords) - k:03d}" for k in range(len(coords)))
+    lookup = dict(zip(ids, coords))
+    plan = Plan((Cluster(2018, ids[center], ids, "1.00", "1.00"),))
+    before = Plan((Cluster(2018, ids[0], ids, "1.00", "1.00"),))
+    (year,) = compute_metrics(plan, schedule([1]), lookup).per_year
+    (delta,) = compare_plans(before, plan, schedule([1]), lookup).per_year
+    to_center, pairwise = _oracle_figures(coords, center)
+    figures = [
+        year.mean_member_distance_to_center, year.mean_pairwise_distance,
+        delta.center_delta, delta.pairwise_delta,
+    ]
+    expected = [to_center, pairwise, to_center - _oracle_figures(coords, 0)[0], 0.0]
+    assert list(map(float.hex, figures)) == list(map(float.hex, expected))
+    return metrics._member_coords(plan.clusters[0], lookup)
+
+
+class TestMemberCoordinates:
+    """``compute_metrics`` copies a year's float coordinates in member order
+    before its O(m²) sums; every figure is the bits of the given values."""
+
+    def test_points_allocated_in_shuffled_order(self):
+        rng = random.Random(3)
+        values = [(rng.uniform(-1e4, 1e4), rng.uniform(-1e4, 1e4)) for _ in range(300)]
+        order = list(range(300))
+        rng.shuffle(order)
+        made = {k: tuple(float(repr(x)) for x in values[k]) for k in order}
+        given = [made[k] for k in range(300)]
+        copied = _check_figures(given, center=17)
+        assert copied == given
+        assert all(type(p) is tuple for p in copied)
+        assert not any(c is g or c[0] is g[0] for c, g in zip(copied, given))
+
+    @pytest.mark.parametrize(
+        "kind",
+        [int, Coordinate, Decimal, lambda v: -0.0 if v == 0 else float(v)],
+        ids=["int", "float-subclass", "Decimal", "negative-zero"],
+    )
+    def test_coordinate_kinds(self, kind):
+        rng = random.Random(5)
+        given = [
+            (kind(rng.randint(-50, 50)), kind(rng.randint(-50, 50)), kind(0)) for _ in range(40)
+        ]
+        copied = _check_figures(given, center=3)
+        assert copied == given
+        # only floats are copied: other values reach math.dist as given
+        assert (copied[0] is given[0]) is (kind in (int, Coordinate, Decimal))
+        signs = {math.copysign(1.0, p[2]) for p in copied}
+        assert signs == {math.copysign(1.0, kind(0))}
+
+    def test_zero_dimensional_points(self):
+        assert _check_figures([()] * 4, center=2) == [()] * 4
+
+    # each as raised before the member-order copy, type and message; the
+    # center, the last member, is measured against each member in turn
+    @pytest.mark.parametrize(
+        "coords, error, message",
+        [
+            ([(0.0, 0.0), (1.0, 0.0)], UnknownSegmentError,
+             "cluster 2018 references unknown segment 'p001'"),
+            ([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0, 1.0)], DimensionMismatchError,
+             "points have dimensions 2 and 3"),
+            ([(0.0, 0.0, 0.0), (1.0, 0.0), (1.0, 1.0)], DimensionMismatchError,
+             "points have dimensions 3 and 2"),
+            ([(), (1.0,), ()], DimensionMismatchError, "points have dimensions 0 and 1"),
+            ([(0.0, 0.0), (1.0, "x"), (1.0, 1.0)], TypeError, "must be real number, not str"),
+            ([("x", 0.0), (0.0, 0.0, 0.0), (1.0, 1.0)], TypeError,
+             "must be real number, not str"),
+            ([(0.0, 0.0), None, (1.0, 1.0)], TypeError, "'NoneType' object is not iterable"),
+            ([(0.0, 0.0), None, 5], TypeError, "'int' object is not iterable"),
+            ([(0.0, 0.0), (10**400, 0.0), (1.0, 1.0)], OverflowError,
+             "int too large to convert to float"),
+        ],
+        ids=["unknown", "mixed", "mixed-first", "mixed-zero", "str", "str-mixed", "none",
+             "none-and-int", "big-int"],
+    )
+    def test_refusals_are_unchanged(self, coords, error, message):
+        ids = ("p003", "p002", "p001")
+        lookup = dict(zip(ids, coords))
+        plan = Plan((Cluster(2018, ids[-1], ids, "1.00", "1.00"),))
+        for run in (
+            lambda: compute_metrics(plan, schedule([1]), lookup),
+            lambda: compare_plans(plan, plan, schedule([1]), lookup),
+        ):
+            with pytest.raises(error) as raised:
+                run()
+            assert type(raised.value) is error and str(raised.value) == message
 
 
 class TestPlanFromSchedule:

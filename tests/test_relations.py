@@ -2,13 +2,17 @@
 what it is given, and on nothing else of the CSV or the interpreter."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import paveplan.io_formats
 from paveplan.cli import main
 from paveplan.io_formats import emit_budgets_csv, emit_segments_csv
+from paveplan.radial import landmark_based_radial_clustering, main_algorithm, schedule_aware_plan
 from paveplan.synth import synthesize_dataset
 
-from helpers import run_paveplan
+from helpers import (
+    distance_figures, plan_outline, renamed, run_paveplan, scaled, small_datasets,
+)
 
 
 def _write_dataset(directory, n=60, blobs=3, years=range(2018, 2021), seed=5):
@@ -119,3 +123,45 @@ def test_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
         assert sorted(files) == ["before.json", "plan.json", "plan.svg"]
         artifacts.append((files, printed))
     assert artifacts[0] == artifacts[1]
+
+
+# each engine as ``cluster --algo`` runs it, with or without skip mode
+ENGINES = {
+    "random": lambda segments, schedule, skip: main_algorithm(
+        segments, schedule, 3, skip_mode=skip
+    ),
+    "landmark": lambda segments, schedule, skip: landmark_based_radial_clustering(
+        segments, schedule, 0, skip_mode=skip
+    ),
+    "schedule": lambda segments, schedule, skip: schedule_aware_plan(
+        segments, schedule, 0, skip_mode=skip
+    ),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_datasets(), st.sampled_from(sorted(ENGINES)), st.booleans())
+def test_money_scaled_by_100_gives_the_same_plan(dataset, engine, skip):
+    segments, schedule = dataset
+    plan = ENGINES[engine](segments, schedule, skip)
+    big_segments, big_schedule = scaled(segments, schedule, 100)
+    big = ENGINES[engine](big_segments, big_schedule, skip)
+    assert plan_outline(big) == plan_outline(plan)
+    assert [c.realized_cost for c in big.clusters] == [c.realized_cost * 100 for c in plan.clusters]
+    assert distance_figures(big, big_schedule, big_segments) == distance_figures(
+        plan, schedule, segments
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_datasets(), st.sampled_from(sorted(ENGINES)), st.booleans(), st.randoms())
+def test_an_order_preserving_rename_renames_the_plan(dataset, engine, skip, rng):
+    segments, schedule = dataset
+    ids = sorted(s.id for s in segments)
+    # distinct ids of one to six hex digits, of which only the order is kept
+    new_ids = sorted(map("{:x}".format, rng.sample(range(2**24), len(ids))))
+    names = dict(zip(ids, new_ids))
+    plan = ENGINES[engine](segments, schedule, skip)
+    assert plan_outline(ENGINES[engine](renamed(segments, names), schedule, skip)) == (
+        plan_outline(plan, names.__getitem__)
+    )
