@@ -114,25 +114,19 @@ def _csv_cell(text: str) -> str:
 
 def _parse_coords(cells: list[str], row: int, columns: list[str]) -> tuple[float, ...]:
     """``cells`` as finite floats written in ASCII without underscores
-    (``float`` reads ``٣`` and ``1_0``), by one check over the row, one
-    ``float`` and one ``isfinite`` pass; only a row they refuse is read
-    again, cell by cell, to name the bad cell."""
-    joined = "".join(cells)
-    if joined.isascii() and "_" not in joined:
-        try:
-            coords = tuple(map(float, cells))
-            if all(map(math.isfinite, coords)):
-                return coords
-        except ValueError:
-            pass
+    (``float`` reads ``٣`` and ``1_0``), naming the first bad cell."""
+    coords = []
     for value, column in zip(cells, columns):
         try:
             if not value.isascii() or "_" in value:
                 raise ValueError
-            if not math.isfinite(float(value)):
-                raise CsvFormatError(f"non-finite number {value!r}", row=row, column=column)
+            number = float(value)
         except ValueError:
             raise CsvFormatError(f"malformed number {value!r}", row=row, column=column) from None
+        if not math.isfinite(number):
+            raise CsvFormatError(f"non-finite number {value!r}", row=row, column=column)
+        coords.append(number)
+    return tuple(coords)
 
 
 def parse_int(text: str) -> int:

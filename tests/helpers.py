@@ -1,6 +1,5 @@
 """Shared builders for the test suite."""
 
-import json
 import math
 import os
 import re
@@ -233,13 +232,6 @@ def csv_texts(draw, header, row):
         cells = (cells + [draw(CSV_CELLS)])[:width]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def document_text(obj):
-    """The plan document object ``obj`` in the form paveplan writes, so a
-    test that edits a document reaches the fault it targets, not a
-    formatting difference at line 1."""
-    return json.dumps(obj, indent=2) + "\n"
 
 
 def money_respellings(amount):

@@ -7,6 +7,7 @@ were written first and the engine's expected values were frozen from them.
 """
 
 import json
+import math
 import re
 from decimal import Decimal, InvalidOperation
 
@@ -15,28 +16,33 @@ def euclid(a, b):
     return sum((x - y) ** 2 for x, y in zip(a, b)) ** 0.5
 
 
-def oracle_prefix_cluster(pool, center, cap, cost=None):
-    """Member ids of the longest admissible distance-ordered prefix.
+def oracle_prefix_cluster(pool, center, cap, cost=None, dist=euclid, skip=False):
+    """Member ids, in admission order, of the longest admissible
+    distance-ordered prefix; with ``skip``, a point past the cap is passed
+    over instead of ending the walk.
 
     The center is always in; if its own cost meets or exceeds the cap, the
-    cluster is just the center.
+    cluster is just the center. Pass ``dist=math.dist`` to rank by the very
+    floats the engine compares.
     """
     if cost is None:
         cost = lambda seg: seg.cost_by_year[seg.scheduled_year]
     cap = cap if isinstance(cap, Decimal) else Decimal(str(cap))
-    chosen = {center.id}
+    chosen = [center.id]
     total = cost(center)
     if total >= cap:
         return chosen
     ranked = sorted(
         (seg for seg in pool if seg.id != center.id),
-        key=lambda seg: (euclid(center.coords, seg.coords), seg.id),
+        key=lambda seg: (dist(center.coords, seg.coords), seg.id),
     )
     for seg in ranked:
         if total + cost(seg) > cap:
+            if skip:
+                continue
             break
         total += cost(seg)
-        chosen.add(seg.id)
+        chosen.append(seg.id)
     return chosen
 
 
@@ -70,6 +76,23 @@ def oracle_medoid(members, dist=euclid):
     if best is None:
         raise ValueError("member list must not be empty")
     return best[1]
+
+
+def oracle_year_figures(coords, center):
+    """The mean distance to ``coords[center]`` and the mean pairwise
+    distance of ``coords``, each distance ``math.dist`` of the given values,
+    added left to right from 0.0 by a plain double loop; 0 below two points."""
+    m = len(coords)
+    if m < 2:
+        return 0.0, 0.0
+    to_center = 0.0
+    for b in coords:
+        to_center += math.dist(coords[center], b)
+    pairwise = 0.0
+    for i, a in enumerate(coords):
+        for b in coords[i + 1 :]:
+            pairwise += math.dist(a, b)
+    return to_center / m, pairwise / (m * (m - 1) // 2)
 
 
 def oracle_cluster_cost(cluster, segments):

@@ -115,7 +115,7 @@ def test_criterion_3_oracle_equivalence():
         center = pool[rng.randrange(len(pool))]
         cap = Decimal(rng.randint(1, 80000)) / 100
         cluster, _ = radial_neighbor_clustering(pool, center, cap)
-        if set(cluster.member_ids) != oracle_prefix_cluster(pool, center, cap):
+        if set(cluster.member_ids) != set(oracle_prefix_cluster(pool, center, cap)):
             prefix_mismatches += 1
 
     furthest_mismatches = 0

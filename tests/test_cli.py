@@ -32,9 +32,8 @@ from paveplan.model import (
 )
 from paveplan.synth import synthesize_dataset
 
-from helpers import (
-    JSON_VALUES, csv_texts, document_text, money_respellings, refusal, refused_at, seg,
-)
+from helpers import JSON_VALUES, csv_texts, money_respellings, refusal, refused_at, seg
+from oracles import oracle_document_json
 
 TWO_BLOB_SEGMENTS = (
     "id,x,y,scheduled_year,cost\n"
@@ -79,33 +78,30 @@ def test_cluster_landmark_two_blobs(two_blob_files, tmp_path):
     assert blobs == [{"b"}, {"a"}]
 
 
-def test_cluster_random_requires_seed(two_blob_files):
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--algo", "random"], "--seed is required with --algo random"),
+        (["--algo", "landmark", "--seed", "1"], "--seed is not valid with --algo landmark"),
+        (["--algo", "random", "--seed", "1", "--axis", "0"], "--axis is not valid"),
+        (["--algo", "landmark", "--low-tolerance", "1.00"], "only apply to --algo schedule"),
+        (["--algo", "random", "--seed", "1", "--low-tolerance", "1.00"], "only apply to"),
+        (["--algo", "schedule", "--conservation-tolerance=-0.01"], "must be non-negative"),
+    ],
+    ids=["random-without-seed", "landmark-with-seed", "random-with-axis",
+         "landmark-with-tolerance", "random-with-tolerance", "negative-conservation"],
+)
+def test_cluster_refuses_options_that_do_not_apply(options, message, two_blob_files, capsys):
     segments, budgets = two_blob_files
-    with pytest.raises(SystemExit) as excinfo:
-        main(
-            [
-                "cluster",
-                "--segments", str(segments),
-                "--budgets", str(budgets),
-                "--algo", "random",
-            ]
-        )
-    assert excinfo.value.code == 2
-
-
-def test_cluster_landmark_rejects_seed(two_blob_files):
-    segments, budgets = two_blob_files
-    with pytest.raises(SystemExit) as excinfo:
-        main(
-            [
-                "cluster",
-                "--segments", str(segments),
-                "--budgets", str(budgets),
-                "--algo", "landmark",
-                "--seed", "1",
-            ]
-        )
-    assert excinfo.value.code == 2
+    out = segments.parent / "plan.json"
+    try:
+        code = main(["cluster", "--segments", str(segments), "--budgets", str(budgets),
+                     *options, "--out", str(out)])
+    except SystemExit as exc:  # a usage error
+        code = exc.code
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 ALGO_ARGS = {
@@ -966,6 +962,8 @@ SEGMENT_ROW_REFUSALS = {
     "non-finite-coordinate": ("b,0,inf,2018,1.00", "row 3, column 'y': non-finite number 'inf'"),
     "non-ascii-year": ("b,0,0,\u0662\u0660\u0661\u0669,1.00",
                        "row 3, column 'scheduled_year': malformed integer '\u0662\u0660\u0661\u0669'"),
+    "control-char-year": ("b,0,0,\x1c2019,1.00",
+                          "row 3, column 'scheduled_year': malformed integer '\\x1c2019'"),
     "sub-cent-cost": ("b,0,0,2018,1.234",
                       "row 3, column 'cost': money must have at most 2 decimal places, got '1.234'"),
     "zero-cost": ("b,0,0,2018,0.00", "row 3, column 'cost': cost must be positive, got 0.00"),
@@ -1037,6 +1035,13 @@ def test_failed_svg_write_leaves_no_plan(two_blob_files, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "budgets.csv", "p.json", "segments.csv"
     ]
+    # a directory named as either output: no file or hidden sibling is left
+    (tmp_path / "adir").mkdir()
+    for out, svg in [("adir", "x.svg"), ("p.json", "adir")]:
+        assert main([*command[:-1], str(tmp_path / out), "--svg", str(tmp_path / svg)]) == 2
+        assert "Is a directory" in capsys.readouterr().err
+        assert (tmp_path / "p.json").read_text(encoding="utf-8") == "old"
+        assert sorted(os.listdir(tmp_path)) == ["adir", "budgets.csv", "p.json", "segments.csv"]
 
 
 def test_failed_matrix_write_leaves_no_synth_output(tmp_path, monkeypatch, capsys):
@@ -1371,7 +1376,7 @@ def test_compare_refuses_other_budgets(two_blob_files, tmp_path, capsys):
     obj["metrics"]["per_year"][1].update(budget="4.00", utilization=0.75)
     obj["metrics"]["overall"].update(total_budget="7.00", total_deviation="-1.00")
     after = tmp_path / "after.json"
-    after.write_text(document_text(obj), encoding="utf-8")
+    after.write_text(oracle_document_json(obj), encoding="utf-8")
     capsys.readouterr()
     assert _compare(before, after, segments) == 2
     assert capsys.readouterr().err == (
@@ -1419,13 +1424,13 @@ def test_segments_from_another_seed_exit_2(command, tmp_path, capsys):
 def _document_without_metrics():
     obj = json.loads(GOLDEN_TEXT)
     del obj["metrics"]
-    return document_text(obj)
+    return oracle_document_json(obj)
 
 
 def _document_with_budget(value):
     obj = json.loads(GOLDEN_TEXT)
     obj["clusters"][0]["budget"] = value
-    return document_text(obj)
+    return oracle_document_json(obj)
 
 
 @pytest.mark.parametrize("command", ["metrics", "render", "compare"])
@@ -1463,7 +1468,7 @@ def test_fractional_year_in_plan_document_exits_2(
     original = after.read_text(encoding="utf-8")
     obj = json.loads(original)
     obj["clusters"][0]["members"][0]["scheduled_year"] = 2018.7
-    after.write_text(document_text(obj), encoding="utf-8")
+    after.write_text(oracle_document_json(obj), encoding="utf-8")
     args = {
         "metrics": ["--plan", str(after)],
         "render": ["--plan", str(after), "--out", str(tmp_path / "plan.svg")],
@@ -1472,7 +1477,7 @@ def test_fractional_year_in_plan_document_exits_2(
     capsys.readouterr()
     assert main([command, *args, "--segments", str(segments)]) == 2
     err = capsys.readouterr().err
-    assert re.match("error: " + refused_at(document_text(obj), original), err)
+    assert re.match("error: " + refused_at(oracle_document_json(obj), original), err)
     assert err.count("\n") == 1
     assert not (tmp_path / "plan.svg").exists()
 
@@ -1480,7 +1485,7 @@ def test_fractional_year_in_plan_document_exits_2(
 def _golden_document(edit):
     obj = json.loads(GOLDEN_TEXT)
     edit(obj)
-    return document_text(obj)
+    return oracle_document_json(obj)
 
 
 def _edit_member(**fields):
@@ -1684,7 +1689,7 @@ def test_one_edit_is_refused_at_its_line_or_recomputed(data):
     for step in path[:-1]:
         parent = parent[step]
     parent[path[-1]] = new
-    text = document_text(obj)
+    text = oracle_document_json(obj)
     with tempfile.TemporaryDirectory() as tmp:
         segments = Path(tmp) / "segments.csv"
         segments.write_text(TWO_BLOB_SEGMENTS, encoding="utf-8")
@@ -1775,7 +1780,7 @@ def test_render_unknown_segment_exits_2(two_blob_files, tmp_path, capsys):
     )
     obj["metrics"]["unassigned_count"] = 1
     plan_path = tmp_path / "plan.json"
-    plan_path.write_text(document_text(obj), encoding="utf-8")
+    plan_path.write_text(oracle_document_json(obj), encoding="utf-8")
     code = main(
         ["render", "--plan", str(plan_path), "--segments", str(segments),
          "--out", str(tmp_path / "plan.svg")]

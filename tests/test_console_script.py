@@ -1,18 +1,134 @@
-"""Malformed cells and inputs at the money and float limits through the
-command line, one process a command.
+"""The README quick start, checked against ``tests/oracles.py``, malformed
+cells, and inputs at the money and float limits through the command line.
 
 Each command runs as its own process (``helpers.run_paveplan``): the
 installed console script when ``PAVEPLAN_CONSOLE_SCRIPT`` names it, as CI
-does after ``pip install .``, else ``python -m paveplan.cli``.
+does after ``pip install .``, else ``python -m paveplan.cli``. The CSVs
+are read with ``csv`` and ``Decimal``, never with paveplan's loaders.
 """
 
 import csv
+import json
+import math
 import os
 from decimal import Decimal
+from types import SimpleNamespace
 
 import pytest
 
 from helpers import run_paveplan
+from oracles import oracle_document_json, oracle_medoid, oracle_prefix_cluster, oracle_year_figures
+
+DATASET = ["--segments", "segments.csv", "--budgets", "budgets.csv"]
+# each plan document of the quick start, and the cluster options that write it
+PLANS = {
+    "plan.json": ["--algo", "schedule", "--svg", "plan.svg"],
+    "landmark.json": ["--algo", "landmark"],
+    "random.json": ["--algo", "random", "--seed", "3"],
+    "landmark-skip.json": ["--algo", "landmark", "--skip-mode"],
+    "schedule-skip.json": ["--algo", "schedule", "--skip-mode"],
+}
+DOCUMENTS = [*PLANS, "before.json"]
+# the plans of the plain radial walk, and whether each passes over a miss
+WALKS = {"landmark.json": False, "random.json": False, "landmark-skip.json": True}
+
+
+@pytest.fixture(scope="module", params=["flat", "matrix"])
+def quick_start(request, tmp_path_factory):
+    """The README quick start's dataset, flat or with costs compounded 5% a
+    year in a cost matrix, and every document written from it."""
+    directory = tmp_path_factory.mktemp(request.param)
+    matrix = ["--cost-matrix", "matrix.csv"] if request.param == "matrix" else []
+    commands = [
+        ["synth", "--n", "800", "--blobs", "5", "--years", "2018:2022", "--seed", "7",
+         "--tolerance-fraction", "0.05", "--out-segments", "segments.csv",
+         "--out-budgets", "budgets.csv",
+         *(["--growth-rate", "0.05", "--out-matrix", "matrix.csv"] if matrix else [])],
+        ["validate", *DATASET, *matrix],
+        *(["cluster", *DATASET, *matrix, *options, "--out", path]
+          for path, options in PLANS.items()),
+        ["baseline", *DATASET, *matrix, "--out", "before.json"],
+        ["compare", "--before", "before.json", "--after", "plan.json",
+         "--segments", "segments.csv"],
+    ]
+    for command in commands:
+        run = run_paveplan(command, cwd=directory)
+        assert run.returncode == 0, (command, run.stderr)
+    return directory
+
+
+def _csv_rows(path):
+    return {row["id"]: row for row in csv.DictReader(path.read_text(encoding="utf-8").splitlines())}
+
+
+@pytest.mark.parametrize("path", DOCUMENTS)
+def test_documents_are_the_stdlib_encoding_of_brute_force_figures(quick_start, path):
+    # each year's figures are the brute-force sums over its members, and
+    # metrics prints them again
+    text = (quick_start / path).read_bytes().decode("utf-8")
+    document = json.loads(text)
+    assert text == oracle_document_json(document)
+    run = run_paveplan(["metrics", "--plan", path, "--segments", "segments.csv"], cwd=quick_start)
+    assert run.returncode == 0, run.stderr
+    printed, stored = json.loads(run.stdout), document["metrics"]
+    keys = ("mean_member_distance_to_center", "mean_pairwise_distance")
+    years = zip(document["clusters"], stored["per_year"], printed["per_year"], strict=True)
+    for cluster, old, new in years:
+        ids = [member["id"] for member in cluster["members"]]
+        center = ids.index(cluster["center_id"]) if ids else None
+        figures = oracle_year_figures([member["coords"] for member in cluster["members"]], center)
+        expected = list(map(float.hex, figures))
+        assert [old[k].hex() for k in keys] == [new[k].hex() for k in keys] == expected, ids[:1]
+    overall = [m["overall"]["weighted_mean_dispersion"].hex() for m in (stored, printed)]
+    assert overall[0] == overall[1]
+    deviation = printed["conservation"]["total_deviation"]
+    assert deviation == printed["overall"]["total_deviation"]
+    tolerance = Decimal(document["schedule"]["conservation_tolerance"])
+    assert printed["conservation"]["within_tolerance"] is (abs(Decimal(deviation)) <= tolerance)
+
+
+def test_baseline_centers_are_medoids(quick_start):
+    # each total a math.dist sum in member order, the least (total, id) wins
+    for cluster in json.loads((quick_start / "before.json").read_bytes())["clusters"]:
+        members = [SimpleNamespace(**member) for member in cluster["members"]]
+        medoid = oracle_medoid(members, dist=math.dist) if members else None
+        assert cluster["center_id"] == medoid, cluster["year"]
+
+
+@pytest.mark.parametrize("path", WALKS)
+def test_walks_drain_the_pool_as_prefixes(quick_start, path):
+    # year by year, each cluster is the prefix walk from its center over
+    # what earlier years left, every point priced in the cluster's year
+    rows = _csv_rows(quick_start / "segments.csv")
+    matrix = (quick_start / "matrix.csv").exists() and _csv_rows(quick_start / "matrix.csv")
+    price = lambda sid, year: Decimal(matrix[sid][f"Y{year}"] if matrix else rows[sid]["cost"])
+    pool = {sid: SimpleNamespace(id=sid, coords=(float(row["x"]), float(row["y"])))
+            for sid, row in rows.items()}
+    for cluster in json.loads((quick_start / path).read_bytes())["clusters"]:
+        year = cluster["year"]
+        if cluster["center_id"] is None:
+            assert not pool, year
+            continue
+        members = oracle_prefix_cluster(
+            pool.values(), pool[cluster["center_id"]], Decimal(cluster["budget"]),
+            cost=lambda point: price(point.id, year), dist=math.dist, skip=WALKS[path],
+        )
+        assert [member["id"] for member in cluster["members"]] == members, year
+        for sid in members:
+            del pool[sid]
+
+
+def test_a_minified_plan_is_refused_at_line_1(quick_start, tmp_path):
+    # a plan document reads back only as the bytes paveplan writes
+    minified = json.dumps(json.loads((quick_start / "plan.json").read_bytes()))
+    (tmp_path / "minified.json").write_text(minified, encoding="utf-8")
+    render = ["render", "--plan", "minified.json", "--out", "minified.svg"]
+    run = run_paveplan([*render, "--segments", quick_start / "segments.csv"], cwd=tmp_path)
+    assert run.returncode == 2, (run.returncode, run.stderr)
+    assert run.stderr.startswith("error: plan document line 1: "), run.stderr
+    assert run.stderr.count("\n") == 1, run.stderr
+    assert sorted(os.listdir(tmp_path)) == ["minified.json"]
+
 
 GOOD = "id,x,y,scheduled_year,cost\na,0,0,2018,1.00\n"
 

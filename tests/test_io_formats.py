@@ -47,9 +47,7 @@ from paveplan.model import (
 from paveplan.radial import landmark_based_radial_clustering
 from paveplan.synth import synthesize_dataset
 
-from helpers import (
-    JSON_VALUES, csv_texts, document_text, money_respellings, refusal, refused_at, seg,
-)
+from helpers import JSON_VALUES, csv_texts, money_respellings, refusal, refused_at, seg
 from oracles import oracle_document_json, oracle_plan_obj
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -487,19 +485,22 @@ SEGMENTS_HEADER = "id,x,y,scheduled_year,cost"
         (f'{SEGMENTS_HEADER}\na,0,0,2018,"1.\n00"\n', 2),
         (f"{SEGMENTS_HEADER}\na,0,0,2018,\xa01.00\xa0\n", 0),
         (f"{SEGMENTS_HEADER}\na,0,0,\xa02018,1.00\n", 2),  # int() reads it, not as ASCII
+        (f"{SEGMENTS_HEADER}\na,0,0,\x1c2018,1.00\n", 2),  # str.strip reads it, int() does not
         (f"{SEGMENTS_HEADER}\na,0,0,2018,1.00\nb,x,0,2018,1.00\na,1,0,2018,1.00\n", 2),
         (f"{SEGMENTS_HEADER}\na,0,0,2018,1.00\na,x,0,2018,1.00\nb,1,0,2018,1.00\n", 2),
         (f"{SEGMENTS_HEADER}\na,0,0,2018,1.00\nb,1,0,2018\n", 2),
         (f"{SEGMENTS_HEADER}\n", 2),
         ("id,x,y,scheduled_year\na,0,0,2018\n", 0),
         ("id,x,scheduled_year,cost\n\n", 2),
+        ("id,scheduled_year,cost\na,2018,1.00\n", 2),
         ("", 2),
     ],
     ids=[
         "blank-lines", "crlf", "only-commas", "quoted-year-newline", "year-split-by-newline",
         "quoted-cost-newline", "cost-split-by-newline", "nbsp-cost", "nbsp-year",
-        "bad-cell-before-duplicate", "duplicate-before-bad-cell", "short-row", "header-only",
-        "no-cost-column", "no-data-rows", "empty",
+        "control-char-year", "bad-cell-before-duplicate", "duplicate-before-bad-cell",
+        "short-row", "header-only", "no-cost-column", "no-data-rows", "no-coordinate-column",
+        "empty",
     ],
 )
 def test_column_reader_cases(text, calls):
@@ -525,6 +526,11 @@ def test_a_valid_export_never_runs_the_row_reader(monkeypatch):
     assert [s.scheduled_year for s in (a, b, c)] == [2018, 2019, 2020]
     assert [str(s.base_cost()) for s in (a, b, c)] == ["12.00", "7.50", "0.01"]
     assert load_coordinates(text) == {"a": (1.5, -2.0), "b": (1000.0, 0.25), "c": (0.0, 0.0)}
+
+
+def test_no_segments_are_refused():
+    with pytest.raises(ValueError, match="^nothing to emit$"):
+        emit_segments_csv([])
 
 
 def test_segment_ids_are_quoted_when_csv_needs_it():
@@ -1016,7 +1022,7 @@ def _golden_with(path, value):
     for step in parent_path:
         parent = parent[step]
     parent[key] = value
-    return document_text(obj)
+    return oracle_document_json(obj)
 
 
 def _refused(text):
@@ -1144,9 +1150,9 @@ class TestMalformedPlanDocument:
         member = dict(obj["clusters"][0]["members"][0], id="u", assigned_year=None, cost_used=None)
         obj["unassigned"] = [member]
         obj["metrics"]["unassigned_count"] = 1
-        reference = document_text(obj)
+        reference = oracle_document_json(obj)
         obj["unassigned"] = [dict(member, **{field: value})]
-        text = document_text(obj)
+        text = oracle_document_json(obj)
         assert _refused(text) == refusal(text, reference)
 
     def test_over_budget_singleton_parses(self):
@@ -1162,7 +1168,7 @@ class TestMalformedPlanDocument:
         obj["metrics"]["overall"].update(
             total_budget="3.50", total_cost="4.00", total_deviation="0.50"
         )
-        cluster = parse_plan_document(document_text(obj)).plan.clusters[0]
+        cluster = parse_plan_document(oracle_document_json(obj)).plan.clusters[0]
         assert cluster.realized_cost > cluster.budget
 
     @pytest.mark.parametrize("path", sorted(DATA_DIR.glob("*.json")), ids=lambda p: p.name)
@@ -1180,7 +1186,7 @@ class TestMalformedPlanDocument:
     def test_cluster_without_schedule_entry(self):
         obj = json.loads(GOLDEN_TEXT)
         obj["clusters"].append(dict(obj["clusters"][1], year=2020, members=[], realized_cost="0.00"))
-        text = document_text(obj)
+        text = oracle_document_json(obj)
         assert _refused(text) == "plan document line 97: expected '    }', found '    },'"
 
     def test_cluster_budget_is_its_schedule_entry_budget(self):
@@ -1203,7 +1209,7 @@ class TestMalformedPlanDocument:
         # every byte agrees with what the writer writes; the plan does not hold
         obj = json.loads(GOLDEN_TEXT)
         edit(obj)
-        assert _refused(document_text(obj)) == f"plan document has a bad value: {message}"
+        assert _refused(oracle_document_json(obj)) == f"plan document has a bad value: {message}"
 
     def test_a_non_positive_budget_is_named(self):
         obj = json.loads(GOLDEN_TEXT)
@@ -1212,7 +1218,7 @@ class TestMalformedPlanDocument:
             budget="0.00", utilization=math.nan, over_budget=True
         )
         obj["metrics"]["overall"].update(total_budget="3.00", total_deviation="3.00")
-        assert _refused(document_text(obj)) == (
+        assert _refused(oracle_document_json(obj)) == (
             "plan document has a bad value: budget for 2018 must be positive"
         )
 
@@ -1281,7 +1287,7 @@ class TestMalformedPlanDocument:
             else:
                 parent[key] = [parent[key]]
         try:
-            document = parse_plan_document(document_text(obj))
+            document = parse_plan_document(oracle_document_json(obj))
         except PavePlanError:
             return
         assert isinstance(document, PlanDocument)

@@ -35,7 +35,7 @@ from paveplan.radial import landmark_based_radial_clustering
 from helpers import (
     NEAR_TIE_POINTS, SUBNORMAL_SPREADS, kernel_point_sets, random_segments, schedule, seg,
 )
-from oracles import oracle_cluster_cost, oracle_medoid
+from oracles import oracle_cluster_cost, oracle_medoid, oracle_year_figures
 
 
 def two_point_fixture():
@@ -165,9 +165,11 @@ class TestComputeMetrics:
         )
 
     def test_unknown_member_rejected(self):
-        _, sched, plan = two_point_fixture()
+        segments, sched, plan = two_point_fixture()
         with pytest.raises(UnknownSegmentError):
             compute_metrics(plan, sched, [seg("a", (0, 0))])
+        with pytest.raises(UnknownSegmentError, match="^unassigned id 'z' is unknown$"):
+            compute_metrics(Plan(plan.clusters, ("z",)), sched, segments)
 
 
 # Published five-year budget/cost pairs whose columns both total
@@ -345,7 +347,7 @@ def test_each_kernel_gives_the_pairwise_bits(monkeypatch):
         for _ in range(60)
     ]
     cluster = Cluster(2018, "p0", tuple(f"p{k}" for k in range(60)), "60.00", "60.00")
-    expected = _oracle_figures(coords, 0)[1]
+    expected = oracle_year_figures(coords, 0)[1]
     kernels = [metrics._loop_total] + [metrics._sum_total] * SUM_IN_ORDER
     assert metrics._distance_total is kernels[-1]
     for kernel in kernels:
@@ -445,21 +447,6 @@ def test_baseline_measures_few_exact_totals(tmp_path, monkeypatch):
         assert exact_totals[id(coords)] < len(coords) / 10
 
 
-def _oracle_figures(coords, center):
-    """The mean distance to ``coords[center]`` and the mean pairwise
-    distance of two or more points, each distance ``math.dist`` of the given
-    values, added left to right from 0.0 by a plain double loop."""
-    to_center = 0.0
-    for b in coords:
-        to_center += math.dist(coords[center], b)
-    pairwise = 0.0
-    for i, a in enumerate(coords):
-        for b in coords[i + 1 :]:
-            pairwise += math.dist(a, b)
-    m = len(coords)
-    return to_center / m, pairwise / (m * (m - 1) // 2)
-
-
 class Coordinate(float):
     """A float subclass, as a caller's own point type may hold."""
 
@@ -467,7 +454,7 @@ class Coordinate(float):
 def _check_figures(coords, center):
     """The year's figures that ``compute_metrics`` and ``compare_plans`` find
     for ``coords``, looked up by ids whose order runs against member order,
-    against ``_oracle_figures``; returns the member coordinates that
+    against ``oracle_year_figures``; returns the member coordinates that
     ``compute_metrics`` measures."""
     ids = tuple(f"p{len(coords) - k:03d}" for k in range(len(coords)))
     lookup = dict(zip(ids, coords))
@@ -475,12 +462,12 @@ def _check_figures(coords, center):
     before = Plan((Cluster(2018, ids[0], ids, "1.00", "1.00"),))
     (year,) = compute_metrics(plan, schedule([1]), lookup).per_year
     (delta,) = compare_plans(before, plan, schedule([1]), lookup).per_year
-    to_center, pairwise = _oracle_figures(coords, center)
+    to_center, pairwise = oracle_year_figures(coords, center)
     figures = [
         year.mean_member_distance_to_center, year.mean_pairwise_distance,
         delta.center_delta, delta.pairwise_delta,
     ]
-    expected = [to_center, pairwise, to_center - _oracle_figures(coords, 0)[0], 0.0]
+    expected = [to_center, pairwise, to_center - oracle_year_figures(coords, 0)[0], 0.0]
     assert list(map(float.hex, figures)) == list(map(float.hex, expected))
     return metrics._member_coords(plan.clusters[0], lookup)
 

@@ -143,6 +143,12 @@ class TestSegment:
             Segment(id="road-7", coords=(0.0, bad), cost_by_year={2018: "5.00"},
                     scheduled_year=2018)
 
+    def test_rejects_an_empty_id_or_no_coordinates(self):
+        with pytest.raises(ValueError, match="^segment id must be a non-empty string$"):
+            seg("", (0, 0))
+        with pytest.raises(ValueError, match="^segment a: needs at least one coordinate$"):
+            seg("a", ())
+
     def test_rejects_nonpositive_cost(self):
         with pytest.raises(ValueError):
             seg("a", (0, 0), cost="0.00")

@@ -95,7 +95,7 @@ class TestBuildToleranceBand:
             (band.mid_cluster, cap),
             (band.high_cluster, cap + high),
         ):
-            expected = oracle_prefix_cluster(pool, center, limit)
+            expected = set(oracle_prefix_cluster(pool, center, limit))
             assert set(cluster.member_ids) == expected
             assert cluster.realized_cost == sum(
                 by_id[sid].cost_by_year[by_id[sid].scheduled_year] for sid in expected

@@ -44,6 +44,13 @@ def test_each_segment_is_the_one_segment_would_build(
     assert all(e.budget.as_tuple().exponent == -2 for e in schedule.entries)
 
 
+def test_refuses_a_dataset_it_cannot_deal():
+    with pytest.raises(ValueError, match="^need n >= blobs >= 1$"):
+        synthesize_dataset(2, 3, (2018,), 1)
+    with pytest.raises(ValueError, match="^need at least one year$"):
+        synthesize_dataset(2, 1, (), 1)
+
+
 # the README quick-start dataset (n 800, 5 blobs, 2018:2022, seed 7, fraction
 # 0.05) as each writer writes it, flat and compounded by 5% a year
 QUICK_START_CSV = {
