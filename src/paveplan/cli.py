@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 validation failure (strict mode or a failed
 ``validate``), 2 usage / I/O / parse errors and artifacts that did not come
 from the same inputs. Diagnostics always go to standard error; artifacts
 are only written after the whole pipeline has run, so failures leave no
-partial output files. Two outputs naming one file are refused before any
-input is read.
+partial output files. Two outputs naming one file, or an output naming an
+existing regular file the command reads, are refused before any input is
+read.
 """
 
 from __future__ import annotations
@@ -110,6 +111,16 @@ def _refuse_shared_outputs(paths: Iterable[Path]) -> None:
         if real in named:
             raise PavePlanError(f"outputs {named[real]} and {path} name the same file")
         named[real] = path
+
+
+def _refuse_outputs_over_inputs(outputs: Iterable[Path], inputs: Iterable[Path]) -> None:
+    """Refuse an output that resolves to an existing regular file one of
+    ``inputs`` names, a symlink alias too; a pipe or a terminal may be both."""
+    read = {os.path.realpath(path): path for path in inputs}
+    for path in outputs:
+        real = os.path.realpath(path)
+        if real in read and os.path.isfile(real):
+            raise PavePlanError(f"output {path} and input {read[real]} name the same file")
 
 
 def _write_outputs(files: Sequence[tuple[Path, str]], stdout_text: str = "") -> None:
@@ -314,8 +325,9 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     return _write_plan(plan, schedule, segments, digest, args.out)
 
 
-def _parse_years(spec: str) -> tuple[int, ...]:
-    """The years ``--years`` names: ``2018:2022`` (both ends in) or ``2018,2019``."""
+def _parse_years(spec: str) -> Sequence[int]:
+    """The years ``--years`` names: ``2018:2022`` (both ends in, as a ``range``,
+    so a refused long span is never built) or ``2018,2019``."""
     try:
         if ":" not in spec:
             return tuple(map(parse_int, spec.split(",")))
@@ -324,7 +336,7 @@ def _parse_years(spec: str) -> tuple[int, ...]:
         raise ValueError(f"--years {spec!r} is not a year list or range") from None
     if end < start:
         raise ValueError(f"--years {spec!r} is a reversed range")
-    return tuple(range(start, end + 1))
+    return range(start, end + 1)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -377,6 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=Decimal("0.00"),
             help="allowed gap between total cost and total budget (default 0.00)",
         )
+        p.set_defaults(inputs=("segments", "budgets", "cost_matrix"))
 
     p_validate = sub.add_parser("validate", help="check dataset invariants")
     add_dataset_args(p_validate)
@@ -420,14 +433,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--plan", type=Path, required=True)
     p_render.add_argument("--segments", type=Path, required=True)
     p_render.add_argument("--out", type=Path, required=True)
-    p_render.set_defaults(handler=_cmd_render)
+    p_render.set_defaults(handler=_cmd_render, inputs=("plan", "segments"), outputs=("out",))
 
     p_baseline = sub.add_parser(
         "baseline", help="emit the plan implied by the input schedule (for compare)"
     )
     add_dataset_args(p_baseline)
     p_baseline.add_argument("--out", type=Path, help="plan JSON path (stdout if omitted)")
-    p_baseline.set_defaults(handler=_cmd_baseline)
+    p_baseline.set_defaults(handler=_cmd_baseline, outputs=("out",))
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
     p_synth.add_argument("--n", type=int_arg, required=True)
@@ -450,8 +463,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)  # argparse's exits restore it too
         # from the argument paths alone: a refused run reads and prints nothing else
-        outputs = map(vars(args).get, getattr(args, "outputs", ()))
-        _refuse_shared_outputs(filter(None, outputs))
+        named = vars(args)
+        outputs = [named[name] for name in getattr(args, "outputs", ()) if named[name]]
+        _refuse_shared_outputs(outputs)
+        inputs = (named[name] for name in getattr(args, "inputs", ()) if named[name])
+        _refuse_outputs_over_inputs(outputs, inputs)
         return args.handler(args)
     except ValidationFailedError as exc:
         for issue in exc.issues:

@@ -62,7 +62,7 @@ from bisect import bisect, bisect_left
 from itertools import chain, compress
 from typing import Iterable, Iterator, Sequence
 
-from .model import DimensionMismatchError, Record, Segment
+from .model import DimensionMismatchError, Record, Segment, first_repeat
 
 Coords = tuple[float, ...]
 
@@ -79,20 +79,19 @@ class DistanceOrdering(Record):
 class Pool:
     """Segments not yet placed, sorted once on the first coordinate. ``len()``
     and iteration (in input order) see the live ones; :meth:`remove` drops ids.
-    Pools only shrink, so the first walk that reads checks every dimension."""
+    Each id may appear once, as a plan keys its members by id. Pools only
+    shrink, so the first walk that reads checks every dimension."""
 
     def __init__(self, segments: Iterable[Segment]) -> None:
         self.segments = segments = list(segments)
+        self.first = {seg.id: i for i, seg in enumerate(segments)}  # id -> input position
+        if len(self.first) < len(segments):
+            twin = first_repeat(seg.id for seg in segments)
+            raise ValueError(f"segment id {twin!r} appears more than once")
         xs = [seg.coords[0] for seg in segments]
         self.order = sorted(range(len(xs)), key=xs.__getitem__)
         self.xs = list(map(xs.__getitem__, self.order))
         self.live = bytearray(b"\1") * len(segments)
-        # id -> its last input position; position -> an earlier one with that id
-        self.first, self.same = {}, {}
-        for i, seg in enumerate(segments):
-            if seg.id in self.first:
-                self.same[i] = self.first[seg.id]
-            self.first[seg.id] = i
         self.checked: tuple[Coords, ...] = ()  # a point of the checked dimension
 
     def __len__(self) -> int:
@@ -104,9 +103,8 @@ class Pool:
     def remove(self, ids: Iterable[str]) -> None:
         for seg_id in ids:
             i = self.first.pop(seg_id, None)
-            while i is not None:
+            if i is not None:
                 self.live[i] = 0
-                i = self.same.get(i)
 
 
 def nearest_first(segments: Sequence[Segment] | Pool, anchor: Segment) -> Iterator[Segment]:

@@ -47,16 +47,6 @@ def _check_segments(segments: Iterable[Segment], axis: int = 0) -> list[Segment]
     return segments
 
 
-def _plan_pool(segments: Iterable[Segment], axis: int) -> Pool:
-    """The checked ``segments`` as a plan's pool, refused if an id repeats:
-    a plan keys its members by id."""
-    pool = Pool(_check_segments(segments, axis))
-    if pool.same:
-        twin = pool.segments[min(pool.same)]
-        raise ValueError(f"segment id {twin.id!r} appears more than once")
-    return pool
-
-
 def select_initial_center(segments: Sequence[Segment], axis: int = 0) -> Segment:
     """The segment with the largest coordinate on ``axis``; ties by ascending id."""
     segments = _check_segments(segments, axis)
@@ -113,10 +103,7 @@ def _drain_pool(
             clustered.add([seg.coords for seg, _ in trace.admitted])
             center = furthest_point_from_cluster(pool, clustered)
         if banded:
-            cluster, trace = schedule_aware_cluster(
-                pool, center, entry.budget, entry.low_tolerance,
-                entry.high_tolerance, year=entry.year, skip_mode=skip_mode,
-            )
+            cluster, trace = schedule_aware_cluster(pool, center, entry, skip_mode=skip_mode)
         else:
             cluster, trace = radial_neighbor_clustering(
                 pool, center, entry.budget, year=entry.year, skip_mode=skip_mode
@@ -161,7 +148,7 @@ def main_algorithm(
     one ``randrange`` per cluster, so the same seed and input order always
     reproduce the same plan.
     """
-    pool = _plan_pool(segments, 0)
+    pool = Pool(_check_segments(segments))
     return _drain_pool(schedule, pool, skip_mode=skip_mode, rng=random.Random(seed))
 
 
@@ -173,7 +160,8 @@ def landmark_based_radial_clustering(
     skip_mode: bool = False,
 ) -> Plan:
     """Deterministic whole-plan driver using landmark centers."""
-    return _drain_pool(schedule, _plan_pool(segments, axis), skip_mode=skip_mode, axis=axis)
+    pool = Pool(_check_segments(segments, axis))
+    return _drain_pool(schedule, pool, skip_mode=skip_mode, axis=axis)
 
 
 def schedule_aware_plan(
@@ -189,7 +177,7 @@ def schedule_aware_plan(
     Dataset validation runs first; in strict mode any issue aborts,
     otherwise its diagnostics lead the plan's.
     """
-    pool = _plan_pool(segments, axis)
+    pool = Pool(_check_segments(segments, axis))
     issues = validate_dataset(pool.segments, schedule)
     if strict and issues:
         raise ValidationFailedError(issues)

@@ -93,7 +93,7 @@ def radial_neighbor_clustering(
     center: Segment,
     budget,
     *,
-    year: int | None = None,
+    year: int,
     skip_mode: bool = False,
 ) -> tuple[Cluster, ClusterBuildTrace]:
     """Grow one cluster outward from ``center`` until the budget stops it.
@@ -101,11 +101,9 @@ def radial_neighbor_clustering(
     The center is always a member; a center at or over the budget comes
     back as a flagged singleton. Otherwise the remaining pool is streamed
     nearest-first and each point is admitted while the running total stays
-    within the cap. Every cost is taken in ``year``, or else in the
-    center's scheduled year, which is the cluster's year.
+    within the cap. Every cost is taken in ``year``, the cluster's year.
     """
     cap = money(budget)
-    year = center.scheduled_year if year is None else year
     # the stream looks for the center at once: a flagged center must be in the pool too
     admitted, stop_reason = _admit(center, nearest_first(pool, center), cap, year, skip_mode)
     cluster = _cluster(year, center, admitted, cap)
@@ -128,14 +126,11 @@ class ToleranceBand(Record):
         return tuple(seg.id for seg in self.band)
 
 
-def band_order(
-    band: Sequence[Segment], center: Segment, *, year: int | None = None
-) -> list[Segment]:
+def band_order(band: Sequence[Segment], center: Segment, *, year: int) -> list[Segment]:
     """Urgency order for band points: ascending scheduled year (overdue work
-    naturally sorts first), then ascending cost in ``year`` (or else the
-    center's scheduled year), then distance to the center, then id."""
+    naturally sorts first), then ascending cost in ``year``, then distance to
+    the center, then id."""
     dist, point = math.dist, center.coords
-    year = center.scheduled_year if year is None else year
     try:
         return sorted(
             band,
@@ -151,26 +146,19 @@ def band_order(
 def build_tolerance_band(
     pool: Sequence[Segment] | Pool,
     center: Segment,
-    budget,
-    low_tolerance,
-    high_tolerance,
-    *,
-    year: int | None = None,
+    entry: BudgetEntry,
 ) -> ToleranceBand:
     """Cut the inner/nominal/outer clusters from one walk around ``center``,
-    pricing at ``year`` or else the center's scheduled year.
+    at the caps of ``entry`` and priced in its year.
 
     The walk is :func:`radial_neighbor_clustering` to the outer cap, and its
     cluster is the outer one. Prefix admission makes each smaller cap a cut
     of the same walk: the admissions whose running total stays within it,
     and at least the center, which is how a center at or over a cap becomes
-    that cap's flagged singleton. The caps must make a :class:`BudgetEntry`
-    for the year, refused with its messages, and the outer one stay below
+    that cap's flagged singleton. The outer cap must stay below
     ``MONEY_LIMIT``.
     """
-    year = center.scheduled_year if year is None else year
-    entry = BudgetEntry(year, budget, low_tolerance, high_tolerance)
-    cap, low, high = entry.budget, entry.low_tolerance, entry.high_tolerance
+    year, cap, low, high = entry.year, entry.budget, entry.low_tolerance, entry.high_tolerance
     if cap + high >= MONEY_LIMIT:
         raise ValueError(f"year {year}: budget + e_h {cap + high} is not below {MONEY_LIMIT:.0E}")
     high_cluster, trace = radial_neighbor_clustering(pool, center, cap + high, year=year)
@@ -189,25 +177,20 @@ def build_tolerance_band(
 def schedule_aware_cluster(
     pool: Sequence[Segment] | Pool,
     center: Segment,
-    budget,
-    low_tolerance,
-    high_tolerance,
+    entry: BudgetEntry,
     *,
-    year: int | None = None,
     skip_mode: bool = False,
 ) -> tuple[Cluster, ClusterBuildTrace]:
     """Final cluster: all of the inner cluster, then band points in urgency
-    order while the nominal cap holds, priced at ``year`` or else the
-    center's scheduled year.
+    order while ``entry``'s nominal cap holds, priced in its year.
 
     Without ``skip_mode``, both tolerances at zero reduce exactly to
     :func:`radial_neighbor_clustering` (same members, same trace). With it
     they need not: skipping applies only to the band, which is then empty.
     """
-    cap = money(budget)
+    year, cap = entry.year, entry.budget
     pool = pool if isinstance(pool, Pool) else Pool(pool)
-    year = center.scheduled_year if year is None else year
-    band = build_tolerance_band(pool, center, cap, low_tolerance, high_tolerance, year=year)
+    band = build_tolerance_band(pool, center, entry)
     # the inner cluster fits under cap - low, so all of it is admitted again
     candidates = band.inner[1:] + band.band
     admitted, stop_reason = _admit(center, candidates, cap, year, skip_mode)

@@ -88,11 +88,12 @@ def synthesize_dataset(
     """
     if blobs < 1 or n < blobs:
         raise ValueError("need n >= blobs >= 1")
-    years = tuple(int(y) for y in years)
-    if not years:
+    # the length first: a span of years too long for n is refused unbuilt
+    if not len(years):
         raise ValueError("need at least one year")
     if n < len(years):
         raise ValueError("auto-sized budgets need at least one project per year")
+    years = tuple(int(y) for y in years)
     if not math.isfinite(growth_rate):
         raise ValueError(f"growth rate must be finite, got {growth_rate}")
     if not (math.isfinite(tolerance_fraction) and tolerance_fraction >= 0):

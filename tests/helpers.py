@@ -35,6 +35,11 @@ def line_segments(xs, cost="1.00", year=2018, years=None, prefix="s"):
     return [seg(f"{prefix}{x}", (x, 0.0), cost=cost, year=year, years=years) for x in xs]
 
 
+def entry(budget, low="0.00", high="0.00", year=2018):
+    """One year's ``BudgetEntry``, amounts given as strings or decimals."""
+    return BudgetEntry(year, Decimal(str(budget)), Decimal(str(low)), Decimal(str(high)))
+
+
 def schedule(budgets, start_year=2018, low="0.00", high="0.00", tolerance="0.00"):
     entries = tuple(
         BudgetEntry(

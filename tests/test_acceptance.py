@@ -30,7 +30,7 @@ from paveplan.refine import (
 )
 from paveplan.synth import synthesize_dataset
 
-from helpers import random_segments, random_schedule, schedule, seg
+from helpers import entry, random_segments, random_schedule, schedule, seg
 from oracles import oracle_cluster_cost, oracle_furthest_point, oracle_prefix_cluster
 from paveplan.geometry import ClusterBalls, furthest_point_from_cluster
 
@@ -97,7 +97,7 @@ def test_criterion_2_band_nesting():
         cap = Decimal(rng.randint(200, 60000)) / 100
         low = Decimal(rng.randint(0, int(cap * 100) - 1)) / 100
         high = Decimal(rng.randint(0, 30000)) / 100
-        band = build_tolerance_band(segments, center, cap, low, high)
+        band = build_tolerance_band(segments, center, entry(cap, low, high, center.scheduled_year))
         low_ids = set(band.low_cluster.member_ids)
         mid_ids = set(band.mid_cluster.member_ids)
         high_ids = set(band.high_cluster.member_ids)
@@ -114,7 +114,7 @@ def test_criterion_3_oracle_equivalence():
         pool = random_segments(rng, n)
         center = pool[rng.randrange(len(pool))]
         cap = Decimal(rng.randint(1, 80000)) / 100
-        cluster, _ = radial_neighbor_clustering(pool, center, cap)
+        cluster, _ = radial_neighbor_clustering(pool, center, cap, year=2018)
         if set(cluster.member_ids) != set(oracle_prefix_cluster(pool, center, cap)):
             prefix_mismatches += 1
 
@@ -330,9 +330,7 @@ def test_criterion_8_year_priority():
     for trial in range(100):
         rng = random.Random(80_000 + trial)
         pool, center, near_later, far_earlier = _year_priority_case(rng)
-        cluster, _ = schedule_aware_cluster(
-            pool, center, "3.00", "1.00", "1.00", year=2019
-        )
+        cluster, _ = schedule_aware_cluster(pool, center, entry("3.00", "1.00", "1.00", 2019))
         if far_earlier.id not in cluster.member_ids or near_later.id in cluster.member_ids:
             failures += 1
     _report(

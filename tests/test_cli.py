@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from itertools import chain
@@ -481,6 +482,26 @@ def test_synth_auto_budgets_need_one_project_per_year(tmp_path, capsys):
     rows = (tmp_path / "b.csv").read_text(encoding="utf-8").splitlines()[1:]
     assert len(rows) == 3
     assert all(Decimal(row.split(",")[1]) >= Decimal("5000.00") for row in rows)
+
+
+def test_synth_refuses_a_long_span_of_years_unbuilt(tmp_path, capsys):
+    # a million years for five projects: refused by the span's length, so
+    # no tuple of years (8 MB of pointers alone) is ever built
+    tracemalloc.start()
+    try:
+        code = main(
+            ["synth", "--n", "5", "--blobs", "1", "--years", "0:999999", "--seed", "1",
+             "--out-segments", str(tmp_path / "s.csv"), "--out-budgets", str(tmp_path / "b.csv")]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: auto-sized budgets need at least one project per year\n"
+    )
+    assert peak < 1 << 20
+    assert list(tmp_path.iterdir()) == []
 
 
 def _synth_budgets(*tolerances):

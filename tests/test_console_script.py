@@ -263,3 +263,34 @@ def test_two_outputs_naming_one_file_are_refused(tmp_path):
         assert run.stderr.endswith("name the same file\n"), run.stderr
         assert run.stderr.count("\n") == 1, run.stderr
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before, command
+
+
+def test_an_output_naming_an_input_is_refused(tmp_path):
+    # refused (exit 2) from the argument paths alone, before any input is read
+    synth = ["synth", "--n", "20", "--blobs", "2", "--years", "2018:2019", "--seed", "1"]
+    for command in [
+        [*synth, "--out-segments", "segments.csv", "--out-budgets", "budgets.csv"],
+        ["cluster", "--algo", "schedule", *DATASET, "--out", "plan.json"],
+    ]:
+        run = run_paveplan(command, cwd=tmp_path)
+        assert run.returncode == 0, (command, run.stderr)
+    os.symlink("segments.csv", tmp_path / "alias.csv")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    render = ["render", "--plan", "plan.json", "--segments", "segments.csv"]
+    for command, output, read in [
+        (["cluster", "--algo", "schedule", *DATASET, "--out", "segments.csv"],
+         "segments.csv", "segments.csv"),
+        (["cluster", "--algo", "landmark", *DATASET, "--svg", "./budgets.csv"],
+         "budgets.csv", "budgets.csv"),
+        (["baseline", *DATASET, "--out", "alias.csv"], "alias.csv", "segments.csv"),
+        ([*render, "--out", "plan.json"], "plan.json", "plan.json"),
+    ]:
+        run = run_paveplan(command, cwd=tmp_path)
+        assert (run.returncode, run.stdout, run.stderr) == (
+            2, "", f"error: output {output} and input {read} name the same file\n"
+        ), command
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before, command
+    # a pipe is no file a command reads
+    run = run_paveplan([*render, "--out", "/dev/stdout"], cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("<svg "), run.stdout[:80]

@@ -34,7 +34,7 @@ def test_order_by_distance_and_band_order_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         order_by_distance([anchor, flat], anchor)
     with pytest.raises(DimensionMismatchError):
-        band_order([flat], anchor)
+        band_order([flat], anchor, year=2018)
 
 
 def _one_cluster_plan(segments):
@@ -51,7 +51,7 @@ MIXED_DIMENSION_CALLS = {
         segs, schedule([5])
     ),
     "schedule_aware_plan": lambda segs: schedule_aware_plan(segs, schedule([5])),
-    "band_order": lambda segs: band_order(segs[1:], segs[0]),
+    "band_order": lambda segs: band_order(segs[1:], segs[0], year=2018),
     "compute_metrics": lambda segs: compute_metrics(_one_cluster_plan(segs), schedule([5]), segs),
     "plan_from_schedule": lambda segs: plan_from_schedule(segs, schedule([5])),
 }
@@ -191,7 +191,7 @@ def test_a_walk_measures_about_what_it_reads(measured):
     # only the slab the walk reaches is measured: the 10 members' and the
     # first misfit's ring, plus at most one point measured ahead
     pool = line_segments(range(1000))
-    cluster, _ = radial_neighbor_clustering(pool, pool[500], "10.00")
+    cluster, _ = radial_neighbor_clustering(pool, pool[500], "10.00", year=2018)
     assert cluster.size == 10
     assert len(measured) <= 10 + 1
 
@@ -218,10 +218,7 @@ def _drains(draw):
         offset = draw(st.sampled_from([1e15, -3e15, 2.0**53, 1e17]))
         points = [tuple(offset + c for c in p) for p in points]
     n = len(points)
-    if draw(st.booleans()):
-        ids = draw(st.lists(st.sampled_from("abcd"), min_size=n, max_size=n))
-    else:
-        ids = draw(st.permutations([f"s{i:02d}" for i in range(n)]))
+    ids = draw(st.permutations([f"s{i:02d}" for i in range(n)]))
     segments = [seg(sid, p) for sid, p in zip(ids, points)]
     walk = st.tuples(st.integers(0, 99), st.integers(0, 6))  # (anchor pick, ids taken)
     walks = draw(st.lists(walk, min_size=1, max_size=4))
@@ -237,7 +234,7 @@ def _drain(segments, walks):
         assert len(pool) == len(live)
         if not live:
             break
-        anchor = sorted(live, key=lambda s: (s.id, s.coords))[pick % len(live)]
+        anchor = sorted(live, key=lambda s: s.id)[pick % len(live)]
         stream = list(nearest_first(pool, anchor))
         alive = {id(s) for s in live}
         expected = sorted(

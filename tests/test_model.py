@@ -263,6 +263,25 @@ class TestBudgetSchedule:
         entry = BudgetEntry(2018, "2.00", low_tolerance="1.99", high_tolerance="5.00")
         assert entry.low_tolerance == Decimal("1.99")
 
+    @pytest.mark.parametrize(
+        "caps",
+        [
+            ("0.00", "0.00", "0.00"),
+            ("-3.00", "0.00", "0.00"),
+            ("3.00", "-0.01", "0.00"),
+            ("3.00", "0.00", "-1.00"),
+            ("3.00", "3.00", "0.00"),
+            ("1.00", "1.00", "0.00"),
+            ("3.00", "4.00", "1.00"),
+            ("3.001", "0.00", "0.00"),
+            ("3.00", "x", "0.00"),
+        ],
+    )
+    def test_refuses_caps_that_make_no_band(self, caps):
+        # the band builders take an entry, so these are refused before any walk
+        with pytest.raises(ValueError):
+            BudgetEntry(2018, *caps)
+
     def test_total(self):
         sched = schedule([3, 2])
         assert sched.total_budget() == Decimal("5.00")
@@ -414,12 +433,12 @@ def _records(shift):
     metrics = compute_metrics(plan, sched, segments)
     text = emit_plan(plan, metrics, sched, segments, input_digest(str(shift)))
     comparison = compare_plans(plan_from_schedule(segments, sched), plan, sched, segments)
-    _, trace = radial_neighbor_clustering(segments, segments[0], entry.budget)
+    _, trace = radial_neighbor_clustering(segments, segments[0], entry.budget, year=entry.year)
     records = [
         segments[0], entry, sched, plan.clusters[0], Diagnostic("code", "message", 2018 + shift),
         plan, metrics.per_year[0], metrics.overall, metrics, comparison.per_year[0], comparison,
         parse_plan_document(text), order_by_distance(segments, segments[shift]), trace,
-        build_tolerance_band(segments, segments[0], entry.budget, "0.50", "1.00"),
+        build_tolerance_band(segments, segments[0], entry),
     ]
     return {type(record): record for record in records}
 

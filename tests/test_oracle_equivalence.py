@@ -69,7 +69,7 @@ def test_oracle_prefix_heavy_center():
 def test_oracle_prefix_matches_engine_on_examples():
     pool = line_segments([0, 1, 2, 3, 10])
     for cap in ("0.50", "1.00", "2.50", "3.50", "99.00"):
-        cluster, _ = radial_neighbor_clustering(pool, pool[0], cap)
+        cluster, _ = radial_neighbor_clustering(pool, pool[0], cap, year=2018)
         assert set(cluster.member_ids) == set(oracle_prefix_cluster(pool, pool[0], Decimal(cap)))
 
 

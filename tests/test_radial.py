@@ -28,7 +28,7 @@ from oracles import oracle_prefix_cluster
 class TestRadialNeighborClustering:
     def test_prefix_walk_on_line(self):
         pool = line_segments([0, 1, 2, 3, 10])
-        cluster, trace = radial_neighbor_clustering(pool, pool[0], "3.50")
+        cluster, trace = radial_neighbor_clustering(pool, pool[0], "3.50", year=2018)
         assert cluster.member_ids == ("s0", "s1", "s2")
         assert cluster.realized_cost == Decimal("3.00")
         assert trace.stop_reason == STOP_BUDGET_REACHED
@@ -40,21 +40,21 @@ class TestRadialNeighborClustering:
 
     def test_center_at_cap_is_flagged_singleton(self):
         pool = [seg("c", (0, 0), cost="5.00"), seg("n", (1, 0), cost="1.00")]
-        cluster, trace = radial_neighbor_clustering(pool, pool[0], "5.00")
+        cluster, trace = radial_neighbor_clustering(pool, pool[0], "5.00", year=2018)
         assert cluster.member_ids == ("c",)
         assert trace.stop_reason == STOP_CENTER_EXCEEDS_BUDGET
         assert cluster.realized_cost == Decimal("5.00")
 
     def test_lone_center_exhausts_data(self):
         pool = [seg("c", (0, 0), cost="1.00")]
-        cluster, trace = radial_neighbor_clustering(pool, pool[0], "10.00")
+        cluster, trace = radial_neighbor_clustering(pool, pool[0], "10.00", year=2018)
         assert cluster.member_ids == ("c",)
         assert trace.stop_reason == STOP_DATA_EXHAUSTED
 
     def test_center_not_in_pool(self):
         pool = line_segments([0, 1])
         with pytest.raises(ValueError):
-            radial_neighbor_clustering(pool, seg("z", (9, 9)), "1.00")
+            radial_neighbor_clustering(pool, seg("z", (9, 9)), "1.00", year=2018)
 
     @pytest.mark.parametrize("cap", ["1.00", "100.00"])
     def test_walk_refuses_a_center_outside_the_pool(self, cap):
@@ -75,7 +75,7 @@ class TestRadialNeighborClustering:
     def test_nonpositive_budget(self):
         pool = line_segments([0])
         with pytest.raises(ValueError):
-            radial_neighbor_clustering(pool, pool[0], "0.00")
+            radial_neighbor_clustering(pool, pool[0], "0.00", year=2018)
 
     def test_skip_mode_packs_past_first_miss(self):
         pool = [
@@ -83,17 +83,17 @@ class TestRadialNeighborClustering:
             seg("big", (1, 0), cost="5.00"),
             seg("small", (2, 0), cost="1.00"),
         ]
-        prefix, trace = radial_neighbor_clustering(pool, pool[0], "2.50")
+        prefix, trace = radial_neighbor_clustering(pool, pool[0], "2.50", year=2018)
         assert prefix.member_ids == ("c",)
         assert trace.stop_reason == STOP_BUDGET_REACHED
-        packed, trace = radial_neighbor_clustering(pool, pool[0], "2.50", skip_mode=True)
+        packed, trace = radial_neighbor_clustering(pool, pool[0], "2.50", year=2018, skip_mode=True)
         assert packed.member_ids == ("c", "small")
         assert trace.stop_reason == STOP_BUDGET_REACHED
 
     def test_cumulative_costs_strictly_increase(self):
         rng = random.Random(7)
         pool = random_segments(rng, 30)
-        cluster, trace = radial_neighbor_clustering(pool, pool[3], "400.00")
+        cluster, trace = radial_neighbor_clustering(pool, pool[3], "400.00", year=2018)
         cums = [cum for _, cum in trace.admitted]
         assert all(a < b for a, b in zip(cums, cums[1:]))
         assert cums[-1] == cluster.realized_cost
@@ -105,7 +105,7 @@ class TestRadialNeighborClustering:
         pool = random_segments(rng, rng.randint(1, 40))
         center = pool[rng.randrange(len(pool))]
         cap = Decimal(rng.randint(1, 60000)) / 100
-        cluster, _ = radial_neighbor_clustering(pool, center, cap)
+        cluster, _ = radial_neighbor_clustering(pool, center, cap, year=2018)
         assert set(cluster.member_ids) == set(oracle_prefix_cluster(pool, center, cap))
 
     @given(st.integers(min_value=0, max_value=5_000))
@@ -116,8 +116,8 @@ class TestRadialNeighborClustering:
         center = pool[rng.randrange(len(pool))]
         small = Decimal(rng.randint(1, 30000)) / 100
         big = small + Decimal(rng.randint(0, 30000)) / 100
-        small_cluster, _ = radial_neighbor_clustering(pool, center, small)
-        big_cluster, _ = radial_neighbor_clustering(pool, center, big)
+        small_cluster, _ = radial_neighbor_clustering(pool, center, small, year=2018)
+        big_cluster, _ = radial_neighbor_clustering(pool, center, big, year=2018)
         if small_cluster.realized_cost <= small:  # skip flagged-singleton caps
             assert set(small_cluster.member_ids) <= set(big_cluster.member_ids)
 

@@ -1,7 +1,6 @@
 import ast
 import hashlib
 import random
-import re
 from decimal import Decimal
 from pathlib import Path
 
@@ -9,12 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import paveplan.refine
+from paveplan.geometry import Pool, nearest_first
 from paveplan.io_formats import emit_plan
 from paveplan.metrics import compute_metrics
-from paveplan.model import BudgetEntry, BudgetSchedule, Segment, ValidationFailedError
+from paveplan.model import BudgetSchedule, Segment, ValidationFailedError
 from paveplan.radial import landmark_based_radial_clustering, schedule_aware_plan
 from paveplan.refine import (
+    STOP_BUDGET_REACHED,
     STOP_CENTER_EXCEEDS_BUDGET,
+    STOP_DATA_EXHAUSTED,
     band_order,
     build_tolerance_band,
     radial_neighbor_clustering,
@@ -23,20 +25,20 @@ from paveplan.refine import (
 
 from paveplan.synth import synthesize_dataset
 
-from helpers import line_segments, random_segments, schedule, seg
+from helpers import entry, line_segments, random_segments, schedule, seg
 from oracles import oracle_cluster_cost, oracle_prefix_cluster
 
 
 class TestBuildToleranceBand:
     def test_zero_tolerances_collapse(self):
         pool = line_segments(range(6))
-        band = build_tolerance_band(pool, pool[0], "3.00", "0.00", "0.00")
+        band = build_tolerance_band(pool, pool[0], entry("3.00"))
         assert band.low_cluster == band.mid_cluster == band.high_cluster
         assert band.band_ids == ()
 
     def test_line_band(self):
         pool = line_segments(range(6))
-        band = build_tolerance_band(pool, pool[0], "3.00", "1.00", "1.00")
+        band = build_tolerance_band(pool, pool[0], entry("3.00", "1.00", "1.00"))
         assert band.low_cluster.member_ids == ("s0", "s1")
         assert band.mid_cluster.member_ids == ("s0", "s1", "s2")
         assert band.high_cluster.member_ids == ("s0", "s1", "s2", "s3")
@@ -44,35 +46,10 @@ class TestBuildToleranceBand:
 
     def test_heavy_center_collapses_to_singleton(self):
         pool = [seg("c", (0, 0), cost="10.00"), seg("n", (1, 0), cost="1.00")]
-        band = build_tolerance_band(pool, pool[0], "5.00", "1.00", "1.00")
+        band = build_tolerance_band(pool, pool[0], entry("5.00", "1.00", "1.00"))
         for cluster in (band.low_cluster, band.mid_cluster, band.high_cluster):
             assert cluster.member_ids == ("c",)
         assert band.band_ids == ()
-
-    def test_inner_budget_must_stay_positive(self):
-        pool = line_segments(range(3))
-        with pytest.raises(ValueError):
-            build_tolerance_band(pool, pool[0], "1.00", "1.00", "0.00")
-
-    @pytest.mark.parametrize(
-        "caps",
-        [
-            ("0.00", "0.00", "0.00"),
-            ("-3.00", "0.00", "0.00"),
-            ("3.00", "-0.01", "0.00"),
-            ("3.00", "0.00", "-1.00"),
-            ("3.00", "3.00", "0.00"),
-            ("3.00", "4.00", "1.00"),
-            ("3.001", "0.00", "0.00"),
-            ("3.00", "x", "0.00"),
-        ],
-    )
-    def test_caps_are_refused_as_a_budget_entry_refuses_them(self, caps):
-        pool = line_segments(range(3))
-        with pytest.raises(ValueError) as refused:
-            BudgetEntry(2018, *caps)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
-            build_tolerance_band(pool, pool[0], *caps)
 
     @given(st.integers(min_value=0, max_value=5_000))
     @settings(max_examples=60)
@@ -83,7 +60,7 @@ class TestBuildToleranceBand:
         cap = Decimal(rng.randint(200, 60000)) / 100
         low = Decimal(rng.randint(0, int(cap * 100) - 1)) / 100
         high = Decimal(rng.randint(0, 30000)) / 100
-        band = build_tolerance_band(pool, center, cap, low, high)
+        band = build_tolerance_band(pool, center, entry(cap, low, high))
         low_ids = set(band.low_cluster.member_ids)
         mid_ids = set(band.mid_cluster.member_ids)
         high_ids = set(band.high_cluster.member_ids)
@@ -112,29 +89,29 @@ class TestBandOrder:
             seg("b", (2, 0), year=2018),
             seg("d", (3, 0), year=2019, years=[2018]),
         ]
-        assert [s.id for s in band_order(band, center)] == ["b", "d", "a"]
+        assert [s.id for s in band_order(band, center, year=2018)] == ["b", "d", "a"]
 
     def test_equal_years_lower_cost_first(self):
         center = seg("c", (0, 0))
         band = [seg("a", (1, 0), cost="5.00"), seg("b", (2, 0), cost="2.00")]
-        assert [s.id for s in band_order(band, center)] == ["b", "a"]
+        assert [s.id for s in band_order(band, center, year=2018)] == ["b", "a"]
 
     def test_equal_years_and_costs_nearer_first(self):
         center = seg("c", (0, 0))
         band = [seg("a", (3, 0)), seg("b", (1, 0))]
-        assert [s.id for s in band_order(band, center)] == ["b", "a"]
+        assert [s.id for s in band_order(band, center, year=2018)] == ["b", "a"]
 
     def test_full_tie_falls_back_to_id(self):
         center = seg("c", (0, 0))
         band = [seg("b", (0, 1)), seg("a", (1, 0))]
-        assert [s.id for s in band_order(band, center)] == ["a", "b"]
+        assert [s.id for s in band_order(band, center, year=2018)] == ["a", "b"]
 
 
 class TestScheduleAwareCluster:
     def test_zero_tolerances_reduce_to_radial(self):
         pool = line_segments(range(6))
-        refined, refined_trace = schedule_aware_cluster(pool, pool[0], "3.00", "0.00", "0.00")
-        plain, plain_trace = radial_neighbor_clustering(pool, pool[0], "3.00")
+        refined, refined_trace = schedule_aware_cluster(pool, pool[0], entry("3.00"))
+        plain, plain_trace = radial_neighbor_clustering(pool, pool[0], "3.00", year=2018)
         assert refined == plain
         assert refined_trace == plain_trace
 
@@ -145,10 +122,8 @@ class TestScheduleAwareCluster:
             seg("big", (1, 0), cost="5.00"),
             seg("small", (2, 0), cost="1.00"),
         ]
-        refined, _ = schedule_aware_cluster(
-            pool, pool[0], "2.50", "0.00", "0.00", skip_mode=True
-        )
-        plain, _ = radial_neighbor_clustering(pool, pool[0], "2.50", skip_mode=True)
+        refined, _ = schedule_aware_cluster(pool, pool[0], entry("2.50"), skip_mode=True)
+        plain, _ = radial_neighbor_clustering(pool, pool[0], "2.50", year=2018, skip_mode=True)
         assert refined.member_ids == ("c",)
         assert plain.member_ids == ("c", "small")
 
@@ -161,7 +136,7 @@ class TestScheduleAwareCluster:
             seg("near-later", (2, 0), year=2020, years=[2018, 2019, 2020]),
             seg("far-earlier", (3, 0), year=2018, years=[2018, 2019, 2020]),
         ]
-        cluster, _ = schedule_aware_cluster(pool, pool[0], "3.00", "1.00", "1.00")
+        cluster, _ = schedule_aware_cluster(pool, pool[0], entry("3.00", "1.00", "1.00", year=2019))
         assert "far-earlier" in cluster.member_ids
         assert "near-later" not in cluster.member_ids
         assert cluster.realized_cost == Decimal("3.00")
@@ -173,13 +148,13 @@ class TestScheduleAwareCluster:
             seg("b", (2, 0), cost="1.00"),
         ]
         # inner cap 3.00 already uses the whole nominal budget
-        cluster, _ = schedule_aware_cluster(pool, pool[0], "3.00", "0.00", "2.00")
+        cluster, _ = schedule_aware_cluster(pool, pool[0], entry("3.00", "0.00", "2.00"))
         assert cluster.member_ids == ("c", "a")
         assert cluster.realized_cost == Decimal("3.00")
 
     def test_heavy_center_is_flagged_singleton(self):
         pool = [seg("c", (0, 0), cost="6.00"), seg("n", (1, 0))]
-        cluster, trace = schedule_aware_cluster(pool, pool[0], "5.00", "1.00", "1.00")
+        cluster, trace = schedule_aware_cluster(pool, pool[0], entry("5.00", "1.00", "1.00"))
         assert cluster.member_ids == ("c",)
         assert trace.stop_reason == STOP_CENTER_EXCEEDS_BUDGET
 
@@ -191,11 +166,10 @@ class TestScheduleAwareCluster:
             seg("big-early", (2, 0), year=2018, cost="2.00", years=years),
             seg("small-late", (3, 0), year=2019, years=years),
         ]
-        prefix, _ = schedule_aware_cluster(pool, pool[0], "3.00", "1.00", "2.00")
+        caps = entry("3.00", "1.00", "2.00", year=2019)
+        prefix, _ = schedule_aware_cluster(pool, pool[0], caps)
         assert prefix.member_ids == ("c", "f")
-        packed, _ = schedule_aware_cluster(
-            pool, pool[0], "3.00", "1.00", "2.00", skip_mode=True
-        )
+        packed, _ = schedule_aware_cluster(pool, pool[0], caps, skip_mode=True)
         assert packed.member_ids == ("c", "f", "small-late")
 
     @pytest.mark.parametrize("center_cost", ["1.00", "6.00"])
@@ -217,7 +191,7 @@ class TestScheduleAwareCluster:
         monkeypatch.setattr(paveplan.refine, "build_tolerance_band", spy(build_tolerance_band, bands))
         pool = line_segments(range(6))
         pool[0] = seg("s0", (0, 0), cost=center_cost)
-        schedule_aware_cluster(pool, pool[0], "5.00", "1.00", "1.00")
+        schedule_aware_cluster(pool, pool[0], entry("5.00", "1.00", "1.00"))
         assert len(walks) == len(bands) == 1
         assert bands[0].high_cluster == walks[0][0]
         assert walks[0][0].budget == Decimal("6.00")
@@ -225,7 +199,9 @@ class TestScheduleAwareCluster:
     def test_outer_cap_past_the_money_limit_names_the_year(self):
         pool = line_segments(range(3))
         with pytest.raises(ValueError, match=r"^year 2021: budget \+ e_h 1000000000000000000.00 "):
-            schedule_aware_cluster(pool, pool[0], "999999999999999999.00", "0.00", "1.00", year=2021)
+            schedule_aware_cluster(
+                pool, pool[0], entry("999999999999999999.00", "0.00", "1.00", year=2021)
+            )
 
     @given(st.integers(min_value=0, max_value=5_000))
     @settings(max_examples=60)
@@ -236,8 +212,9 @@ class TestScheduleAwareCluster:
         cap = Decimal(rng.randint(200, 60000)) / 100
         low = Decimal(rng.randint(0, int(cap * 100) - 1)) / 100
         high = Decimal(rng.randint(0, 30000)) / 100
-        band = build_tolerance_band(pool, center, cap, low, high)
-        cluster, trace = schedule_aware_cluster(pool, center, cap, low, high)
+        caps = entry(cap, low, high, year=center.scheduled_year)
+        band = build_tolerance_band(pool, center, caps)
+        cluster, trace = schedule_aware_cluster(pool, center, caps)
         members = set(cluster.member_ids)
         if trace.stop_reason == STOP_CENTER_EXCEEDS_BUDGET:
             assert members == {center.id}
@@ -245,6 +222,62 @@ class TestScheduleAwareCluster:
             assert set(band.low_cluster.member_ids) <= members
             assert members <= set(band.high_cluster.member_ids)
             assert cluster.realized_cost <= cap
+
+
+@st.composite
+def _small_builds(draw):
+    """A small pool with one id per segment, a center from it and an entry."""
+    rows = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 400)),
+                         min_size=1, max_size=12))
+    pool = [seg(f"s{i:02d}", (x, y), cost=Decimal(c).scaleb(-2)) for i, (x, y, c) in enumerate(rows)]
+    budget = draw(st.integers(1, 3000))
+    low, high = draw(st.integers(0, budget - 1)), draw(st.integers(0, 1000))
+    caps = entry(*(Decimal(cents).scaleb(-2) for cents in (budget, low, high)))
+    return pool, draw(st.sampled_from(pool)), caps
+
+
+BUILDERS = {
+    "radial": lambda pool, center, caps, skip_mode: radial_neighbor_clustering(
+        pool, center, caps.budget, year=caps.year, skip_mode=skip_mode
+    ),
+    "schedule": lambda pool, center, caps, skip_mode: schedule_aware_cluster(
+        pool, center, caps, skip_mode=skip_mode
+    ),
+}
+
+
+@pytest.mark.parametrize("skip_mode", [False, True])
+@pytest.mark.parametrize("builder", BUILDERS)
+@given(build=_small_builds())
+def test_data_exhausted_exactly_when_the_whole_pool_is_admitted(builder, skip_mode, build):
+    pool, center, caps = build
+    cluster, trace = BUILDERS[builder](pool, center, caps, skip_mode)
+    if center.cost_at(caps.year) >= caps.budget:
+        assert trace.stop_reason == STOP_CENTER_EXCEEDS_BUDGET
+    else:
+        assert (trace.stop_reason == STOP_DATA_EXHAUSTED) == (cluster.size == len(pool))
+        assert trace.stop_reason in (STOP_DATA_EXHAUSTED, STOP_BUDGET_REACHED)
+
+
+# a plan keys its members by id, so a walk over this pool would lose one a
+# and count the pool as three while streaming two
+TWINS = [seg("a", (0, 0)), seg("a", (10, 0)), seg("b", (1, 0))]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Pool(TWINS),
+        lambda: list(nearest_first(TWINS, TWINS[1])),
+        lambda: radial_neighbor_clustering(TWINS, TWINS[1], "3.00", year=2018),
+        lambda: build_tolerance_band(TWINS, TWINS[1], entry("3.00")),
+        lambda: schedule_aware_cluster(TWINS, TWINS[1], entry("3.00")),
+    ],
+    ids=["Pool", "nearest_first", "radial", "band", "schedule"],
+)
+def test_every_engine_function_refuses_a_repeated_id(call):
+    with pytest.raises(ValueError, match="^segment id 'a' appears more than once$"):
+        call()
 
 
 class TestScheduleAwarePlan:
@@ -364,8 +397,8 @@ def test_plan_bytes_at_14400_segments():
 @pytest.mark.parametrize(
     "build",
     [
-        radial_neighbor_clustering,
-        lambda pool, center, cap: schedule_aware_cluster(pool, center, cap, "0.00", "0.00"),
+        lambda pool, center, cap: radial_neighbor_clustering(pool, center, cap, year=2018),
+        lambda pool, center, cap: schedule_aware_cluster(pool, center, entry(cap)),
     ],
     ids=["radial", "schedule"],
 )

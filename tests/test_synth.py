@@ -1,4 +1,5 @@
 import hashlib
+from collections.abc import Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,6 +50,24 @@ def test_refuses_a_dataset_it_cannot_deal():
         synthesize_dataset(2, 3, (2018,), 1)
     with pytest.raises(ValueError, match="^need at least one year$"):
         synthesize_dataset(2, 1, (), 1)
+
+
+class _UnreadableYears(Sequence):
+    """A billion years, none of which may be read."""
+
+    def __len__(self):
+        return 10**9
+
+    def __getitem__(self, index):
+        raise AssertionError("a year was read")
+
+    def __iter__(self):
+        raise AssertionError("the years were iterated")
+
+
+def test_refuses_more_years_than_projects_before_reading_one():
+    with pytest.raises(ValueError, match="^auto-sized budgets need at least one project per year$"):
+        synthesize_dataset(5, 1, _UnreadableYears(), 1)
 
 
 # the README quick-start dataset (n 800, 5 blobs, 2018:2022, seed 7, fraction
