@@ -144,8 +144,9 @@ def check_same_dimension(points: Iterable[Sequence[float]]) -> None:
     ``ValueError``, unless every point has the first one's dimension. Code
     that skips points calls it up front (:func:`nearest_first`, the farthest-
     point search, :meth:`ClusterBalls.add`, the baseline medoid); code that
-    measures every point, once ``math.dist`` refuses a pair
-    (``refine.band_order``, the ``metrics`` means)."""
+    reads every point, once ``math.dist`` refuses a pair or an axis is out of
+    range (``radial.select_initial_center``, ``refine.band_order``, the
+    ``metrics`` means)."""
     dimension = None
     for point in points:
         if dimension is None:

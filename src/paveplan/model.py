@@ -10,7 +10,7 @@ dataset-level rules live in :func:`validate_dataset` (plan diagnostics).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator, Mapping, Sequence
 from decimal import Decimal, InvalidOperation
 from operator import is_not
 from typing import Iterable, Union
@@ -258,6 +258,12 @@ class BudgetEntry(Record):
         self._set(year, budget, low_tolerance, high_tolerance)
 
 
+def check_increasing_years(years: Sequence[int]) -> None:
+    """Refuse a list of schedule years unless each is above the one before."""
+    if not all(a < b for a, b in zip(years, years[1:])):
+        raise ValueError(f"schedule years must be strictly increasing, got {list(years)}")
+
+
 class BudgetSchedule(Record):
     """Ordered fiscal years with their budgets; one cluster per entry."""
 
@@ -267,9 +273,7 @@ class BudgetSchedule(Record):
         self, entries: tuple[BudgetEntry, ...], conservation_tolerance: Decimal = ZERO
     ) -> None:
         entries = tuple(entries)
-        years = [e.year for e in entries]
-        if not all(a < b for a, b in zip(years, years[1:])):
-            raise ValueError(f"schedule years must be strictly increasing, got {years}")
+        check_increasing_years([e.year for e in entries])
         conservation_tolerance = money(conservation_tolerance)
         if conservation_tolerance < 0:
             raise ValueError("conservation tolerance must be non-negative")

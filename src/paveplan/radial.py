@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Sequence
 
-from .geometry import ClusterBalls, Pool, furthest_point_from_cluster
+from .geometry import ClusterBalls, Pool, check_same_dimension, furthest_point_from_cluster
 from .model import (
     EMPTY_CLUSTER,
     OVER_BUDGET_SINGLETON,
@@ -51,10 +51,14 @@ def select_initial_center(segments: Sequence[Segment], axis: int = 0) -> Segment
     """The segment with the largest coordinate on ``axis``; ties by ascending id."""
     segments = _check_segments(segments, axis)
     best = segments[0]
-    for seg in segments[1:]:
-        value, best_value = seg.coords[axis], best.coords[axis]
-        if value > best_value or (value == best_value and seg.id < best.id):
-            best = seg
+    try:
+        for seg in segments[1:]:
+            value, best_value = seg.coords[axis], best.coords[axis]
+            if value > best_value or (value == best_value and seg.id < best.id):
+                best = seg
+    except IndexError:
+        check_same_dimension(seg.coords for seg in segments)
+        raise
     return best
 
 

@@ -17,7 +17,9 @@ from decimal import Decimal, Overflow, ROUND_DOWN, ROUND_HALF_UP
 from typing import Sequence
 
 from .costs import flat_rows
-from .model import CENT, MONEY_LIMIT, ZERO, BudgetEntry, BudgetSchedule, CostRow, Segment
+from .model import (
+    CENT, MONEY_LIMIT, ZERO, BudgetEntry, BudgetSchedule, CostRow, Segment, check_increasing_years,
+)
 
 SPREAD = 2000.0  # each blob's standard deviation, in map units
 BLOB_RADIUS = 50000.0  # the radius of the circle the blob centers sit on
@@ -94,6 +96,7 @@ def synthesize_dataset(
     if n < len(years):
         raise ValueError("auto-sized budgets need at least one project per year")
     years = tuple(int(y) for y in years)
+    check_increasing_years(years)
     if not math.isfinite(growth_rate):
         raise ValueError(f"growth rate must be finite, got {growth_rate}")
     if not (math.isfinite(tolerance_fraction) and tolerance_fraction >= 0):
@@ -110,7 +113,7 @@ def synthesize_dataset(
     rng.shuffle(year_cycle)
 
     # with a growth rate, every row's costs in ``years`` order, one per year
-    index = dict(sorted(zip(years, range(len(years)))))
+    index = dict(zip(years, range(len(years))))
     flat_row = flat_rows(years)
     # each value below is made here and valid by construction (finite
     # coordinates, exact cent costs in 5,000.00 to 15,000.00 or checked by

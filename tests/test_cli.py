@@ -1,5 +1,4 @@
 import gc
-import hashlib
 import io
 import json
 import math
@@ -35,19 +34,11 @@ from paveplan.synth import synthesize_dataset
 
 from helpers import JSON_VALUES, csv_texts, money_respellings, refusal, refused_at, seg
 from oracles import oracle_document_json
+from pins import GOLDEN, TWO_BLOB_SEGMENTS
 
-TWO_BLOB_SEGMENTS = (
-    "id,x,y,scheduled_year,cost\n"
-    "a1,0,0,2018,1.00\n"
-    "a2,1,0,2019,1.00\n"
-    "a3,0,1,2018,1.00\n"
-    "b1,100,0,2019,1.00\n"
-    "b2,101,0,2018,1.00\n"
-    "b3,100,1,2019,1.00\n"
-)
 TWO_BLOB_BUDGETS = "year,budget\n2018,3.00\n2019,3.00\n"
 # the golden plan document: the landmark plan of these segments
-GOLDEN_TEXT = (Path(__file__).parent / "data" / "two_blob_plan.json").read_text(encoding="utf-8")
+GOLDEN_TEXT = GOLDEN.read_text(encoding="utf-8")
 REALIZED_2018 = "found '      \"realized_cost\": \"3.00\",'"
 
 
@@ -443,19 +434,22 @@ def test_synth_refuses_non_finite_options(flags, parameter, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "spec, problem",
-    [(spec, "is not a year list or range") for spec in ["2018:", ":2020", "2018,,2019", "x", "2018:2019:2020"]]
+    "spec, refusal",
+    [(s, f"--years {s!r} is not a year list or range") for s in ["2018:", ":2020", "2018,,2019", "x", "2018:2019:2020"]]
     # int() takes digit separators and non-ASCII digits
-    + [(spec, "is not a year list or range") for spec in ["2_018:2019", "٢٠١٨:2019", "2018,2_019"]]
-    + [("2020:2018", "is a reversed range")],
+    + [(s, f"--years {s!r} is not a year list or range") for s in ["2_018:2019", "٢٠١٨:2019", "2018,2_019"]]
+    + [("2020:2018", "--years '2020:2018' is a reversed range")]
+    # a schedule's own refusal, made before a segment is built
+    + [("2019,2018", "schedule years must be strictly increasing, got [2019, 2018]")],
 )
-def test_synth_names_a_bad_years_spec(spec, problem, tmp_path, capsys):
+def test_synth_names_a_bad_years_spec(spec, refusal, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(Segment, "_trusted", None)  # building a segment fails the test
     code = main(
         ["synth", "--n", "20", "--blobs", "2", "--years", spec, "--seed", "1",
          "--out-segments", str(tmp_path / "s.csv"), "--out-budgets", str(tmp_path / "b.csv")]
     )
     assert code == 2
-    assert capsys.readouterr().err == f"error: --years {spec!r} {problem}\n"
+    assert capsys.readouterr().err == f"error: {refusal}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -833,95 +827,6 @@ def test_plan_document_money_past_the_limit_exits_2(
     _refused_by_every_reader(command, text, message, two_blob_files, tmp_path, capsys)
 
 
-@pytest.mark.parametrize(
-    "growth_rate, sha256",
-    [
-        ("0.08", "d497046c8477519dda6f27c98578582a99ef1b5ce65549740097fab451d7fedc"),
-        # discounts later years: pins the half-up rounding both ways
-        ("-0.02", "ef34d6530a608315abceed362fedc7c521177edbca6534a8aaab2cabb4aefba1"),
-    ],
-)
-def test_cost_matrix_plan_bytes(growth_rate, sha256, tmp_path, monkeypatch):
-    # no benchmark workload plans with --cost-matrix; pin its bytes here. The
-    # input digest covers the synthesized CSVs, so this pins them too
-    monkeypatch.chdir(tmp_path)
-    assert main(
-        ["synth", "--n", "300", "--blobs", "3", "--years", "2018:2022", "--seed", "5",
-         "--tolerance-fraction", "0.05", "--growth-rate", growth_rate,
-         "--out-segments", "s.csv", "--out-budgets", "b.csv", "--out-matrix", "m.csv"]
-    ) == 0
-    assert main(
-        ["cluster", "--segments", "s.csv", "--budgets", "b.csv", "--cost-matrix", "m.csv",
-         "--algo", "schedule", "--out", "plan.json"]
-    ) == 0
-    assert hashlib.sha256(Path("plan.json").read_bytes()).hexdigest() == sha256
-
-
-EMPTY_AND_SINGLETON_SEGMENTS = (
-    "id,x,y,scheduled_year,cost\n"
-    "n1,0.5,0.25,2018,3.10\n"
-    "n2,7.125,-2.5,2018,4.20\n"
-    "n3,3.3,9.1,2018,1.05\n"
-    "n4,-4.75,1.5,2018,2.00\n"
-    "solo,12.5,-7.25,2020,6.00\n"
-    "late,1,1,2031,1.00\n"
-)
-EMPTY_AND_SINGLETON_BUDGETS = "year,budget\n2018,10.35\n2019,5.00\n2020,6.00\n"
-
-
-@pytest.mark.parametrize(
-    "case, sha256",
-    [
-        ("synth", "9668a667ce5c34ee6bdb2f55cfe49ad27d1beb2190fef82404f24bb61a265bd3"),
-        # 2019 holds no project, 2020 one, and one project lies past the plan
-        ("empty-and-singleton", "18da65348bed09b50b7ac9356be89a50a3e3b26292f063cefda5fbf12ecdec61"),
-    ],
-)
-def test_baseline_plan_bytes(case, sha256, tmp_path, monkeypatch):
-    # the baseline writes its medoids and dispersion figures from one pass
-    # over each year's pairs; pin the bytes the two-pass code wrote
-    monkeypatch.chdir(tmp_path)
-    if case == "synth":
-        assert main(
-            ["synth", "--n", "300", "--blobs", "3", "--years", "2018:2022", "--seed", "5",
-             "--tolerance-fraction", "0.05", "--out-segments", "s.csv", "--out-budgets", "b.csv"]
-        ) == 0
-    else:
-        Path("s.csv").write_text(EMPTY_AND_SINGLETON_SEGMENTS, encoding="utf-8")
-        Path("b.csv").write_text(EMPTY_AND_SINGLETON_BUDGETS, encoding="utf-8")
-    assert main(["baseline", "--segments", "s.csv", "--budgets", "b.csv", "--out", "plan.json"]) == 0
-    assert hashlib.sha256(Path("plan.json").read_bytes()).hexdigest() == sha256
-
-
-@pytest.mark.parametrize(
-    "algo, synth_seed, sha256",
-    [
-        (["landmark"], "5", "eae2b82e0ac9f458d337f3f9afb9b1a5b0274ddfb8296a2f49e60dcdcd9f8e98"),
-        (["random", "--seed", "3", "--skip-mode"], "5",
-         "36f8f132606bb3f2bc3069ba4e9cc0f0f43bdbfd75395eb3f797c9d445ede02b"),
-        (["schedule", "--skip-mode"], "5",
-         "49b785a8195d10b31f2bbe28a7437cb269f2ac8e274e8e9d1029c225cacfc2f1"),
-        # at synth seed 5 skip mode admits nothing more under landmark centers
-        (["landmark", "--skip-mode"], "6",
-         "8045c728c094e55b8c1ea3c956c6d0df21488bf536989ab9d1b4749dc71ad786"),
-    ],
-    ids=["landmark", "random-skip", "schedule-skip", "landmark-skip"],
-)
-def test_walk_plan_bytes(algo, synth_seed, sha256, tmp_path, monkeypatch):
-    # walk paths no benchmark workload runs: the landmark engine, and
-    # skip mode, which reads the nearest-first stream past the first miss
-    monkeypatch.chdir(tmp_path)
-    assert main(
-        ["synth", "--n", "300", "--blobs", "3", "--years", "2018:2022", "--seed", synth_seed,
-         "--tolerance-fraction", "0.05", "--out-segments", "s.csv", "--out-budgets", "b.csv"]
-    ) == 0
-    assert main(
-        ["cluster", "--segments", "s.csv", "--budgets", "b.csv", "--algo", *algo,
-         "--out", "plan.json"]
-    ) == 0
-    assert hashlib.sha256(Path("plan.json").read_bytes()).hexdigest() == sha256
-
-
 def test_cluster_builds_each_segment_once(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(
@@ -1206,38 +1111,6 @@ def test_metrics_command(two_blob_files, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["overall"]["total_cost"] == "6.00"
     assert payload["conservation"]["within_tolerance"] is True
-
-
-@pytest.mark.parametrize(
-    "command, deviation, within, sha256",
-    [
-        (["cluster", "--algo", "schedule"], "-27864.18", False,
-         "83c034aa9421138e3a77a25f969c62be3814c4eb7fc68ffedce87384fd411895"),
-        (["cluster", "--algo", "schedule", "--conservation-tolerance", "100000.00"],
-         "-27864.18", True,
-         "6cca89ddc82f98d00899d6478a3084b903a49515ac9ce0ea56ef156ee7253dc9"),
-        (["baseline"], "0.00", True,
-         "34d6ea405fa5198dc8ba36e80cc828dd35fbe686b2d9727f07e71d24f845f1e1"),
-    ],
-    ids=["schedule", "schedule-tolerant", "baseline"],
-)
-def test_metrics_stdout_bytes(command, deviation, within, sha256, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    assert main(
-        ["synth", "--n", "300", "--blobs", "3", "--years", "2018:2022", "--seed", "5",
-         "--tolerance-fraction", "0.05", "--out-segments", "s.csv", "--out-budgets", "b.csv"]
-    ) == 0
-    assert main(
-        [command[0], "--segments", "s.csv", "--budgets", "b.csv", *command[1:],
-         "--out", "plan.json"]
-    ) == 0
-    capsys.readouterr()
-    assert main(["metrics", "--plan", "plan.json", "--segments", "s.csv"]) == 0
-    out = capsys.readouterr().out
-    payload = json.loads(out)
-    assert payload["conservation"] == {"total_deviation": deviation, "within_tolerance": within}
-    assert payload["overall"]["total_deviation"] == deviation
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
 
 def test_compare_command(two_blob_files, tmp_path, capsys):

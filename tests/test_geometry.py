@@ -14,7 +14,9 @@ from paveplan.geometry import (
 )
 from paveplan.metrics import compute_metrics, plan_from_schedule
 from paveplan.model import Cluster, DimensionMismatchError, Plan
-from paveplan.radial import landmark_based_radial_clustering, main_algorithm, schedule_aware_plan
+from paveplan.radial import (
+    landmark_based_radial_clustering, main_algorithm, schedule_aware_plan, select_initial_center,
+)
 from paveplan.refine import band_order, radial_neighbor_clustering
 
 from helpers import (
@@ -54,6 +56,12 @@ MIXED_DIMENSION_CALLS = {
     "band_order": lambda segs: band_order(segs[1:], segs[0], year=2018),
     "compute_metrics": lambda segs: compute_metrics(_one_cluster_plan(segs), schedule([5]), segs),
     "plan_from_schedule": lambda segs: plan_from_schedule(segs, schedule([5])),
+    # on axis 1 the odd point is one-dimensional: it has no coordinate there
+    "select_initial_center-axis-1": lambda segs: select_initial_center(segs, 1),
+    "landmark_based_radial_clustering-axis-1": lambda segs: landmark_based_radial_clustering(
+        segs, schedule([5]), 1
+    ),
+    "schedule_aware_plan-axis-1": lambda segs: schedule_aware_plan(segs, schedule([5]), 1),
 }
 
 
@@ -61,9 +69,15 @@ MIXED_DIMENSION_CALLS = {
 @pytest.mark.parametrize("call", sorted(MIXED_DIMENSION_CALLS))
 def test_mixed_dimensions_raise_dimension_mismatch(call, odd):
     # DimensionMismatchError is no ValueError, so math.dist's own error fails this
+    on_axis_1 = call.endswith("-axis-1")
     segments = [seg(f"s{i}", (i, 1.0)) for i in range(5)]
-    segments[odd] = seg(f"s{odd}", (odd, 1.0, 2.0))
-    with pytest.raises(DimensionMismatchError, match="points have dimensions [23] and [23]"):
+    segments[odd] = seg(f"s{odd}", (odd,) if on_axis_1 else (odd, 1.0, 2.0))
+    if on_axis_1 and odd == 0:  # the first point sets the dimension the axis must fit
+        error, message = ValueError, "^axis 1 out of range for 1-dimensional data$"
+    else:
+        d = "[12]" if on_axis_1 else "[23]"
+        error, message = DimensionMismatchError, f"points have dimensions {d} and {d}"
+    with pytest.raises(error, match=message):
         MIXED_DIMENSION_CALLS[call](segments)
 
 

@@ -1,4 +1,3 @@
-import hashlib
 import io
 import json
 import math
@@ -6,7 +5,6 @@ import operator
 import re
 from decimal import Decimal
 from functools import partial
-from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
@@ -44,27 +42,11 @@ from paveplan.model import (
     Segment,
     UnknownSegmentError,
 )
-from paveplan.radial import landmark_based_radial_clustering
 from paveplan.synth import synthesize_dataset
 
 from helpers import JSON_VALUES, csv_texts, money_respellings, refusal, refused_at, seg
 from oracles import oracle_document_json, oracle_plan_obj
-
-DATA_DIR = Path(__file__).parent / "data"
-
-
-def two_blob_inputs():
-    segments_csv = (
-        "id,x,y,scheduled_year,cost\n"
-        "a1,0,0,2018,1.00\n"
-        "a2,1,0,2019,1.00\n"
-        "a3,0,1,2018,1.00\n"
-        "b1,100,0,2019,1.00\n"
-        "b2,101,0,2018,1.00\n"
-        "b3,100,1,2019,1.00\n"
-    )
-    budgets_csv = "year,budget,e_l,e_h\n2018,3.00,0.00,0.00\n2019,3.00,0.00,0.00\n"
-    return segments_csv, budgets_csv
+from pins import GOLDEN, TWO_BLOB_SEGMENTS, two_blob_plan
 
 
 @pytest.mark.parametrize("text, value", [("2018", 2018), (" +7 ", 7), ("\t-3\n", -3), ("007", 7)])
@@ -162,8 +144,7 @@ class TestLoadSegments:
 
 class TestSegmentsRoundTrip:
     def test_load_emit_load_fixpoint(self):
-        segments_csv, _ = two_blob_inputs()
-        once = load_segments(segments_csv)
+        once = load_segments(TWO_BLOB_SEGMENTS)
         emitted = emit_segments_csv(once)
         twice = load_segments(emitted)
         assert twice == once
@@ -667,22 +648,11 @@ class TestInputDigest:
         assert input_digest("abc") == input_digest("abc")
 
 
-def _example_plan():
-    segments_csv, budgets_csv = two_blob_inputs()
-    segments = load_segments(segments_csv)
-    schedule_obj = load_budgets(budgets_csv)
-    segments = flat_cost_table(segments, schedule_obj.years)
-    plan = landmark_based_radial_clustering(segments, schedule_obj, 0)
-    metrics = compute_metrics(plan, schedule_obj, segments)
-    digest = input_digest(segments_csv, budgets_csv, "")
-    return plan, metrics, schedule_obj, segments, digest
-
-
 class TestPlanDocument:
     def test_document_equality_after_parse(self):
         # the parse itself writes the document again from these fields and
         # compares the bytes, so the round trip is byte-identical once it reads
-        plan, metrics, schedule_obj, segments, digest = _example_plan()
+        plan, metrics, schedule_obj, segments, digest = two_blob_plan()
         document = parse_plan_document(emit_plan(plan, metrics, schedule_obj, segments, digest))
         assert document.input_digest == digest
         assert document.schedule == schedule_obj
@@ -692,7 +662,7 @@ class TestPlanDocument:
     def test_members_are_priced_at_their_cluster_year(self):
         # each cluster's members in document order, then the unassigned (none
         # here) at no cost
-        plan, metrics, schedule_obj, segments, digest = _example_plan()
+        plan, metrics, schedule_obj, segments, digest = two_blob_plan()
         document = parse_plan_document(emit_plan(plan, metrics, schedule_obj, segments, digest))
         lookup = {seg.id: seg for seg in segments}
         year_of = {sid: cluster.year for cluster in plan.clusters for sid in cluster.member_ids}
@@ -717,16 +687,8 @@ class TestPlanDocument:
         assert document.members == ()
         assert document.input_digest == "d1gest"
 
-    def test_golden_two_blob_document(self):
-        # frozen output of the engine on the canonical 2-blob instance;
-        # any byte-level drift in the format is a breaking change
-        plan, metrics, schedule_obj, segments, digest = _example_plan()
-        text = emit_plan(plan, metrics, schedule_obj, segments, digest)
-        golden = (DATA_DIR / "two_blob_plan.json").read_text(encoding="utf-8")
-        assert text == golden
-
     def test_unknown_member_is_named(self):
-        plan, metrics, schedule_obj, segments, digest = _example_plan()
+        plan, metrics, schedule_obj, segments, digest = two_blob_plan()
         missing = plan.clusters[-1].member_ids[-1]
         others = [seg for seg in segments if seg.id != missing]
         with pytest.raises(
@@ -735,7 +697,7 @@ class TestPlanDocument:
             emit_plan(plan, metrics, schedule_obj, others, digest)
 
     def test_members_carry_both_years(self):
-        plan, metrics, schedule_obj, segments, digest = _example_plan()
+        plan, metrics, schedule_obj, segments, digest = two_blob_plan()
         obj = json.loads(emit_plan(plan, metrics, schedule_obj, segments, digest))
         lookup = {seg.id: seg for seg in segments}
         for cluster in obj["clusters"]:
@@ -758,7 +720,7 @@ def _node_paths(node, prefix=()):
         yield from _node_paths(child, prefix + (key,))
 
 
-GOLDEN_TEXT = (DATA_DIR / "two_blob_plan.json").read_text(encoding="utf-8")
+GOLDEN_TEXT = GOLDEN.read_text(encoding="utf-8")
 
 
 def _ordered(**fields):
@@ -1171,7 +1133,7 @@ class TestMalformedPlanDocument:
         cluster = parse_plan_document(oracle_document_json(obj)).plan.clusters[0]
         assert cluster.realized_cost > cluster.budget
 
-    @pytest.mark.parametrize("path", sorted(DATA_DIR.glob("*.json")), ids=lambda p: p.name)
+    @pytest.mark.parametrize("path", sorted(GOLDEN.parent.glob("*.json")), ids=lambda p: p.name)
     def test_plan_fixtures_parse(self, path):
         text = path.read_text(encoding="utf-8")
         parse_plan_document(text)
@@ -1315,7 +1277,7 @@ class TestRenderSvg:
         assert svg.count('fill="none"') == 2  # both centers ringed
 
     def test_deterministic(self):
-        plan, metrics, schedule_obj, segments, digest = _example_plan()
+        plan, metrics, schedule_obj, segments, digest = two_blob_plan()
         assert render_plan_svg(plan, segments) == render_plan_svg(plan, segments)
 
     def test_well_formed_for_any_id(self):
@@ -1348,31 +1310,6 @@ class TestRenderSvg:
         svg = render_plan_svg(plan, segments)
         assert "#bbbbbb" in svg
         assert "unassigned" in svg
-
-    def test_map_bytes(self):
-        # 11 years, so the palette wraps, one of them empty; centers that are
-        # not their cluster's first member; unassigned members; ids that need
-        # escaping or hold a character XML forbids; negative and -0.0
-        # coordinates. The same bytes on every supported Python.
-        segments, clusters = [], []
-        for index, year in enumerate(range(2018, 2029)):
-            if year == 2021:
-                clusters.append(Cluster(year, None, (), "0.00", "1.00"))
-                continue
-            ids = [f"{year}-{k}" for k in range(3)]
-            if year == 2018:
-                ids += ["a&b", "<c>"]
-            for k, sid in enumerate(ids):
-                segments.append(seg(sid, ((k - 1) * 3.5 * (index - 5), k - index * 1.25)))
-            clusters.append(Cluster(year, ids[index % len(ids)], tuple(ids), "3.00", "3.00"))
-        unassigned = ('d"e', "f\x0bg", "u>")
-        segments += [seg(sid, (-0.0, -2.5 * k)) for k, sid in enumerate(unassigned)]
-        svg = render_plan_svg(Plan(tuple(clusters), unassigned), segments)
-        assert ElementTree.fromstring(svg) is not None
-        assert "f\ufffdg" in svg and svg.count('fill="none"') == 10
-        assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == (
-            "87dfd0562c5f37900f44651aa7a0d271371e551b246c2adc198695fdcd8ba781"
-        )
 
     @pytest.mark.parametrize(
         "order, error",

@@ -1,5 +1,4 @@
 import ast
-import hashlib
 import random
 from decimal import Decimal
 from pathlib import Path
@@ -9,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 import paveplan.refine
 from paveplan.geometry import Pool, nearest_first
-from paveplan.io_formats import emit_plan
-from paveplan.metrics import compute_metrics
 from paveplan.model import BudgetSchedule, Segment, ValidationFailedError
 from paveplan.radial import landmark_based_radial_clustering, schedule_aware_plan
 from paveplan.refine import (
@@ -379,19 +376,6 @@ class TestScheduleAwarePlan:
         assert schedule_aware_plan(segments, sched, 0) == landmark_based_radial_clustering(
             segments, sched, 0
         )
-
-
-def test_plan_bytes_at_14400_segments():
-    # the largest scale the benchmark leaves out, pinned on every supported
-    # Python: center search prunes on math.dist's accuracy there
-    segments, sched = synthesize_dataset(
-        14400, 11, range(2018, 2023), 1, tolerance_fraction=0.05
-    )
-    plan = schedule_aware_plan(segments, sched)
-    text = emit_plan(plan, compute_metrics(plan, sched, segments), sched, segments)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "02f04a3468c8ed33302b194f4fafb6ee4cb857535340d3ed19deca4be7149509"
-    )
 
 
 @pytest.mark.parametrize(
