@@ -21,11 +21,12 @@ is faithfully rounded, never below ``g``, so no input there needs the margin.
 
 **How the search prunes.** The clustered set is held as balls
 (:class:`ClusterBalls`), one per cluster: a center ``c`` and the other
-members sorted by their radius ``r = dist(c, x)``. For a candidate ``p`` at
-``dpc = dist(p, c)`` the triangle inequality puts every member at least
-``|dpc - r|`` away (Elkan, ICML 2003), so a member whose ``|dpc - r|``
-already reaches the candidate's running minimum ``m`` cannot lower it, and
-neither can any member further out in ``r`` on that side. A candidate's
+members sorted by their radius ``r = dist(c, x)``, as the walk measured it.
+For a candidate ``p`` at ``dpc = dist(p, c)`` the triangle inequality puts
+every member at least ``|dpc - r|`` away (Elkan, ICML 2003), so a member
+whose ``|dpc - r|`` already reaches the candidate's running minimum ``m``
+cannot lower it, and neither can any member further out in ``r`` on that
+side. A candidate's
 balls are scanned nearest center first, outward from ``bisect(radii,
 dpc)``, each side stopping at the first such member; a ball lying wholly
 beyond ``m`` (``dpc - r_max >= m``) is the case where the scan stops at
@@ -65,6 +66,7 @@ from typing import Iterable, Iterator, Sequence
 from .model import DimensionMismatchError, Record, Segment, first_repeat
 
 Coords = tuple[float, ...]
+Walked = tuple[float, Segment]  # (math.dist from the walk's anchor, segment)
 
 
 class DistanceOrdering(Record):
@@ -107,14 +109,15 @@ class Pool:
                 self.live[i] = 0
 
 
-def nearest_first(segments: Sequence[Segment] | Pool, anchor: Segment) -> Iterator[Segment]:
-    """The live segments but the anchor's id, nearest first, from a :class:`Pool` or a
-    wrapped sequence. A missing anchor raises at once; nothing is measured till read."""
+def nearest_first(segments: Sequence[Segment] | Pool, anchor: Segment) -> Iterator[Walked]:
+    """The live segments but the anchor's id, nearest first, each with its distance, from
+    a :class:`Pool` or a wrapped sequence. A missing anchor raises at once; nothing is
+    measured till read."""
     pool = segments if isinstance(segments, Pool) else Pool(segments)
     if anchor.id not in pool.first:
         raise ValueError(f"anchor {anchor.id!r} is not in the segment list")
 
-    def pop_nearest() -> Iterator[Segment]:
+    def pop_nearest() -> Iterator[Walked]:
         from heapq import heappop, heappush, merge  # imported by the commands that walk only
         point, anchor_id = anchor.coords, anchor.id
         check_same_dimension(chain((point,), pool.checked or (s.coords for s in pool)))
@@ -126,17 +129,19 @@ def nearest_first(segments: Sequence[Segment] | Pool, anchor: Segment) -> Iterat
         for gap, i in merge(left, right):
             bound = gap * (1 - 1e-9) - 1e-9  # see the module notes
             while heap and heap[0][0] < bound:
-                yield segs[heappop(heap)[2]]
-            if segs[i].id != anchor_id:
-                heappush(heap, (dist(point, segs[i].coords), segs[i].id, i))
+                distance, _, seg = heappop(heap)
+                yield distance, seg
+            if segs[i].id != anchor_id:  # ids are unique, so no key reaches the segment
+                heappush(heap, (dist(point, segs[i].coords), segs[i].id, segs[i]))
         while heap:
-            yield segs[heappop(heap)[2]]
+            distance, _, seg = heappop(heap)
+            yield distance, seg
 
     return pop_nearest()
 
 
 def order_by_distance(segments: Sequence[Segment], anchor: Segment) -> DistanceOrdering:
-    return DistanceOrdering(anchor.id, tuple(s.id for s in nearest_first(segments, anchor)))
+    return DistanceOrdering(anchor.id, tuple(s.id for _, s in nearest_first(segments, anchor)))
 
 
 def check_same_dimension(points: Iterable[Sequence[float]]) -> None:
@@ -145,8 +150,7 @@ def check_same_dimension(points: Iterable[Sequence[float]]) -> None:
     that skips points calls it up front (:func:`nearest_first`, the farthest-
     point search, :meth:`ClusterBalls.add`, the baseline medoid); code that
     reads every point, once ``math.dist`` refuses a pair or an axis is out of
-    range (``radial.select_initial_center``, ``refine.band_order``, the
-    ``metrics`` means)."""
+    range (``radial.select_initial_center``, the ``metrics`` means)."""
     dimension = None
     for point in points:
         if dimension is None:
@@ -166,7 +170,7 @@ class ClusterBalls:
     cluster as it is placed, and every call resumes from the last.
     """
 
-    def __init__(self, groups: Iterable[Sequence[Coords]] = ()) -> None:
+    def __init__(self, groups: Iterable[Sequence[tuple[float, Coords]]] = ()) -> None:
         # (center, radii ascending, the other members in that order)
         self.balls: list[tuple[Coords, list[float], list[Coords]]] = []
         self._size = 0
@@ -181,21 +185,22 @@ class ClusterBalls:
     def __len__(self) -> int:
         return self._size
 
-    def add(self, group: Sequence[Coords]) -> None:
-        """Append one cluster's coordinates; the first is its ball's center."""
+    def add(self, group: Sequence[tuple[float, Coords]]) -> None:
+        """Append one cluster's ``(radius, coordinates)`` pairs, center first, each
+        radius as the walk measured it; equal radii keep their order."""
         group = list(group)
-        if not group:
+        points = [x for _, x in group]
+        if not points:
             raise ValueError("a clustered group must not be empty")
         anchor = [self.balls[0][0]] if self.balls else []
-        check_same_dimension(chain(anchor, group))
-        if not all(map(math.isfinite, chain.from_iterable(group))):
+        check_same_dimension(chain(anchor, points))
+        if not all(map(math.isfinite, chain.from_iterable(points))):
             raise ValueError("clustered coordinates must be finite")
-        dist, center = math.dist, group[0]
-        ranked = sorted((dist(center, x), i) for i, x in enumerate(group) if i)
+        ranked = sorted((r, i) for i, (r, _) in enumerate(group) if i)
         self.balls.append(
-            (center, [r for r, _ in ranked], [group[i] for _, i in ranked])
+            (points[0], [r for r, _ in ranked], [points[i] for _, i in ranked])
         )
-        self._size += len(group)
+        self._size += len(points)
 
 
 def _scan_ball(
@@ -242,16 +247,16 @@ def furthest_point_from_cluster(
     roles: swapping them asks a different question.
 
     ``clustered`` carries the search from call to call and is updated in
-    place; plain coordinates are searched as ``ClusterBalls([coords])``, one
-    ball around the first.
+    place. A :class:`Pool` a walk has checked is compared by its checked point.
     """
+    checked = isinstance(candidates, Pool) and candidates.checked
     candidates = list(candidates)
     if not candidates:
         raise ValueError("candidate list must not be empty")
     if not len(clustered):
         raise ValueError("clustered point set must not be empty")
     balls, bounds = clustered.balls, clustered.bounds
-    check_same_dimension(chain((balls[0][0],), (seg.coords for seg in candidates)))
+    check_same_dimension(chain((balls[0][0],), checked or (seg.coords for seg in candidates)))
     dist = math.dist
     scanned_all = (1 << len(balls)) - 1
     best: Segment | None = None

@@ -104,7 +104,7 @@ def _drain_pool(
         elif trace is None:
             center = select_initial_center(pool, axis)
         else:
-            clustered.add([seg.coords for seg, _ in trace.admitted])
+            clustered.add([(distance, seg.coords) for seg, distance, _ in trace.admitted])
             center = furthest_point_from_cluster(pool, clustered)
         if banded:
             cluster, trace = schedule_aware_cluster(pool, center, entry, skip_mode=skip_mode)

@@ -4,6 +4,8 @@ Admission follows prefix semantics: pool points come nearest-first from
 ``geometry.nearest_first``, measured only as far as the walk reads, and the
 walk stops at the first point that would overflow the cap. ``skip_mode`` (off
 by default) scans on for smaller projects, so it measures the whole pool.
+Each point keeps the distance the stream measured it at, for the band order,
+the trace and the ball that the next center search reads.
 
 The tolerance band refines that walk: three nested clusters are cut from one
 nearest-first walk by the per-year tolerances, inner (cap - low), nominal
@@ -15,13 +17,11 @@ cost) while the nominal cap holds. Every cost is taken in the cluster's year.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from decimal import Decimal
-from itertools import chain
 from typing import Iterable, Sequence
 
-from .geometry import Pool, check_same_dimension, nearest_first
+from .geometry import Pool, Walked, nearest_first
 from .model import MONEY_LIMIT, BudgetEntry, Cluster, Record, Segment, money
 
 STOP_BUDGET_REACHED = "budget_reached"
@@ -30,40 +30,41 @@ STOP_CENTER_EXCEEDS_BUDGET = "center_exceeds_budget"
 
 
 class ClusterBuildTrace(Record):
-    """Audit trail of one cluster build: admissions with running totals."""
+    """Audit trail of one cluster build: admissions as (segment, distance from the
+    walk, running total); the center's distance is 0.0."""
 
     __slots__ = ("center_id", "admitted", "stop_reason")
 
     def __init__(
-        self, center_id: str, admitted: tuple[tuple[Segment, Decimal], ...], stop_reason: str
+        self, center_id: str, admitted: tuple[tuple[Segment, float, Decimal], ...], stop_reason: str
     ) -> None:
         self._set(center_id, admitted, stop_reason)
 
 
 def _admit(
     center: Segment,
-    candidates: Iterable[Segment],
+    candidates: Iterable[Walked],
     cap: Decimal,
     year: int,
     skip_mode: bool = False,
-) -> tuple[list[tuple[Segment, Decimal]], str]:
-    """The center, then each candidate in turn while the running total of
-    their costs in ``year`` stays within ``cap``: the admitted ``(segment,
-    running total)`` pairs and the stop reason. A center at or over the cap
-    is admitted alone, without reading ``candidates``, so the overrun is
-    reported, never silent."""
+) -> tuple[list[tuple[Segment, float, Decimal]], str]:
+    """The center, then each ``(distance, segment)`` candidate in turn while
+    the running total of their costs in ``year`` stays within ``cap``: the
+    admitted ``(segment, distance, running total)`` triples and the stop
+    reason. A center at or over the cap is admitted alone, without reading
+    ``candidates``, so the overrun is reported, never silent."""
     if cap <= 0:
         raise ValueError("cluster budget must be positive")
     total = center.cost_at(year)
-    admitted = [(center, total)]
+    admitted = [(center, 0.0, total)]
     if total >= cap:
         return admitted, STOP_CENTER_EXCEEDS_BUDGET
     stop_reason = STOP_DATA_EXHAUSTED
-    for seg in candidates:
+    for distance, seg in candidates:
         candidate_cost = seg.cost_at(year)
         if total + candidate_cost <= cap:
             total += candidate_cost
-            admitted.append((seg, total))
+            admitted.append((seg, distance, total))
         else:
             stop_reason = STOP_BUDGET_REACHED
             if not skip_mode:
@@ -74,16 +75,16 @@ def _admit(
 def _cluster(
     year: int,
     center: Segment,
-    admitted: Sequence[tuple[Segment, Decimal]],
+    admitted: Sequence[tuple[Segment, float, Decimal]],
     cap: Decimal,
 ) -> Cluster:
-    """The cluster of the ``admitted`` (segment, running total) pairs around
-    ``center`` under ``cap`` in ``year``."""
+    """The cluster of the ``admitted`` (segment, distance, running total)
+    triples around ``center`` under ``cap`` in ``year``."""
     return Cluster(
         year=year,
         center_id=center.id,
-        member_ids=tuple(seg.id for seg, _ in admitted),
-        realized_cost=admitted[-1][1],
+        member_ids=tuple(seg.id for seg, _, _ in admitted),
+        realized_cost=admitted[-1][2],
         budget=cap,
     )
 
@@ -111,36 +112,26 @@ def radial_neighbor_clustering(
 
 
 class ToleranceBand(Record):
-    """The three nested clusters, the inner one's segments and the band's in refill order."""
+    """The three nested clusters, the inner one's walked points and the band's in refill order."""
 
     __slots__ = ("low_cluster", "mid_cluster", "high_cluster", "inner", "band")
 
     def __init__(
         self, low_cluster: Cluster, mid_cluster: Cluster, high_cluster: Cluster,
-        inner: tuple[Segment, ...], band: tuple[Segment, ...],
+        inner: tuple[Walked, ...], band: tuple[Walked, ...],
     ) -> None:
         self._set(low_cluster, mid_cluster, high_cluster, inner, band)
 
     @property
     def band_ids(self) -> tuple[str, ...]:
-        return tuple(seg.id for seg in self.band)
+        return tuple(seg.id for _, seg in self.band)
 
 
-def band_order(band: Sequence[Segment], center: Segment, *, year: int) -> list[Segment]:
-    """Urgency order for band points: ascending scheduled year (overdue work
-    naturally sorts first), then ascending cost in ``year``, then distance to
-    the center, then id."""
-    dist, point = math.dist, center.coords
-    try:
-        return sorted(
-            band,
-            key=lambda seg: (
-                seg.scheduled_year, seg.cost_at(year), dist(point, seg.coords), seg.id
-            ),
-        )
-    except ValueError:
-        check_same_dimension(chain((point,), (seg.coords for seg in band)))
-        raise
+def band_order(band: Sequence[Walked], *, year: int) -> list[Walked]:
+    """Urgency order for walked band points: ascending scheduled year (overdue
+    work naturally sorts first), then ascending cost in ``year``, then the
+    walk's distance, then id."""
+    return sorted(band, key=lambda p: (p[1].scheduled_year, p[1].cost_at(year), p[0], p[1].id))
 
 
 def build_tolerance_band(
@@ -162,15 +153,15 @@ def build_tolerance_band(
     if cap + high >= MONEY_LIMIT:
         raise ValueError(f"year {year}: budget + e_h {cap + high} is not below {MONEY_LIMIT:.0E}")
     high_cluster, trace = radial_neighbor_clustering(pool, center, cap + high, year=year)
-    totals = [total for _, total in trace.admitted]
+    totals = [total for _, _, total in trace.admitted]
 
     def cut(limit: Decimal) -> Cluster:
         size = max(1, bisect_right(totals, limit))
         return _cluster(year, center, trace.admitted[:size], limit)
 
     low_cluster = cut(cap - low)
-    walked = tuple(seg for seg, _ in trace.admitted)
-    band = tuple(band_order(walked[low_cluster.size :], center, year=year))
+    walked = tuple((distance, seg) for seg, distance, _ in trace.admitted)
+    band = tuple(band_order(walked[low_cluster.size :], year=year))
     return ToleranceBand(low_cluster, cut(cap), high_cluster, walked[: low_cluster.size], band)
 
 

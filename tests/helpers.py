@@ -30,6 +30,15 @@ def seg(sid, coords, cost="1.00", year=2018, years=None):
     )
 
 
+def as_walked(items):
+    """``items``, points or segments, the first the center, as a walk hands
+    them on: each as ``(math.dist(center, item), item)``, the center at 0.0.
+    ``ClusterBalls`` takes a group of points so, and ``band_order`` (without
+    the center) a band of segments."""
+    where = lambda item: getattr(item, "coords", item)
+    return [(math.dist(where(items[0]), where(item)), item) for item in items]
+
+
 def line_segments(xs, cost="1.00", year=2018, years=None, prefix="s"):
     """Unit-spaced points on the x-axis; ids carry the x value."""
     return [seg(f"{prefix}{x}", (x, 0.0), cost=cost, year=year, years=years) for x in xs]

@@ -30,7 +30,7 @@ from paveplan.refine import (
 )
 from paveplan.synth import synthesize_dataset
 
-from helpers import entry, random_segments, random_schedule, schedule, seg
+from helpers import as_walked, entry, random_segments, random_schedule, schedule, seg
 from oracles import oracle_cluster_cost, oracle_furthest_point, oracle_prefix_cluster
 from paveplan.geometry import ClusterBalls, furthest_point_from_cluster
 
@@ -126,7 +126,7 @@ def test_criterion_3_oracle_equivalence():
         split = rng.randint(1, n - 1) if n > 1 else 1
         clustered = [s.coords for s in segments[:split]]
         candidates = segments[split:] or segments[:1]
-        engine = furthest_point_from_cluster(candidates, ClusterBalls([clustered]))
+        engine = furthest_point_from_cluster(candidates, ClusterBalls([as_walked(clustered)]))
         if engine.id != oracle_furthest_point(candidates, clustered):
             furthest_mismatches += 1
 

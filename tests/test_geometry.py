@@ -5,6 +5,7 @@ import sys
 import pytest
 from hypothesis import example, given, strategies as st
 
+import paveplan.geometry
 from paveplan.geometry import (
     ClusterBalls,
     Pool,
@@ -17,11 +18,13 @@ from paveplan.model import Cluster, DimensionMismatchError, Plan
 from paveplan.radial import (
     landmark_based_radial_clustering, main_algorithm, schedule_aware_plan, select_initial_center,
 )
-from paveplan.refine import band_order, radial_neighbor_clustering
+from paveplan.refine import build_tolerance_band, radial_neighbor_clustering, schedule_aware_cluster
+from paveplan.synth import synthesize_dataset
 
 from helpers import (
     NEAR_TIE_POINTS,
     SUBNORMAL_SPREADS,
+    as_walked,
     kernel_point_sets,
     line_segments,
     random_segments,
@@ -29,14 +32,6 @@ from helpers import (
     seg,
 )
 from oracles import oracle_furthest_point
-
-
-def test_order_by_distance_and_band_order_dimension_mismatch():
-    anchor, flat = seg("a", (0, 0)), seg("b", (0,))
-    with pytest.raises(DimensionMismatchError):
-        order_by_distance([anchor, flat], anchor)
-    with pytest.raises(DimensionMismatchError):
-        band_order([flat], anchor, year=2018)
 
 
 def _one_cluster_plan(segments):
@@ -53,7 +48,6 @@ MIXED_DIMENSION_CALLS = {
         segs, schedule([5])
     ),
     "schedule_aware_plan": lambda segs: schedule_aware_plan(segs, schedule([5])),
-    "band_order": lambda segs: band_order(segs[1:], segs[0], year=2018),
     "compute_metrics": lambda segs: compute_metrics(_one_cluster_plan(segs), schedule([5]), segs),
     "plan_from_schedule": lambda segs: plan_from_schedule(segs, schedule([5])),
     # on axis 1 the odd point is one-dimensional: it has no coordinate there
@@ -124,9 +118,9 @@ def test_nearest_first_is_the_sorted_order(pool):
         (math.dist(anchor.coords, s.coords), s.id) for s in segments if s is not anchor
     )
     streamed = list(nearest_first(segments, anchor))
-    assert [s.id for s in streamed] == [sid for _, sid in expected]
+    assert [(d, s.id) for d, s in streamed] == expected  # each with its distance
     by_id = {s.id: s for s in segments}
-    assert all(s is by_id[s.id] for s in streamed)  # the pool's own segments
+    assert all(s is by_id[s.id] for _, s in streamed)  # the pool's own segments
     assert order_by_distance(segments, anchor).ordered_ids == tuple(
         sid for _, sid in expected
     )
@@ -178,7 +172,7 @@ def _streams_as_the_sorted_pool(points, data):
         (s for s in segments if s is not anchor),
         key=lambda s: (math.dist(anchor.coords, s.coords), s.id),
     )
-    assert [s.id for s in nearest_first(segments, anchor)] == [s.id for s in expected]
+    assert [s.id for _, s in nearest_first(segments, anchor)] == [s.id for s in expected]
 
 
 @given(NEAR_TIE_POINTS, st.data())
@@ -195,9 +189,9 @@ def test_nearest_first_measures_each_point_once_and_only_when_read(measured):
     segments = [seg(f"s{x}", (x, 0)) for x in range(6)]
     stream = nearest_first(segments, segments[2])
     assert measured == []
-    assert next(stream).id == "s1"
+    assert next(stream)[1].id == "s1"
     assert len(measured) == len(set(measured))
-    assert [s.id for s in stream] == ["s3", "s0", "s4", "s5"]
+    assert [s.id for _, s in stream] == ["s3", "s0", "s4", "s5"]
     assert sorted(measured) == sorted(s.coords for s in segments if s is not segments[2])
 
 
@@ -210,13 +204,59 @@ def test_a_walk_measures_about_what_it_reads(measured):
     assert len(measured) <= 10 + 1
 
 
+SMALL_PLAN = dict(n=200, blobs=2, years=(2018, 2019, 2020), seed=1, tolerance_fraction=0.05)
+
+
+def test_the_band_and_the_ball_measure_nothing_the_walk_did_not(measured):
+    # the band order and the placed cluster's ball take the walk's distances
+    segments, plan_schedule = synthesize_dataset(**SMALL_PLAN)
+    entry, center = plan_schedule.entries[0], select_initial_center(segments)
+    outer = entry.budget + entry.high_tolerance
+    radial_neighbor_clustering(segments, center, outer, year=entry.year)
+    walked = list(measured)
+    assert len(build_tolerance_band(segments, center, entry).band) == 6  # a band to order
+    measured.clear()
+    _, trace = schedule_aware_cluster(segments, center, entry)
+    ClusterBalls().add([(distance, s.coords) for s, distance, _ in trace.admitted])
+    assert measured == walked
+
+
+def test_a_small_plan_measures_a_pinned_number_of_distances(measured):
+    # the walks, the center search and validation's one span; a band order
+    # or a ball that measured its points again would add 149 here
+    schedule_aware_plan(*synthesize_dataset(**SMALL_PLAN))
+    assert len(measured) == 811
+
+
+def test_a_walked_pool_meets_the_balls_by_its_checked_point(monkeypatch):
+    pool = Pool(line_segments(range(5)))
+    next(nearest_first(pool, pool.segments[0]))  # the first read checks the pool
+    balls, flat = ClusterBalls([as_walked([(0.0, 0.0)])]), ClusterBalls([as_walked([(0.0,)])])
+    seen, check = [], paveplan.geometry.check_same_dimension
+    spy = lambda points: check(seen.append(list(points)) or seen[-1])
+    monkeypatch.setattr(paveplan.geometry, "check_same_dimension", spy)
+    assert furthest_point_from_cluster(pool, balls).id == "s4"
+    assert seen == [[(0.0, 0.0), (0.0, 0.0)]]
+    with pytest.raises(DimensionMismatchError):
+        furthest_point_from_cluster(pool, flat)
+
+
+def test_an_unwalked_pool_is_checked_point_by_point():
+    # a flagged center reads nothing, so the walk leaves its pool unchecked
+    pool = Pool([seg("c", (0, 0), cost="9.00"), seg("a", (1, 0)), seg("b", (2, 0, 0))])
+    radial_neighbor_clustering(pool, pool.segments[0], "5.00", year=2018)
+    assert pool.checked == ()
+    with pytest.raises(DimensionMismatchError):
+        furthest_point_from_cluster(pool, ClusterBalls([as_walked([(0.0, 0.0)])]))
+
+
 def test_a_tie_at_the_slab_edge_goes_to_the_smaller_id():
     # b is measured first (|dx| = 3) at distance 5; a, unmeasured then, lies
     # at |dx| = 5 = its distance (dy = 0) and has the smaller id, so it must
     # come first: a pop test of h <= |dx| without a margin would yield b
     anchor = seg("o", (0, 0))
     pool = [anchor, seg("b", (-3, 4)), seg("a", (5, 0)), seg("c", (9, 0))]
-    assert [s.id for s in nearest_first(pool, anchor)] == ["a", "b", "c"]
+    assert [s.id for _, s in nearest_first(pool, anchor)] == ["a", "b", "c"]
 
 
 @st.composite
@@ -249,7 +289,7 @@ def _drain(segments, walks):
         if not live:
             break
         anchor = sorted(live, key=lambda s: s.id)[pick % len(live)]
-        stream = list(nearest_first(pool, anchor))
+        stream = [s for _, s in nearest_first(pool, anchor)]
         alive = {id(s) for s in live}
         expected = sorted(
             (math.dist(anchor.coords, s.coords), s.id, k)
@@ -277,26 +317,26 @@ def test_nearest_first_checks_the_anchor_before_any_read():
 
 def test_furthest_point_larger_distance_wins():
     x = [seg("near", (1, 0)), seg("far", (5, 0))]
-    assert furthest_point_from_cluster(x, ClusterBalls([[(0.0, 0.0)]])).id == "far"
+    assert furthest_point_from_cluster(x, ClusterBalls([as_walked([(0.0, 0.0)])])).id == "far"
 
 
 def test_furthest_point_tie_keeps_input_order():
     x = [seg("first", (2, 0)), seg("second", (-2, 0))]
-    assert furthest_point_from_cluster(x, ClusterBalls([[(0.0, 0.0)]])).id == "first"
+    assert furthest_point_from_cluster(x, ClusterBalls([as_walked([(0.0, 0.0)])])).id == "first"
 
 
 def test_furthest_point_degenerate_all_zero():
     x = [seg("a", (1, 1)), seg("b", (2, 2))]
     clustered = [(1.0, 1.0), (2.0, 2.0)]
-    assert furthest_point_from_cluster(x, ClusterBalls([clustered])).id == "a"
+    assert furthest_point_from_cluster(x, ClusterBalls([as_walked(clustered)])).id == "a"
 
 
 def test_furthest_point_argument_roles_differ():
     # swapping the roles asks a different question, so answers may differ
     a = [seg("a1", (0, 0)), seg("a2", (10, 0))]
     b = [seg("b1", (4, 0))]
-    from_b = furthest_point_from_cluster(a, ClusterBalls([[s.coords for s in b]]))
-    from_a = furthest_point_from_cluster(b, ClusterBalls([[s.coords for s in a]]))
+    from_b = furthest_point_from_cluster(a, ClusterBalls([as_walked([s.coords for s in b])]))
+    from_a = furthest_point_from_cluster(b, ClusterBalls([as_walked([s.coords for s in a])]))
     assert from_b.id == "a2"
     assert from_a.id == "b1"
 
@@ -304,14 +344,14 @@ def test_furthest_point_argument_roles_differ():
 def test_furthest_point_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         furthest_point_from_cluster(
-            [seg("a", (0, 0)), seg("b", (1, 1, 1))], ClusterBalls([[(0.0, 0.0)]])
+            [seg("a", (0, 0)), seg("b", (1, 1, 1))], ClusterBalls([as_walked([(0.0, 0.0)])])
         )
     with pytest.raises(DimensionMismatchError):
         furthest_point_from_cluster(
-            [seg("a", (0, 0))], ClusterBalls([[(0.0, 0.0), (1.0, 1.0, 1.0)]])
+            [seg("a", (0, 0))], ClusterBalls([[(0.0, (0.0, 0.0)), (1.7, (1.0, 1.0, 1.0))]])
         )
     with pytest.raises(DimensionMismatchError):
-        furthest_point_from_cluster([seg("a", (0, 0, 0))], ClusterBalls([[(0.0, 0.0)]]))
+        furthest_point_from_cluster([seg("a", (0, 0, 0))], ClusterBalls([as_walked([(0.0, 0.0)])]))
 
 
 def test_furthest_point_bounds_keep_shared_ids_apart():
@@ -323,10 +363,10 @@ def test_furthest_point_bounds_keep_shared_ids_apart():
     winners = []
     for point in [(0.0, 0.0), (3.0, 0.0), (9.0, 0.0), (1.0, 1.0)]:
         clustered.append(point)
-        balls.add([point])
+        balls.add(as_walked([point]))
         winners.append(furthest_point_from_cluster(candidates, balls))
         assert winners[-1] is furthest_point_from_cluster(
-            candidates, ClusterBalls([clustered])
+            candidates, ClusterBalls([as_walked(clustered)])
         )
     assert winners[0] is far
 
@@ -335,17 +375,18 @@ def test_furthest_point_bounds_carry_over_a_growing_set():
     rng = random.Random(7)
     segments = [seg(f"g{i}", (rng.randint(0, 9), rng.randint(0, 9))) for i in range(40)]
     clustered = [(0.0, 0.0)]
-    balls = ClusterBalls([clustered])
+    balls = ClusterBalls([as_walked(clustered)])
     while len(clustered) < 30:
         stateful = furthest_point_from_cluster(segments, balls)
-        assert stateful is furthest_point_from_cluster(segments, ClusterBalls([clustered]))
+        fresh = ClusterBalls([as_walked(clustered)])
+        assert stateful is furthest_point_from_cluster(segments, fresh)
         assert stateful.id == oracle_furthest_point(segments, clustered)
         group = [
             (float(rng.randint(0, 9)), float(rng.randint(0, 9)))
             for _ in range(rng.randint(1, 3))
         ]
         clustered.extend(group)
-        balls.add(group)
+        balls.add(as_walked(group))
     assert len(balls) == len(clustered)
 
 
@@ -377,27 +418,27 @@ def test_carried_ball_search_matches_fresh_scan_and_oracle(case):
     clustered = []
     for group in groups:
         # each year's cluster joins with its center first, as the drivers add it
-        balls.add(group)
+        balls.add(as_walked(group))
         clustered.extend(group)
         if not candidates:
             break
         stateful = furthest_point_from_cluster(candidates, balls)
         assert stateful is furthest_point_from_cluster(
-            candidates, ClusterBalls([clustered])
+            candidates, ClusterBalls([as_walked(clustered)])
         )
         assert stateful.id == oracle_furthest_point(candidates, clustered)
         candidates.remove(stateful)
 
 
 def test_cluster_balls_refuse_non_finite_and_empty_groups():
-    balls = ClusterBalls([[(0.0, 0.0)]])
+    balls = ClusterBalls([as_walked([(0.0, 0.0)])])
     for bad in [(math.inf, 0.0), (0.0, math.nan)]:
         with pytest.raises(ValueError, match="finite"):
-            balls.add([(1.0, 1.0), bad])
+            balls.add(as_walked([(1.0, 1.0), bad]))
     with pytest.raises(ValueError):
         balls.add([])
     with pytest.raises(DimensionMismatchError):
-        balls.add([(1.0, 1.0, 1.0)])
+        balls.add(as_walked([(1.0, 1.0, 1.0)]))
     assert len(balls) == 1 and len(balls.balls) == 1
 
 
@@ -413,7 +454,7 @@ def test_overflowing_distances_are_measured_not_pruned(member, p):
     # the member look out of reach
     center = (-1e308,)
     p, q = seg("p", p), seg("q", (0.0,))
-    balls = ClusterBalls([[center, member]])
+    balls = ClusterBalls([as_walked([center, member])])
     winner = furthest_point_from_cluster([p, q], balls)
     plain = max([p, q], key=lambda s: min(math.dist(s.coords, c) for c in (center, member)))
     assert winner is plain is q
@@ -427,14 +468,14 @@ def test_subnormal_distances_keep_the_absolute_margin():
     unit = 2.0**-1074
     c0, c1 = seg("c0", (2 * unit, 2 * unit)), seg("c1", (3 * unit, 2 * unit))
     clustered = [(3 * unit, 0.0), (unit, 3 * unit)]
-    winner = furthest_point_from_cluster([c0, c1], ClusterBalls([clustered]))
+    winner = furthest_point_from_cluster([c0, c1], ClusterBalls([as_walked(clustered)]))
     plain = max([c0, c1], key=lambda s: min(math.dist(s.coords, c) for c in clustered))
     assert winner is plain is c1
 
 
 def test_furthest_point_empty_inputs():
     with pytest.raises(ValueError):
-        furthest_point_from_cluster([], ClusterBalls([[(0.0, 0.0)]]))
+        furthest_point_from_cluster([], ClusterBalls([as_walked([(0.0, 0.0)])]))
     with pytest.raises(ValueError):
         furthest_point_from_cluster([seg("a", (0, 0))], ClusterBalls())
 
@@ -461,7 +502,7 @@ def test_furthest_point_maximality(trial_seed):
         (rng.uniform(0, 10000), rng.uniform(0, 10000))
         for _ in range(rng.randint(1, 8))
     ]
-    best = furthest_point_from_cluster(segments, ClusterBalls([clustered]))
+    best = furthest_point_from_cluster(segments, ClusterBalls([as_walked(clustered)]))
     def min_linkage(point):
         return min(math.dist(member, point) for member in clustered)
 
@@ -489,7 +530,7 @@ def _picks_as_the_oracle(points, data):
     candidates = [seg(f"c{len(points) - k:02d}", p) for k, p in enumerate(points[cut:])]
     balls, clustered = ClusterBalls(), []
     for group in groups:
-        balls.add(group)
+        balls.add(as_walked(group))
         clustered.extend(group)
         if not candidates:
             break

@@ -21,7 +21,7 @@ from paveplan.model import Cluster, Segment
 from paveplan.refine import radial_neighbor_clustering
 from paveplan.synth import synthesize_dataset
 
-from helpers import line_segments, random_schedule, random_segments, seg
+from helpers import as_walked, line_segments, random_schedule, random_segments, seg
 from oracles import (
     oracle_cluster_cost,
     oracle_furthest_point,
@@ -92,7 +92,7 @@ def test_oracle_furthest_randomized_spot_check():
             (rng.uniform(0, 10000), rng.uniform(0, 10000))
             for _ in range(rng.randint(1, 6))
         ]
-        engine = furthest_point_from_cluster(segments, ClusterBalls([clustered]))
+        engine = furthest_point_from_cluster(segments, ClusterBalls([as_walked(clustered)]))
         assert engine.id == oracle_furthest_point(segments, clustered)
 
 

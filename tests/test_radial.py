@@ -32,7 +32,7 @@ class TestRadialNeighborClustering:
         assert cluster.member_ids == ("s0", "s1", "s2")
         assert cluster.realized_cost == Decimal("3.00")
         assert trace.stop_reason == STOP_BUDGET_REACHED
-        assert [cum for _, cum in trace.admitted] == [
+        assert [cum for _, _, cum in trace.admitted] == [
             Decimal("1.00"),
             Decimal("2.00"),
             Decimal("3.00"),
@@ -68,8 +68,8 @@ class TestRadialNeighborClustering:
     def test_walk_admits_the_pool_segments_nearest_first(self):
         pool = line_segments([3, 0, 2, 1])
         _, trace = radial_neighbor_clustering(pool, pool[1], Decimal("3.00"), year=2018)
-        assert [s.id for s, _ in trace.admitted] == ["s0", "s1", "s2"]
-        assert all(any(s is p for p in pool) for s, _ in trace.admitted)
+        assert [s.id for s, _, _ in trace.admitted] == ["s0", "s1", "s2"]
+        assert all(any(s is p for p in pool) for s, _, _ in trace.admitted)
         assert trace.stop_reason == STOP_BUDGET_REACHED
 
     def test_nonpositive_budget(self):
@@ -94,7 +94,7 @@ class TestRadialNeighborClustering:
         rng = random.Random(7)
         pool = random_segments(rng, 30)
         cluster, trace = radial_neighbor_clustering(pool, pool[3], "400.00", year=2018)
-        cums = [cum for _, cum in trace.admitted]
+        cums = [cum for _, _, cum in trace.admitted]
         assert all(a < b for a, b in zip(cums, cums[1:]))
         assert cums[-1] == cluster.realized_cost
 

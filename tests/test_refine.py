@@ -22,7 +22,7 @@ from paveplan.refine import (
 
 from paveplan.synth import synthesize_dataset
 
-from helpers import entry, line_segments, random_segments, schedule, seg
+from helpers import as_walked, entry, line_segments, random_segments, schedule, seg
 from oracles import oracle_cluster_cost, oracle_prefix_cluster
 
 
@@ -77,31 +77,30 @@ class TestBuildToleranceBand:
             assert cluster.budget == limit
 
 
+def _band_ids(band):
+    """``band``'s ids in urgency order for 2018, each point at its distance from the origin."""
+    return [s.id for _, s in band_order(as_walked([(0.0, 0.0), *band])[1:], year=2018)]
+
+
 class TestBandOrder:
     def test_sorts_by_year(self):
-        center = seg("c", (0, 0))
         # priced in the center's year, 2018
         band = [
             seg("a", (1, 0), year=2020, years=[2018]),
             seg("b", (2, 0), year=2018),
             seg("d", (3, 0), year=2019, years=[2018]),
         ]
-        assert [s.id for s in band_order(band, center, year=2018)] == ["b", "d", "a"]
+        assert _band_ids(band) == ["b", "d", "a"]
 
     def test_equal_years_lower_cost_first(self):
-        center = seg("c", (0, 0))
         band = [seg("a", (1, 0), cost="5.00"), seg("b", (2, 0), cost="2.00")]
-        assert [s.id for s in band_order(band, center, year=2018)] == ["b", "a"]
+        assert _band_ids(band) == ["b", "a"]
 
     def test_equal_years_and_costs_nearer_first(self):
-        center = seg("c", (0, 0))
-        band = [seg("a", (3, 0)), seg("b", (1, 0))]
-        assert [s.id for s in band_order(band, center, year=2018)] == ["b", "a"]
+        assert _band_ids([seg("a", (3, 0)), seg("b", (1, 0))]) == ["b", "a"]
 
     def test_full_tie_falls_back_to_id(self):
-        center = seg("c", (0, 0))
-        band = [seg("b", (0, 1)), seg("a", (1, 0))]
-        assert [s.id for s in band_order(band, center, year=2018)] == ["a", "b"]
+        assert _band_ids([seg("b", (0, 1)), seg("a", (1, 0))]) == ["a", "b"]
 
 
 class TestScheduleAwareCluster:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import paveplan.io_formats
 from paveplan.cli import main
 from paveplan.io_formats import emit_budgets_csv, emit_segments_csv
+from paveplan.model import Segment
 from paveplan.radial import landmark_based_radial_clustering, main_algorithm, schedule_aware_plan
 from paveplan.synth import synthesize_dataset
 
@@ -125,16 +126,17 @@ def test_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
     assert artifacts[0] == artifacts[1]
 
 
-# each engine as ``cluster --algo`` runs it, with or without skip mode
+# each engine as ``cluster --algo`` runs it, with or without skip mode, on
+# ``--axis`` (which random centers do not read)
 ENGINES = {
-    "random": lambda segments, schedule, skip: main_algorithm(
+    "random": lambda segments, schedule, skip, axis=0: main_algorithm(
         segments, schedule, 3, skip_mode=skip
     ),
-    "landmark": lambda segments, schedule, skip: landmark_based_radial_clustering(
-        segments, schedule, 0, skip_mode=skip
+    "landmark": lambda segments, schedule, skip, axis=0: landmark_based_radial_clustering(
+        segments, schedule, axis, skip_mode=skip
     ),
-    "schedule": lambda segments, schedule, skip: schedule_aware_plan(
-        segments, schedule, 0, skip_mode=skip
+    "schedule": lambda segments, schedule, skip, axis=0: schedule_aware_plan(
+        segments, schedule, axis, skip_mode=skip
     ),
 }
 
@@ -165,3 +167,19 @@ def test_an_order_preserving_rename_renames_the_plan(dataset, engine, skip, rng)
     assert plan_outline(ENGINES[engine](renamed(segments, names), schedule, skip)) == (
         plan_outline(plan, names.__getitem__)
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_datasets(), st.sampled_from(sorted(ENGINES)), st.booleans())
+def test_swapped_coordinate_columns_on_the_matching_axis_give_the_same_plan(dataset, engine, skip):
+    # the walk's order is (distance, id), so moving the pool's sorted
+    # coordinate to the other column changes no pick
+    segments, schedule = dataset
+    plan = ENGINES[engine](segments, schedule, skip, 0)
+    swapped = [
+        Segment(s.id, (s.coords[1], s.coords[0], *s.coords[2:]), s.cost_by_year, s.scheduled_year)
+        for s in segments
+    ]
+    twin = ENGINES[engine](swapped, schedule, skip, 1)
+    assert twin == plan  # centers, members in order, money and diagnostics
+    assert distance_figures(twin, schedule, swapped) == distance_figures(plan, schedule, segments)
